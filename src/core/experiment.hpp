@@ -146,12 +146,4 @@ struct YcsbExperimentResult {
 /// runs the closed loop and returns windowed metrics.
 YcsbExperimentResult runYcsbExperiment(const YcsbExperimentConfig& cfg);
 
-/// Convenience used by Table I: per-node CPU% for a given client count
-/// without any of the result plumbing.
-struct CpuUsageRow {
-  double avg = 0;
-  double min = 0;
-  double max = 0;
-};
-
 }  // namespace rc::core

@@ -161,26 +161,28 @@ void MasterService::handleRpc(const net::RpcRequest& req, node::NodeId from,
       onRead(req, std::move(respond));
       break;
     case net::Opcode::kWrite:
-      onWrite(req, std::move(respond));
+      onMutation(req, std::move(respond), &MasterService::writeBody);
       break;
     case net::Opcode::kTxPrepare:
-      onTxPrepare(req, std::move(respond));
+      onMutation(req, std::move(respond), &MasterService::prepareBody);
       break;
     case net::Opcode::kTxDecision:
-      onTxDecision(req, std::move(respond));
+      onMutation(req, std::move(respond), &MasterService::decisionBody);
       break;
     case net::Opcode::kTxVote:
       onTxVote(req, std::move(respond));
       break;
     case net::Opcode::kRemove:
-      onRemove(req, std::move(respond));
+      onMutation(req, std::move(respond), &MasterService::removeBody);
       break;
     case net::Opcode::kScan:
       onScan(req, std::move(respond));
       break;
     case net::Opcode::kMultiRead:
+      onMultiRead(req, std::move(respond));
+      break;
     case net::Opcode::kMultiWrite:
-      onMultiOp(req, std::move(respond));
+      onMutation(req, std::move(respond), &MasterService::multiWriteBody);
       break;
     case net::Opcode::kStartRecovery:
       onStartRecovery(req, std::move(respond));
@@ -192,7 +194,7 @@ void MasterService::handleRpc(const net::RpcRequest& req, node::NodeId from,
       onMigrateTablet(req, std::move(respond));
       break;
     case net::Opcode::kMigrationData:
-      onMigrationData(req, from, std::move(respond));
+      onMigrationData(req, std::move(respond));
       break;
     default: {
       net::RpcResponse r;
@@ -397,315 +399,33 @@ void MasterService::onRead(const net::RpcRequest& req, Responder respond) {
   }));
 }
 
-void MasterService::onWrite(const net::RpcRequest& req, Responder respond) {
-  struct WriteCtx {
-    std::uint64_t tableId = 0;
-    std::uint64_t keyId = 0;
-    std::uint32_t valueBytes = 0;
-    std::uint64_t expected = 0;  ///< conditional write (0 = unconditional)
-    std::uint64_t clientId = 0;  ///< 0 = untracked (no exactly-once)
-    std::uint64_t rpcSeq = 0;
-    std::uint64_t firstUnacked = 0;
-    std::uint64_t span = 0;
-    std::uint16_t tenant = 0;
-    sim::SimTime arrival = 0;
-    Responder respond;
-  };
-  auto cx = std::make_shared<WriteCtx>();
-  cx->tableId = req.a;
-  cx->keyId = req.b;
-  cx->valueBytes = static_cast<std::uint32_t>(req.payloadBytes);
-  cx->expected = req.c;
-  cx->clientId = req.clientId;
-  cx->rpcSeq = req.rpcSeq;
-  cx->firstUnacked = req.firstUnacked;
-  cx->span = req.traceSpan;
-  cx->tenant = req.tenant;
-  cx->arrival = node_.sim().now();
-  cx->respond = std::move(respond);
-
-  dispatch_.enqueue(guard([this, cx]() mutable {
-    stampTrace(cx->span, obs::TimeTrace::Stage::kDispatchWait);
-    if (!ownsKey(cx->tableId, cx->keyId)) {
-      ++stats_.unknownTablet;
-      net::RpcResponse r;
-      r.status = net::Status::kUnknownTablet;
-      cx->respond(std::move(r));
-      return;
-    }
-    if (isMigratingRange(cx->tableId,
-                         hash::keyHash(hash::Key{cx->tableId, cx->keyId}))) {
-      // The range is being shipped elsewhere; the client backs off and
-      // re-routes once the coordinator flips the tablet map.
-      net::RpcResponse r;
-      r.status = net::Status::kRecovering;
-      cx->respond(std::move(r));
-      return;
-    }
-    noteTabletOp(cx->tableId, cx->keyId, /*isWrite=*/true);
-    if (cx->clientId != 0) {
-      // RIFL admission: reject expired leases, then check the suppression
-      // table before burning a worker on a duplicate.
-      if (directory_.leaseValid && !directory_.leaseValid(cx->clientId)) {
-        net::RpcResponse r;
-        r.status = net::Status::kExpiredLease;
-        cx->respond(std::move(r));
-        return;
-      }
-      startLeaseReclaim();
-      std::vector<log::LogRef> freed;
-      const auto adm =
-          unacked_.begin(cx->clientId, cx->rpcSeq, cx->firstUnacked, &freed);
-      releaseCompletionRecords(freed);
-      switch (adm.check) {
-        case UnackedRpcResults::Check::kCompleted: {
-          // Duplicate of a finished op: replay the recorded outcome, never
-          // re-execute (the original may have been a different value).
-          net::RpcResponse r;
-          r.status = static_cast<net::Status>(adm.result.status);
-          r.b = adm.result.version;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kInProgress: {
-          // First attempt still replicating; the retry backs off like a
-          // recovery wait and re-probes.
-          net::RpcResponse r;
-          r.status = net::Status::kRecovering;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kStale: {
-          net::RpcResponse r;
-          r.status = net::Status::kStaleRpc;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kNew:
-          break;
-      }
-    }
-    node_.cpu().acquireWorker(guard([this, cx](int w) mutable {
-      node_.cpu().tagWorker(w, {power::OpClass::kUpdate, cx->tenant});
-      logLock_.acquire(guard([this, cx, w]() mutable {
-        // Thread-handling cost under concurrency (Finding 2's root cause):
-        // the more distinct streams hammer this server, the more futile
-        // context switches each synced update eats. sqrt keeps the penalty
-        // sublinear, as fitted to Table II.
-        const int streams = concurrentStreams();
-        const sim::Duration penalty = sim::usecF(
-            params_.convoyPenaltyUs * std::sqrt(static_cast<double>(streams)));
-        node_.sim().schedule(
-            params_.writeAppendCpu + penalty, guard([this, cx, w]() mutable {
-              const bool tracked = cx->clientId != 0;
-              if (const TxLockTable::Lock* held =
-                      txLocks_.get(cx->tableId, cx->keyId);
-                  held != nullptr) {
-                // A prepared minitransaction holds this object's version
-                // lock: a plain write slipping underneath would invalidate
-                // the vote that participant already cast. Reject; the
-                // writer retries after the decision releases the lock.
-                // Nothing mutated, so the RIFL entry rolls back (a retry
-                // re-runs the check) instead of recording a durable verdict.
-                txLocks_.countConflict();
-                if (tracked) unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                net::RpcResponse r;
-                r.status = net::Status::kTxConflict;
-                r.b = held->expectedVersion;
-                stampTrace(cx->span, obs::TimeTrace::Stage::kWorkerService);
-                logLock_.release();
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                return;
-              }
-              if (cx->expected != 0) {
-                // Conditional check under the append lock: an interleaved
-                // writer cannot slip between check and apply.
-                const auto* loc =
-                    map_.get(hash::Key{cx->tableId, cx->keyId});
-                const std::uint64_t cur = loc != nullptr ? loc->version : 0;
-                if (cur != cx->expected) {
-                  onWriteVersionMismatch(cx->tableId, cx->keyId, cx->clientId,
-                                         cx->rpcSeq, cur, cx->span,
-                                         cx->tenant, cx->arrival, w,
-                                         std::move(cx->respond));
-                  return;
-                }
-              }
-              if (tracked) {
-                // The completion record must land in the same segment as
-                // the object so both replicate (and recover) atomically.
-                ensureHeadRoom(cx->valueBytes + params_.objectOverheadBytes +
-                               params_.completionRecordBytes);
-              }
-              const ApplyResult res =
-                  applyWrite(cx->tableId, cx->keyId, cx->valueBytes);
-              log::LogRef rec;
-              std::uint32_t entryBytes = res.entryBytes;
-              if (tracked) {
-                rec = appendCompletion(cx->tableId, cx->keyId, cx->clientId,
-                                       cx->rpcSeq, res.version,
-                                       net::Status::kOk, true);
-                entryBytes += params_.completionRecordBytes;
-              }
-              node_.chargeDram(entryBytes,
-                               {power::OpClass::kUpdate, cx->tenant});
-              // Hash/log work done; what follows is the log-sync /
-              // replication fan-out the paper's Finding 3 is about.
-              stampTrace(cx->span, obs::TimeTrace::Stage::kWorkerService);
-              auto finish = guard([this, cx, w, res, rec,
-                                   tracked](bool ok) mutable {
-                logLock_.release();
-                net::RpcResponse r;
-                if (!ok) {
-                  r.status = net::Status::kError;
-                  ++stats_.replicationFailures;
-                  if (tracked) {
-                    // Nothing durably recorded: the retry re-executes.
-                    unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                    log_.markDead(rec);
-                  }
-                } else {
-                  r.b = res.version;
-                  if (tracked) {
-                    UnackedRpcResults::Result rr;
-                    rr.status =
-                        static_cast<std::uint8_t>(net::Status::kOk);
-                    rr.version = res.version;
-                    rr.found = true;
-                    rr.tableId = cx->tableId;
-                    rr.keyId = cx->keyId;
-                    rr.record = rec;
-                    unacked_.recordCompletion(cx->clientId, cx->rpcSeq, rr);
-                  }
-                }
-                ++stats_.writes;
-                stats_.writeServiceLatency.add(node_.sim().now() -
-                                               cx->arrival);
-                dispatch_.noteSojourn(node_.sim().now() - cx->arrival);
-                stampTrace(cx->span, obs::TimeTrace::Stage::kReplicationWait);
-                if (ok && crashBeforeReplyHook_) {
-                  // Fault point: the op is durable (and recorded) but the
-                  // reply never leaves — the injector crashes us from the
-                  // hook and the client's retry lands on the new owner.
-                  auto hook = std::move(crashBeforeReplyHook_);
-                  crashBeforeReplyHook_ = nullptr;
-                  node_.cpu().releaseWorker(w);
-                  hook();
-                  return;
-                }
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                maybeStartCleaner();
-              });
-              if (params_.replication.factor <= 0) {
-                // Log sync without backups still pays RAMCloud's
-                // thread-handling overhead (see MasterParams).
-                node_.sim().schedule(
-                    params_.unreplicatedSyncTime,
-                    guard([finish = std::move(finish)]() mutable {
-                      finish(true);
-                    }));
-              } else {
-                // Object + completion record sync as one append (they are
-                // in one segment, see ensureHeadRoom above).
-                replicaMgr_.replicateAppend(res.ref.segment, entryBytes,
-                                            std::move(finish));
-              }
-            }));
-      }));
-    }));
-  }));
-}
-
-void MasterService::onWriteVersionMismatch(
-    std::uint64_t tableId, std::uint64_t keyId, std::uint64_t clientId,
-    std::uint64_t seq, std::uint64_t currentVersion, std::uint64_t span,
-    std::uint16_t tenant, sim::SimTime arrival, int w, Responder respond) {
-  const bool tracked = clientId != 0;
-  log::LogRef rec;
-  if (tracked) {
-    // The rejection is an outcome too: record it durably so a duplicate
-    // retry replays kVersionMismatch instead of re-running the check
-    // against whatever version exists by then.
-    rec = appendCompletion(tableId, keyId, clientId, seq, currentVersion,
-                           net::Status::kVersionMismatch, true);
-    node_.chargeDram(params_.completionRecordBytes,
-                     {power::OpClass::kUpdate, tenant});
-  }
-  auto finish = guard([this, tableId, keyId, clientId, seq, currentVersion,
-                       span, arrival, w, rec, tracked,
-                       respond = std::move(respond)](bool ok) mutable {
-    logLock_.release();
-    net::RpcResponse r;
-    if (!ok) {
-      r.status = net::Status::kError;
-      ++stats_.replicationFailures;
-      if (tracked) {
-        unacked_.abortInProgress(clientId, seq);
-        log_.markDead(rec);
-      }
-    } else {
-      r.status = net::Status::kVersionMismatch;
-      r.b = currentVersion;
-      if (tracked) {
-        UnackedRpcResults::Result rr;
-        rr.status = static_cast<std::uint8_t>(net::Status::kVersionMismatch);
-        rr.version = currentVersion;
-        rr.found = true;
-        rr.tableId = tableId;
-        rr.keyId = keyId;
-        rr.record = rec;
-        unacked_.recordCompletion(clientId, seq, rr);
-      }
-    }
-    ++stats_.writes;
-    stats_.writeServiceLatency.add(node_.sim().now() - arrival);
-    dispatch_.noteSojourn(node_.sim().now() - arrival);
-    stampTrace(span, obs::TimeTrace::Stage::kReplicationWait);
-    respond(std::move(r));
-    node_.cpu().releaseWorker(w);
-    maybeStartCleaner();
-  });
-  if (!tracked || params_.replication.factor <= 0) {
-    finish(true);
+void MasterService::onMutation(const net::RpcRequest& req, Responder respond,
+                               Body body) {
+  auto m = std::make_shared<Mutation>();
+  m->op = req.op;
+  m->tableId = req.a;
+  m->clientId = req.clientId;
+  m->rpcSeq = req.rpcSeq;
+  m->firstUnacked = req.firstUnacked;
+  m->span = req.traceSpan;
+  m->tenant = req.tenant;
+  m->arrival = node_.sim().now();
+  m->respond = std::move(respond);
+  if (req.op == net::Opcode::kMultiWrite) {
+    m->valueBytes = static_cast<std::uint32_t>(req.b);
+    m->keys = req.keys;
   } else {
-    replicaMgr_.replicateAppend(rec.segment, params_.completionRecordBytes,
-                                std::move(finish));
+    m->keyId = req.b;
+    m->valueBytes = static_cast<std::uint32_t>(req.payloadBytes);
+    m->txId = req.d;
+    if (req.op == net::Opcode::kTxDecision) {
+      m->commit = (req.c & 1) != 0;
+      m->fromResolution = (req.c & 2) != 0;
+    } else {
+      m->expected = req.c;
+    }
   }
-}
-
-void MasterService::onTxPrepare(const net::RpcRequest& req,
-                                Responder respond) {
-  struct PrepCtx {
-    std::uint64_t tableId = 0;
-    std::uint64_t keyId = 0;
-    std::uint32_t valueBytes = 0;  ///< 0 = validation-only (read-only tx)
-    std::uint64_t expected = 0;
-    std::uint64_t txId = 0;
-    std::uint64_t clientId = 0;
-    std::uint64_t rpcSeq = 0;
-    std::uint64_t firstUnacked = 0;
-    std::uint64_t span = 0;
-    std::uint16_t tenant = 0;
-    sim::SimTime arrival = 0;
-    log::TxParticipants participants;
-    Responder respond;
-  };
-  auto cx = std::make_shared<PrepCtx>();
-  cx->tableId = req.a;
-  cx->keyId = req.b;
-  cx->valueBytes = static_cast<std::uint32_t>(req.payloadBytes);
-  cx->expected = req.c;
-  cx->txId = req.d;
-  cx->clientId = req.clientId;
-  cx->rpcSeq = req.rpcSeq;
-  cx->firstUnacked = req.firstUnacked;
-  cx->span = req.traceSpan;
-  cx->tenant = req.tenant;
-  cx->arrival = node_.sim().now();
-  cx->respond = std::move(respond);
-  if (req.keys && !req.keys->empty()) {
+  if (req.op == net::Opcode::kTxPrepare && req.keys && !req.keys->empty()) {
     // Participant key list packed as alternating (tableId, keyId) pairs.
     auto parts = std::make_shared<
         std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
@@ -713,526 +433,460 @@ void MasterService::onTxPrepare(const net::RpcRequest& req,
     for (std::size_t i = 0; i + 1 < req.keys->size(); i += 2) {
       parts->emplace_back((*req.keys)[i], (*req.keys)[i + 1]);
     }
-    cx->participants = std::move(parts);
+    m->participants = std::move(parts);
   }
-
-  dispatch_.enqueue(guard([this, cx]() mutable {
-    stampTrace(cx->span, obs::TimeTrace::Stage::kDispatchWait);
-    if (!ownsKey(cx->tableId, cx->keyId)) {
-      ++stats_.unknownTablet;
-      net::RpcResponse r;
-      r.status = net::Status::kUnknownTablet;
-      cx->respond(std::move(r));
-      return;
-    }
-    if (isMigratingRange(cx->tableId,
-                         hash::keyHash(hash::Key{cx->tableId, cx->keyId}))) {
-      net::RpcResponse r;
-      r.status = net::Status::kRecovering;
-      cx->respond(std::move(r));
-      return;
-    }
-    noteTabletOp(cx->tableId, cx->keyId, /*isWrite=*/cx->valueBytes != 0);
-    if (cx->valueBytes == 0) {
-      // Validation-only item (read-only transaction, docs/TRANSACTIONS.md):
-      // check the read version is still current and the object unlocked.
-      // No lock, no log record — the client decides locally from the votes.
-      node_.cpu().acquireWorker(guard([this, cx](int w) mutable {
-        node_.cpu().tagWorker(w, {power::OpClass::kRead, cx->tenant});
-        node_.sim().schedule(
-            params_.readServiceTime, guard([this, cx, w]() mutable {
-              node_.cpu().releaseWorker(w);
-              const auto* loc = map_.get(hash::Key{cx->tableId, cx->keyId});
-              const std::uint64_t cur = loc != nullptr ? loc->version : 0;
-              const TxLockTable::Lock* lock =
-                  txLocks_.get(cx->tableId, cx->keyId);
-              net::RpcResponse r;
-              r.b = cur;
-              if (lock != nullptr && lock->txId != cx->txId) {
-                r.status = net::Status::kTxConflict;
-                txLocks_.countConflict();
-              } else if (cur != cx->expected) {
-                r.status = net::Status::kVersionMismatch;
-              }
-              stampTrace(cx->span, obs::TimeTrace::Stage::kWorkerService);
-              cx->respond(std::move(r));
-            }));
-      }));
-      return;
-    }
-    if (cx->clientId == 0) {
-      // A locking prepare must be RIFL-tracked: without a lease there is no
-      // owner to reclaim the lock from when the client dies.
-      net::RpcResponse r;
-      r.status = net::Status::kError;
-      cx->respond(std::move(r));
-      return;
-    }
-    if (directory_.leaseValid && !directory_.leaseValid(cx->clientId)) {
-      net::RpcResponse r;
-      r.status = net::Status::kExpiredLease;
-      cx->respond(std::move(r));
-      return;
-    }
-    startLeaseReclaim();
-    std::vector<log::LogRef> freed;
-    const auto adm =
-        unacked_.begin(cx->clientId, cx->rpcSeq, cx->firstUnacked, &freed);
-    releaseCompletionRecords(freed);
-    switch (adm.check) {
-      case UnackedRpcResults::Check::kCompleted: {
-        net::RpcResponse r;
-        r.status = static_cast<net::Status>(adm.result.status);
-        r.b = adm.result.version;
-        cx->respond(std::move(r));
-        return;
-      }
-      case UnackedRpcResults::Check::kInProgress: {
-        net::RpcResponse r;
-        r.status = net::Status::kRecovering;
-        cx->respond(std::move(r));
-        return;
-      }
-      case UnackedRpcResults::Check::kStale: {
-        net::RpcResponse r;
-        r.status = net::Status::kStaleRpc;
-        cx->respond(std::move(r));
-        return;
-      }
-      case UnackedRpcResults::Check::kNew:
-        break;
-    }
-    node_.cpu().acquireWorker(guard([this, cx](int w) mutable {
-      node_.cpu().tagWorker(w, {power::OpClass::kUpdate, cx->tenant});
-      logLock_.acquire(guard([this, cx, w]() mutable {
-        const int streams = concurrentStreams();
-        const sim::Duration penalty = sim::usecF(
-            params_.convoyPenaltyUs * std::sqrt(static_cast<double>(streams)));
-        node_.sim().schedule(
-            params_.writeAppendCpu + penalty, guard([this, cx, w]() mutable {
-              // Vote checks under the append lock: fence, lock, version.
-              if (txLocks_.isFencedAborted(cx->txId)) {
-                onTxPrepareReject(cx->tableId, cx->keyId, cx->clientId,
-                                  cx->rpcSeq, net::Status::kTxConflict, 0,
-                                  cx->span, cx->tenant, w,
-                                  std::move(cx->respond));
-                return;
-              }
-              if (txLocks_.voteStatus(cx->txId) == 2) {
-                // The tx already committed here (orphan resolution beat a
-                // stale prepare retry). Answer yes durably, without a lock:
-                // a version-mismatch reject would make the client report
-                // abort for data that committed.
-                const auto* cl = map_.get(hash::Key{cx->tableId, cx->keyId});
-                onTxPrepareReject(cx->tableId, cx->keyId, cx->clientId,
-                                  cx->rpcSeq, net::Status::kOk,
-                                  cl != nullptr ? cl->version : 0, cx->span,
-                                  cx->tenant, w, std::move(cx->respond));
-                return;
-              }
-              const TxLockTable::Lock* held =
-                  txLocks_.get(cx->tableId, cx->keyId);
-              if (held != nullptr && held->txId != cx->txId) {
-                txLocks_.countConflict();
-                onTxPrepareReject(cx->tableId, cx->keyId, cx->clientId,
-                                  cx->rpcSeq, net::Status::kTxConflict,
-                                  held->expectedVersion, cx->span, cx->tenant,
-                                  w, std::move(cx->respond));
-                return;
-              }
-              const auto* loc = map_.get(hash::Key{cx->tableId, cx->keyId});
-              const std::uint64_t cur = loc != nullptr ? loc->version : 0;
-              // expected == 0 means blind write (same convention as
-              // onWrite's conditional check).
-              if (held == nullptr && cx->expected != 0 &&
-                  cur != cx->expected) {
-                onTxPrepareReject(cx->tableId, cx->keyId, cx->clientId,
-                                  cx->rpcSeq, net::Status::kVersionMismatch,
-                                  cur, cx->span, cx->tenant, w,
-                                  std::move(cx->respond));
-                return;
-              }
-              // Vote yes: durable prepare record, then the lock.
-              ensureHeadRoom(params_.txPrepareRecordBytes);
-              log::LogEntry p;
-              p.tableId = cx->tableId;
-              p.keyId = cx->keyId;
-              p.sizeBytes = params_.txPrepareRecordBytes;
-              p.version = cur;
-              p.type = log::EntryType::kTxPrepare;
-              p.clientId = cx->clientId;
-              p.rpcSeq = cx->rpcSeq;
-              p.opStatus = static_cast<std::uint8_t>(net::Status::kOk);
-              p.txId = cx->txId;
-              p.txPendingBytes = cx->valueBytes;
-              p.txExpectedVersion = cx->expected;
-              p.txParticipants = cx->participants;
-              const log::LogRef rec = log_.append(p, node_.sim().now());
-              node_.chargeDram(p.sizeBytes,
-                               {power::OpClass::kUpdate, cx->tenant});
-              stampTrace(cx->span, obs::TimeTrace::Stage::kWorkerService);
-              std::uint64_t prepSpan = 0;
-              if (journal_ != nullptr) {
-                prepSpan = journal_->beginSpan(
-                    "tx_prepare", static_cast<int>(node_.id()), 0, cx->txId);
-              }
-              auto finish = guard([this, cx, w, rec, cur,
-                                   prepSpan](bool ok) mutable {
-                logLock_.release();
-                net::RpcResponse r;
-                if (!ok) {
-                  r.status = net::Status::kError;
-                  ++stats_.replicationFailures;
-                  unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                  log_.markDead(rec);
-                } else {
-                  // Re-prepare by the same tx (lease-expiry retry under a
-                  // new clientId): drop the superseded record so it does
-                  // not pin live bytes forever.
-                  const TxLockTable::Lock* prev =
-                      txLocks_.get(cx->tableId, cx->keyId);
-                  if (prev != nullptr && prev->prepareRecord.valid() &&
-                      !(prev->prepareRecord == rec) &&
-                      log_.segment(prev->prepareRecord.segment) != nullptr) {
-                    log_.markDead(prev->prepareRecord);
-                  }
-                  TxLockTable::Lock lock;
-                  lock.txId = cx->txId;
-                  lock.clientId = cx->clientId;
-                  lock.rpcSeq = cx->rpcSeq;
-                  lock.tableId = cx->tableId;
-                  lock.keyId = cx->keyId;
-                  lock.pendingValueBytes = cx->valueBytes;
-                  lock.expectedVersion = cx->expected;
-                  lock.prepareRecord = rec;
-                  lock.participants = cx->participants;
-                  lock.preparedAt = node_.sim().now();
-                  lock.recordOwnedByUnacked = true;
-                  txLocks_.acquire(std::move(lock));
-                  txLocks_.countPrepare();
-                  UnackedRpcResults::Result rr;
-                  rr.status = static_cast<std::uint8_t>(net::Status::kOk);
-                  rr.version = cur;
-                  rr.found = true;
-                  rr.tableId = cx->tableId;
-                  rr.keyId = cx->keyId;
-                  rr.record = rec;
-                  unacked_.recordCompletion(cx->clientId, cx->rpcSeq, rr);
-                  r.b = cur;
-                }
-                ++stats_.writes;
-                stats_.writeServiceLatency.add(node_.sim().now() -
-                                               cx->arrival);
-                dispatch_.noteSojourn(node_.sim().now() - cx->arrival);
-                stampTrace(cx->span, obs::TimeTrace::Stage::kReplicationWait);
-                if (journal_ != nullptr && prepSpan != 0) {
-                  journal_->endSpan(prepSpan);
-                }
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                maybeStartCleaner();
-              });
-              if (params_.replication.factor <= 0) {
-                node_.sim().schedule(
-                    params_.unreplicatedSyncTime,
-                    guard([finish = std::move(finish)]() mutable {
-                      finish(true);
-                    }));
-              } else {
-                replicaMgr_.replicateAppend(rec.segment, p.sizeBytes,
-                                            std::move(finish));
-              }
-            }));
-      }));
-    }));
-  }));
-}
-
-void MasterService::onTxPrepareReject(std::uint64_t tableId,
-                                      std::uint64_t keyId,
-                                      std::uint64_t clientId, std::uint64_t seq,
-                                      net::Status verdict,
-                                      std::uint64_t currentVersion,
-                                      std::uint64_t span, std::uint16_t tenant,
-                                      int w, Responder respond) {
-  // A vote-no is an outcome: record it durably so a duplicate prepare retry
-  // replays the same no (a vote must never flip once given).
-  const log::LogRef rec = appendCompletion(tableId, keyId, clientId, seq,
-                                           currentVersion, verdict, true);
-  node_.chargeDram(params_.completionRecordBytes,
-                   {power::OpClass::kUpdate, tenant});
-  auto finish = guard([this, clientId, seq, verdict, currentVersion, tableId,
-                       keyId, span, w, rec,
-                       respond = std::move(respond)](bool ok) mutable {
-    logLock_.release();
-    net::RpcResponse r;
-    if (!ok) {
-      r.status = net::Status::kError;
-      ++stats_.replicationFailures;
-      unacked_.abortInProgress(clientId, seq);
-      log_.markDead(rec);
+  dispatch_.enqueue(guard([this, m, body]() mutable {
+    if (!admit(*m)) return;
+    if (m->validateOnly()) {
+      validatePrepare(std::move(m));  // reads only: no commit
     } else {
-      r.status = verdict;
-      r.b = currentVersion;
-      UnackedRpcResults::Result rr;
-      rr.status = static_cast<std::uint8_t>(verdict);
-      rr.version = currentVersion;
-      rr.found = true;
-      rr.tableId = tableId;
-      rr.keyId = keyId;
-      rr.record = rec;
-      unacked_.recordCompletion(clientId, seq, rr);
+      commit(std::move(m), body);
     }
-    stampTrace(span, obs::TimeTrace::Stage::kReplicationWait);
-    respond(std::move(r));
-    node_.cpu().releaseWorker(w);
-    maybeStartCleaner();
-  });
-  if (params_.replication.factor <= 0) {
-    finish(true);
+  }));
+}
+
+bool MasterService::admit(Mutation& m) {
+  auto reject = [&m](net::Status status) {
+    net::RpcResponse r;
+    r.status = status;
+    m.respond(std::move(r));
+    return false;
+  };
+  stampTrace(m.span, obs::TimeTrace::Stage::kDispatchWait);
+  if (m.op == net::Opcode::kMultiWrite) {
+    // A batch is checked key by key (ownership, fence, lock) in its body.
+    if (!m.keys || m.keys->empty()) return reject(net::Status::kError);
   } else {
-    replicaMgr_.replicateAppend(rec.segment, params_.completionRecordBytes,
-                                std::move(finish));
+    if (!ownsKey(m.tableId, m.keyId)) {
+      ++stats_.unknownTablet;
+      return reject(net::Status::kUnknownTablet);
+    }
+    if (isMigratingRange(m.tableId,
+                         hash::keyHash(hash::Key{m.tableId, m.keyId}))) {
+      // The range is being shipped elsewhere; the client backs off and
+      // re-routes once the coordinator flips the tablet map.
+      return reject(net::Status::kRecovering);
+    }
+    noteTabletOp(m.tableId, m.keyId, /*isWrite=*/!m.validateOnly());
+  }
+  if (m.validateOnly()) return true;
+  if (m.clientId == 0) {
+    // A locking prepare must be RIFL-tracked: without a lease there is no
+    // owner to reclaim the lock from when the client dies.
+    if (m.op == net::Opcode::kTxPrepare) return reject(net::Status::kError);
+    return true;
+  }
+  // RIFL admission: reject expired leases, then check the suppression
+  // table before burning a worker on a duplicate.
+  if (directory_.leaseValid && !directory_.leaseValid(m.clientId)) {
+    return reject(net::Status::kExpiredLease);
+  }
+  startLeaseReclaim();
+  std::vector<log::LogRef> freed;
+  const auto adm = unacked_.begin(m.clientId, m.rpcSeq, m.firstUnacked, &freed);
+  releaseCompletionRecords(freed);
+  switch (adm.check) {
+    case UnackedRpcResults::Check::kCompleted: {
+      // Duplicate of a finished op: replay the recorded outcome, never
+      // re-execute (the original may have been a different value).
+      net::RpcResponse r;
+      r.status = static_cast<net::Status>(adm.result.status);
+      r.a = adm.result.found ? 1 : 0;
+      r.b = adm.result.version;
+      m.respond(std::move(r));
+      return false;
+    }
+    case UnackedRpcResults::Check::kInProgress:
+      // First attempt still replicating; the retry backs off like a
+      // recovery wait and re-probes.
+      return reject(net::Status::kRecovering);
+    case UnackedRpcResults::Check::kStale:
+      return reject(net::Status::kStaleRpc);
+    case UnackedRpcResults::Check::kNew:
+      break;
+  }
+  return true;
+}
+
+sim::Duration MasterService::commitServiceTime(const Mutation& m) const {
+  switch (m.op) {
+    case net::Opcode::kRemove:
+      return params_.removeServiceTime;
+    case net::Opcode::kTxDecision:
+      return params_.writeAppendCpu;
+    case net::Opcode::kMultiWrite:
+      return params_.multiOpBaseCpu +
+             params_.multiWritePerKeyCpu *
+                 static_cast<sim::Duration>(m.keys->size());
+    default: {
+      // Thread-handling cost under concurrency (Finding 2's root cause): the
+      // more distinct streams hammer this server, the more futile context
+      // switches each synced update eats. sqrt keeps the penalty sublinear,
+      // as fitted to Table II.
+      const int streams = concurrentStreams();
+      return params_.writeAppendCpu +
+             sim::usecF(params_.convoyPenaltyUs *
+                        std::sqrt(static_cast<double>(streams)));
+    }
   }
 }
 
-void MasterService::onTxDecision(const net::RpcRequest& req,
-                                 Responder respond) {
-  struct DecCtx {
-    std::uint64_t tableId = 0;
-    std::uint64_t keyId = 0;
-    bool commit = false;
-    bool fromResolution = false;
-    std::uint64_t txId = 0;
-    std::uint64_t clientId = 0;
-    std::uint64_t rpcSeq = 0;
-    std::uint64_t firstUnacked = 0;
-    std::uint64_t span = 0;
-    std::uint16_t tenant = 0;
-    sim::SimTime arrival = 0;
-    Responder respond;
-  };
-  auto cx = std::make_shared<DecCtx>();
-  cx->tableId = req.a;
-  cx->keyId = req.b;
-  cx->commit = (req.c & 1) != 0;
-  cx->fromResolution = (req.c & 2) != 0;
-  cx->txId = req.d;
-  cx->clientId = req.clientId;
-  cx->rpcSeq = req.rpcSeq;
-  cx->firstUnacked = req.firstUnacked;
-  cx->span = req.traceSpan;
-  cx->tenant = req.tenant;
-  cx->arrival = node_.sim().now();
-  cx->respond = std::move(respond);
-
-  dispatch_.enqueue(guard([this, cx]() mutable {
-    stampTrace(cx->span, obs::TimeTrace::Stage::kDispatchWait);
-    if (!ownsKey(cx->tableId, cx->keyId)) {
-      ++stats_.unknownTablet;
-      net::RpcResponse r;
-      r.status = net::Status::kUnknownTablet;
-      cx->respond(std::move(r));
-      return;
-    }
-    if (isMigratingRange(cx->tableId,
-                         hash::keyHash(hash::Key{cx->tableId, cx->keyId}))) {
-      net::RpcResponse r;
-      r.status = net::Status::kRecovering;
-      cx->respond(std::move(r));
-      return;
-    }
-    noteTabletOp(cx->tableId, cx->keyId, /*isWrite=*/true);
-    const bool tracked = cx->clientId != 0;
-    if (tracked) {
-      if (directory_.leaseValid && !directory_.leaseValid(cx->clientId)) {
-        net::RpcResponse r;
-        r.status = net::Status::kExpiredLease;
-        cx->respond(std::move(r));
-        return;
-      }
-      startLeaseReclaim();
-      std::vector<log::LogRef> freed;
-      const auto adm =
-          unacked_.begin(cx->clientId, cx->rpcSeq, cx->firstUnacked, &freed);
-      releaseCompletionRecords(freed);
-      switch (adm.check) {
-        case UnackedRpcResults::Check::kCompleted: {
-          // Duplicate kTxCommit retry after a dropped reply: replay the
-          // recorded outcome, never re-apply the decision.
-          net::RpcResponse r;
-          r.status = static_cast<net::Status>(adm.result.status);
-          r.a = adm.result.found ? 1 : 0;
-          r.b = adm.result.version;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kInProgress: {
-          net::RpcResponse r;
-          r.status = net::Status::kRecovering;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kStale: {
-          net::RpcResponse r;
-          r.status = net::Status::kStaleRpc;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kNew:
-          break;
-      }
-    }
-    node_.cpu().acquireWorker(guard([this, cx, tracked](int w) mutable {
-      node_.cpu().tagWorker(w, {power::OpClass::kUpdate, cx->tenant});
-      logLock_.acquire(guard([this, cx, tracked, w]() mutable {
-        node_.sim().schedule(
-            params_.writeAppendCpu, guard([this, cx, tracked, w]() mutable {
-              const TxLockTable::Lock* lock =
-                  txLocks_.get(cx->tableId, cx->keyId);
-              const bool haveLock =
-                  lock != nullptr && lock->txId == cx->txId;
-              std::uint64_t newVersion = 0;
-              std::uint32_t entryBytes = 0;
-              log::LogRef decRec;
-              log::LogRef lastRef;
-              if (haveLock) {
-                // Apply: object write (commit only) + decision record land
-                // in one segment so they recover atomically.
-                const std::uint32_t objBytes =
-                    cx->commit ? lock->pendingValueBytes +
-                                     params_.objectOverheadBytes
-                               : 0;
-                ensureHeadRoom(objBytes + params_.completionRecordBytes);
-                if (cx->commit) {
-                  const ApplyResult res = applyWrite(
-                      cx->tableId, cx->keyId, lock->pendingValueBytes);
-                  newVersion = res.version;
-                  entryBytes += res.entryBytes;
-                }
-                log::LogEntry d;
-                d.tableId = cx->tableId;
-                d.keyId = cx->keyId;
-                d.sizeBytes = params_.completionRecordBytes;
-                d.version = newVersion;
-                d.type = log::EntryType::kTxDecision;
-                d.clientId = tracked ? cx->clientId : lock->clientId;
-                d.rpcSeq = tracked ? cx->rpcSeq : 0;
-                d.opStatus = static_cast<std::uint8_t>(net::Status::kOk);
-                d.txId = cx->txId;
-                d.txCommit = cx->commit;
-                decRec = log_.append(d, node_.sim().now());
-                entryBytes += d.sizeBytes;
-                lastRef = decRec;
-                node_.chargeDram(entryBytes,
-                                 {power::OpClass::kUpdate, cx->tenant});
-              } else if (tracked) {
-                // No lock for this tx here (already resolved, or never
-                // prepared): the answer must still be durable so a retry
-                // replays it instead of racing whatever happens later.
-                const auto* loc = map_.get(hash::Key{cx->tableId, cx->keyId});
-                newVersion = loc != nullptr ? loc->version : 0;
-                ensureHeadRoom(params_.completionRecordBytes);
-                decRec = appendCompletion(cx->tableId, cx->keyId,
-                                          cx->clientId, cx->rpcSeq,
-                                          newVersion, net::Status::kOk,
-                                          false);
-                entryBytes = params_.completionRecordBytes;
-                lastRef = decRec;
-                node_.chargeDram(entryBytes,
-                                 {power::OpClass::kUpdate, cx->tenant});
+void MasterService::commit(MutationPtr m, Body body) {
+  node_.cpu().acquireWorker(guard([this, m, body](int w) mutable {
+    node_.cpu().tagWorker(w, {power::OpClass::kUpdate, m->tenant});
+    logLock_.acquire(guard([this, m, body, w]() mutable {
+      node_.sim().schedule(
+          commitServiceTime(*m), guard([this, m, body, w]() mutable {
+            Outcome o = (this->*body)(*m);
+            if (o.kind == Outcome::Kind::kRetry) {
+              // Nothing mutated, so the RIFL entry rolls back (a retry
+              // re-runs the check) instead of recording a durable verdict.
+              if (m->clientId != 0) {
+                unacked_.abortInProgress(m->clientId, m->rpcSeq);
               }
-              stampTrace(cx->span, obs::TimeTrace::Stage::kWorkerService);
-              std::uint64_t decSpan = 0;
-              if (journal_ != nullptr && haveLock) {
-                decSpan = journal_->beginSpan(
-                    cx->commit ? "tx_commit" : "tx_abort",
-                    static_cast<int>(node_.id()), 0, cx->txId);
-              }
-              auto finish = guard([this, cx, tracked, w, haveLock, decRec,
-                                   newVersion, decSpan](bool ok) mutable {
-                logLock_.release();
-                net::RpcResponse r;
-                if (!ok) {
-                  r.status = net::Status::kError;
-                  ++stats_.replicationFailures;
-                  if (tracked) {
-                    unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                  }
-                  if (decRec.valid()) log_.markDead(decRec);
-                  // The lock stays held; the retry (or the resolution
-                  // sweep) re-applies the decision.
-                } else {
-                  if (haveLock) {
-                    TxLockTable::Lock released;
-                    if (txLocks_.release(cx->tableId, cx->keyId, cx->txId,
-                                         &released)) {
-                      // The prepare record has served its purpose: without
-                      // it, crash replay cannot resurrect the lock (the
-                      // decision record fences retries). markDead is
-                      // idempotent wrt the suppression table's later GC.
-                      if (released.prepareRecord.valid() &&
-                          log_.segment(released.prepareRecord.segment) !=
-                              nullptr) {
-                        log_.markDead(released.prepareRecord);
-                      }
-                      txLocks_.countDecision(cx->commit, cx->fromResolution);
-                      txLocks_.noteResolved(cx->txId, cx->commit,
-                                            released.clientId, cx->tableId,
-                                            cx->keyId, decRec, tracked,
-                                            node_.sim().now());
-                    }
-                  }
-                  if (tracked) {
-                    UnackedRpcResults::Result rr;
-                    rr.status = static_cast<std::uint8_t>(net::Status::kOk);
-                    rr.version = newVersion;
-                    rr.found = haveLock;
-                    rr.tableId = cx->tableId;
-                    rr.keyId = cx->keyId;
-                    rr.record = decRec;
-                    unacked_.recordCompletion(cx->clientId, cx->rpcSeq, rr);
-                  }
-                  r.a = haveLock ? 1 : 0;
-                  r.b = newVersion;
-                }
-                ++stats_.writes;
-                stats_.writeServiceLatency.add(node_.sim().now() -
-                                               cx->arrival);
-                dispatch_.noteSojourn(node_.sim().now() - cx->arrival);
-                stampTrace(cx->span, obs::TimeTrace::Stage::kReplicationWait);
-                if (journal_ != nullptr && decSpan != 0) {
-                  journal_->endSpan(decSpan);
-                }
-                if (ok && haveLock && crashBeforeReplyHook_) {
-                  // Fault point "crash a participant mid-commit": decision
-                  // durable and applied, reply never leaves this node.
-                  auto hook = std::move(crashBeforeReplyHook_);
-                  crashBeforeReplyHook_ = nullptr;
-                  node_.cpu().releaseWorker(w);
-                  hook();
-                  return;
-                }
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                maybeStartCleaner();
-              });
-              if (entryBytes == 0) {
-                finish(true);
-              } else if (params_.replication.factor <= 0) {
-                node_.sim().schedule(
-                    params_.unreplicatedSyncTime,
-                    guard([finish = std::move(finish)]() mutable {
-                      finish(true);
-                    }));
-              } else {
-                replicaMgr_.replicateAppend(lastRef.segment, entryBytes,
-                                            std::move(finish));
-              }
-            }));
-      }));
+              stampTrace(m->span, obs::TimeTrace::Stage::kWorkerService);
+              logLock_.release();
+              m->respond(std::move(o.reply));
+              node_.cpu().releaseWorker(w);
+              return;
+            }
+            // Hash/log work done; what follows is the log-sync /
+            // replication fan-out the paper's Finding 3 is about. A refusal
+            // books its whole post-dispatch time to replication-wait.
+            if (o.kind == Outcome::Kind::kApplied) {
+              stampTrace(m->span, obs::TimeTrace::Stage::kWorkerService);
+            }
+            const bool refused = o.kind == Outcome::Kind::kRefused;
+            const std::uint64_t bytes = o.bytes;
+            const log::SegmentId segment = o.segment;
+            auto finish = guard([this, m, w, o = std::move(o)](
+                                    bool ok) mutable {
+              finishCommit(*m, o, w, ok);
+            });
+            if (bytes == 0 || (refused && params_.replication.factor <= 0)) {
+              finish(true);
+            } else if (params_.replication.factor <= 0) {
+              // Log sync without backups still pays RAMCloud's
+              // thread-handling overhead (see MasterParams).
+              node_.sim().schedule(
+                  params_.unreplicatedSyncTime,
+                  guard([finish = std::move(finish)]() mutable {
+                    finish(true);
+                  }));
+            } else {
+              // A single-key body keeps its entries in one segment
+              // (ensureHeadRoom), so they sync as one append. A multi-write
+              // syncs its bytes against the head; segments it filled are
+              // closed by the seal chain.
+              replicaMgr_.replicateAppend(segment, bytes, std::move(finish));
+            }
+          }));
     }));
   }));
+}
+
+void MasterService::finishCommit(Mutation& m, Outcome& o, int w, bool ok) {
+  logLock_.release();
+  const bool tracked = m.clientId != 0;
+  net::RpcResponse r;
+  if (!ok) {
+    // Nothing durably recorded: the retry re-executes. A tx decision's lock
+    // stays held; the retry (or the resolution sweep) re-applies it.
+    r.status = net::Status::kError;
+    ++stats_.replicationFailures;
+    if (tracked) unacked_.abortInProgress(m.clientId, m.rpcSeq);
+    if (o.record.valid()) log_.markDead(o.record);
+  } else {
+    r = o.reply;
+    if (o.kind == Outcome::Kind::kApplied &&
+        m.op == net::Opcode::kTxPrepare) {
+      lockPrepared(m, o.record);
+    } else if (o.kind == Outcome::Kind::kApplied &&
+               m.op == net::Opcode::kTxDecision && o.found) {
+      releaseDecided(m, o.record);
+    }
+    if (tracked) {
+      UnackedRpcResults::Result rr;
+      rr.status = static_cast<std::uint8_t>(r.status);
+      rr.version = r.b;
+      rr.found = o.found;
+      rr.tableId = m.tableId;
+      rr.keyId = m.keyId;
+      rr.record = o.record;
+      unacked_.recordCompletion(m.clientId, m.rpcSeq, rr);
+    }
+  }
+  if (o.counted > 0) {
+    (m.op == net::Opcode::kRemove ? stats_.removes : stats_.writes) +=
+        o.counted;
+    stats_.writeServiceLatency.add(node_.sim().now() - m.arrival);
+    dispatch_.noteSojourn(node_.sim().now() - m.arrival);
+  }
+  stampTrace(m.span, obs::TimeTrace::Stage::kReplicationWait);
+  if (journal_ != nullptr && o.journalSpan != 0) {
+    journal_->endSpan(o.journalSpan);
+  }
+  if (ok && o.crashPoint && crashBeforeReplyHook_) {
+    // Fault point: the op is durable (and recorded) but the reply never
+    // leaves — the injector crashes us from the hook and the client's retry
+    // lands on the new owner.
+    auto hook = std::move(crashBeforeReplyHook_);
+    crashBeforeReplyHook_ = nullptr;
+    node_.cpu().releaseWorker(w);
+    hook();
+    return;
+  }
+  m.respond(std::move(r));
+  node_.cpu().releaseWorker(w);
+  maybeStartCleaner();
+}
+
+MasterService::Outcome MasterService::refuse(Mutation& m, net::Status verdict,
+                                             std::uint64_t version) {
+  // The refusal is an outcome too: record it durably so a duplicate retry
+  // replays it instead of re-running the check against whatever exists by
+  // then (a tx vote must never flip once given).
+  Outcome o;
+  o.kind = Outcome::Kind::kRefused;
+  o.reply.status = verdict;
+  o.reply.b = version;
+  if (m.clientId != 0) {
+    o.record = appendCompletion(m.tableId, m.keyId, m.clientId, m.rpcSeq,
+                                version, verdict, true);
+    o.segment = o.record.segment;
+    o.bytes = params_.completionRecordBytes;
+    node_.chargeDram(o.bytes, {power::OpClass::kUpdate, m.tenant});
+  }
+  return o;
+}
+
+MasterService::Outcome MasterService::lockConflict(
+    const TxLockTable::Lock& held) {
+  // A prepared minitransaction holds this object's version lock: an update
+  // slipping underneath would invalidate the vote that participant already
+  // cast. The writer retries after the decision releases the lock.
+  txLocks_.countConflict();
+  Outcome o;
+  o.kind = Outcome::Kind::kRetry;
+  o.reply.status = net::Status::kTxConflict;
+  o.reply.b = held.expectedVersion;
+  return o;
+}
+
+MasterService::Outcome MasterService::writeBody(Mutation& m) {
+  if (const TxLockTable::Lock* held = txLocks_.get(m.tableId, m.keyId)) {
+    return lockConflict(*held);
+  }
+  if (m.expected != 0) {
+    // Conditional check under the append lock: an interleaved writer cannot
+    // slip between check and apply.
+    const auto* loc = map_.get(hash::Key{m.tableId, m.keyId});
+    const std::uint64_t cur = loc != nullptr ? loc->version : 0;
+    if (cur != m.expected) {
+      return refuse(m, net::Status::kVersionMismatch, cur);
+    }
+  }
+  const bool tracked = m.clientId != 0;
+  if (tracked) {
+    // The completion record must land in the same segment as the object so
+    // both replicate (and recover) atomically.
+    ensureHeadRoom(m.valueBytes + params_.objectOverheadBytes +
+                   params_.completionRecordBytes);
+  }
+  const ApplyResult res = applyWrite(m.tableId, m.keyId, m.valueBytes);
+  Outcome o;
+  o.reply.b = res.version;
+  o.segment = res.ref.segment;
+  o.bytes = res.entryBytes;
+  o.crashPoint = true;
+  if (tracked) {
+    o.record = appendCompletion(m.tableId, m.keyId, m.clientId, m.rpcSeq,
+                                res.version, net::Status::kOk, true);
+    o.bytes += params_.completionRecordBytes;
+  }
+  node_.chargeDram(o.bytes, {power::OpClass::kUpdate, m.tenant});
+  return o;
+}
+
+void MasterService::validatePrepare(MutationPtr m) {
+  // Validation-only item (read-only transaction, docs/TRANSACTIONS.md):
+  // check the read version is still current and the object unlocked. No
+  // lock, no log record — the client decides locally from the votes.
+  node_.cpu().acquireWorker(guard([this, m](int w) mutable {
+    node_.cpu().tagWorker(w, {power::OpClass::kRead, m->tenant});
+    node_.sim().schedule(
+        params_.readServiceTime, guard([this, m, w]() mutable {
+          node_.cpu().releaseWorker(w);
+          const auto* loc = map_.get(hash::Key{m->tableId, m->keyId});
+          const std::uint64_t cur = loc != nullptr ? loc->version : 0;
+          const TxLockTable::Lock* lock = txLocks_.get(m->tableId, m->keyId);
+          net::RpcResponse r;
+          r.b = cur;
+          if (lock != nullptr && lock->txId != m->txId) {
+            r.status = net::Status::kTxConflict;
+            txLocks_.countConflict();
+          } else if (cur != m->expected) {
+            r.status = net::Status::kVersionMismatch;
+          }
+          stampTrace(m->span, obs::TimeTrace::Stage::kWorkerService);
+          m->respond(std::move(r));
+        }));
+  }));
+}
+
+MasterService::Outcome MasterService::prepareBody(Mutation& m) {
+  // Vote checks under the append lock: fence, lock, version. An answer
+  // without a lock is not a write: it feeds neither the write counters nor
+  // the sojourn estimate.
+  auto answer = [this, &m](net::Status verdict, std::uint64_t version) {
+    Outcome o = refuse(m, verdict, version);
+    o.counted = 0;
+    return o;
+  };
+  if (txLocks_.isFencedAborted(m.txId)) {
+    return answer(net::Status::kTxConflict, 0);
+  }
+  const auto* loc = map_.get(hash::Key{m.tableId, m.keyId});
+  const std::uint64_t cur = loc != nullptr ? loc->version : 0;
+  if (txLocks_.voteStatus(m.txId) == 2) {
+    // The tx already committed here (orphan resolution beat a stale prepare
+    // retry). Answer yes durably, without a lock: a version-mismatch reject
+    // would make the client report abort for data that committed.
+    return answer(net::Status::kOk, cur);
+  }
+  const TxLockTable::Lock* held = txLocks_.get(m.tableId, m.keyId);
+  if (held != nullptr && held->txId != m.txId) {
+    txLocks_.countConflict();
+    return answer(net::Status::kTxConflict, held->expectedVersion);
+  }
+  // expected == 0 means blind write (same convention as a conditional
+  // write).
+  if (held == nullptr && m.expected != 0 && cur != m.expected) {
+    return answer(net::Status::kVersionMismatch, cur);
+  }
+  // Vote yes: durable prepare record now, the lock once it is durable.
+  ensureHeadRoom(params_.txPrepareRecordBytes);
+  log::LogEntry p;
+  p.tableId = m.tableId;
+  p.keyId = m.keyId;
+  p.sizeBytes = params_.txPrepareRecordBytes;
+  p.version = cur;
+  p.type = log::EntryType::kTxPrepare;
+  p.clientId = m.clientId;
+  p.rpcSeq = m.rpcSeq;
+  p.opStatus = static_cast<std::uint8_t>(net::Status::kOk);
+  p.txId = m.txId;
+  p.txPendingBytes = m.valueBytes;
+  p.txExpectedVersion = m.expected;
+  p.txParticipants = m.participants;
+  Outcome o;
+  o.record = log_.append(p, node_.sim().now());
+  o.segment = o.record.segment;
+  o.bytes = p.sizeBytes;
+  o.reply.b = cur;
+  node_.chargeDram(p.sizeBytes, {power::OpClass::kUpdate, m.tenant});
+  if (journal_ != nullptr) {
+    o.journalSpan = journal_->beginSpan("tx_prepare",
+                                        static_cast<int>(node_.id()), 0,
+                                        m.txId);
+  }
+  return o;
+}
+
+void MasterService::lockPrepared(const Mutation& m, const log::LogRef& rec) {
+  // Re-prepare by the same tx (lease-expiry retry under a new clientId):
+  // drop the superseded record so it does not pin live bytes forever.
+  const TxLockTable::Lock* prev = txLocks_.get(m.tableId, m.keyId);
+  if (prev != nullptr && prev->prepareRecord.valid() &&
+      !(prev->prepareRecord == rec) &&
+      log_.segment(prev->prepareRecord.segment) != nullptr) {
+    log_.markDead(prev->prepareRecord);
+  }
+  TxLockTable::Lock lock;
+  lock.txId = m.txId;
+  lock.clientId = m.clientId;
+  lock.rpcSeq = m.rpcSeq;
+  lock.tableId = m.tableId;
+  lock.keyId = m.keyId;
+  lock.pendingValueBytes = m.valueBytes;
+  lock.expectedVersion = m.expected;
+  lock.prepareRecord = rec;
+  lock.participants = m.participants;
+  lock.preparedAt = node_.sim().now();
+  lock.recordOwnedByUnacked = true;
+  txLocks_.acquire(std::move(lock));
+  txLocks_.countPrepare();
+}
+
+MasterService::Outcome MasterService::decisionBody(Mutation& m) {
+  const TxLockTable::Lock* lock = txLocks_.get(m.tableId, m.keyId);
+  const bool tracked = m.clientId != 0;
+  Outcome o;
+  o.found = lock != nullptr && lock->txId == m.txId;
+  if (o.found) {
+    // Apply: object write (commit only) + decision record land in one
+    // segment so they recover atomically.
+    const std::uint32_t objBytes =
+        m.commit ? lock->pendingValueBytes + params_.objectOverheadBytes : 0;
+    ensureHeadRoom(objBytes + params_.completionRecordBytes);
+    if (m.commit) {
+      const ApplyResult res =
+          applyWrite(m.tableId, m.keyId, lock->pendingValueBytes);
+      o.reply.b = res.version;
+      o.bytes = res.entryBytes;
+    }
+    log::LogEntry d;
+    d.tableId = m.tableId;
+    d.keyId = m.keyId;
+    d.sizeBytes = params_.completionRecordBytes;
+    d.version = o.reply.b;
+    d.type = log::EntryType::kTxDecision;
+    d.clientId = tracked ? m.clientId : lock->clientId;
+    d.rpcSeq = tracked ? m.rpcSeq : 0;
+    d.opStatus = static_cast<std::uint8_t>(net::Status::kOk);
+    d.txId = m.txId;
+    d.txCommit = m.commit;
+    o.record = log_.append(d, node_.sim().now());
+    o.bytes += d.sizeBytes;
+    node_.chargeDram(o.bytes, {power::OpClass::kUpdate, m.tenant});
+    // Fault point "crash a participant mid-commit": decision durable and
+    // applied, reply never leaves this node.
+    o.crashPoint = true;
+    if (journal_ != nullptr) {
+      o.journalSpan = journal_->beginSpan(m.commit ? "tx_commit" : "tx_abort",
+                                          static_cast<int>(node_.id()), 0,
+                                          m.txId);
+    }
+  } else if (tracked) {
+    // No lock for this tx here (already resolved, or never prepared): the
+    // answer must still be durable so a retry replays it instead of racing
+    // whatever happens later.
+    const auto* loc = map_.get(hash::Key{m.tableId, m.keyId});
+    o.reply.b = loc != nullptr ? loc->version : 0;
+    ensureHeadRoom(params_.completionRecordBytes);
+    o.record = appendCompletion(m.tableId, m.keyId, m.clientId, m.rpcSeq,
+                                o.reply.b, net::Status::kOk, false);
+    o.bytes = params_.completionRecordBytes;
+    node_.chargeDram(o.bytes, {power::OpClass::kUpdate, m.tenant});
+  }
+  o.segment = o.record.segment;
+  o.reply.a = o.found ? 1 : 0;
+  return o;
+}
+
+void MasterService::releaseDecided(const Mutation& m, const log::LogRef& rec) {
+  TxLockTable::Lock released;
+  if (!txLocks_.release(m.tableId, m.keyId, m.txId, &released)) return;
+  // The prepare record has served its purpose: without it, crash replay
+  // cannot resurrect the lock (the decision record fences retries).
+  // markDead is idempotent wrt the suppression table's later GC.
+  if (released.prepareRecord.valid() &&
+      log_.segment(released.prepareRecord.segment) != nullptr) {
+    log_.markDead(released.prepareRecord);
+  }
+  txLocks_.countDecision(m.commit, m.fromResolution);
+  txLocks_.noteResolved(m.txId, m.commit, released.clientId, m.tableId,
+                        m.keyId, rec, m.clientId != 0, node_.sim().now());
 }
 
 void MasterService::onTxVote(const net::RpcRequest& req, Responder respond) {
@@ -1318,183 +972,44 @@ bool MasterService::installRecoveredTxLock(const log::LogEntry& prepare,
   return true;
 }
 
-void MasterService::onRemove(const net::RpcRequest& req, Responder respond) {
-  struct RemoveCtx {
-    std::uint64_t tableId = 0;
-    std::uint64_t keyId = 0;
-    std::uint64_t clientId = 0;
-    std::uint64_t rpcSeq = 0;
-    std::uint64_t firstUnacked = 0;
-    std::uint16_t tenant = 0;
-    Responder respond;
-  };
-  auto cx = std::make_shared<RemoveCtx>();
-  cx->tableId = req.a;
-  cx->keyId = req.b;
-  cx->clientId = req.clientId;
-  cx->rpcSeq = req.rpcSeq;
-  cx->firstUnacked = req.firstUnacked;
-  cx->tenant = req.tenant;
-  cx->respond = std::move(respond);
-
-  dispatch_.enqueue(guard([this, cx]() mutable {
-    if (!ownsKey(cx->tableId, cx->keyId)) {
-      ++stats_.unknownTablet;
-      net::RpcResponse r;
-      r.status = net::Status::kUnknownTablet;
-      cx->respond(std::move(r));
-      return;
+MasterService::Outcome MasterService::removeBody(Mutation& m) {
+  if (const TxLockTable::Lock* held = txLocks_.get(m.tableId, m.keyId)) {
+    return lockConflict(*held);
+  }
+  const bool tracked = m.clientId != 0;
+  const hash::Key k{m.tableId, m.keyId};
+  const auto* loc = map_.get(k);
+  Outcome o;
+  o.found = loc != nullptr;
+  o.crashPoint = true;
+  if (o.found) {
+    if (tracked) {
+      ensureHeadRoom(params_.tombstoneBytes + params_.completionRecordBytes);
     }
-    if (isMigratingRange(cx->tableId,
-                         hash::keyHash(hash::Key{cx->tableId, cx->keyId}))) {
-      net::RpcResponse r;
-      r.status = net::Status::kRecovering;
-      cx->respond(std::move(r));
-      return;
-    }
-    if (cx->clientId != 0) {
-      if (directory_.leaseValid && !directory_.leaseValid(cx->clientId)) {
-        net::RpcResponse r;
-        r.status = net::Status::kExpiredLease;
-        cx->respond(std::move(r));
-        return;
-      }
-      startLeaseReclaim();
-      std::vector<log::LogRef> freed;
-      const auto adm =
-          unacked_.begin(cx->clientId, cx->rpcSeq, cx->firstUnacked, &freed);
-      releaseCompletionRecords(freed);
-      switch (adm.check) {
-        case UnackedRpcResults::Check::kCompleted: {
-          net::RpcResponse r;
-          r.status = static_cast<net::Status>(adm.result.status);
-          r.a = adm.result.found ? 1 : 0;
-          r.b = adm.result.version;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kInProgress: {
-          net::RpcResponse r;
-          r.status = net::Status::kRecovering;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kStale: {
-          net::RpcResponse r;
-          r.status = net::Status::kStaleRpc;
-          cx->respond(std::move(r));
-          return;
-        }
-        case UnackedRpcResults::Check::kNew:
-          break;
-      }
-    }
-    node_.cpu().acquireWorker(guard([this, cx](int w) mutable {
-      node_.cpu().tagWorker(w, {power::OpClass::kUpdate, cx->tenant});
-      logLock_.acquire(guard([this, cx, w]() mutable {
-        node_.sim().schedule(
-            params_.removeServiceTime, guard([this, cx, w]() mutable {
-              const bool tracked = cx->clientId != 0;
-              if (const TxLockTable::Lock* held =
-                      txLocks_.get(cx->tableId, cx->keyId);
-                  held != nullptr) {
-                // Same rule as onWrite: a prepared transaction's version
-                // lock blocks the remove until its decision lands.
-                txLocks_.countConflict();
-                if (tracked) {
-                  unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                }
-                net::RpcResponse r;
-                r.status = net::Status::kTxConflict;
-                r.b = held->expectedVersion;
-                logLock_.release();
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                return;
-              }
-              const hash::Key k{cx->tableId, cx->keyId};
-              const auto* loc = map_.get(k);
-              net::RpcResponse r;
-              std::uint32_t entryBytes = 0;
-              log::LogRef lastRef;
-              std::uint64_t version = 0;
-              const bool found = loc != nullptr;
-              if (found) {
-                if (tracked) {
-                  ensureHeadRoom(params_.tombstoneBytes +
-                                 params_.completionRecordBytes);
-                }
-                log::LogEntry t;
-                t.tableId = cx->tableId;
-                t.keyId = cx->keyId;
-                t.sizeBytes = params_.tombstoneBytes;
-                t.version = log_.nextVersion();
-                t.type = log::EntryType::kTombstone;
-                t.refSegment = loc->ref.segment;
-                lastRef = log_.append(t, node_.sim().now());
-                entryBytes = t.sizeBytes;
-                version = t.version;
-                log_.markDead(loc->ref);
-                map_.erase(k);
-                r.a = 1;
-              } else {
-                r.a = 0;
-              }
-              log::LogRef rec;
-              if (tracked) {
-                // Even a not-found remove gets a record: the retry must
-                // see the original answer, not whatever a later write put
-                // there.
-                rec = appendCompletion(cx->tableId, cx->keyId, cx->clientId,
-                                       cx->rpcSeq, version, net::Status::kOk,
-                                       found);
-                entryBytes += params_.completionRecordBytes;
-                lastRef = rec;
-              }
-              node_.chargeDram(entryBytes,
-                               {power::OpClass::kUpdate, cx->tenant});
-              r.b = version;
-              auto finish = guard([this, cx, w, r, rec, version, found,
-                                   tracked](bool ok) mutable {
-                logLock_.release();
-                if (!ok) {
-                  r.status = net::Status::kError;
-                  if (tracked) {
-                    unacked_.abortInProgress(cx->clientId, cx->rpcSeq);
-                    log_.markDead(rec);
-                  }
-                } else if (tracked) {
-                  UnackedRpcResults::Result rr;
-                  rr.status = static_cast<std::uint8_t>(net::Status::kOk);
-                  rr.version = version;
-                  rr.found = found;
-                  rr.tableId = cx->tableId;
-                  rr.keyId = cx->keyId;
-                  rr.record = rec;
-                  unacked_.recordCompletion(cx->clientId, cx->rpcSeq, rr);
-                }
-                ++stats_.removes;
-                if (ok && crashBeforeReplyHook_) {
-                  auto hook = std::move(crashBeforeReplyHook_);
-                  crashBeforeReplyHook_ = nullptr;
-                  node_.cpu().releaseWorker(w);
-                  hook();
-                  return;
-                }
-                cx->respond(std::move(r));
-                node_.cpu().releaseWorker(w);
-                maybeStartCleaner();
-              });
-              if (entryBytes == 0 || params_.replication.factor <= 0) {
-                finish(true);
-              } else {
-                replicaMgr_.replicateAppend(lastRef.segment, entryBytes,
-                                            std::move(finish));
-              }
-            }));
-      }));
-    }));
-  }));
+    log::LogEntry t;
+    t.tableId = m.tableId;
+    t.keyId = m.keyId;
+    t.sizeBytes = params_.tombstoneBytes;
+    t.version = log_.nextVersion();
+    t.type = log::EntryType::kTombstone;
+    t.refSegment = loc->ref.segment;
+    o.segment = log_.append(t, node_.sim().now()).segment;
+    o.bytes = t.sizeBytes;
+    o.reply.b = t.version;
+    log_.markDead(loc->ref);
+    map_.erase(k);
+  }
+  if (tracked) {
+    // Even a not-found remove gets a record: the retry must see the original
+    // answer, not whatever a later write put there.
+    o.record = appendCompletion(m.tableId, m.keyId, m.clientId, m.rpcSeq,
+                                o.reply.b, net::Status::kOk, o.found);
+    o.segment = o.record.segment;
+    o.bytes += params_.completionRecordBytes;
+  }
+  node_.chargeDram(o.bytes, {power::OpClass::kUpdate, m.tenant});
+  o.reply.a = o.found ? 1 : 0;
+  return o;
 }
 
 void MasterService::onScan(const net::RpcRequest& req, Responder respond) {
@@ -1586,15 +1101,13 @@ void MasterService::onMigrationTaskFinished(MigrationTask* task) {
   }));
 }
 
-void MasterService::onMultiOp(const net::RpcRequest& req,
-                              Responder respond) {
+void MasterService::onMultiRead(const net::RpcRequest& req,
+                                Responder respond) {
   const std::uint64_t tableId = req.a;
-  const auto valueBytes = static_cast<std::uint32_t>(req.b);
-  const bool isWrite = req.op == net::Opcode::kMultiWrite;
   const std::uint16_t tenant = req.tenant;
   auto keys = req.keys;
 
-  dispatch_.enqueue(guard([this, tableId, valueBytes, isWrite, keys, tenant,
+  dispatch_.enqueue(guard([this, tableId, keys, tenant,
                            respond = std::move(respond)]() mutable {
     if (!keys || keys->empty()) {
       net::RpcResponse r;
@@ -1602,82 +1115,69 @@ void MasterService::onMultiOp(const net::RpcRequest& req,
       respond(std::move(r));
       return;
     }
-    node_.cpu().acquireWorker(guard([this, tableId, valueBytes, isWrite,
-                                     keys, tenant,
+    node_.cpu().acquireWorker(guard([this, tableId, keys, tenant,
                                      respond =
                                          std::move(respond)](int w) mutable {
-      node_.cpu().tagWorker(
-          w, {isWrite ? power::OpClass::kUpdate : power::OpClass::kRead,
-              tenant});
-      const auto n = static_cast<sim::Duration>(keys->size());
+      node_.cpu().tagWorker(w, {power::OpClass::kRead, tenant});
       const sim::Duration cpu =
           params_.multiOpBaseCpu +
-          (isWrite ? params_.multiWritePerKeyCpu
-                   : params_.multiReadPerKeyCpu) *
-              n;
-      // Batched writes still serialise on the log head; model the batch
-      // as one lock acquisition.
-      auto work = guard([this, tableId, valueBytes, isWrite, keys, w, tenant,
-                         respond = std::move(respond)]() mutable {
-        net::RpcResponse r;
+          params_.multiReadPerKeyCpu * static_cast<sim::Duration>(keys->size());
+      node_.sim().schedule(cpu, guard([this, tableId, keys, w, tenant,
+                                       respond =
+                                           std::move(respond)]() mutable {
         std::uint64_t found = 0;
         std::uint64_t bytes = 0;
-        std::uint64_t wrongTablet = 0;
         for (const std::uint64_t key : *keys) {
           if (!ownsKey(tableId, key)) {
-            ++wrongTablet;
+            ++stats_.unknownTablet;
             continue;
           }
-          if (isWrite) {
-            applyWrite(tableId, key, valueBytes);
+          if (const auto* loc = map_.get(hash::Key{tableId, key})) {
             ++found;
-            bytes += valueBytes;
-            ++stats_.writes;
-          } else {
-            if (const auto* loc = map_.get(hash::Key{tableId, key})) {
-              ++found;
-              bytes += loc->sizeBytes;
-            }
-            ++stats_.reads;
+            bytes += loc->sizeBytes;
           }
+          ++stats_.reads;
         }
-        (void)wrongTablet;
-        node_.chargeDram(
-            bytes + (isWrite ? found * params_.objectOverheadBytes : 0),
-            {isWrite ? power::OpClass::kUpdate : power::OpClass::kRead,
-             tenant});
+        node_.chargeDram(bytes, {power::OpClass::kRead, tenant});
+        net::RpcResponse r;
         r.a = found;
         r.b = static_cast<std::uint64_t>(keys->size()) - found;  // missing
-        r.payloadBytes = isWrite ? 0 : bytes;
-        auto finish = guard([this, w, isWrite, r,
-                             respond = std::move(respond)](bool ok) mutable {
-          if (isWrite) logLock_.release();
-          if (!ok) r.status = net::Status::kError;
-          respond(std::move(r));
-          node_.cpu().releaseWorker(w);
-          maybeStartCleaner();
-        });
-        if (!isWrite || params_.replication.factor <= 0 ||
-            log_.head() == nullptr) {
-          finish(true);
-        } else {
-          // One batched sync for the whole append run.
-          replicaMgr_.replicateAppend(
-              log_.head()->id(),
-              static_cast<std::uint64_t>(found) *
-                  (valueBytes + params_.objectOverheadBytes),
-              std::move(finish));
-        }
-      });
-      if (isWrite) {
-        logLock_.acquire(guard([this, cpu, work = std::move(work)]() mutable {
-          node_.sim().schedule(cpu, std::move(work));
-        }));
-      } else {
-        node_.sim().schedule(cpu, std::move(work));
-      }
+        r.payloadBytes = bytes;
+        respond(std::move(r));
+        node_.cpu().releaseWorker(w);
+        maybeStartCleaner();
+      }));
     }));
   }));
+}
+
+MasterService::Outcome MasterService::multiWriteBody(Mutation& m) {
+  // Every key passes the single-key rules. A refused key (wrong tablet,
+  // migration fence, prepared tx lock) is not applied and is reported as
+  // not served.
+  Outcome o;
+  o.counted = 0;
+  for (const std::uint64_t key : *m.keys) {
+    if (!ownsKey(m.tableId, key)) {
+      ++stats_.unknownTablet;
+      continue;
+    }
+    if (isMigratingRange(m.tableId, hash::keyHash(hash::Key{m.tableId, key}))) {
+      continue;
+    }
+    if (txLocks_.get(m.tableId, key) != nullptr) {
+      txLocks_.countConflict();
+      continue;
+    }
+    noteTabletOp(m.tableId, key, /*isWrite=*/true);
+    o.bytes += applyWrite(m.tableId, key, m.valueBytes).entryBytes;
+    ++o.counted;
+  }
+  node_.chargeDram(o.bytes, {power::OpClass::kUpdate, m.tenant});
+  o.reply.a = o.counted;
+  o.reply.b = static_cast<std::uint64_t>(m.keys->size()) - o.counted;
+  if (log_.head() != nullptr) o.segment = log_.head()->id();
+  return o;
 }
 
 void MasterService::onMigrateTablet(const net::RpcRequest& req,
@@ -1708,11 +1208,10 @@ void MasterService::onMigrateTablet(const net::RpcRequest& req,
 }
 
 void MasterService::onMigrationData(const net::RpcRequest& req,
-                                    node::NodeId from, Responder respond) {
+                                    Responder respond) {
   const auto source = static_cast<node::NodeId>(req.a);
   const std::uint64_t batchId = req.b;
   const std::uint64_t count = req.c;
-  (void)from;
 
   dispatch_.enqueue(guard([this, source, batchId, count,
                            respond = std::move(respond)]() mutable {

@@ -236,8 +236,8 @@ class MasterService : public net::RpcService {
 
   // ----- observability
 
-  /// Attach the cluster's per-RPC time trace; read/write/remove handlers
-  /// stamp dispatch-wait, worker-service and replication-wait stages
+  /// Attach the cluster's per-RPC time trace; reads and every mutating
+  /// opcode stamp dispatch-wait, worker-service and replication-wait stages
   /// against spans carried in RpcRequest::traceSpan. nullptr disables.
   void setTimeTrace(obs::TimeTrace* trace) { trace_ = trace; }
 
@@ -303,30 +303,93 @@ class MasterService : public net::RpcService {
   void registerTabletHeat(std::uint64_t tableId, std::uint64_t startHash,
                           TabletHeat& heat);
 
+  /// One mutating RPC (write, remove, tx prepare, tx decision, multi-write)
+  /// from its dispatch-thread admission to its reply.
+  struct Mutation {
+    net::Opcode op = net::Opcode::kWrite;
+    std::uint64_t tableId = 0;
+    std::uint64_t keyId = 0;
+    std::uint32_t valueBytes = 0;  ///< tx prepare: 0 = validation-only
+    std::uint64_t expected = 0;    ///< conditional version (0 = blind)
+    std::uint64_t txId = 0;
+    bool commit = false;           ///< tx decision: commit (else abort)
+    bool fromResolution = false;   ///< tx decision sent by orphan resolution
+    log::TxParticipants participants;
+    std::shared_ptr<const std::vector<std::uint64_t>> keys;  ///< multi-write
+    std::uint64_t clientId = 0;    ///< 0 = untracked (no exactly-once)
+    std::uint64_t rpcSeq = 0;
+    std::uint64_t firstUnacked = 0;
+    std::uint64_t span = 0;
+    std::uint16_t tenant = 0;
+    sim::SimTime arrival = 0;
+    Responder respond;
+
+    /// Read-set check of a read-only transaction: admitted, never committed.
+    bool validateOnly() const {
+      return op == net::Opcode::kTxPrepare && valueBytes == 0;
+    }
+  };
+  using MutationPtr = std::shared_ptr<Mutation>;
+
+  /// What a commit body did under the log lock.
+  struct Outcome {
+    enum class Kind {
+      kApplied,  ///< entries appended; reply once they are durable
+      kRefused,  ///< durable refusal: only a RIFL record (if tracked)
+      kRetry,    ///< nothing appended; the RIFL entry rolls back
+    };
+    Kind kind = Kind::kApplied;
+    net::RpcResponse reply;      ///< status, a, b of the durable outcome
+    bool found = true;           ///< RIFL result's found flag
+    log::LogRef record;          ///< RIFL record (completion/prepare/decision)
+    log::SegmentId segment = log::kInvalidSegment;  ///< holds the entries
+    std::uint64_t bytes = 0;     ///< appended bytes to sync; 0 = reply now
+    std::uint64_t counted = 1;   ///< ops booked to writes/removes
+    bool crashPoint = false;     ///< crash_before_reply may fire here
+    std::uint64_t journalSpan = 0;
+  };
+  using Body = Outcome (MasterService::*)(Mutation&);
+
+  /// The handler of every mutating opcode: admission, then `body` under
+  /// commit (a validation-only tx prepare is admitted, then only read).
+  void onMutation(const net::RpcRequest& req, Responder respond, Body body);
+  /// Dispatch-thread admission: dispatch-wait stamp, tablet ownership,
+  /// migration fence, tablet heat, RIFL lease and duplicate check. Replies
+  /// and returns false when the request goes no further.
+  bool admit(Mutation& m);
+  /// Worker + log lock, op-specific service time, `body`, then durability
+  /// (replication or the rf=0 sync), RIFL record, stats and the reply.
+  void commit(MutationPtr m, Body body);
+  void finishCommit(Mutation& m, Outcome& o, int w, bool ok);
+  sim::Duration commitServiceTime(const Mutation& m) const;
+
+  Outcome writeBody(Mutation& m);
+  Outcome removeBody(Mutation& m);
+  Outcome prepareBody(Mutation& m);
+  Outcome decisionBody(Mutation& m);
+  Outcome multiWriteBody(Mutation& m);
+  /// Durable refusal: append (tracked) the completion record that replays
+  /// `verdict` to retries.
+  Outcome refuse(Mutation& m, net::Status verdict, std::uint64_t version);
+  /// A prepared transaction's version lock blocks a plain update.
+  Outcome lockConflict(const TxLockTable::Lock& held);
+  /// Once a yes-vote's prepare record is durable: take the version lock.
+  void lockPrepared(const Mutation& m, const log::LogRef& rec);
+  /// Once a decision is durable: release the lock it settles.
+  void releaseDecided(const Mutation& m, const log::LogRef& rec);
+
   void onRead(const net::RpcRequest& req, Responder respond);
-  void onWrite(const net::RpcRequest& req, Responder respond);
-  void onTxPrepare(const net::RpcRequest& req, Responder respond);
-  void onTxDecision(const net::RpcRequest& req, Responder respond);
+  void validatePrepare(MutationPtr m);
   void onTxVote(const net::RpcRequest& req, Responder respond);
-  void onRemove(const net::RpcRequest& req, Responder respond);
   void onScan(const net::RpcRequest& req, Responder respond);
-  void onMultiOp(const net::RpcRequest& req, Responder respond);
+  void onMultiRead(const net::RpcRequest& req, Responder respond);
   void onStartRecovery(const net::RpcRequest& req, Responder respond);
   void onServerListUpdate(const net::RpcRequest& req, Responder respond);
   void onMigrateTablet(const net::RpcRequest& req, Responder respond);
-  void onMigrationData(const net::RpcRequest& req, node::NodeId from,
-                       Responder respond);
+  void onMigrationData(const net::RpcRequest& req, Responder respond);
 
   ApplyResult applyWrite(std::uint64_t tableId, std::uint64_t keyId,
                          std::uint32_t valueBytes);
-
-  /// Conditional-write rejection: record (tracked) and reply
-  /// kVersionMismatch with the current version. Runs under logLock_.
-  void onWriteVersionMismatch(std::uint64_t tableId, std::uint64_t keyId,
-                              std::uint64_t clientId, std::uint64_t seq,
-                              std::uint64_t currentVersion,
-                              std::uint64_t span, std::uint16_t tenant,
-                              sim::SimTime arrival, int w, Responder respond);
 
   /// Append a kCompletion record for a tracked RPC's outcome.
   log::LogRef appendCompletion(std::uint64_t tableId, std::uint64_t keyId,
@@ -339,13 +402,6 @@ class MasterService : public net::RpcService {
   /// Lazily start the periodic lease-expiry reclamation sweep.
   void startLeaseReclaim();
 
-  /// Tx prepare vote-no: record the rejection durably (like a conditional
-  /// write's mismatch) so retries replay it. Runs under logLock_.
-  void onTxPrepareReject(std::uint64_t tableId, std::uint64_t keyId,
-                         std::uint64_t clientId, std::uint64_t seq,
-                         net::Status verdict, std::uint64_t currentVersion,
-                         std::uint64_t span, std::uint16_t tenant, int w,
-                         Responder respond);
   /// Lease sweep extension: every lock whose owning client's lease expired
   /// asks the coordinator to run cooperative termination for that tx.
   void sweepOrphanedTx();

@@ -195,6 +195,63 @@ TEST(MasterService, RemoveDeletesAndWritesTombstone) {
             nullptr);
 }
 
+// Every mutating opcode passes the same admission and commit steps, so each
+// leaves the same footprint: a span decomposed into dispatch-wait,
+// worker-service and replication-wait stages that sum to its total, a
+// sojourn sample for the CoDel gate, and one tablet-heat write.
+TEST(MasterService, MutationsStampStagesFeedSojournAndHeat) {
+  using Stage = obs::TimeTrace::Stage;
+  for (const net::Opcode op : {net::Opcode::kWrite, net::Opcode::kRemove}) {
+    SCOPED_TRACE(net::opcodeName(op));
+    core::Cluster c(smallCluster(2, 1));
+    const auto table = c.createTable("t");
+    c.bulkLoad(table, 10, 1000);
+    const node::NodeId owner = c.ownerOfKey(table, 3);
+    Dispatch& dispatch = *c.server(owner - 1).dispatch;
+    ASSERT_EQ(dispatch.loadEstimate(c.sim().now()), 0);
+
+    auto& rc0 = *c.clientHost(0).rc;
+    bool done = false;
+    client::RamCloudClient::LastOp last;
+    sim::Duration sojourn = 0;
+    auto cb = [&](net::Status s, sim::Duration) {
+      EXPECT_EQ(s, net::Status::kOk);
+      last = rc0.lastOp();
+      sojourn = dispatch.loadEstimate(c.sim().now());
+      done = true;
+    };
+    if (op == net::Opcode::kWrite) {
+      rc0.write(table, 3, 1000, cb);
+    } else {
+      rc0.remove(table, 3, cb);
+    }
+    while (!done) c.sim().runFor(msec(10));
+
+    ASSERT_TRUE(last.valid);
+    std::set<Stage> stages;
+    sim::Duration sum = 0;
+    for (std::uint8_t i = 0; i < last.detail.numStages; ++i) {
+      stages.insert(last.detail.stages[i].stage);
+      sum += last.detail.stages[i].elapsed;
+    }
+    EXPECT_TRUE(stages.count(Stage::kDispatchWait));
+    EXPECT_TRUE(stages.count(Stage::kWorkerService));
+    EXPECT_TRUE(stages.count(Stage::kReplicationWait));
+    EXPECT_EQ(sum, last.detail.total);
+    EXPECT_GT(sojourn, 0);
+
+    double heatWrites = 0;
+    c.metrics().forEach([&](const obs::MetricInfo& info) {
+      const std::string& n = info.name;
+      if (n.find(".tablet.heat.") != std::string::npos &&
+          n.ends_with(".writes")) {
+        heatWrites += c.metrics().value(n);
+      }
+    });
+    EXPECT_EQ(heatWrites, 1.0);
+  }
+}
+
 TEST(MasterService, UnreplicatedWriteSlowerThanRead) {
   // The paper's Finding 2: updates cost far more than reads even at RF=0.
   core::Cluster c(smallCluster(1, 0));

@@ -1,0 +1,76 @@
+#!/usr/bin/env bash
+# Determinism guard: hash every JSONL export of a fixed set of seeded runs.
+#
+#   tools/determinism_guard.sh record FILE [BUILD_DIR]   write the hashes
+#   tools/determinism_guard.sh check  FILE [BUILD_DIR]   compare, exit 1 on drift
+#
+# For seeds 101/202/303 it runs four configurations with --metrics-dir:
+# YCSB-B, YCSB-A with minitransactions (--tx), YCSB-A unreplicated (--rf 0)
+# and a crash-recovery run. Record on a build of the old code, check on a
+# build of the new one: a refactor that keeps the model unchanged leaves
+# every exported byte identical (docs/PERF.md, "The determinism guard").
+set -euo pipefail
+
+usage() {
+  echo "usage: $0 record|check FILE [BUILD_DIR]" >&2
+  exit 2
+}
+
+[[ $# -ge 2 && $# -le 3 ]] || usage
+mode=$1
+file=$2
+build=${3:-build}
+[[ $mode == record || $mode == check ]] || usage
+rcperf=$build/tools/rcperf
+[[ -x $rcperf ]] || { echo "no rcperf binary at $rcperf" >&2; exit 2; }
+
+ycsb=(ycsb --servers 5 --clients 4 --rf 3 --records 20000 --warmup 1
+      --measure 3)
+configs=(ycsb_b ycsb_a_tx ycsb_a_rf0 recovery)
+
+run_config() {  # name seed outdir
+  case $1 in
+    ycsb_b)     "$rcperf" "${ycsb[@]}" --workload B --seed "$2" \
+                  --metrics-dir "$3" ;;
+    ycsb_a_tx)  "$rcperf" "${ycsb[@]}" --workload A --tx --seed "$2" \
+                  --metrics-dir "$3" ;;
+    ycsb_a_rf0) "$rcperf" "${ycsb[@]}" --workload A --rf 0 --seed "$2" \
+                  --metrics-dir "$3" ;;
+    recovery)   "$rcperf" recovery --servers 9 --rf 3 --records 200000 \
+                  --kill-at 5 --seed "$2" --metrics-dir "$3" ;;
+  esac
+}
+
+work=$(mktemp -d)
+trap 'rm -rf "$work"' EXIT
+
+for seed in 101 202 303; do
+  for cfg in "${configs[@]}"; do
+    out=$work/$seed/$cfg
+    mkdir -p "$out"
+    if ! run_config "$cfg" "$seed" "$out" > "$out.log" 2>&1; then
+      echo "run failed: $cfg seed $seed" >&2
+      cat "$out.log" >&2
+      exit 1
+    fi
+  done
+done
+
+hashes=$work/hashes
+(cd "$work" && find . -name '*.jsonl' | LC_ALL=C sort |
+   xargs sha256sum) > "$hashes"
+[[ -s $hashes ]] || { echo "no JSONL exports found" >&2; exit 1; }
+
+if [[ $mode == record ]]; then
+  cp "$hashes" "$file"
+  echo "recorded $(wc -l < "$hashes") export hashes to $file"
+  exit 0
+fi
+
+if cmp -s "$file" "$hashes"; then
+  echo "determinism guard: $(wc -l < "$hashes") exports byte-identical"
+  exit 0
+fi
+echo "determinism guard: exports differ from $file" >&2
+diff "$file" "$hashes" >&2 || true
+exit 1
