@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <unordered_map>
 
 #include "hash/object_map.hpp"
@@ -113,11 +114,14 @@ TEST(ObjectMap, ForEachVisitsAllLiveEntries) {
 }
 
 // ---- Property: random op stream agrees with std::unordered_map oracle.
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: uninitialised padding made the names differ per run.
 struct PropParam {
   std::uint64_t seed;
-  int ops;
+  std::int64_t ops;
   std::uint64_t keySpace;
 };
+static_assert(sizeof(PropParam) == 24, "no padding in test names");
 
 class ObjectMapProperty : public ::testing::TestWithParam<PropParam> {};
 

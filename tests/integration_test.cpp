@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -19,10 +20,13 @@ using sim::seconds;
 
 // ---- Property: every write acknowledged to a client before the crash is
 // readable after recovery, across replication factors and seeds.
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: uninitialised padding made the names differ per run.
 struct DurabilityParam {
-  int rf;
+  std::int64_t rf;
   std::uint64_t seed;
 };
+static_assert(sizeof(DurabilityParam) == 16, "no padding in test names");
 
 class CrashDurability : public ::testing::TestWithParam<DurabilityParam> {};
 
@@ -32,7 +36,7 @@ TEST_P(CrashDurability, AckedWritesSurviveCrash) {
   p.servers = 5;
   p.clients = 2;
   p.seed = seed;
-  p.replicationFactor = rf;
+  p.replicationFactor = static_cast<int>(rf);
   core::Cluster c(p);
   const auto table = c.createTable("t");
   c.bulkLoad(table, 2'000, 1000);
