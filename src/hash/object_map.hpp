@@ -47,6 +47,14 @@ class ObjectMap {
   /// Returns true if the key was present.
   bool erase(const Key& k);
 
+  /// Hint that `k` will be looked up soon: start pulling its home bucket
+  /// into cache (RAMCloud's HashTable::prefetchBucket). No effect on
+  /// contents.
+  void prefetch(const Key& k) const {
+    __builtin_prefetch(&slots_[static_cast<std::size_t>(keyHash(k)) &
+                               (slots_.size() - 1)]);
+  }
+
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   std::size_t bucketCount() const { return slots_.size(); }

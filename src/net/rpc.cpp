@@ -1,5 +1,6 @@
 #include "net/rpc.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace rc::net {
@@ -106,25 +107,103 @@ void RpcSystem::TxArena::release(TxSlot* slot) {
   free = slot;
 }
 
+std::uint32_t RpcSystem::queueFor(sim::Duration timeout) {
+  for (std::size_t i = 0; i < queues_.size(); ++i) {
+    if (queues_[i].timeout == timeout) return static_cast<std::uint32_t>(i);
+  }
+  queues_.emplace_back().timeout = timeout;
+  return static_cast<std::uint32_t>(queues_.size() - 1);
+}
+
+RpcSystem::ResponseFn RpcSystem::retire(std::uint64_t rpcId) {
+  const auto slot = static_cast<std::uint32_t>(rpcId & 0xffffffffu);
+  Pending& p = pending_[slot];
+  ResponseFn cb = std::move(p.cb);
+  if (++p.gen == 0) p.gen = 1;
+  freePending_.push_back(slot);
+  DeadlineQueue& q = queues_[p.queue];
+  if (--q.live == 0) {
+    sim_.cancel(q.timer);
+    q.timer = sim::kInvalidEvent;
+    q.fifo.clear();
+    q.head = 0;
+  }
+  return cb;
+}
+
+void RpcSystem::dropAnsweredHeads(DeadlineQueue& q) {
+  while (q.head < q.fifo.size() &&
+         findPending(q.fifo[q.head].rpcId) == nullptr) {
+    ++q.head;
+  }
+}
+
+void RpcSystem::armHead(std::uint32_t qi) {
+  DeadlineQueue& q = queues_[qi];
+  dropAnsweredHeads(q);
+  const Deadline& h = q.fifo[q.head];
+  q.armedSeq = h.seq;
+  q.timer = sim_.scheduleAtSeq(h.at, h.seq, [this, qi] { onDeadline(qi); });
+}
+
+void RpcSystem::onDeadline(std::uint32_t qi) {
+  DeadlineQueue& q = queues_[qi];
+  q.timer = sim::kInvalidEvent;
+  dropAnsweredHeads(q);
+  // The queue still holds a live RPC: an emptied queue cancels its timer.
+  const Deadline head = q.fifo[q.head];
+  if (head.seq != q.armedSeq) {
+    armHead(qi);  // the armed RPC was answered; wait for the next one
+    return;
+  }
+  const Opcode op = findPending(head.rpcId)->op;
+  ++q.head;
+  ResponseFn cb = retire(head.rpcId);
+  if (q.live > 0) armHead(qi);
+  ++opTimeouts_[static_cast<std::size_t>(op)];
+  ++timeouts_;
+  RpcResponse resp;
+  resp.status = Status::kTimeout;
+  cb(resp);
+}
+
 void RpcSystem::call(node::NodeId from, node::NodeId to, int port,
                      RpcRequest req, sim::Duration timeout, ResponseFn cb) {
-  const std::uint64_t rpcId = nextRpcId_++;
+  // The timeout takes its place in the event order here, before the
+  // request's own delivery event.
+  const sim::SimTime deadline =
+      sim_.now() + std::max<sim::Duration>(timeout, 0);
+  const std::uint64_t seq = sim_.reserveSeq();
+  std::uint32_t slot;
+  if (!freePending_.empty()) {
+    slot = freePending_.back();
+    freePending_.pop_back();
+  } else {
+    slot = static_cast<std::uint32_t>(pending_.size());
+    pending_.emplace_back();
+  }
+  const std::uint32_t qi = queueFor(timeout);
+  Pending& p = pending_[slot];
+  p.cb = std::move(cb);
+  p.queue = qi;
+  p.op = req.op;
+  const std::uint64_t rpcId = (static_cast<std::uint64_t>(p.gen) << 32) | slot;
 
-  const sim::EventId timeoutEvent = sim_.schedule(timeout, [this, rpcId] {
-    auto it = outstanding_.find(rpcId);
-    if (it == outstanding_.end()) return;
-    ResponseFn cb = std::move(it->second.cb);
-    ++opTimeouts_[static_cast<std::size_t>(it->second.op)];
-    outstanding_.erase(it);
-    ++timeouts_;
-    RpcResponse resp;
-    resp.status = Status::kTimeout;
-    cb(resp);
-  });
+  DeadlineQueue& q = queues_[qi];
+  if (q.fifo.size() >= 2 * q.live + 64) {
+    // Answered entries pile up behind a long-lived head; drop them (and
+    // the consumed prefix) so the queue stays proportional to live RPCs.
+    std::erase_if(q.fifo, [this](const Deadline& d) {
+      return findPending(d.rpcId) == nullptr;
+    });
+    q.head = 0;
+  }
+  q.fifo.push_back(Deadline{deadline, seq, rpcId});
+  ++q.live;
+  if (q.timer == sim::kInvalidEvent) armHead(qi);
+
   const std::uint64_t wireBytes = kRpcHeaderBytes + req.payloadBytes;
   const power::EnergyTag tag{opcodeClass(req.op), req.tenant};
-  outstanding_[rpcId] = Pending{std::move(cb), timeoutEvent, req.op};
-
   TxHandle tx(txArena_, txArena_->acquire(std::move(req)));
   net_.send(from, to, wireBytes,
             [this, rpcId, from, to, port, tag, tx = std::move(tx)] {
@@ -134,11 +213,8 @@ void RpcSystem::call(node::NodeId from, node::NodeId to, int port,
     auto respond = [this, rpcId, from, to, tag](RpcResponse resp) {
       net_.send(to, from, kRpcHeaderBytes + resp.payloadBytes,
                 [this, rpcId, resp] {
-        auto p = outstanding_.find(rpcId);
-        if (p == outstanding_.end()) return;  // already timed out
-        sim_.cancel(p->second.timeoutEvent);
-        ResponseFn cb = std::move(p->second.cb);
-        outstanding_.erase(p);
+        if (findPending(rpcId) == nullptr) return;  // already timed out
+        ResponseFn cb = retire(rpcId);
         cb(resp);
       }, tag);
     };

@@ -130,6 +130,19 @@ class RpcService {
 };
 
 /// Cluster-wide RPC fabric with timeouts.
+///
+/// Pending RPCs live in a generation-checked slab; an RPC id packs
+/// (generation << 32 | slot), so a late reply to a slot since reused finds
+/// a different generation and is dropped. Timeouts do not cost an event
+/// per RPC. Calls sharing a timeout value share one FIFO deadline queue
+/// whose (deadline, seq) keys only grow, and each queue keeps a single
+/// timer armed at its head. call() reserves an event seq as if it
+/// scheduled a per-RPC timer, and the queue timer is always armed under
+/// its head's own (deadline, seq), so a timeout fires at exactly the point
+/// in the event order a per-RPC timer would — seeded runs stay
+/// bit-identical. A timer that finds its head already answered re-arms at
+/// the next live entry; an emptied queue cancels its timer, so run() ends
+/// where it did with per-RPC timers.
 class RpcSystem {
  public:
   using ResponseFn = sim::InlineFunction<void(const RpcResponse&)>;
@@ -156,9 +169,39 @@ class RpcSystem {
  private:
   struct Pending {
     ResponseFn cb;
-    sim::EventId timeoutEvent;
+    std::uint32_t gen = 1;  ///< bumped on release; part of the RPC id
+    std::uint32_t queue = 0;
     Opcode op = Opcode::kPing;
   };
+  struct Deadline {
+    sim::SimTime at;
+    std::uint64_t seq;
+    std::uint64_t rpcId;
+  };
+  /// Deadlines of every pending RPC issued with `timeout`, oldest first.
+  /// Answered entries stay until they reach the head or a compaction.
+  struct DeadlineQueue {
+    sim::Duration timeout = 0;
+    std::vector<Deadline> fifo;
+    std::size_t head = 0;
+    std::size_t live = 0;
+    sim::EventId timer = sim::kInvalidEvent;
+    std::uint64_t armedSeq = 0;
+  };
+
+  /// Pending entry for `rpcId`, or nullptr once answered or timed out.
+  Pending* findPending(std::uint64_t rpcId) {
+    const auto slot = static_cast<std::uint32_t>(rpcId & 0xffffffffu);
+    Pending& p = pending_[slot];
+    return p.gen == static_cast<std::uint32_t>(rpcId >> 32) ? &p : nullptr;
+  }
+  std::uint32_t queueFor(sim::Duration timeout);
+  /// Take a pending RPC's callback and free its slot; the last live RPC
+  /// of a deadline queue cancels the queue's timer.
+  ResponseFn retire(std::uint64_t rpcId);
+  void dropAnsweredHeads(DeadlineQueue& q);
+  void armHead(std::uint32_t qi);
+  void onDeadline(std::uint32_t qi);
   static std::uint64_t addrKey(node::NodeId n, int port) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(n)) << 16) |
            static_cast<std::uint64_t>(port);
@@ -205,9 +248,10 @@ class RpcSystem {
   sim::Simulation& sim_;
   Network& net_;
   std::unordered_map<std::uint64_t, RpcService*> services_;
-  std::unordered_map<std::uint64_t, Pending> outstanding_;
+  std::vector<Pending> pending_;
+  std::vector<std::uint32_t> freePending_;
+  std::vector<DeadlineQueue> queues_;
   std::shared_ptr<TxArena> txArena_ = std::make_shared<TxArena>();
-  std::uint64_t nextRpcId_ = 1;
   std::uint64_t timeouts_ = 0;
   std::array<std::uint64_t, kOpcodeCount> opTimeouts_{};
 };

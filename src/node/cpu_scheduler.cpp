@@ -13,7 +13,7 @@ CpuScheduler::CpuScheduler(sim::Simulation& sim, CpuParams params)
                            params_.cores - params_.pollingCores));
   state_.assign(static_cast<std::size_t>(params_.workerThreads),
                 WorkerState::Sleeping);
-  spinEnd_.assign(state_.size(), sim::kInvalidEvent);
+  spinSeq_.assign(state_.size(), 0);
   pendingAssign_.resize(state_.size());
   tags_.assign(state_.size(), power::EnergyTag{});
   occupiedSince_.assign(state_.size(), 0);
@@ -23,10 +23,21 @@ CpuScheduler::CpuScheduler(sim::Simulation& sim, CpuParams params)
   busy_.set(sim_.now(), 0);
 }
 
-void CpuScheduler::setBusyCores() {
-  const double cores = (on_ ? params_.pollingCores : 0) + busyCount_ +
-                       spinningCount_;
-  busy_.set(sim_.now(), cores);
+void CpuScheduler::settleSpins() const {
+  while (!spins_.empty() &&
+         sim_.hasHappened(spins_.front().end, spins_.front().seq)) {
+    const Spin s = spins_.front();
+    spins_.pop_front();
+    const auto w = static_cast<std::size_t>(s.worker);
+    if (state_[w] != WorkerState::Spinning || spinSeq_[w] != s.seq) {
+      continue;  // re-acquired while spinning
+    }
+    state_[w] = WorkerState::Sleeping;
+    --spinningCount_;
+    std::erase(spinningStack_, s.worker);
+    sleepingStack_.push_back(s.worker);
+    busy_.set(s.end, busyCores());
+  }
 }
 
 void CpuScheduler::powerOn() {
@@ -38,16 +49,14 @@ void CpuScheduler::powerOn() {
 
 void CpuScheduler::powerOff() {
   if (!on_) return;
+  settleSpins();
+  spins_.clear();
   on_ = false;
   ++epoch_;
   queue_.clear();
   for (std::size_t w = 0; w < state_.size(); ++w) {
     if (state_[w] == WorkerState::Busy) {
       flushOccupancy(static_cast<WorkerId>(w));  // orphaned by the crash
-    }
-    if (spinEnd_[w] != sim::kInvalidEvent) {
-      sim_.cancel(spinEnd_[w]);
-      spinEnd_[w] = sim::kInvalidEvent;
     }
     pendingAssign_[w] = nullptr;  // wakeups in flight are orphaned
     state_[w] = WorkerState::Sleeping;
@@ -99,12 +108,11 @@ void CpuScheduler::assign(WorkerId w, AcquireFn fn, bool fromSleep) {
 
 void CpuScheduler::acquireWorker(AcquireFn fn) {
   if (!on_) return;  // crashed process: request silently dropped (times out)
+  settleSpins();
   if (!spinningStack_.empty()) {
     const WorkerId w = spinningStack_.back();
     spinningStack_.pop_back();
     --spinningCount_;
-    sim_.cancel(spinEnd_[static_cast<std::size_t>(w)]);
-    spinEnd_[static_cast<std::size_t>(w)] = sim::kInvalidEvent;
     assign(w, std::move(fn), /*fromSleep=*/false);
     return;
   }
@@ -121,6 +129,7 @@ void CpuScheduler::acquireWorker(AcquireFn fn) {
 void CpuScheduler::releaseWorker(WorkerId w) {
   if (!on_) return;  // release from an operation that straddled a crash
   assert(state_[static_cast<std::size_t>(w)] == WorkerState::Busy);
+  settleSpins();
   flushOccupancy(w);
   if (!queue_.empty()) {
     AcquireFn next = std::move(queue_.front());
@@ -141,20 +150,11 @@ void CpuScheduler::startSpin(WorkerId w) {
   ++spinningCount_;
   spinningStack_.push_back(w);
   setBusyCores();
-  const std::uint64_t epoch = epoch_;
-  spinEnd_[static_cast<std::size_t>(w)] =
-      sim_.schedule(params_.workerSpinBeforeSleep, [this, epoch, w] {
-        if (epoch_ != epoch) return;
-        if (state_[static_cast<std::size_t>(w)] != WorkerState::Spinning)
-          return;
-        spinEnd_[static_cast<std::size_t>(w)] = sim::kInvalidEvent;
-        state_[static_cast<std::size_t>(w)] = WorkerState::Sleeping;
-        --spinningCount_;
-        auto it = std::find(spinningStack_.begin(), spinningStack_.end(), w);
-        if (it != spinningStack_.end()) spinningStack_.erase(it);
-        sleepingStack_.push_back(w);
-        setBusyCores();
-      });
+  const std::uint64_t seq = sim_.reserveSeq();
+  spinSeq_[static_cast<std::size_t>(w)] = seq;
+  const sim::Duration spin =
+      std::max<sim::Duration>(params_.workerSpinBeforeSleep, 0);
+  spins_.push_back(Spin{w, sim_.now() + spin, seq});
 }
 
 void CpuScheduler::run(sim::Duration cpuTime, sim::InlineTask done) {
@@ -176,6 +176,7 @@ void CpuScheduler::run(sim::Duration cpuTime, power::EnergyTag tag,
 }
 
 CpuScheduler::Snapshot CpuScheduler::snapshot() const {
+  settleSpins();
   return Snapshot{sim_.now(), busy_.integralTo(sim_.now()),
                   auxBusyCoreSeconds_};
 }
@@ -183,6 +184,7 @@ CpuScheduler::Snapshot CpuScheduler::snapshot() const {
 double CpuScheduler::utilisationSince(const Snapshot& s,
                                       sim::SimTime t) const {
   if (t <= s.time) return 0;
+  settleSpins();
   const double coreSeconds = busy_.integralTo(t) - s.busyCoreSeconds +
                              (auxBusyCoreSeconds_ - s.auxBusyCoreSeconds);
   const double wall = sim::toSeconds(t - s.time);

@@ -45,6 +45,14 @@ struct CpuParams {
 /// (service CPU, lock spin-waits, synchronous replication waits — RAMCloud
 /// workers spin, so occupancy == CPU-busy), then release it. Utilisation is
 /// integrated continuously and drives the power model.
+///
+/// A released worker's post-work spin is not an event. Its end joins a
+/// FIFO of (worker, end, seq), with a seq reserved at release as if a
+/// spin-end event were scheduled there; every entry point and reader first
+/// settles, in order, each spin whose (end, seq) sorts before the running
+/// event — writing the busy-core integral at the spin's own end time. Each
+/// spin therefore ends at exactly the point in the event order such an
+/// event would run.
 class CpuScheduler {
  public:
   using WorkerId = int;
@@ -107,7 +115,10 @@ class CpuScheduler {
   const CpuParams& params() const { return params_; }
 
   /// Continuous busy-core integral (core-seconds) up to time t >= now-ish.
-  double busyCoreSeconds(sim::SimTime t) const { return busy_.integralTo(t); }
+  double busyCoreSeconds(sim::SimTime t) const {
+    settleSpins();
+    return busy_.integralTo(t);
+  }
 
   /// Charge CPU work that is not a worker occupancy — e.g. replication
   /// requests serviced at dispatch priority, whose cycles would otherwise
@@ -139,7 +150,18 @@ class CpuScheduler {
  private:
   enum class WorkerState { Sleeping, Spinning, Busy };
 
-  void setBusyCores();
+  struct Spin {
+    WorkerId worker;
+    sim::SimTime end;
+    std::uint64_t seq;
+  };
+
+  double busyCores() const {
+    return (on_ ? params_.pollingCores : 0) + busyCount_ + spinningCount_;
+  }
+  void setBusyCores() { busy_.set(sim_.now(), busyCores()); }
+  /// Put every worker whose spin has ended by the running event to sleep.
+  void settleSpins() const;
   void assign(WorkerId w, AcquireFn fn, bool fromSleep);
   void startSpin(WorkerId w);
   void flushOccupancy(WorkerId w);
@@ -149,20 +171,23 @@ class CpuScheduler {
   bool on_ = false;
   std::uint64_t epoch_ = 0;
 
-  std::vector<WorkerState> state_;
-  std::vector<sim::EventId> spinEnd_;     // pending spin-end per worker
+  // Settling a spin is a lazy catch-up on state that is a function of
+  // time, so the const readers do it too: what it touches is mutable.
+  mutable std::vector<WorkerState> state_;
+  std::vector<std::uint64_t> spinSeq_;    // seq of each worker's live spin
+  mutable std::deque<Spin> spins_;        // (end, seq) nondecreasing
   std::vector<AcquireFn> pendingAssign_;  // parked across wakeupLatency
   std::vector<power::EnergyTag> tags_;    // attribution of current occupancy
   std::vector<sim::SimTime> occupiedSince_;
   power::EnergyMeter* chargeMeter_ = nullptr;
   double chargeWattsPerCore_ = 0;
-  std::vector<WorkerId> spinningStack_;   // LIFO: hottest worker on top
-  std::vector<WorkerId> sleepingStack_;
+  mutable std::vector<WorkerId> spinningStack_;  // LIFO: hottest on top
+  mutable std::vector<WorkerId> sleepingStack_;
   std::deque<AcquireFn> queue_;
   int busyCount_ = 0;
-  int spinningCount_ = 0;
+  mutable int spinningCount_ = 0;
 
-  sim::TimeWeightedValue busy_;
+  mutable sim::TimeWeightedValue busy_;
   double auxBusyCoreSeconds_ = 0;
   std::uint64_t tasksStarted_ = 0;
   std::size_t maxQueue_ = 0;

@@ -25,14 +25,37 @@ const char* TimeTrace::stageName(Stage s) {
 }
 
 TimeTrace::TimeTrace(sim::Simulation& sim, std::size_t ringCapacity)
-    : sim_(sim), ring_(std::max<std::size_t>(1, ringCapacity)) {}
+    : sim_(sim),
+      ring_(std::max<std::size_t>(1, ringCapacity)),
+      spanTable_(kSpanTableSize) {}
+
+const TimeTrace::SpanState* TimeTrace::findSpan(std::uint64_t span) const {
+  const SpanSlot& slot = spanTable_[span & (kSpanTableSize - 1)];
+  if (slot.id == span && span != 0) return &slot.st;
+  if (overflow_.empty()) return nullptr;
+  auto it = overflow_.find(span);
+  return it == overflow_.end() ? nullptr : &it->second;
+}
+
+void TimeTrace::eraseSpan(std::uint64_t span) {
+  SpanSlot& slot = slotFor(span);
+  if (slot.id == span) {
+    slot.id = 0;
+  } else {
+    overflow_.erase(span);
+  }
+  --activeCount_;
+}
 
 std::uint64_t TimeTrace::beginSpan(std::uint16_t tenant) {
   const std::uint64_t id = nextSpan_++;
-  SpanState st;
-  st.begin = st.last = sim_.now();
-  st.tenant = tenant;
-  active_[id] = st;
+  SpanSlot& slot = slotFor(id);
+  if (slot.id != 0) overflow_.emplace(slot.id, slot.st);
+  slot.id = id;
+  slot.st = SpanState{};
+  slot.st.begin = slot.st.last = sim_.now();
+  slot.st.tenant = tenant;
+  ++activeCount_;
   ++started_;
   return id;
 }
@@ -47,9 +70,9 @@ void TimeTrace::record(std::uint64_t span, Stage stage,
 
 void TimeTrace::stamp(std::uint64_t span, Stage stage,
                       std::int32_t queueDepth, std::int32_t node) {
-  auto it = active_.find(span);
-  if (it == active_.end()) return;
-  SpanState& st = it->second;
+  SpanState* found = findSpan(span);
+  if (found == nullptr) return;
+  SpanState& st = *found;
   const sim::SimTime now = sim_.now();
   const sim::Duration elapsed = now - st.last;
   record(span, stage, elapsed);
@@ -65,9 +88,9 @@ void TimeTrace::stamp(std::uint64_t span, Stage stage,
 }
 
 void TimeTrace::endSpan(std::uint64_t span, SpanDetail* detail) {
-  auto it = active_.find(span);
-  if (it == active_.end()) return;
-  const SpanState& st = it->second;
+  const SpanState* found = findSpan(span);
+  if (found == nullptr) return;
+  const SpanState& st = *found;
   const sim::Duration total = sim_.now() - st.begin;
   record(span, Stage::kTotal, total);
   if (detail != nullptr) {
@@ -77,19 +100,19 @@ void TimeTrace::endSpan(std::uint64_t span, SpanDetail* detail) {
     detail->numStages = st.numStages;
     detail->stages = st.stages;
   }
-  active_.erase(it);
+  eraseSpan(span);
   ++completed_;
 }
 
 void TimeTrace::abandonSpan(std::uint64_t span) {
-  auto it = active_.find(span);
-  if (it == active_.end()) return;
+  const SpanState* found = findSpan(span);
+  if (found == nullptr) return;
   if (flight_ != nullptr) {
     // The RPC never completed, so its stamps reach no histogram and no
     // exemplar; re-emit the retained records into the flight ring so the
     // dead request's decomposition (with queue depths) survives a dump
     // even when the live ring has wrapped past the original entries.
-    const SpanState& st = it->second;
+    const SpanState& st = *found;
     for (std::uint8_t i = 0; i < st.numStages; ++i) {
       const StageRec& r = st.stages[i];
       flight_->record(FlightRecorder::Entry{
@@ -97,7 +120,7 @@ void TimeTrace::abandonSpan(std::uint64_t span) {
           /*abandoned=*/true, st.tenant, r.node, r.queueDepth, r.elapsed});
     }
   }
-  active_.erase(it);
+  eraseSpan(span);
   ++abandoned_;
 }
 
@@ -129,7 +152,7 @@ void TimeTrace::registerMetrics(MetricRegistry& reg,
   reg.probeCounter(prefix + ".spans_abandoned", "ops",
                    [this] { return static_cast<double>(abandoned_); });
   reg.probeGauge(prefix + ".active_spans", "items",
-                 [this] { return static_cast<double>(active_.size()); });
+                 [this] { return static_cast<double>(activeCount_); });
 }
 
 }  // namespace rc::obs

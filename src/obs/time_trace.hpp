@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "obs/metric_registry.hpp"
@@ -112,8 +113,10 @@ class TimeTrace {
   /// nullptr detaches.
   void setFlightRecorder(FlightRecorder* recorder) { flight_ = recorder; }
 
-  bool spanActive(std::uint64_t span) const { return active_.count(span) > 0; }
-  std::size_t activeSpans() const { return active_.size(); }
+  bool spanActive(std::uint64_t span) const {
+    return findSpan(span) != nullptr;
+  }
+  std::size_t activeSpans() const { return activeCount_; }
   std::uint64_t spansStarted() const { return started_; }
   std::uint64_t spansCompleted() const { return completed_; }
   std::uint64_t spansAbandoned() const { return abandoned_; }
@@ -139,6 +142,24 @@ class TimeTrace {
     std::array<StageRec, kMaxStagesPerSpan> stages{};
   };
 
+  /// Active spans sit in a direct-mapped table indexed by span id. Ids are
+  /// sequential and most spans end within a few RPC round trips, so a
+  /// span only moves to the overflow map if it outlives kSpanTableSize
+  /// newer ones (an RPC stuck behind a crashed server).
+  struct SpanSlot {
+    std::uint64_t id = 0;  ///< 0 = free
+    SpanState st;
+  };
+  static constexpr std::size_t kSpanTableSize = 512;
+
+  SpanSlot& slotFor(std::uint64_t span) {
+    return spanTable_[span & (kSpanTableSize - 1)];
+  }
+  const SpanState* findSpan(std::uint64_t span) const;
+  SpanState* findSpan(std::uint64_t span) {
+    return const_cast<SpanState*>(std::as_const(*this).findSpan(span));
+  }
+  void eraseSpan(std::uint64_t span);
   void record(std::uint64_t span, Stage stage, sim::Duration elapsed);
 
   sim::Simulation& sim_;
@@ -150,7 +171,9 @@ class TimeTrace {
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t abandoned_ = 0;
-  std::unordered_map<std::uint64_t, SpanState> active_;
+  std::vector<SpanSlot> spanTable_;
+  std::unordered_map<std::uint64_t, SpanState> overflow_;
+  std::size_t activeCount_ = 0;
   sim::Histogram histograms_[kNumStages];
 };
 

@@ -90,19 +90,14 @@ std::vector<node::NodeId> MasterService::backupCandidates() const {
 int MasterService::concurrentStreams() const {
   const sim::SimTime cutoff = node_.sim().now() - params_.concurrencyWindow;
   int n = 0;
-  for (auto it = recentStreams_.begin(); it != recentStreams_.end();) {
-    if (it->second < cutoff) {
-      it = recentStreams_.erase(it);
-    } else {
-      ++n;
-      ++it;
-    }
-  }
+  for (const sim::SimTime last : recentStreams_) n += last >= cutoff;
   return n;
 }
 
 void MasterService::noteStream(node::NodeId from) {
-  recentStreams_[from] = node_.sim().now();
+  const auto i = static_cast<std::size_t>(from);
+  if (i >= recentStreams_.size()) recentStreams_.resize(i + 1, kNeverSeen);
+  recentStreams_[i] = node_.sim().now();
 }
 
 void MasterService::handleRpc(const net::RpcRequest& req, node::NodeId from,
@@ -355,6 +350,7 @@ void MasterService::onRead(const net::RpcRequest& req, Responder respond) {
   const std::uint64_t span = req.traceSpan;
   const std::uint16_t tenant = req.tenant;
   const sim::SimTime arrival = node_.sim().now();
+  map_.prefetch(hash::Key{tableId, keyId});
 
   dispatch_.enqueue(guard([this, tableId, keyId, span, arrival, tenant,
                            respond = std::move(respond)]() mutable {

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -437,7 +438,12 @@ class MasterService : public net::RpcService {
   std::uint64_t txResolveRequests_ = 0;
   std::function<void()> crashBeforeReplyHook_;
   std::unique_ptr<sim::PeriodicTask> leaseReclaim_;
-  mutable std::unordered_map<node::NodeId, sim::SimTime> recentStreams_;
+  /// Last request time per calling node id; kNeverSeen for nodes that
+  /// never called (early in a run the window reaches below 0, so the
+  /// sentinel must sort below every cutoff).
+  static constexpr sim::SimTime kNeverSeen =
+      std::numeric_limits<sim::SimTime>::min();
+  std::vector<sim::SimTime> recentStreams_;
   MasterStats stats_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, TabletHeat> tabletHeat_;
   obs::TimeTrace* trace_ = nullptr;

@@ -2,6 +2,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "sim/inline_task.hpp"
@@ -17,51 +19,63 @@ constexpr EventId kInvalidEvent = 0;
 /// Indexed 4-ary min-heap of timer events, keyed on (time, seq).
 ///
 /// seq is a monotone scheduling counter, so ties on time break in FIFO
-/// scheduling order — the exact ordering contract the old
-/// priority_queue<Entry> comparator implemented, which keeps event
-/// execution order (and therefore every seeded run) bit-identical.
+/// scheduling order. That ordering contract is what keeps every seeded run
+/// bit-identical. A subsystem that replaces per-request timers with one
+/// lazily armed timer (RpcSystem's deadline queues) reserves the seq its
+/// timer *would* have taken (reserveSeq) and later pushes the timer under
+/// exactly that seq (pushAtSeq), so it still sorts where the eager timer
+/// sat.
 ///
-/// Each event's callback lives in a slot arena; the heap array holds only
-/// (time, seq, slot) triples, and each slot remembers its heap position.
-/// That index makes cancel() O(log n): the dominant schedule-then-cancel
-/// pattern (RPC timeouts, worker spin-ends) removes its entry eagerly
-/// instead of leaving a tombstone to be re-popped later. A 4-ary layout
-/// halves the tree depth of a binary heap and keeps hot comparisons within
-/// one cache line of children.
+/// Callbacks are constructed directly in a chunked slot arena and run in
+/// place: a chunk never moves, so a running callback may schedule any
+/// number of further events without invalidating itself. The heap array
+/// holds only (time, seq, slot) triples; each slot's generation and heap
+/// position live in a flat side table, which makes cancel() an O(log n)
+/// eager removal. A 4-ary layout halves the tree depth of a binary heap
+/// and keeps the children compared per level within one cache line.
 ///
 /// EventIds encode (generation << 32 | slot); generations bump on every
 /// slot reuse, so cancelling an id that already ran is a harmless no-op.
 class EventHeap {
  public:
-  /// Insert a callback at `time`; FIFO among equal times.
-  EventId push(SimTime time, InlineTask cb) {
+  struct Item {
+    SimTime time;
+    std::uint64_t seq;
     std::uint32_t slot;
-    if (!free_.empty()) {
-      slot = free_.back();
-      free_.pop_back();
-    } else {
-      slot = static_cast<std::uint32_t>(slots_.size());
-      slots_.emplace_back();
-    }
-    Slot& s = slots_[slot];
-    s.cb = std::move(cb);
-    const std::size_t i = heap_.size();
-    heap_.push_back(Item{time, nextSeq_++, slot});
-    s.pos = static_cast<std::int32_t>(i);
-    siftUp(i);
-    return makeId(s.gen, slot);
+  };
+
+  /// Consume the next seq without pushing an event (see pushAtSeq).
+  std::uint64_t reserveSeq() { return nextSeq_++; }
+
+  /// Insert a callback at `time`; FIFO among equal times.
+  template <typename F>
+  EventId push(SimTime time, F&& cb) {
+    return pushAtSeq(time, nextSeq_++, std::forward<F>(cb));
   }
 
-  /// Remove a pending event. Returns false (no-op) if the id already ran,
-  /// was already cancelled, or never existed.
+  /// Insert a callback under a seq obtained from reserveSeq(). Every
+  /// (time, seq) key in the heap must be unique.
+  template <typename F>
+  EventId pushAtSeq(SimTime time, std::uint64_t seq, F&& cb) {
+    const std::uint32_t slot = acquireSlot();
+    task(slot).emplace(std::forward<F>(cb));
+    const std::size_t i = heap_.size();
+    heap_.push_back(Item{time, seq, slot});
+    meta_[slot].pos = static_cast<std::int32_t>(i);
+    siftUp(i);
+    return makeId(meta_[slot].gen, slot);
+  }
+
+  /// Remove a pending event. Returns false (no-op) if the id already ran
+  /// (or is running), was already cancelled, or never existed.
   bool cancel(EventId id) {
     const std::uint32_t slot = static_cast<std::uint32_t>(id & 0xffffffffu);
     const std::uint32_t gen = static_cast<std::uint32_t>(id >> 32);
-    if (slot >= slots_.size()) return false;
-    Slot& s = slots_[slot];
-    if (s.gen != gen || s.pos < 0) return false;
-    removeAt(static_cast<std::size_t>(s.pos));
-    releaseSlot(slot);
+    if (slot >= meta_.size()) return false;
+    const Meta& m = meta_[slot];
+    if (m.gen != gen || m.pos < 0) return false;
+    removeAt(static_cast<std::size_t>(m.pos));
+    release(slot);
     return true;
   }
 
@@ -71,24 +85,34 @@ class EventHeap {
   /// Precondition: !empty().
   SimTime topTime() const { return heap_[0].time; }
 
-  /// Pop the earliest event; precondition: !empty().
-  InlineTask popTop(SimTime* timeOut) {
+  /// Unlink the earliest event from the heap; precondition: !empty(). Its
+  /// callback stays in its slot: run it with task(slot), then release(slot).
+  Item popTop() {
     const Item top = heap_[0];
-    if (timeOut != nullptr) *timeOut = top.time;
-    InlineTask cb = std::move(slots_[top.slot].cb);
     removeAt(0);
-    releaseSlot(top.slot);
-    return cb;
+    return top;
+  }
+
+  /// The callback stored in `slot`; the reference stays valid until the
+  /// slot is released, however many events are pushed meanwhile.
+  InlineTask& task(std::uint32_t slot) {
+    return chunks_[slot >> kChunkBits][slot & (kChunkSize - 1)];
+  }
+
+  /// Destroy a popped event's callback and recycle its slot.
+  void release(std::uint32_t slot) {
+    task(slot).reset();
+    Meta& m = meta_[slot];
+    m.pos = -1;
+    if (++m.gen == 0) m.gen = 1;  // keep ids != kInvalidEvent
+    free_.push_back(slot);
   }
 
  private:
-  struct Item {
-    SimTime time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  struct Slot {
-    InlineTask cb;
+  static constexpr std::uint32_t kChunkBits = 10;
+  static constexpr std::uint32_t kChunkSize = 1u << kChunkBits;
+
+  struct Meta {
     std::uint32_t gen = 1;
     std::int32_t pos = -1;
   };
@@ -102,22 +126,28 @@ class EventHeap {
     return a.seq < b.seq;
   }
 
-  void place(std::size_t i, const Item& item) {
-    heap_[i] = item;
-    slots_[item.slot].pos = static_cast<std::int32_t>(i);
+  std::uint32_t acquireSlot() {
+    if (!free_.empty()) {
+      const std::uint32_t slot = free_.back();
+      free_.pop_back();
+      return slot;
+    }
+    const auto slot = static_cast<std::uint32_t>(meta_.size());
+    if ((slot & (kChunkSize - 1)) == 0) {
+      chunks_.push_back(std::make_unique<InlineTask[]>(kChunkSize));
+    }
+    meta_.emplace_back();
+    return slot;
   }
 
-  void releaseSlot(std::uint32_t slot) {
-    Slot& s = slots_[slot];
-    s.cb = nullptr;
-    s.pos = -1;
-    if (++s.gen == 0) s.gen = 1;  // keep ids != kInvalidEvent
-    free_.push_back(slot);
+  void place(std::size_t i, const Item& item) {
+    heap_[i] = item;
+    meta_[item.slot].pos = static_cast<std::int32_t>(i);
   }
 
   void removeAt(std::size_t i) {
     const std::size_t last = heap_.size() - 1;
-    slots_[heap_[i].slot].pos = -1;
+    meta_[heap_[i].slot].pos = -1;
     if (i != last) {
       const Item moved = heap_[last];
       heap_.pop_back();
@@ -162,7 +192,8 @@ class EventHeap {
   }
 
   std::vector<Item> heap_;
-  std::vector<Slot> slots_;
+  std::vector<Meta> meta_;
+  std::vector<std::unique_ptr<InlineTask[]>> chunks_;
   std::vector<std::uint32_t> free_;
   std::uint64_t nextSeq_ = 1;
 };

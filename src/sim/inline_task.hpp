@@ -84,21 +84,7 @@ class InlineFunction<R(Args...)> {
                 !std::is_same_v<std::decay_t<F>, InlineFunction> &&
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   InlineFunction(F&& f) {  // NOLINT(runtime/explicit)
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t)) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      invoke_ = &inlineInvoke<Fn>;
-      manage_ = &inlineManage<Fn>;
-      inlineStored_ = true;
-    } else {
-      void* block = detail::OverflowPool::allocate(sizeof(Fn));
-      ::new (block) Fn(std::forward<F>(f));
-      *reinterpret_cast<void**>(buf_) = block;
-      invoke_ = &heapInvoke<Fn>;
-      manage_ = &heapManage<Fn>;
-      inlineStored_ = false;
-    }
+    construct(std::forward<F>(f));
   }
 
   InlineFunction(InlineFunction&& other) noexcept { moveFrom(other); }
@@ -130,6 +116,18 @@ class InlineFunction<R(Args...)> {
                    std::forward<Args>(args)...);
   }
 
+  /// Replace the target with `f`, constructed directly in this object's
+  /// storage: no temporary InlineFunction, no relocating move.
+  template <typename F>
+  void emplace(F&& f) {
+    if constexpr (std::is_same_v<std::decay_t<F>, InlineFunction>) {
+      *this = std::forward<F>(f);  // rvalues only: copying is deleted
+    } else {
+      reset();
+      construct(std::forward<F>(f));
+    }
+  }
+
   void reset() noexcept {
     if (manage_ != nullptr) manage_(Op::kDestroy, buf_, nullptr);
     invoke_ = nullptr;
@@ -145,6 +143,25 @@ class InlineFunction<R(Args...)> {
   enum class Op { kMoveTo, kDestroy };
   using Invoke = R (*)(void*, Args...);
   using Manage = void (*)(Op, void* self, void* dest);
+
+  template <typename F>
+  void construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t)) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      invoke_ = &inlineInvoke<Fn>;
+      manage_ = &inlineManage<Fn>;
+      inlineStored_ = true;
+    } else {
+      void* block = detail::OverflowPool::allocate(sizeof(Fn));
+      ::new (block) Fn(std::forward<F>(f));
+      *reinterpret_cast<void**>(buf_) = block;
+      invoke_ = &heapInvoke<Fn>;
+      manage_ = &heapManage<Fn>;
+      inlineStored_ = false;
+    }
+  }
 
   template <typename Fn>
   static R inlineInvoke(void* buf, Args... args) {

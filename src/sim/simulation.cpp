@@ -7,33 +7,25 @@ namespace rc::sim {
 
 Simulation::Simulation(std::uint64_t seed) : rng_(seed) {}
 
-EventId Simulation::schedule(Duration delay, Callback cb) {
-  if (delay < 0) delay = 0;
-  return scheduleAt(now_ + delay, std::move(cb));
-}
-
-EventId Simulation::scheduleAt(SimTime t, Callback cb) {
-  if (t < now_) t = now_;
-  return heap_.push(t, std::move(cb));
-}
-
 void Simulation::cancel(EventId id) {
   if (id != kInvalidEvent) heap_.cancel(id);
 }
 
 bool Simulation::popAndRunOne(SimTime limit) {
   if (heap_.empty() || heap_.topTime() > limit) return false;
-  SimTime t;
-  Callback cb = heap_.popTop(&t);
-  now_ = t;
+  const EventHeap::Item top = heap_.popTop();
+  now_ = top.time;
+  curSeq_ = top.seq;
   ++executed_;
-  cb();
+  heap_.task(top.slot)();
+  heap_.release(top.slot);
   return true;
 }
 
 std::uint64_t Simulation::run() {
   std::uint64_t n = 0;
   while (!stopped_ && popAndRunOne(std::numeric_limits<SimTime>::max())) ++n;
+  endRun();
   return n;
 }
 
@@ -41,6 +33,7 @@ std::uint64_t Simulation::runUntil(SimTime t) {
   std::uint64_t n = 0;
   while (!stopped_ && popAndRunOne(t)) ++n;
   if (!stopped_ && now_ < t) now_ = t;
+  endRun();
   return n;
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 
 #include "sim/event_heap.hpp"
 #include "sim/inline_task.hpp"
@@ -14,13 +15,16 @@ namespace rc::sim {
 ///
 /// Events are (time, callback) pairs executed in nondecreasing time order;
 /// ties are broken by scheduling order, which makes runs fully deterministic.
-/// Callbacks are InlineTasks (no heap allocation for common lambda sizes)
-/// stored in an indexed 4-ary heap, so cancellation removes the event
-/// eagerly in O(log n) instead of tombstoning it.
+/// Callbacks are InlineTasks constructed directly in the event heap's slot
+/// arena and run there; cancellation removes an event eagerly in O(log n).
+///
+/// Subsystems that keep their own time-ordered work off the heap (RPC
+/// deadline queues, worker spin-ends) take a seq with reserveSeq() where
+/// they would have scheduled an event, and use hasHappened() or
+/// scheduleAtSeq() to act at exactly the point in the (time, seq) order
+/// that event would have run.
 class Simulation {
  public:
-  using Callback = InlineTask;
-
   explicit Simulation(std::uint64_t seed = 1);
 
   Simulation(const Simulation&) = delete;
@@ -30,10 +34,36 @@ class Simulation {
   SimTime now() const { return now_; }
 
   /// Schedule `cb` to run `delay` from now (delay < 0 is clamped to 0).
-  EventId schedule(Duration delay, Callback cb);
+  template <typename F>
+  EventId schedule(Duration delay, F&& cb) {
+    if (delay < 0) delay = 0;
+    return heap_.push(now_ + delay, std::forward<F>(cb));
+  }
 
   /// Schedule `cb` at absolute time `t` (clamped to now if in the past).
-  EventId scheduleAt(SimTime t, Callback cb);
+  template <typename F>
+  EventId scheduleAt(SimTime t, F&& cb) {
+    if (t < now_) t = now_;
+    return heap_.push(t, std::forward<F>(cb));
+  }
+
+  /// Take the seq the next schedule() would use, without scheduling.
+  std::uint64_t reserveSeq() { return heap_.reserveSeq(); }
+
+  /// Schedule `cb` at (t, seq), where `seq` came from reserveSeq() and
+  /// (t, seq) is still ahead of the running event: it runs exactly where
+  /// an event scheduled at reservation time would have.
+  template <typename F>
+  EventId scheduleAtSeq(SimTime t, std::uint64_t seq, F&& cb) {
+    return heap_.pushAtSeq(t, seq, std::forward<F>(cb));
+  }
+
+  /// True if an event keyed (t, seq) would already have run: it sorts
+  /// before the running event. Between runs every event up to now() has
+  /// run (unless stop() cut the last run short), so only t <= now counts.
+  bool hasHappened(SimTime t, std::uint64_t seq) const {
+    return t < now_ || (t == now_ && seq < curSeq_);
+  }
 
   /// Cancel a pending event. Cancelling an already-run or invalid id is a
   /// harmless no-op.
@@ -69,9 +99,17 @@ class Simulation {
   Rng& rng() { return rng_; }
 
  private:
+  static constexpr std::uint64_t kAfterAll = ~std::uint64_t{0};
+
   bool popAndRunOne(SimTime limit);
+  void endRun() {
+    if (!stopped_) curSeq_ = kAfterAll;
+  }
 
   SimTime now_ = 0;
+  /// Seq of the running event, or kAfterAll once a run has finished every
+  /// event up to now().
+  std::uint64_t curSeq_ = kAfterAll;
   std::uint64_t executed_ = 0;
   bool stopped_ = false;
   EventHeap heap_;

@@ -19,6 +19,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "core/cluster.hpp"
 #include "fault/fault_injector.hpp"
@@ -115,6 +116,35 @@ struct ChaosResult {
   double txResolutionsStarted = -1;
 };
 
+/// A running checker: its state plus the self-rescheduling loops that feed
+/// it. A loop reschedules itself through a weak reference (see makeLoop),
+/// so the handle is the only strong owner of each loop function — no
+/// step -> again -> step cycle survives the run.
+template <typename State>
+struct Checker {
+  std::shared_ptr<State> st = std::make_shared<State>();
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
+  State* operator->() const { return st.get(); }
+};
+
+/// A loop body slot and the `again(delay)` that re-runs it later; the loop
+/// stops once the owning Checker is gone.
+struct Loop {
+  std::shared_ptr<std::function<void()>> step =
+      std::make_shared<std::function<void()>>();
+  std::function<void(sim::Duration)> again;
+};
+
+Loop makeLoop(core::Cluster& c) {
+  Loop l;
+  l.again = [&c, weak = std::weak_ptr(l.step)](sim::Duration d) {
+    c.sim().schedule(d, [weak] {
+      if (auto step = weak.lock()) (*step)();
+    });
+  };
+  return l;
+}
+
 /// Per-client exactly-once probe on a private key nobody else writes: a
 /// chain of conditional writes, each expecting the last version this client
 /// itself produced, each followed by a read-your-write verification. If a
@@ -136,15 +166,15 @@ struct RywChecker {
   /// `readBack` false runs a write-only chain (duplicate application still
   /// trips the conditional check as a mismatch); true verifies each acked
   /// write with a read before the next round.
-  static std::shared_ptr<State> start(core::Cluster& c, std::uint64_t table,
-                                      int clientIdx, std::uint64_t key,
-                                      bool readBack = true) {
-    auto st = std::make_shared<State>();
+  static Checker<State> start(core::Cluster& c, std::uint64_t table,
+                              int clientIdx, std::uint64_t key,
+                              bool readBack = true) {
+    Checker<State> checker;
+    auto st = checker.st;
     auto& rc = *c.clientHost(clientIdx).rc;
-    auto step = std::make_shared<std::function<void()>>();
-    auto again = [&c, step](sim::Duration d) {
-      c.sim().schedule(d, [step] { (*step)(); });
-    };
+    const Loop loop = makeLoop(c);
+    const auto& step = loop.step;
+    const auto& again = loop.again;
     auto resync = [&c, &rc, table, key, st, again] {
       rc.readV(table, key,
                [st, again](net::Status s, std::uint64_t v, sim::Duration) {
@@ -186,8 +216,9 @@ struct RywChecker {
             resync();
           });
     };
+    checker.loops.push_back(step);
     (*step)();
-    return st;
+    return checker;
   }
 };
 
@@ -228,23 +259,24 @@ struct TxPairChecker {
     }
   };
 
-  static std::shared_ptr<State> start(core::Cluster& c, std::uint64_t table,
-                                      int writerClient, int readerClient,
-                                      std::uint64_t keyA, std::uint64_t keyB) {
-    auto st = std::make_shared<State>();
-    startWriter(c, *c.clientHost(writerClient).rc, table, keyA, keyB, st);
-    startReader(c, *c.clientHost(readerClient).rc, table, keyA, keyB, st);
-    return st;
+  static Checker<State> start(core::Cluster& c, std::uint64_t table,
+                              int writerClient, int readerClient,
+                              std::uint64_t keyA, std::uint64_t keyB) {
+    Checker<State> checker;
+    checker.loops.push_back(startWriter(c, *c.clientHost(writerClient).rc,
+                                        table, keyA, keyB, checker.st));
+    checker.loops.push_back(startReader(c, *c.clientHost(readerClient).rc,
+                                        table, keyA, keyB, checker.st));
+    return checker;
   }
 
  private:
-  static void startWriter(core::Cluster& c, client::RamCloudClient& rc,
-                          std::uint64_t table, std::uint64_t keyA,
-                          std::uint64_t keyB, std::shared_ptr<State> st) {
-    auto step = std::make_shared<std::function<void()>>();
-    auto again = [&c, step](sim::Duration d) {
-      c.sim().schedule(d, [step] { (*step)(); });
-    };
+  static std::shared_ptr<std::function<void()>> startWriter(
+      core::Cluster& c, client::RamCloudClient& rc, std::uint64_t table,
+      std::uint64_t keyA, std::uint64_t keyB, std::shared_ptr<State> st) {
+    const Loop loop = makeLoop(c);
+    const auto& step = loop.step;
+    const auto& again = loop.again;
     *step = [&rc, table, keyA, keyB, st, again] {
       if (st->stop) return;
       st->writerInFlight = true;
@@ -294,15 +326,15 @@ struct TxPairChecker {
                 });
     };
     (*step)();
+    return step;
   }
 
-  static void startReader(core::Cluster& c, client::RamCloudClient& rc,
-                          std::uint64_t table, std::uint64_t keyA,
-                          std::uint64_t keyB, std::shared_ptr<State> st) {
-    auto step = std::make_shared<std::function<void()>>();
-    auto again = [&c, step](sim::Duration d) {
-      c.sim().schedule(d, [step] { (*step)(); });
-    };
+  static std::shared_ptr<std::function<void()>> startReader(
+      core::Cluster& c, client::RamCloudClient& rc, std::uint64_t table,
+      std::uint64_t keyA, std::uint64_t keyB, std::shared_ptr<State> st) {
+    const Loop loop = makeLoop(c);
+    const auto& step = loop.step;
+    const auto& again = loop.again;
     *step = [&rc, table, keyA, keyB, st, again] {
       if (st->stop) return;
       const std::uint64_t tx = rc.txBegin();
@@ -336,6 +368,7 @@ struct TxPairChecker {
                 });
     };
     (*step)();
+    return step;
   }
 };
 
@@ -402,7 +435,7 @@ ChaosResult runChaos(std::uint64_t seed, const std::string& exportDir = "") {
   const std::uint64_t key1 = keyOwnedBy(3, key0 + 1);
   auto probe =
       RywChecker::start(c, table, 0, probeKey, /*readBack=*/false);
-  std::array<std::shared_ptr<RywChecker::State>, 2> ryw = {
+  std::array<Checker<RywChecker::State>, 2> ryw = {
       RywChecker::start(c, table, 0, key0),
       RywChecker::start(c, table, 1, key1),
   };

@@ -134,6 +134,91 @@ TEST(CpuScheduler, EpochChangesOnCrash) {
   EXPECT_NE(cpu.epoch(), e);
 }
 
+// ----- spin-end ordering contract --------------------------------------------
+// A released worker's spin ends at (release + spin, seq reserved at release)
+// without an event of its own; these pin that the end still falls exactly
+// where a spin-end event would have run.
+
+/// One worker (so the grant shows whether it was still spinning), a 100 us
+/// spin and a visible 2 us wakeup. The first grant comes at 2 us, the
+/// release at 12 us, so the spin ends at 112 us.
+CpuParams oneSpinningWorker() {
+  CpuParams p;
+  p.cores = 2;
+  p.workerThreads = 1;
+  p.workerSpinBeforeSleep = usec(100);
+  p.wakeupLatency = usec(2);
+  return p;
+}
+
+struct Grant {
+  sim::SimTime at = -1;
+  bool synchronous = false;
+  bool acquiring = false;
+};
+
+/// Acquire from inside an event and note whether the grant was immediate
+/// (a spinning worker) or came after the wakeup latency (a sleeping one).
+void probeAcquire(sim::Simulation& sim, CpuScheduler& cpu, Grant& g) {
+  g.acquiring = true;
+  cpu.acquireWorker([&sim, &g](int) {
+    g.at = sim.now();
+    g.synchronous = g.acquiring;
+  });
+  g.acquiring = false;
+}
+
+TEST(CpuScheduler, AcquireAtSpinEndNsBeforeItsSeqFindsWorkerSpinning) {
+  sim::Simulation sim;
+  CpuScheduler cpu(sim, oneSpinningWorker());
+  cpu.powerOn();
+  Grant g;
+  // Scheduled before the release, so it sorts ahead of the spin's end.
+  sim.scheduleAt(usec(112), [&] { probeAcquire(sim, cpu, g); });
+  cpu.acquireWorker([&](int w) {
+    sim.schedule(usec(10), [&cpu, w] { cpu.releaseWorker(w); });
+  });
+  sim.run();
+  EXPECT_EQ(g.at, usec(112));
+  EXPECT_TRUE(g.synchronous);
+}
+
+TEST(CpuScheduler, AcquireAtSpinEndNsAfterItsSeqFindsWorkerAsleep) {
+  sim::Simulation sim;
+  CpuScheduler cpu(sim, oneSpinningWorker());
+  cpu.powerOn();
+  Grant g;
+  cpu.acquireWorker([&](int w) {
+    sim.schedule(usec(10), [&, w] {
+      cpu.releaseWorker(w);
+      // Scheduled after the release: sorts behind the spin's end.
+      sim.schedule(usec(100), [&] { probeAcquire(sim, cpu, g); });
+    });
+  });
+  sim.run();
+  EXPECT_EQ(g.at, usec(114));
+  EXPECT_FALSE(g.synchronous);
+  // Poll core 114 us + worker busy 0..12, spinning 12..112, busy 112..114.
+  EXPECT_NEAR(cpu.busyCoreSeconds(sim.now()), (114 + 12 + 100 + 2) * 1e-6,
+              1e-12);
+}
+
+TEST(CpuScheduler, PowerOffSettlesAnExpiredSpinAtItsEnd) {
+  sim::Simulation sim;
+  CpuScheduler cpu(sim, oneSpinningWorker());
+  cpu.powerOn();
+  cpu.acquireWorker([&](int w) {
+    sim.schedule(usec(10), [&cpu, w] { cpu.releaseWorker(w); });
+  });
+  // Nothing touches the scheduler between the spin's end and the crash.
+  sim.runUntil(msec(1));
+  cpu.powerOff();
+  // Poll core 1 ms + worker busy 0..12 us + spinning 12..112 us — the
+  // spin must stop counting at 112 us, not at the crash.
+  EXPECT_NEAR(cpu.busyCoreSeconds(msec(1)), 1e-3 + 112e-6, 1e-12);
+  EXPECT_NEAR(cpu.busyCoreSeconds(msec(2)), 1e-3 + 112e-6, 1e-12);
+}
+
 TEST(Disk, SequentialTransferMatchesBandwidth) {
   sim::Simulation sim;
   DiskParams p;

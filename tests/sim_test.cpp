@@ -148,6 +148,61 @@ TEST(Simulation, NegativeDelayClampsToNow) {
   EXPECT_EQ(sim.now(), usec(5));
 }
 
+TEST(Simulation, CallbackSchedulingManyArenaChunksKeepsItsCaptures) {
+  // Callbacks run in place in the event arena; one that schedules several
+  // chunks' worth of events must not move itself (ASan flags a relocation
+  // as heap-use-after-free on the captures read afterwards).
+  Simulation sim;
+  std::vector<int> order;
+  std::array<int, 6> payload{0, 1, 2, 3, 4, 5};
+  int checked = 0;
+  sim.schedule(usec(1), [&sim, &order, &checked, payload] {
+    for (int i = 0; i < 5000; ++i) {
+      sim.schedule(usec(1 + i % 3), [&order, i] { order.push_back(i); });
+    }
+    for (int i = 0; i < 6; ++i) checked += payload[i] == i;
+  });
+  sim.run();
+  EXPECT_EQ(checked, 6);
+  ASSERT_EQ(order.size(), 5000u);
+  // (time, seq) order: by delay class, then schedule order within a class.
+  std::vector<int> expected;
+  for (int cls = 0; cls < 3; ++cls) {
+    for (int i = cls; i < 5000; i += 3) expected.push_back(i);
+  }
+  EXPECT_EQ(order, expected);
+}
+
+TEST(Simulation, ReservedSeqSortsWhereTheReservationWas) {
+  Simulation sim;
+  std::vector<int> order;
+  const std::uint64_t seq = sim.reserveSeq();
+  sim.schedule(usec(5), [&] { order.push_back(2); });
+  sim.schedule(usec(1), [&] {
+    // Armed late, at a reserved seq that predates the event above.
+    sim.scheduleAtSeq(usec(5), seq, [&] { order.push_back(1); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+}
+
+TEST(Simulation, HasHappenedComparesWithTheRunningEvent) {
+  Simulation sim;
+  const std::uint64_t early = sim.reserveSeq();
+  std::uint64_t late = 0;
+  sim.schedule(usec(5), [&] {
+    EXPECT_TRUE(sim.hasHappened(usec(4), late));
+    EXPECT_TRUE(sim.hasHappened(usec(5), early));
+    EXPECT_FALSE(sim.hasHappened(usec(5), late));
+    EXPECT_FALSE(sim.hasHappened(usec(6), early));
+  });
+  late = sim.reserveSeq();
+  sim.run();
+  // Between runs every event up to now() has run.
+  EXPECT_TRUE(sim.hasHappened(usec(5), late));
+  EXPECT_FALSE(sim.hasHappened(usec(6), early));
+}
+
 TEST(PeriodicTask, FiresAtInterval) {
   Simulation sim;
   std::vector<SimTime> fires;
@@ -438,6 +493,14 @@ TEST(InlineFunction, ForwardsArgumentsAndReturnValue) {
 // ---------------------------------------------------------------------------
 // EventHeap
 
+/// Pop the earliest event and run it in its slot, as Simulation does.
+void popAndRun(EventHeap& h, SimTime* t) {
+  const EventHeap::Item top = h.popTop();
+  *t = top.time;
+  h.task(top.slot)();
+  h.release(top.slot);
+}
+
 TEST(EventHeap, PopsInTimeOrder) {
   EventHeap h;
   std::vector<int> order;
@@ -446,7 +509,7 @@ TEST(EventHeap, PopsInTimeOrder) {
   h.push(msec(20), [&order] { order.push_back(20); });
   while (!h.empty()) {
     SimTime t = 0;
-    h.popTop(&t)();
+    popAndRun(h, &t);
   }
   EXPECT_EQ(order, (std::vector<int>{10, 20, 30}));
 }
@@ -459,7 +522,7 @@ TEST(EventHeap, EqualTimesPopFifo) {
   }
   while (!h.empty()) {
     SimTime t = 0;
-    h.popTop(&t)();
+    popAndRun(h, &t);
     EXPECT_EQ(t, msec(5));
   }
   ASSERT_EQ(order.size(), 64u);
@@ -481,7 +544,7 @@ TEST(EventHeap, CancelInMiddleRemovesEagerlyAndPreservesOrder) {
   SimTime prev = 0;
   while (!h.empty()) {
     SimTime t = 0;
-    h.popTop(&t)();
+    popAndRun(h, &t);
     EXPECT_GE(t, prev);
     prev = t;
   }
@@ -498,7 +561,7 @@ TEST(EventHeap, CancelledIdIsNoOpAfterPopOrSecondCancel) {
   int runs = 0;
   const EventId id2 = h.push(msec(2), [&runs] { ++runs; });
   SimTime t = 0;
-  h.popTop(&t)();
+  popAndRun(h, &t);
   EXPECT_EQ(runs, 1);
   EXPECT_FALSE(h.cancel(id2));  // already ran
 }
@@ -507,14 +570,14 @@ TEST(EventHeap, SlotReuseInvalidatesStaleIds) {
   EventHeap h;
   const EventId stale = h.push(msec(1), [] {});
   SimTime t = 0;
-  h.popTop(&t)();
+  popAndRun(h, &t);
   // The freed slot is reused; the stale id must not cancel the new event.
   int runs = 0;
   const EventId fresh = h.push(msec(2), [&runs] { ++runs; });
   EXPECT_NE(stale, fresh);
   EXPECT_FALSE(h.cancel(stale));
   EXPECT_EQ(h.size(), 1u);
-  h.popTop(&t)();
+  popAndRun(h, &t);
   EXPECT_TRUE(h.cancel(fresh) == false);
 }
 
@@ -535,7 +598,7 @@ TEST(EventHeap, InterleavedPushPopCancelKeepsOrdering) {
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(pick));
     } else {
       SimTime t = 0;
-      h.popTop(&t)();
+      popAndRun(h, &t);
       ++popped;
       EXPECT_GE(t, prev);
       prev = t;
