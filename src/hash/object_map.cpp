@@ -21,7 +21,7 @@ ObjectMap::ObjectMap(std::size_t initialBuckets) {
 
 std::size_t ObjectMap::probe(const Key& k, bool forInsert) const {
   const std::size_t mask = slots_.size() - 1;
-  std::size_t i = static_cast<std::size_t>(keyHash(k)) & mask;
+  std::size_t i = homeSlot(k);
   std::size_t firstTombstone = slots_.size();  // sentinel: none seen
   for (std::size_t step = 0; step < slots_.size(); ++step) {
     const Slot& s = slots_[i];

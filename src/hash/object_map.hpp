@@ -51,8 +51,7 @@ class ObjectMap {
   /// into cache (RAMCloud's HashTable::prefetchBucket). No effect on
   /// contents.
   void prefetch(const Key& k) const {
-    __builtin_prefetch(&slots_[static_cast<std::size_t>(keyHash(k)) &
-                               (slots_.size() - 1)]);
+    __builtin_prefetch(&slots_[homeSlot(k)]);
   }
 
   std::size_t size() const { return size_; }
@@ -78,6 +77,10 @@ class ObjectMap {
   };
 
   void grow();
+  /// Where `k`'s probe sequence starts.
+  std::size_t homeSlot(const Key& k) const {
+    return static_cast<std::size_t>(keyHash(k)) & (slots_.size() - 1);
+  }
   std::size_t probe(const Key& k, bool forInsert) const;
 
   std::vector<Slot> slots_;

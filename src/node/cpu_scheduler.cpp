@@ -40,6 +40,24 @@ void CpuScheduler::settleSpins() const {
   }
 }
 
+double CpuScheduler::unspentSpinSeconds(sim::SimTime t) const {
+  if (sim_.pendingEvents() != 0) return 0;
+  double unspent = 0;
+  for (const Spin& s : spins_) {
+    const auto w = static_cast<std::size_t>(s.worker);
+    if (s.end < t && state_[w] == WorkerState::Spinning &&
+        spinSeq_[w] == s.seq) {
+      unspent += sim::toSeconds(t - s.end);
+    }
+  }
+  return unspent;
+}
+
+double CpuScheduler::busyCoreSeconds(sim::SimTime t) const {
+  settleSpins();
+  return busy_.integralTo(t) - unspentSpinSeconds(t);
+}
+
 void CpuScheduler::powerOn() {
   if (on_) return;
   on_ = true;
@@ -184,8 +202,7 @@ CpuScheduler::Snapshot CpuScheduler::snapshot() const {
 double CpuScheduler::utilisationSince(const Snapshot& s,
                                       sim::SimTime t) const {
   if (t <= s.time) return 0;
-  settleSpins();
-  const double coreSeconds = busy_.integralTo(t) - s.busyCoreSeconds +
+  const double coreSeconds = busyCoreSeconds(t) - s.busyCoreSeconds +
                              (auxBusyCoreSeconds_ - s.auxBusyCoreSeconds);
   const double wall = sim::toSeconds(t - s.time);
   return std::clamp(coreSeconds / (wall * params_.cores), 0.0, 1.0);

@@ -115,10 +115,7 @@ class CpuScheduler {
   const CpuParams& params() const { return params_; }
 
   /// Continuous busy-core integral (core-seconds) up to time t >= now-ish.
-  double busyCoreSeconds(sim::SimTime t) const {
-    settleSpins();
-    return busy_.integralTo(t);
-  }
+  double busyCoreSeconds(sim::SimTime t) const;
 
   /// Charge CPU work that is not a worker occupancy — e.g. replication
   /// requests serviced at dispatch priority, whose cycles would otherwise
@@ -162,6 +159,11 @@ class CpuScheduler {
   void setBusyCores() { busy_.set(sim_.now(), busyCores()); }
   /// Put every worker whose spin has ended by the running event to sleep.
   void settleSpins() const;
+  /// Core-seconds that spins still live at now() will not spend before
+  /// `t`. Nonzero only when no event is pending (after a run() drained the
+  /// heap): nothing can then re-acquire a worker before its spin ends, so
+  /// each spin stops counting at its own end even though it is unsettled.
+  double unspentSpinSeconds(sim::SimTime t) const;
   void assign(WorkerId w, AcquireFn fn, bool fromSleep);
   void startSpin(WorkerId w);
   void flushOccupancy(WorkerId w);

@@ -143,13 +143,16 @@ class TimeTrace {
   };
 
   /// Active spans sit in a direct-mapped table indexed by span id. Ids are
-  /// sequential and most spans end within a few RPC round trips, so a
-  /// span only moves to the overflow map if it outlives kSpanTableSize
-  /// newer ones (an RPC stuck behind a crashed server).
+  /// sequential, so a span only moves to the overflow map if it is still
+  /// active when the span kSpanTableSize ids after it begins.
   struct SpanSlot {
     std::uint64_t id = 0;  ///< 0 = free
     SpanState st;
   };
+  /// Measured on the perfbench workloads (docs/PERF.md): at most 105 spans
+  /// were active at once (openloop_knee's 130 Kop/s step) and no span
+  /// outlived 512 newer ones, so none reached the overflow map; at 256,
+  /// 20 of that step's 268k spans would. 512 x 224 B = 112 KiB per cluster.
   static constexpr std::size_t kSpanTableSize = 512;
 
   SpanSlot& slotFor(std::uint64_t span) {

@@ -219,6 +219,31 @@ TEST(CpuScheduler, PowerOffSettlesAnExpiredSpinAtItsEnd) {
   EXPECT_NEAR(cpu.busyCoreSeconds(msec(2)), 1e-3 + 112e-6, 1e-12);
 }
 
+TEST(CpuScheduler, DrainedRunStopsCountingASpinAtItsEnd) {
+  sim::Simulation sim;
+  CpuScheduler cpu(sim, oneSpinningWorker());
+  cpu.powerOn();
+  const auto s = cpu.snapshot();
+  cpu.acquireWorker([&](int w) {
+    sim.schedule(usec(10), [&cpu, w] { cpu.releaseWorker(w); });
+  });
+  // The release is the last event, so run() stops at 12 us with the spin
+  // (ending at 112 us) still unsettled.
+  sim.run();
+  ASSERT_EQ(sim.now(), usec(12));
+  // Poll core to t + worker busy 0..12 us + spinning 12..112 us.
+  EXPECT_NEAR(cpu.busyCoreSeconds(usec(60)), 60e-6 + 12e-6 + 48e-6, 1e-12);
+  EXPECT_NEAR(cpu.busyCoreSeconds(msec(1)), 1e-3 + 112e-6, 1e-12);
+  EXPECT_NEAR(cpu.utilisationSince(s, msec(1)), (1e-3 + 112e-6) / 2e-3,
+              1e-9);
+  // The spin is still live: an acquire before its end finds it spinning.
+  Grant g;
+  sim.schedule(usec(50), [&] { probeAcquire(sim, cpu, g); });
+  sim.run();
+  EXPECT_EQ(g.at, usec(62));
+  EXPECT_TRUE(g.synchronous);
+}
+
 TEST(Disk, SequentialTransferMatchesBandwidth) {
   sim::Simulation sim;
   DiskParams p;

@@ -180,6 +180,39 @@ TEST(TimeTrace, RingKeepsMostRecentEventsOldestFirst) {
   }
 }
 
+TEST(TimeTrace, SpanOutlivingThousandsOfNewerOnesStaysIntact) {
+  sim::Simulation sim;
+  TimeTrace tt(sim);
+  const std::uint64_t old = tt.beginSpan(/*tenant=*/7);
+  // Far more concurrently active spans than the direct-mapped table holds,
+  // so some (the old one included) must live in the overflow map.
+  std::vector<std::uint64_t> open;
+  for (int i = 0; i < 5000; ++i) open.push_back(tt.beginSpan());
+  EXPECT_EQ(tt.activeSpans(), 5001u);
+  sim.runUntil(usec(3));
+  tt.stamp(old, Stage::kDispatchWait, /*queueDepth=*/4, /*node=*/2);
+  for (const std::uint64_t s : open) {
+    ASSERT_TRUE(tt.spanActive(s)) << s;
+    tt.stamp(s, Stage::kNetworkRequest);
+  }
+  sim.runUntil(usec(10));
+  TimeTrace::SpanDetail d;
+  tt.endSpan(old, &d);
+  EXPECT_FALSE(tt.spanActive(old));
+  EXPECT_EQ(d.total, usec(10));
+  EXPECT_EQ(d.tenant, 7);
+  ASSERT_EQ(d.numStages, 1);
+  EXPECT_EQ(d.stages[0].stage, Stage::kDispatchWait);
+  EXPECT_EQ(d.stages[0].elapsed, usec(3));
+  EXPECT_EQ(d.stages[0].queueDepth, 4);
+  EXPECT_EQ(d.stages[0].node, 2);
+  for (auto it = open.rbegin(); it != open.rend(); ++it) tt.endSpan(*it);
+  EXPECT_EQ(tt.activeSpans(), 0u);
+  EXPECT_EQ(tt.spansCompleted(), 5001u);
+  EXPECT_EQ(tt.stageHistogram(Stage::kNetworkRequest).count(), 5000u);
+  EXPECT_EQ(tt.stageHistogram(Stage::kTotal).count(), 5001u);
+}
+
 TEST(TimeTrace, RegisterMetricsExposesStagesAndCounts) {
   sim::Simulation sim;
   TimeTrace tt(sim);
