@@ -25,11 +25,11 @@ std::size_t ObjectMap::probe(const Key& k, bool forInsert) const {
   std::size_t firstTombstone = slots_.size();  // sentinel: none seen
   for (std::size_t step = 0; step < slots_.size(); ++step) {
     const Slot& s = slots_[i];
-    if (s.state == SlotState::kEmpty) {
+    if (s.state() == kEmpty) {
       if (forInsert && firstTombstone != slots_.size()) return firstTombstone;
       return i;
     }
-    if (s.state == SlotState::kTombstone) {
+    if (s.state() == kTombstone) {
       if (forInsert && firstTombstone == slots_.size()) firstTombstone = i;
     } else if (s.key == k) {
       return i;
@@ -48,30 +48,35 @@ void ObjectMap::grow() {
   size_ = 0;
   tombstones_ = 0;
   for (const Slot& s : old) {
-    if (s.state == SlotState::kUsed) put(s.key, s.loc);
+    if (s.state() == kUsed) put(s.key, s.loc);
   }
 }
 
-bool ObjectMap::put(const Key& k, const ObjectLocation& loc) {
+std::optional<ObjectLocation> ObjectMap::put(const Key& k,
+                                             const ObjectLocation& loc) {
   if (static_cast<double>(size_ + tombstones_ + 1) >
       0.7 * static_cast<double>(slots_.size())) {
     grow();
   }
-  const std::size_t i = probe(k, /*forInsert=*/true);
-  Slot& s = slots_[i];
-  const bool fresh = s.state != SlotState::kUsed || !(s.key == k);
-  if (s.state == SlotState::kTombstone) --tombstones_;
-  if (fresh) ++size_;
-  s.state = SlotState::kUsed;
+  // An insert probe stops at `k`'s own slot if it is present.
+  Slot& s = slots_[probe(k, /*forInsert=*/true)];
+  std::optional<ObjectLocation> displaced;
+  if (s.state() == kUsed) {
+    displaced = s.loc;
+  } else {
+    if (s.state() == kTombstone) --tombstones_;
+    ++size_;
+  }
   s.key = k;
   s.loc = loc;
-  return fresh;
+  s.loc.slotState = kUsed;
+  return displaced;
 }
 
 const ObjectLocation* ObjectMap::get(const Key& k) const {
   const std::size_t i = probe(k, /*forInsert=*/false);
   const Slot& s = slots_[i];
-  if (s.state == SlotState::kUsed && s.key == k) return &s.loc;
+  if (s.state() == kUsed && s.key == k) return &s.loc;
   return nullptr;
 }
 
@@ -83,8 +88,8 @@ ObjectLocation* ObjectMap::getMutable(const Key& k) {
 bool ObjectMap::erase(const Key& k) {
   const std::size_t i = probe(k, /*forInsert=*/false);
   Slot& s = slots_[i];
-  if (s.state == SlotState::kUsed && s.key == k) {
-    s.state = SlotState::kTombstone;
+  if (s.state() == kUsed && s.key == k) {
+    s.loc.slotState = kTombstone;
     --size_;
     ++tombstones_;
     return true;
@@ -95,7 +100,7 @@ bool ObjectMap::erase(const Key& k) {
 void ObjectMap::forEach(
     const std::function<void(const Key&, const ObjectLocation&)>& fn) const {
   for (const Slot& s : slots_) {
-    if (s.state == SlotState::kUsed) fn(s.key, s.loc);
+    if (s.state() == kUsed) fn(s.key, s.loc);
   }
 }
 

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <vector>
 
 #include "log/segment.hpp"
@@ -25,6 +26,9 @@ struct ObjectLocation {
   log::LogRef ref;
   std::uint64_t version = 0;
   std::uint32_t sizeBytes = 0;
+  /// ObjectMap keeps its slot's state in this byte, which would otherwise
+  /// be padding. 0 (the default) is "in use"; nothing else reads it.
+  std::uint8_t slotState = 0;
 };
 
 /// Open-addressing hash table from Key to ObjectLocation.
@@ -37,8 +41,10 @@ class ObjectMap {
  public:
   explicit ObjectMap(std::size_t initialBuckets = 64);
 
-  /// Insert or overwrite. Returns true if the key was newly inserted.
-  bool put(const Key& k, const ObjectLocation& loc);
+  /// Insert or overwrite in one probe. Returns the location `k` had before
+  /// (the entry the caller's new one supersedes), or nullopt if `k` was
+  /// newly inserted.
+  std::optional<ObjectLocation> put(const Key& k, const ObjectLocation& loc);
 
   /// nullptr if absent.
   const ObjectLocation* get(const Key& k) const;
@@ -64,17 +70,25 @@ class ObjectMap {
                      static_cast<double>(slots_.size());
   }
 
-  /// Visit every live entry (order unspecified).
+  /// Visit every live entry in slot order: a function of the sequence of
+  /// puts and erases alone (migration batches and scans follow it).
   void forEach(const std::function<void(const Key&, const ObjectLocation&)>&
                    fn) const;
 
  private:
-  enum class SlotState : std::uint8_t { kEmpty, kUsed, kTombstone };
+  // Values of ObjectLocation::slotState. kUsed is 0 so a location a caller
+  // writes through getMutable() keeps its slot in use.
+  static constexpr std::uint8_t kUsed = 0;
+  static constexpr std::uint8_t kEmpty = 1;
+  static constexpr std::uint8_t kTombstone = 2;
+  // The location comes first so the state byte (its last field) sits right
+  // before the key: a probe's state-and-key test reads 20 contiguous bytes.
   struct Slot {
-    SlotState state = SlotState::kEmpty;
+    ObjectLocation loc{log::LogRef{}, 0, 0, kEmpty};
     Key key;
-    ObjectLocation loc;
+    std::uint8_t state() const { return loc.slotState; }
   };
+  static_assert(sizeof(Slot) <= 40, "ObjectMap slot must stay <= 40 B");
 
   void grow();
   /// Where `k`'s probe sequence starts.

@@ -46,8 +46,8 @@ std::uint64_t LogCleaner::cleanSegment(SegmentId victimId, sim::SimTime now) {
   // sealed victim.
   const std::size_t n = victim->entryCount();
   for (std::uint32_t i = 0; i < n; ++i) {
+    if (!victim->hotEntries()[i].live) continue;
     const LogEntry e = victim->entry(i);
-    if (!e.live) continue;
     bool keep = true;
     if (e.type == EntryType::kTombstone) {
       // A tombstone only matters while the dead object's segment exists

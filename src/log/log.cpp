@@ -29,7 +29,7 @@ void Log::adopt(std::shared_ptr<Segment> seg) {
   if (head_ == seg.get()) head_ = nullptr;
   appendedBytes_ += seg->appendedBytes();
   liveBytes_ += seg->liveBytes();
-  for (const LogEntry& e : seg->entries()) noteVersion(e.version);
+  for (const HotEntry& e : seg->hotEntries()) noteVersion(e.version);
   segments_.emplace(id, std::move(seg));
 }
 
@@ -56,15 +56,12 @@ LogRef Log::append(const LogEntry& e, sim::SimTime now) {
 void Log::markDead(LogRef ref) {
   Segment* seg = segment(ref.segment);
   if (seg == nullptr) return;  // segment already cleaned
-  const LogEntry& e = seg->entry(ref.index);
-  if (e.live) {
-    assert(liveBytes_ >= e.sizeBytes);
-    liveBytes_ -= e.sizeBytes;
-  }
-  seg->markDead(ref.index);
+  const std::uint32_t freed = seg->markDead(ref.index);
+  assert(liveBytes_ >= freed);
+  liveBytes_ -= freed;
 }
 
-const LogEntry& Log::entryAt(LogRef ref) const {
+LogEntry Log::entryAt(LogRef ref) const {
   const Segment* seg = segment(ref.segment);
   if (seg == nullptr) throw std::out_of_range("entryAt: freed segment");
   return seg->entry(ref.index);

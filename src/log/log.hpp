@@ -39,9 +39,12 @@ class Log {
   /// for the cleaner's age heuristic.
   LogRef append(const LogEntry& e, sim::SimTime now);
 
+  /// Mark the entry dead; no-op if its segment was already cleaned or the
+  /// entry is already dead.
   void markDead(LogRef ref);
 
-  const LogEntry& entryAt(LogRef ref) const;
+  /// The entry at `ref`, reassembled from its segment.
+  LogEntry entryAt(LogRef ref) const;
 
   Segment* head() { return head_; }
   const Segment* segment(SegmentId id) const;

@@ -29,33 +29,51 @@ enum class EntryType : std::uint8_t {
 using TxParticipants =
     std::shared_ptr<const std::vector<std::pair<std::uint64_t, std::uint64_t>>>;
 
-/// One record in the log. Object *contents* are not materialised — the
-/// simulator tracks sizes, versions and liveness, which is everything the
-/// storage-management and recovery logic operates on.
+/// One record in the log, as the log's users exchange it (appends,
+/// recovery, migration batches, backup filtering, the cleaner). Object
+/// *contents* are not materialised — the simulator tracks sizes, versions
+/// and liveness, which is everything the storage-management and recovery
+/// logic operates on. A segment does not store this struct: it keeps a
+/// HotEntry per record, plus the fields only completion and tx records use
+/// in a side vector.
 struct LogEntry {
   std::uint64_t tableId = 0;
   std::uint64_t keyId = 0;
-  std::uint32_t sizeBytes = 0;  ///< total in-log footprint incl. metadata
   std::uint64_t version = 0;
-  EntryType type = EntryType::kObject;
-  bool live = true;
-  /// For tombstones: the segment that held the deleted object. The
-  /// tombstone may be dropped once that segment has been cleaned.
-  SegmentId refSegment = kInvalidSegment;
   /// For kCompletion entries: which tracked RPC this records. tableId/keyId
   /// keep the *object's* identity so partition filtering and migration range
   /// collection treat completions like the objects they describe.
   std::uint64_t clientId = 0;
   std::uint64_t rpcSeq = 0;
+  /// Minitransaction fields (kTxPrepare / kTxDecision only).
+  std::uint64_t txId = 0;               ///< globally unique transaction id
+  std::uint64_t txExpectedVersion = 0;  ///< prepare: version the vote checked
+  TxParticipants txParticipants;        ///< prepare: full participant key list
+  std::uint32_t sizeBytes = 0;  ///< total in-log footprint incl. metadata
+  /// For tombstones: the segment that held the deleted object. The
+  /// tombstone may be dropped once that segment has been cleaned.
+  SegmentId refSegment = kInvalidSegment;
+  std::uint32_t txPendingBytes = 0;  ///< prepare: buffered write's value size
+  EntryType type = EntryType::kObject;
+  bool live = true;
   std::uint8_t opStatus = 0;  ///< net::Status of the recorded outcome
   bool found = true;          ///< kRemove result: object existed
-  /// Minitransaction fields (kTxPrepare / kTxDecision only).
-  std::uint64_t txId = 0;          ///< globally unique transaction id
-  std::uint32_t txPendingBytes = 0;  ///< prepare: buffered write's value size
-  std::uint64_t txExpectedVersion = 0;  ///< prepare: version the vote checked
-  bool txCommit = false;           ///< decision: true = commit, false = abort
-  TxParticipants txParticipants;   ///< prepare: full participant key list
+  bool txCommit = false;      ///< decision: true = commit, false = abort
 };
+
+/// What a segment stores for every record: the fields every record type
+/// uses. `aux` is the tombstone's refSegment, or the index of the record's
+/// cold fields in its segment (completion and tx records); 0 for objects.
+struct HotEntry {
+  std::uint64_t tableId = 0;
+  std::uint64_t keyId = 0;
+  std::uint64_t version = 0;
+  std::uint32_t sizeBytes = 0;
+  std::uint32_t aux = 0;
+  EntryType type = EntryType::kObject;
+  bool live = true;
+};
+static_assert(sizeof(HotEntry) <= 40, "hot log entry must stay <= 40 B");
 
 /// Reference to an entry in a specific segment.
 struct LogRef {
@@ -87,14 +105,18 @@ class Segment {
   /// Appends and returns the entry index. Caller must check hasRoom().
   std::uint32_t append(const LogEntry& e);
 
-  /// Mark an entry dead (overwritten or deleted object).
-  void markDead(std::uint32_t index);
+  /// Mark an entry dead (overwritten or deleted object). Returns the bytes
+  /// that stopped being live: 0 if the entry was already dead.
+  std::uint32_t markDead(std::uint32_t index);
 
   /// Seal: no further appends (head rolled over or crash replay finished).
   void seal() { sealed_ = true; }
 
-  const LogEntry& entry(std::uint32_t index) const { return entries_[index]; }
-  const std::vector<LogEntry>& entries() const { return entries_; }
+  /// The record as it was appended (liveness as of now).
+  LogEntry entry(std::uint32_t index) const;
+  /// The stored per-record fields, in append order: what readers that only
+  /// need sizes, keys, versions or liveness walk.
+  const std::vector<HotEntry>& hotEntries() const { return entries_; }
 
   /// Fraction of appended bytes still live; 0 for an empty segment.
   double utilisation() const {
@@ -110,7 +132,21 @@ class Segment {
   std::uint64_t live_ = 0;
   sim::SimTime createdAt_;
   bool sealed_ = false;
-  std::vector<LogEntry> entries_;
+  /// The LogEntry fields only completion and tx records set.
+  struct ColdFields {
+    std::uint64_t clientId = 0;
+    std::uint64_t rpcSeq = 0;
+    std::uint64_t txId = 0;
+    std::uint64_t txExpectedVersion = 0;
+    TxParticipants txParticipants;
+    std::uint32_t txPendingBytes = 0;
+    std::uint8_t opStatus = 0;
+    bool found = true;
+    bool txCommit = false;
+  };
+
+  std::vector<HotEntry> entries_;
+  std::vector<ColdFields> cold_;  ///< indexed by HotEntry::aux
 };
 
 }  // namespace rc::log

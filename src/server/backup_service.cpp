@@ -192,7 +192,7 @@ void BackupService::onGetRecoveryData(const net::RpcRequest& req,
       // Count entries within the acked watermark for the filtering cost.
       std::uint64_t seen = 0;
       std::uint64_t count = 0;
-      for (const auto& e : f2.data->entries()) {
+      for (const log::HotEntry& e : f2.data->hotEntries()) {
         if (seen + e.sizeBytes > f2.ackedBytes) break;
         seen += e.sizeBytes;
         ++count;
@@ -386,13 +386,15 @@ std::vector<log::LogEntry> BackupService::filteredEntries(
   const Frame& f = it->second;
   // Recovery replay batches run thousands of entries; one upfront
   // reservation beats log2(n) growth reallocations per segment.
-  out.reserve(f.data->entries().size());
+  const auto& entries = f.data->hotEntries();
+  out.reserve(entries.size());
   std::uint64_t seen = 0;
-  for (const auto& e : f.data->entries()) {
+  for (std::uint32_t i = 0; i < entries.size(); ++i) {
+    const log::HotEntry& e = entries[i];
     if (seen + e.sizeBytes > f.ackedBytes) break;
     seen += e.sizeBytes;
     const std::uint64_t h = hash::keyHash(hash::Key{e.tableId, e.keyId});
-    if (part.covers(e.tableId, h)) out.push_back(e);
+    if (part.covers(e.tableId, h)) out.push_back(f.data->entry(i));
   }
   return out;
 }

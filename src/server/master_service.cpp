@@ -280,9 +280,11 @@ MasterService::ApplyResult MasterService::applyWrite(std::uint64_t tableId,
   e.type = log::EntryType::kObject;
   const log::LogRef ref = log_.append(e, node_.sim().now());
 
-  const hash::Key k{tableId, keyId};
-  if (const auto* old = map_.get(k)) log_.markDead(old->ref);
-  map_.put(k, hash::ObjectLocation{ref, e.version, e.sizeBytes});
+  if (const auto old = map_.put(hash::Key{tableId, keyId},
+                                hash::ObjectLocation{ref, e.version,
+                                                     e.sizeBytes})) {
+    log_.markDead(old->ref);
+  }
   return ApplyResult{ref, e.version, e.sizeBytes};
 }
 
@@ -1359,9 +1361,11 @@ void MasterService::bulkInsert(std::uint64_t tableId, std::uint64_t keyId,
   e.sizeBytes = valueBytes + params_.objectOverheadBytes;
   e.version = log_.nextVersion();
   const log::LogRef ref = log_.append(e, now);
-  const hash::Key k{tableId, keyId};
-  if (const auto* old = map_.get(k)) log_.markDead(old->ref);
-  map_.put(k, hash::ObjectLocation{ref, e.version, e.sizeBytes});
+  if (const auto old = map_.put(hash::Key{tableId, keyId},
+                                hash::ObjectLocation{ref, e.version,
+                                                     e.sizeBytes})) {
+    log_.markDead(old->ref);
+  }
   bulkMode_ = false;
 }
 

@@ -4,6 +4,7 @@
 
 #include <cstdint>
 #include <unordered_map>
+#include <vector>
 
 #include "hash/object_map.hpp"
 #include "sim/rng.hpp"
@@ -32,7 +33,7 @@ TEST(KeyHash, UniformAcrossRanges) {
 
 TEST(ObjectMap, PutGetRoundTrip) {
   ObjectMap m;
-  EXPECT_TRUE(m.put({1, 10}, loc(1, 0, 1)));
+  EXPECT_FALSE(m.put({1, 10}, loc(1, 0, 1)).has_value());  // fresh insert
   const auto* got = m.get({1, 10});
   ASSERT_NE(got, nullptr);
   EXPECT_EQ(got->version, 1u);
@@ -46,8 +47,10 @@ TEST(ObjectMap, MissingKeyIsNull) {
 
 TEST(ObjectMap, OverwriteKeepsSizeAndUpdates) {
   ObjectMap m;
-  EXPECT_TRUE(m.put({1, 10}, loc(1, 0, 1)));
-  EXPECT_FALSE(m.put({1, 10}, loc(2, 5, 7)));
+  EXPECT_FALSE(m.put({1, 10}, loc(1, 0, 1)).has_value());
+  const auto displaced = m.put({1, 10}, loc(2, 5, 7));
+  ASSERT_TRUE(displaced.has_value());
+  EXPECT_EQ(displaced->version, 1u);
   EXPECT_EQ(m.size(), 1u);
   EXPECT_EQ(m.get({1, 10})->version, 7u);
   EXPECT_EQ(m.get({1, 10})->ref.segment, 2u);
@@ -66,7 +69,7 @@ TEST(ObjectMap, ReinsertAfterEraseWorks) {
   ObjectMap m;
   m.put({1, 10}, loc(1, 0, 1));
   m.erase({1, 10});
-  EXPECT_TRUE(m.put({1, 10}, loc(3, 3, 3)));
+  EXPECT_FALSE(m.put({1, 10}, loc(3, 3, 3)).has_value());
   EXPECT_EQ(m.get({1, 10})->version, 3u);
   EXPECT_EQ(m.size(), 1u);
 }
@@ -113,6 +116,54 @@ TEST(ObjectMap, ForEachVisitsAllLiveEntries) {
   EXPECT_FALSE(saw50);
 }
 
+TEST(ObjectMap, PutReturnsTheDisplacedLocation) {
+  ObjectMap m;
+  const ObjectLocation first{log::LogRef{4, 17}, 23, 1234};
+  EXPECT_FALSE(m.put({1, 10}, first).has_value());
+  const auto displaced = m.put({1, 10}, loc(5, 2, 24));
+  ASSERT_TRUE(displaced.has_value());
+  EXPECT_EQ(displaced->ref, first.ref);
+  EXPECT_EQ(displaced->version, first.version);
+  EXPECT_EQ(displaced->sizeBytes, first.sizeBytes);
+  EXPECT_EQ(m.get({1, 10})->version, 24u);
+  EXPECT_EQ(m.size(), 1u);
+  // A key erased in between is not displaced: its slot is a tombstone.
+  m.erase({1, 10});
+  EXPECT_FALSE(m.put({1, 10}, loc(6, 0, 25)).has_value());
+}
+
+TEST(ObjectMap, PutReusesATombstoneSlot) {
+  ObjectMap m(64);
+  for (std::uint64_t k = 0; k < 20; ++k) m.put({1, k}, loc(1, 0, k));
+  const double full = m.loadFactor();
+  m.erase({1, 7});
+  EXPECT_DOUBLE_EQ(m.loadFactor(), full);  // the tombstone still counts
+  // Re-inserting takes the tombstone back instead of a fresh slot.
+  EXPECT_FALSE(m.put({1, 7}, loc(2, 0, 70)).has_value());
+  EXPECT_DOUBLE_EQ(m.loadFactor(), full);
+  EXPECT_EQ(m.get({1, 7})->version, 70u);
+  EXPECT_EQ(m.size(), 20u);
+}
+
+TEST(ObjectMap, ForEachOrderIsPinnedAcrossTwoGrows) {
+  // Migration batches and scans follow forEach order, so it must depend on
+  // the put/erase sequence alone. 14 keys grow an 8-slot map twice (at the
+  // 6th and the 12th put).
+  ObjectMap m(8);
+  for (std::uint64_t k = 0; k < 14; ++k) m.put({7, k}, loc(1, 0, k));
+  EXPECT_EQ(m.bucketCount(), 32u);
+  m.erase({7, 3});
+  m.erase({7, 9});
+  m.put({7, 9}, loc(1, 0, 99));
+  std::vector<std::uint64_t> order;
+  m.forEach([&](const Key& k, const ObjectLocation&) {
+    order.push_back(k.keyId);
+  });
+  const std::vector<std::uint64_t> pinned{9, 0, 13, 1, 6, 7, 11,
+                                          5, 12, 8, 10, 2, 4};
+  EXPECT_EQ(order, pinned);
+}
+
 // ---- Property: random op stream agrees with std::unordered_map oracle.
 // gtest names each case after the raw bytes of its parameter, so the struct
 // must have no padding: uninitialised padding made the names differ per run.
@@ -151,7 +202,9 @@ TEST_P(ObjectMapProperty, AgreesWithOracle) {
       const auto* got = m.get(k);
       auto it = oracle.find(k);
       ASSERT_EQ(got != nullptr, it != oracle.end());
-      if (got != nullptr) ASSERT_EQ(got->version, it->second);
+      if (got != nullptr) {
+        ASSERT_EQ(got->version, it->second);
+      }
     }
   }
   ASSERT_EQ(m.size(), oracle.size());

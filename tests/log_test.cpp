@@ -3,10 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 #include <unordered_map>
 
+#include "core/cluster.hpp"
 #include "log/cleaner.hpp"
 #include "log/log.hpp"
+#include "server/backup_service.hpp"
+#include "server/master_service.hpp"
 #include "sim/rng.hpp"
 
 namespace rc::log {
@@ -238,6 +242,267 @@ TEST(Cleaner, DropsTombstoneWhenObjectSegmentGone) {
   LogCleaner cleaner(log, nullptr);
   cleaner.cleanSegment(obj.segment, sim::seconds(1));
   EXPECT_EQ(cleaner.stats().tombstonesDropped, 1u);
+}
+
+// ---- Round trips of every record type. A segment stores each record as a
+// 40-byte hot entry plus, for completion and tx records, a side vector of
+// cold fields; every boundary that hands records on (segment reads, the
+// cleaner, backup filtering, recovery replay, migration batches) must give
+// back every field it was given.
+
+/// Compares every LogEntry field; `live` only when asked (recovery and
+/// migration re-append copies as live and may mark them dead afterwards).
+void expectSameRecord(const LogEntry& want, const LogEntry& got,
+                      bool compareLive = true) {
+  SCOPED_TRACE(::testing::Message()
+               << "type " << static_cast<int>(want.type) << " key "
+               << want.keyId);
+  EXPECT_EQ(got.tableId, want.tableId);
+  EXPECT_EQ(got.keyId, want.keyId);
+  EXPECT_EQ(got.version, want.version);
+  EXPECT_EQ(got.clientId, want.clientId);
+  EXPECT_EQ(got.rpcSeq, want.rpcSeq);
+  EXPECT_EQ(got.txId, want.txId);
+  EXPECT_EQ(got.txExpectedVersion, want.txExpectedVersion);
+  EXPECT_EQ(got.sizeBytes, want.sizeBytes);
+  EXPECT_EQ(got.refSegment, want.refSegment);
+  EXPECT_EQ(got.txPendingBytes, want.txPendingBytes);
+  EXPECT_EQ(got.type, want.type);
+  if (compareLive) {
+    EXPECT_EQ(got.live, want.live);
+  }
+  EXPECT_EQ(got.opStatus, want.opStatus);
+  EXPECT_EQ(got.found, want.found);
+  EXPECT_EQ(got.txCommit, want.txCommit);
+  ASSERT_EQ(got.txParticipants == nullptr, want.txParticipants == nullptr);
+  if (want.txParticipants) {
+    EXPECT_EQ(*got.txParticipants, *want.txParticipants);
+  }
+}
+
+/// One record of each type on `keys[0..4]`, every field its type uses set
+/// to a distinct non-default value. Versions come from `nextVersion`. Sizes
+/// follow MasterParams so migration rebuilds the same records.
+std::vector<LogEntry> oneOfEachType(std::uint64_t tableId,
+                                    const std::vector<std::uint64_t>& keys,
+                                    SegmentId tombstoneRef,
+                                    const std::function<std::uint64_t()>&
+                                        nextVersion) {
+  const server::MasterParams mp;
+  auto base = [&](std::size_t i, EntryType type, std::uint32_t size) {
+    LogEntry e;
+    e.tableId = tableId;
+    e.keyId = keys[i];
+    e.version = nextVersion();
+    e.type = type;
+    e.sizeBytes = size;
+    return e;
+  };
+  LogEntry obj = base(0, EntryType::kObject, 1000 + mp.objectOverheadBytes);
+
+  LogEntry tomb = base(1, EntryType::kTombstone, mp.tombstoneBytes);
+  tomb.refSegment = tombstoneRef;
+
+  LogEntry done = base(2, EntryType::kCompletion, mp.completionRecordBytes);
+  done.clientId = 0x5151;
+  done.rpcSeq = 17;
+  done.opStatus = 3;
+  done.found = false;
+
+  LogEntry prep = base(3, EntryType::kTxPrepare, mp.txPrepareRecordBytes);
+  prep.clientId = 0x6262;
+  prep.rpcSeq = 29;
+  prep.opStatus = 0;
+  prep.txId = 0x7a7a;
+  prep.txPendingBytes = 777;
+  prep.txExpectedVersion = prep.version;  // a vote on the current version
+  prep.txParticipants = std::make_shared<
+      const std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
+      std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+          {tableId, keys[3]}, {tableId, keys[4]}});
+
+  LogEntry dec = base(4, EntryType::kTxDecision, mp.completionRecordBytes);
+  dec.clientId = 0x8383;
+  dec.rpcSeq = 41;
+  dec.opStatus = 0;
+  dec.txId = 0x9b9b;
+  dec.txCommit = true;
+  return {obj, tomb, done, prep, dec};
+}
+
+std::function<std::uint64_t()> counterFrom(std::uint64_t first) {
+  return [v = first]() mutable { return v++; };
+}
+
+TEST(LogRecord, EveryTypeRoundTripsThroughSegmentCleanerAndBackupFilter) {
+  Log log(smallLog(4096, 1 << 20));
+  // The tombstone's object lives in another segment that outlives the
+  // cleaning, so the cleaner relocates the tombstone rather than drop it.
+  const LogRef anchor = log.append(object(99, 300, 1), 0);
+  log.sealHead();
+  const auto records =
+      oneOfEachType(1, {1, 2, 3, 4, 5}, anchor.segment, counterFrom(2));
+  std::vector<LogRef> refs;
+  for (const LogEntry& e : records) refs.push_back(log.append(e, 0));
+  log.sealHead();
+
+  // Segment read, through both Log and Segment.
+  const Segment* seg = log.segment(refs[0].segment);
+  ASSERT_NE(seg, nullptr);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    expectSameRecord(records[i], log.entryAt(refs[i]));
+    expectSameRecord(records[i], seg->entry(refs[i].index));
+    EXPECT_EQ(seg->hotEntries()[refs[i].index].sizeBytes,
+              records[i].sizeBytes);
+  }
+
+  // Backup filtering hands recovery the same records, in log order.
+  server::PartitionSpec all;
+  server::Tablet t;
+  t.tableId = 1;
+  all.ranges.push_back(t);
+  {
+    core::ClusterParams p;
+    p.servers = 2;
+    p.clients = 0;
+    p.replicationFactor = 0;
+    core::Cluster c(p);
+    auto* bs = c.server(1).backup.get();
+    const auto shared = log.sharedSegment(refs[0].segment);
+    bs->bulkInstallFrame(c.serverNodeId(0), shared, shared->appendedBytes(),
+                         true, false);
+    const auto filtered =
+        bs->filteredEntries(c.serverNodeId(0), shared->id(), all);
+    ASSERT_EQ(filtered.size(), records.size());
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      expectSameRecord(records[i], filtered[i]);
+    }
+  }
+
+  // Cleaner relocation: the callback and the relocated copy both see every
+  // field.
+  std::map<EntryType, std::pair<LogEntry, LogRef>> moved;
+  LogCleaner cleaner(log, [&](const LogEntry& e, LogRef nr) {
+    moved.emplace(e.type, std::make_pair(e, nr));
+  });
+  cleaner.cleanSegment(refs[0].segment, sim::seconds(1));
+  EXPECT_EQ(cleaner.stats().tombstonesDropped, 0u);
+  ASSERT_EQ(moved.size(), records.size());
+  for (const LogEntry& want : records) {
+    const auto& [seen, nr] = moved.at(want.type);
+    expectSameRecord(want, seen);
+    expectSameRecord(want, log.entryAt(nr));
+  }
+}
+
+/// The entry of `want`'s type, table, key and version in any live server's
+/// log other than `skip`; fails the test unless there is exactly one.
+LogEntry findCopy(core::Cluster& c, const LogEntry& want, int skip) {
+  std::vector<LogEntry> found;
+  for (int i = 0; i < c.serverCount(); ++i) {
+    if (i == skip || !c.serverAlive(i)) continue;
+    for (const auto& [id, seg] : c.server(i).master->log().segments()) {
+      const auto& hot = seg->hotEntries();
+      for (std::uint32_t j = 0; j < hot.size(); ++j) {
+        if (hot[j].type == want.type && hot[j].tableId == want.tableId &&
+            hot[j].keyId == want.keyId && hot[j].version == want.version) {
+          found.push_back(seg->entry(j));
+        }
+      }
+    }
+  }
+  EXPECT_EQ(found.size(), 1u) << "copies of type "
+                              << static_cast<int>(want.type);
+  return found.empty() ? LogEntry{} : found.front();
+}
+
+/// Keys of `table` that server `idx` owns, starting the search at `from`.
+std::vector<std::uint64_t> keysOwnedBy(core::Cluster& c, int idx,
+                                       std::uint64_t table, std::uint64_t from,
+                                       std::size_t n) {
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t k = from; keys.size() < n; ++k) {
+    if (c.server(idx).master->ownsKey(table, k)) keys.push_back(k);
+  }
+  return keys;
+}
+
+TEST(LogRecord, EveryTypeRoundTripsThroughRecoveryReplay) {
+  core::ClusterParams p;
+  p.servers = 4;
+  p.clients = 0;
+  p.replicationFactor = 2;
+  core::Cluster c(p);
+  const auto table = c.createTable("t");
+  c.bulkLoad(table, 400, 1000);
+  auto& m0 = *c.server(0).master;
+  Log& log = m0.log();
+
+  // Keys beyond the bulk-loaded range, so replay sees one record per key.
+  log.sealHead();
+  const auto records =
+      oneOfEachType(table, keysOwnedBy(c, 0, table, 10'000, 5),
+                    log.segments().begin()->first,
+                    [&log] { return log.nextVersion(); });
+  for (const LogEntry& e : records) log.append(e, c.sim().now());
+  log.sealHead();  // replicates the tail to the backups
+  c.sim().runFor(sim::seconds(1));
+
+  c.crashServer(0);
+  for (int i = 0; i < 3000 && c.coord().recoveryLog().empty(); ++i) {
+    c.sim().runFor(sim::msec(10));
+  }
+  ASSERT_FALSE(c.coord().recoveryLog().empty());
+  ASSERT_TRUE(c.coord().recoveryLog().front().succeeded);
+  for (const LogEntry& want : records) {
+    expectSameRecord(want, findCopy(c, want, 0), /*compareLive=*/false);
+  }
+}
+
+TEST(LogRecord, MigratedTypesRoundTripThroughAMigrationBatch) {
+  // A migration batch carries objects, held tx locks' prepare records and
+  // retained completion records (not tombstones or decisions).
+  core::ClusterParams p;
+  p.servers = 3;
+  p.clients = 0;
+  p.replicationFactor = 0;
+  core::Cluster c(p);
+  const auto table = c.createTable("t");
+  c.bulkLoad(table, 300, 1000);
+  auto& m0 = *c.server(0).master;
+  Log& log = m0.log();
+
+  // The object is a bulk-loaded one; the completion and prepare records are
+  // installed the way recovery installs them.
+  const std::uint64_t objKey = keysOwnedBy(c, 0, table, 0, 1)[0];
+  const LogEntry obj =
+      log.entryAt(m0.objectMap().get(hash::Key{table, objKey})->ref);
+  const auto crafted =
+      oneOfEachType(table, keysOwnedBy(c, 0, table, 10'000, 5),
+                    kInvalidSegment, [&log] { return log.nextVersion(); });
+  const LogEntry& done = crafted[2];
+  const LogEntry& prep = crafted[3];
+  server::UnackedRpcResults::Result rr;
+  rr.status = done.opStatus;
+  rr.version = done.version;
+  rr.found = done.found;
+  rr.tableId = done.tableId;
+  rr.keyId = done.keyId;
+  rr.record = log.append(done, c.sim().now());
+  ASSERT_TRUE(m0.unackedRpcResults().recover(done.clientId, done.rpcSeq, rr));
+  ASSERT_TRUE(m0.installRecoveredTxLock(
+      prep, log.append(prep, c.sim().now()), /*ownedByUnacked=*/false));
+
+  const auto tablets = c.coord().tabletMap().tabletsOwnedBy(c.serverNodeId(0));
+  ASSERT_EQ(tablets.size(), 1u);
+  bool ok = false;
+  c.migrateTablet(tablets[0], 1, [&ok](bool r) { ok = r; });
+  // Compare before the orphan sweep (1 s) can resolve the crafted lock.
+  for (int i = 0; i < 500 && !ok; ++i) c.sim().runFor(sim::msec(1));
+  ASSERT_TRUE(ok);
+  for (const LogEntry& want : {obj, done, prep}) {
+    expectSameRecord(want, findCopy(c, want, 0), /*compareLive=*/false);
+  }
 }
 
 // ---- Property: cleaning never loses live data. A model key-value map is

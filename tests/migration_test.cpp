@@ -238,7 +238,8 @@ TEST(Autoscaler, ScalesDownWhenIdleAndBackUpUnderLoad) {
   core::ClusterParams p = params(6, 12, 1);
   core::Cluster c(p);
   const auto table = c.createTable("t");
-  c.bulkLoad(table, 50'000, 1000);
+  constexpr std::uint64_t kKeys = 10'000;
+  c.bulkLoad(table, kKeys, 1000);
 
   core::AutoscalerParams ap;
   ap.interval = seconds(1);
@@ -250,22 +251,31 @@ TEST(Autoscaler, ScalesDownWhenIdleAndBackUpUnderLoad) {
   core::Autoscaler scaler(c, ap);
   scaler.start();
 
+  // Each phase runs until the scaler has acted and its migrations are
+  // done, capped at the time the phase may take.
+  auto runUntil = [&](int capSeconds, const std::function<bool()>& done) {
+    for (int s = 0; s < capSeconds && !(done() && !scaler.actionInProgress());
+         ++s) {
+      c.sim().runFor(seconds(1));
+    }
+  };
+
   // Idle phase: no clients running -> CPU 25% -> scale down to minActive.
-  c.sim().runFor(seconds(40));
+  runUntil(40, [&] { return c.activeServerCount() == ap.minActive; });
   EXPECT_GE(scaler.scaleDowns(), 1);
   EXPECT_EQ(c.activeServerCount(), 3);
-  EXPECT_TRUE(c.verifyAllKeysPresent(table, 50'000));
+  EXPECT_TRUE(c.verifyAllKeysPresent(table, kKeys));
 
   // Load phase: hammer the (smaller) cluster -> scale back up.
   ycsb::YcsbClientParams ycp;
-  c.configureYcsb(table, ycsb::WorkloadSpec::C(50'000), ycp);
+  c.configureYcsb(table, ycsb::WorkloadSpec::C(kKeys), ycp);
   c.startYcsb();
-  c.sim().runFor(seconds(60));
+  runUntil(60, [&] { return scaler.scaleUps() >= 1; });
   EXPECT_GE(scaler.scaleUps(), 1);
   EXPECT_GT(c.activeServerCount(), 3);
   c.stopYcsb();
   scaler.stop();
-  EXPECT_TRUE(c.verifyAllKeysPresent(table, 50'000));
+  EXPECT_TRUE(c.verifyAllKeysPresent(table, kKeys));
   EXPECT_EQ(c.totalOpFailures(), 0u);
 }
 

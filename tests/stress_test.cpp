@@ -11,12 +11,15 @@ namespace {
 using sim::msec;
 using sim::seconds;
 
+// gtest names each case after the raw bytes of its parameter, so the struct
+// must have no padding: uninitialised padding made the names differ per run.
 struct StressParam {
   std::uint64_t seed;
   int servers;
   int rf;
-  bool crash;
+  std::uint64_t crash;  ///< nonzero: crash a master mid-run
 };
+static_assert(sizeof(StressParam) == 24, "no padding in test names");
 
 class ClusterStress : public ::testing::TestWithParam<StressParam> {};
 
