@@ -625,6 +625,7 @@ void Cluster::configureYcsb(
     p.insertKeyBase =
         spec.recordCount + static_cast<std::uint64_t>(i + 1) * (1ULL << 32);
     if (perClient) perClient(i, p);
+    c.traffic.reset();
     c.ycsb = std::make_unique<ycsb::YcsbClient>(
         sim_, *c.rc, tableId, spec, p,
         sim_.rng().fork(0x9c5b + static_cast<std::uint64_t>(i)));
@@ -636,8 +637,10 @@ void Cluster::configureOpenLoop(
     std::uint64_t tableId, const ycsb::WorkloadSpec& spec,
     const std::vector<load::TrafficSourceParams>& sources) {
   for (int i = 0; i < clientCount(); ++i) {
-    if (static_cast<std::size_t>(i) >= sources.size()) break;
     ClientHost& c = clients_[static_cast<std::size_t>(i)];
+    c.ycsb.reset();
+    c.traffic.reset();
+    if (static_cast<std::size_t>(i) >= sources.size()) continue;
     load::TrafficSourceParams p = sources[static_cast<std::size_t>(i)];
     p.insertKeyBase =
         spec.recordCount + static_cast<std::uint64_t>(i + 1) * (1ULL << 32);
@@ -757,13 +760,6 @@ void Cluster::stopYcsb() {
   for (auto& c : clients_) {
     if (c.ycsb) c.ycsb->stop();
   }
-}
-
-bool Cluster::allYcsbDone() const {
-  for (const auto& c : clients_) {
-    if (c.ycsb && !c.ycsb->done()) return false;
-  }
-  return true;
 }
 
 std::uint64_t Cluster::totalOpsCompleted() const {

@@ -64,9 +64,9 @@ class Cluster {
   struct ClientHost {
     std::unique_ptr<node::Node> node;
     std::unique_ptr<client::RamCloudClient> rc;
+    /// A host runs either the closed-loop YCSB process (configureYcsb) or
+    /// an open-loop population source (configureOpenLoop), never both.
     std::unique_ptr<ycsb::YcsbClient> ycsb;
-    /// Open-loop population source (configureOpenLoop); a host runs either
-    /// the closed-loop YCSB process or a TrafficSource, not both.
     std::unique_ptr<load::TrafficSource> traffic;
   };
 
@@ -156,24 +156,27 @@ class Cluster {
 
   // ----- YCSB run phase
 
-  /// `perClient` (optional) tweaks the i-th client's params after the
-  /// common copy — fig13's mixed-tenant runs assign tenants/throttles per
-  /// client through it. Every client is attached to the SLO tracker; only
-  /// those whose tenant classes are declared actually record.
+  /// Give every client host a closed-loop YcsbClient, replacing any
+  /// open-loop source. `perClient` (optional) tweaks the i-th client's
+  /// params after the common copy — fig13's mixed-tenant runs assign
+  /// tenants/throttles per client through it. Every client is attached to
+  /// the SLO tracker; only those whose tenant classes are declared
+  /// actually record. Configure before starting: replacing a driver with
+  /// ops in flight is not supported.
   void configureYcsb(
       std::uint64_t tableId, const ycsb::WorkloadSpec& spec,
       const ycsb::YcsbClientParams& clientParams,
       const std::function<void(int, ycsb::YcsbClientParams&)>& perClient = {});
   void startYcsb();
   void stopYcsb();
-  bool allYcsbDone() const;
 
   // ----- open-loop run phase (docs/WORKLOADS.md)
 
   /// Replace client host i's closed-loop process with an open-loop
-  /// TrafficSource per sources[i] (hosts beyond the list stay idle). Each
-  /// source gets a splitmix-forked RNG keyed on (cluster seed, host index)
-  /// and a disjoint insert key base; all are attached to the SLO tracker.
+  /// TrafficSource per sources[i]; hosts beyond the list are left with no
+  /// driver. Each source gets a splitmix-forked RNG keyed on (cluster
+  /// seed, host index) and a disjoint insert key base; all are attached to
+  /// the SLO tracker. Configure before starting, as for configureYcsb.
   void configureOpenLoop(std::uint64_t tableId, const ycsb::WorkloadSpec& spec,
                          const std::vector<load::TrafficSourceParams>& sources);
   void startTraffic();

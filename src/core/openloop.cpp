@@ -57,8 +57,6 @@ OpenLoopResult runOpenLoopExperiment(const OpenLoopConfig& cfg) {
       load::TrafficSourceParams p;
       p.shape = t.shape;
       p.batchQuantum = cfg.batchQuantum;
-      p.maxHorizon = cfg.maxHorizon;
-      p.maxBatch = cfg.maxBatch;
       p.tenant = t.name;
       sources.push_back(std::move(p));
     }

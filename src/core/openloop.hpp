@@ -48,10 +48,8 @@ struct OpenLoopConfig {
   std::uint64_t seed = 42;
   double timeScale = 1.0;  ///< shrink windows (tests / --quick benches)
 
-  /// Generator batching knobs, copied into every TrafficSourceParams.
+  /// Generator batching quantum, copied into every TrafficSourceParams.
   sim::Duration batchQuantum = sim::usec(100);
-  sim::Duration maxHorizon = sim::msec(1);
-  std::size_t maxBatch = 4096;
 
   /// Per-node capacity split among weight-based tenant policies. The QoS
   /// stage is installed iff some tenant declares a rate or a weight.

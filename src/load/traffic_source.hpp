@@ -2,19 +2,15 @@
 
 #include <cstdint>
 #include <deque>
-#include <string>
 #include <vector>
 
-#include "client/ramcloud_client.hpp"
 #include "load/arrival.hpp"
-#include "obs/slo_tracker.hpp"
-#include "sim/simulation.hpp"
-#include "ycsb/workload.hpp"
-#include "ycsb/ycsb_client.hpp"
+#include "ycsb/op_core.hpp"
 
 namespace rc::load {
 
-struct TrafficSourceParams {
+/// Open-loop pacing knobs on top of the shared ones.
+struct TrafficSourceParams : ycsb::LoadParams {
   TrafficShape shape;
 
   /// Generator batching (docs/WORKLOADS.md): arrival *issue* times are
@@ -24,24 +20,6 @@ struct TrafficSourceParams {
   /// arrival times, so the sub-quantum issue delay is charged as honest
   /// open-loop queueing in the SLO numbers. <= 0 paces per arrival.
   sim::Duration batchQuantum = sim::usec(100);
-
-  /// How far past the cursor one drawRun may generate. Bounds how stale a
-  /// pre-drawn arrival can be relative to a runtime rate change (surge).
-  sim::Duration maxHorizon = sim::msec(1);
-  std::size_t maxBatch = 4096;  ///< arrivals per drawRun
-
-  /// Open-loop safety valve: arrivals beyond this many outstanding ops are
-  /// dropped at the source (counted in sourceDropped()) instead of growing
-  /// client state without bound during a collapse.
-  std::uint64_t maxInFlight = 200'000;
-
-  /// First key id this source's *inserts* use (workload D); the cluster
-  /// assigns disjoint bases per source.
-  std::uint64_t insertKeyBase = 1ULL << 40;
-
-  /// Tenant name for SLO attribution and RPC tagging ("" = untracked);
-  /// same class naming as the closed-loop client (docs/SLO.md).
-  std::string tenant;
 };
 
 /// An open-loop population load generator: one simulated object standing in
@@ -49,7 +27,7 @@ struct TrafficSourceParams {
 /// ArrivalProcess and issued through the host's RamCloudClient with no
 /// regard for completions — latency is measured from arrival *intent*, so
 /// queueing during overload is visible (no coordinated omission).
-class TrafficSource {
+class TrafficSource : private ycsb::OpCore {
  public:
   TrafficSource(sim::Simulation& sim, client::RamCloudClient& client,
                 std::uint64_t tableId, ycsb::WorkloadSpec spec,
@@ -57,70 +35,52 @@ class TrafficSource {
 
   void start();
   void stop();
-  bool running() const { return running_; }
 
   /// Completed/failed op counts and *intent-time* latency histograms
   /// (unlike the closed-loop client's RPC-time histograms).
-  const ycsb::YcsbStats& stats() const { return stats_; }
-
-  void setSloTracker(obs::SloTracker* slo);
+  using OpCore::stats;
+  using OpCore::setSloTracker;
+  using OpCore::inFlight;
 
   /// Fault hook (FaultPlan kLoadSurge): superpose a flash crowd of
   /// `factor` x the current rate for `d` from now.
   void applyLoadSurge(double factor, sim::Duration d) {
-    process_.addCrowd({sim_.now(), d, factor});
+    process_.addCrowd({sim().now(), d, factor});
   }
 
-  double offeredRate() const { return process_.rateAt(sim_.now()); }
+  double offeredRate() const { return process_.rateAt(sim().now()); }
 
   // Generator accounting (the o(1)-events-per-request evidence).
   std::uint64_t arrivalsGenerated() const { return arrivalsGenerated_; }
   std::uint64_t wakeups() const { return wakeups_; }
   std::uint64_t sourceDropped() const { return sourceDropped_; }
-  std::uint64_t hotShiftsApplied() const { return hotShiftsApplied_; }
-  std::uint64_t inFlight() const { return inFlight_; }
 
  private:
-  enum class OpKind { kRead, kUpdate, kInsert, kReadModifyWrite };
+  /// How far past the cursor one drawRun may generate. Bounds how stale a
+  /// pre-drawn arrival can be relative to a runtime rate change (surge).
+  static constexpr sim::Duration kMaxHorizon = sim::msec(1);
+  static constexpr std::size_t kMaxBatch = 4096;  ///< arrivals per drawRun
+  /// Safety valve: arrivals beyond this many outstanding ops are dropped at
+  /// the source (counted in sourceDropped()) instead of growing client
+  /// state without bound during a collapse.
+  static constexpr std::uint64_t kMaxInFlight = 200'000;
 
   void onWake();
   void scheduleWake();
   void refill();
-  void issueOp(sim::SimTime intent);
-  OpKind pickOp();
-  std::uint64_t pickKey();
-  std::uint64_t keyspaceSize() const {
-    return spec_.recordCount + inserted_;
-  }
 
-  sim::Simulation& sim_;
-  client::RamCloudClient& client_;
-  std::uint64_t tableId_;
-  ycsb::WorkloadSpec spec_;
   TrafficSourceParams params_;
-  sim::Rng rng_;
-  ycsb::KeyChooser keys_;
   ArrivalProcess process_;
 
   bool running_ = false;
-  std::uint64_t generation_ = 0;
   std::deque<sim::SimTime> pending_;  ///< drawn arrivals not yet issued
   std::vector<sim::SimTime> runBuf_;
   sim::SimTime cursor_ = 0;     ///< generation frontier (arrivals drawn <=)
   std::size_t nextShift_ = 0;   ///< next shape.hotKeyShifts entry to apply
 
-  std::uint64_t inFlight_ = 0;
-  std::uint64_t inserted_ = 0;       ///< completed inserts (keyspace growth)
-  std::uint64_t insertsIssued_ = 0;  ///< issued inserts (unique key ids)
   std::uint64_t arrivalsGenerated_ = 0;
   std::uint64_t wakeups_ = 0;
   std::uint64_t sourceDropped_ = 0;
-  std::uint64_t hotShiftsApplied_ = 0;
-
-  ycsb::YcsbStats stats_;
-  obs::SloTracker* slo_ = nullptr;
-  int readClass_ = -1;
-  int updateClass_ = -1;
 };
 
 }  // namespace rc::load

@@ -7,273 +7,59 @@ namespace rc::ycsb {
 YcsbClient::YcsbClient(sim::Simulation& sim, client::RamCloudClient& client,
                        std::uint64_t tableId, WorkloadSpec spec,
                        YcsbClientParams params, sim::Rng rng)
-    : sim_(sim),
-      client_(client),
-      tableId_(tableId),
-      spec_(std::move(spec)),
-      params_(params),
-      rng_(rng),
-      keys_(spec_, rng_.fork(1)),
-      bucket_(params.throttleOpsPerSec) {}
-
-void YcsbClient::setSloTracker(obs::SloTracker* slo) {
-  slo_ = slo;
-  readClass_ = updateClass_ = -1;
-  if (slo_ == nullptr || params_.tenant.empty()) return;
-  readClass_ = slo_->classId(params_.tenant + "/read");
-  updateClass_ = slo_->classId(params_.tenant + "/update");
-  // Tag outgoing RPCs so server-side flight stamps attribute to us. 0 is
-  // reserved for "untagged"; shift the dense class id by one.
-  const int base = readClass_ >= 0 ? readClass_ : updateClass_;
-  if (base >= 0) client_.setTenant(static_cast<std::uint16_t>(base + 1));
-}
+    : OpCore(sim, client, tableId, std::move(spec), params, params, rng),
+      params_(std::move(params)),
+      bucket_(params_.throttleOpsPerSec) {}
 
 void YcsbClient::start() {
   if (running_) return;
   running_ = true;
-  ++generation_;
+  newGeneration();
   issueNext();
 }
 
 void YcsbClient::stop() {
   running_ = false;
-  ++generation_;
-}
-
-YcsbClient::OpKind YcsbClient::pickOp() {
-  // Transfers are drawn independently of the workload mix so enabling them
-  // does not change the relative read/update/insert proportions.
-  if (params_.transferProportion > 0 &&
-      rng_.uniformDouble() < params_.transferProportion) {
-    return OpKind::kTransfer;
-  }
-  double r = rng_.uniformDouble();
-  if (r < spec_.readProportion) return OpKind::kRead;
-  r -= spec_.readProportion;
-  if (r < spec_.updateProportion) return OpKind::kUpdate;
-  r -= spec_.updateProportion;
-  if (r < spec_.insertProportion) return OpKind::kInsert;
-  return OpKind::kReadModifyWrite;
-}
-
-std::uint64_t YcsbClient::pickKey() {
-  // The chooser draws an index into the (possibly grown) keyspace; indices
-  // past the preloaded records map onto this client's insert range.
-  auto resolve = [this](std::uint64_t idx) {
-    return idx < spec_.recordCount
-               ? idx
-               : params_.insertKeyBase + (idx - spec_.recordCount);
-  };
-  std::uint64_t k = resolve(keys_.next(keyspaceSize()));
-  if (params_.keyPredicate) {
-    // Rejection sampling; give up after a bounded number of draws so a
-    // pathological predicate cannot wedge the simulation.
-    for (int tries = 0; tries < 10'000 && !params_.keyPredicate(k); ++tries) {
-      k = resolve(keys_.next(keyspaceSize()));
-    }
-  }
-  return k;
+  newGeneration();
 }
 
 void YcsbClient::issueNext() {
   if (!running_ || done()) return;
-  const std::uint64_t gen = generation_;
+  const std::uint64_t gen = generation();
 
   // SLO latency runs from here — the moment the op *wants* to go — so a
   // token-bucket throttle wait counts against the tenant's budget.
-  const sim::SimTime intent = sim_.now();
-  const sim::Duration wait = bucket_.reserve(sim_.now());
+  const sim::SimTime intent = sim().now();
+  const sim::Duration wait = bucket_.reserve(intent);
   auto fire = [this, gen, intent] {
-    if (generation_ != gen || !running_) return;
-    const OpKind op = pickOp();
-    const bool isRead = op == OpKind::kRead;
-    // Per-op tenant tag: reads and updates land in their own SLO class, so
-    // server-side energy charges split by op class too (docs/ENERGY.md).
-    // Safe to flip per op — the closed loop has one op in flight.
-    if (slo_ != nullptr) {
-      const int cls = isRead ? readClass_ : updateClass_;
-      if (cls >= 0) client_.setTenant(static_cast<std::uint16_t>(cls + 1));
-    }
-    std::uint64_t key;
-    if (op == OpKind::kInsert) {
-      key = params_.insertKeyBase + inserted_;
-    } else if (op == OpKind::kTransfer) {
-      key = 0;  // transfers pick their own account pair below
-    } else {
-      key = pickKey();
-    }
-
-    const bool isTx =
-        op == OpKind::kTransfer ||
-        (op == OpKind::kReadModifyWrite && params_.transactionalRmw);
-    auto complete = [this, gen, op, isRead, isTx, intent](
-                        net::Status status, sim::Duration latency) {
-      if (generation_ != gen) return;
-      if (status == net::Status::kOk) {
-        if (slo_ != nullptr) {
-          const int cls = isRead ? readClass_ : updateClass_;
-          if (cls >= 0) {
-            // Stage decomposition of the op's final RPC attempt, when the
-            // trace captured one (timeouts leave lastOp invalid).
-            const auto& last = client_.lastOp();
-            slo_->record(cls, last.valid ? last.node : -1,
-                         last.valid ? last.span : 0, sim_.now() - intent,
-                         last.valid ? &last.detail : nullptr);
-          }
-        }
-        ++stats_.opsCompleted;
-        switch (op) {
-          case OpKind::kRead:
-            ++stats_.reads;
-            stats_.readLatency.add(latency);
-            break;
-          case OpKind::kUpdate:
-            ++stats_.updates;
-            stats_.updateLatency.add(latency);
-            break;
-          case OpKind::kInsert:
-            ++stats_.inserts;
-            ++inserted_;
-            stats_.updateLatency.add(latency);
-            break;
-          case OpKind::kReadModifyWrite:
-            ++stats_.readModifyWrites;
-            stats_.updateLatency.add(latency);
-            break;
-          case OpKind::kTransfer:
-            ++stats_.transfers;
-            stats_.updateLatency.add(latency);
-            break;
-        }
-      } else if (isTx && status == net::Status::kTxConflict) {
-        // A definite abort is a clean concurrency outcome, not a failure;
-        // the op simply doesn't count toward the target (retry in spirit).
-        ++stats_.txAborted;
-      } else if (isTx) {
-        // Commit outcome unknown to this client (e.g. a participant crashed
-        // mid-commit); orphan resolution settles it server-side.
-        ++stats_.txUnknown;
-      } else {
-        ++stats_.failures;
-      }
-      stats_.lastCompletionAt = sim_.now();
-      if (onOpComplete) onOpComplete(sim_.now(), latency, isRead);
-      if (done()) {
-        running_ = false;
-        if (onDone) onDone();
-        return;
-      }
-      // Client-side processing before the next op in the closed loop. An
-      // active load surge (FaultPlan kLoadSurge) divides the overhead, so
-      // this client offers surgeFactor × its normal rate for the window.
-      const double j = params_.clientOverheadJitter;
-      double factor =
-          j > 0 ? 1.0 - j + 2.0 * j * rng_.uniformDouble() : 1.0;
-      if (surgeFactor_ > 1.0 && sim_.now() < surgeUntil_) {
-        factor /= surgeFactor_;
-      }
-      const auto overhead = static_cast<sim::Duration>(
-          static_cast<double>(params_.clientOverheadPerOp) * factor);
-      sim_.schedule(overhead, [this, gen] {
-        if (generation_ == gen) issueNext();
-      });
-    };
-
-    switch (op) {
-      case OpKind::kRead:
-        client_.read(tableId_, key, std::move(complete));
-        break;
-      case OpKind::kUpdate:
-      case OpKind::kInsert:
-        client_.write(tableId_, key, spec_.valueBytes, std::move(complete));
-        break;
-      case OpKind::kReadModifyWrite: {
-        if (params_.transactionalRmw) {
-          // Conditioned RMW as a single-key minitransaction: the prepare
-          // round re-validates the read version, so a concurrent writer
-          // aborts us instead of being silently overwritten.
-          const sim::SimTime started = sim_.now();
-          const std::uint64_t txId = client_.txBegin();
-          client_.txRead(
-              txId, tableId_, key,
-              [this, gen, txId, key, started, complete = std::move(complete)](
-                  net::Status, std::uint64_t, sim::Duration) mutable {
-                if (generation_ != gen) return;
-                client_.txWrite(txId, tableId_, key, spec_.valueBytes);
-                client_.txCommit(
-                    txId, [this, started, complete = std::move(complete)](
-                              net::Status s, sim::Duration) mutable {
-                      complete(s, sim_.now() - started);
-                    });
-              });
-          break;
-        }
-        // Read then write the same key; one logical op, combined latency.
-        const sim::SimTime started = sim_.now();
-        client_.read(tableId_, key,
-                     [this, gen, key, started,
-                      complete = std::move(complete)](
-                         net::Status s, sim::Duration) mutable {
-                       if (generation_ != gen) return;
-                       if (s != net::Status::kOk) {
-                         complete(s, sim_.now() - started);
-                         return;
-                       }
-                       client_.write(tableId_, key, spec_.valueBytes,
-                                     [started, complete = std::move(complete),
-                                      this](net::Status s2, sim::Duration) mutable {
-                                       complete(s2, sim_.now() - started);
-                                     });
-                     });
-        break;
-      }
-      case OpKind::kTransfer: {
-        // Atomic two-key transfer between distinct accounts: read both
-        // (joining the optimistic read set), rewrite both, commit. Either
-        // both keys advance together or neither does — the chaos harness's
-        // atomicity checker verifies exactly that via onTransferComplete.
-        const sim::SimTime started = sim_.now();
-        const std::uint64_t n = std::max<std::uint64_t>(
-            2, params_.transferAccounts);
-        const std::uint64_t a = params_.transferKeyBase + rng_.uniformInt(n);
-        std::uint64_t b = params_.transferKeyBase + rng_.uniformInt(n - 1);
-        if (b >= a) ++b;
-        const std::uint64_t txId = client_.txBegin();
-        auto pendingReads = std::make_shared<int>(2);
-        auto readDone = [this, gen, txId, a, b, started,
-                         complete = std::move(complete), pendingReads](
-                            net::Status, std::uint64_t,
-                            sim::Duration) mutable {
-          // A failed read just leaves that side unconditioned (blind
-          // write); atomicity still holds, only conflict detection
-          // weakens for this attempt.
-          if (--*pendingReads > 0) return;
-          if (generation_ != gen) return;
-          client_.txWrite(txId, tableId_, a, spec_.valueBytes);
-          client_.txWrite(txId, tableId_, b, spec_.valueBytes);
-          client_.txCommit(
-              txId, [this, gen, a, b, started,
-                     complete = std::move(complete)](net::Status s,
-                                                     sim::Duration) mutable {
-                // The checker must see every outcome, even if this client
-                // was stopped while the commit was in flight.
-                if (onTransferComplete) onTransferComplete(a, b, s);
-                if (generation_ != gen) return;
-                complete(s, sim_.now() - started);
-              });
-        };
-        client_.txRead(txId, tableId_, a, readDone);
-        client_.txRead(txId, tableId_, b, std::move(readDone));
-        break;
-      }
-    }
+    if (generation() != gen || !running_) return;
+    issue(intent, sim().now(), [this] { afterOp(); });
   };
-
   if (wait > 0) {
-    sim_.schedule(wait, std::move(fire));
+    sim().schedule(wait, std::move(fire));
   } else {
     fire();
   }
+}
+
+void YcsbClient::afterOp() {
+  if (done()) {
+    running_ = false;
+    if (onDone) onDone();
+    return;
+  }
+  // Client-side processing before the next op in the closed loop. An
+  // active load surge (FaultPlan kLoadSurge) divides the overhead, so
+  // this client offers surgeFactor × its normal rate for the window.
+  const double j = params_.clientOverheadJitter;
+  double factor = j > 0 ? 1.0 - j + 2.0 * j * rng().uniformDouble() : 1.0;
+  if (surging()) factor /= surgeFactor_;
+  const auto overhead = static_cast<sim::Duration>(
+      static_cast<double>(params_.clientOverheadPerOp) * factor);
+  const std::uint64_t gen = generation();
+  sim().schedule(overhead, [this, gen] {
+    if (generation() == gen) issueNext();
+  });
 }
 
 }  // namespace rc::ycsb

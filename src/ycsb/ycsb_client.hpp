@@ -3,19 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <functional>
-#include <optional>
 
-#include <string>
-
-#include "client/ramcloud_client.hpp"
 #include "sim/token_bucket.hpp"
-#include "obs/slo_tracker.hpp"
-#include "sim/stats.hpp"
-#include "ycsb/workload.hpp"
+#include "ycsb/op_core.hpp"
 
 namespace rc::ycsb {
 
-struct YcsbClientParams {
+/// Closed-loop pacing knobs on top of the op core's.
+struct YcsbClientParams : LoadParams, OpParams {
   /// Ops to issue; 0 = run until stop().
   std::uint64_t opsTarget = 0;
 
@@ -30,58 +25,14 @@ struct YcsbClientParams {
 
   /// Fig. 13's client-level throttle; <= 0 disables.
   double throttleOpsPerSec = 0;
-
-  /// First key id this client's *inserts* use (workload D). Each client
-  /// must get a disjoint base; Cluster::configureYcsb assigns them.
-  std::uint64_t insertKeyBase = 1ULL << 40;
-
-  /// Keep only keys satisfying this predicate (rejection-sampled). Used by
-  /// Fig. 10's "client 1 requests exclusively the killed server's data" /
-  /// "client 2 requests the rest". Null = accept all keys.
-  std::function<bool(std::uint64_t)> keyPredicate;
-
-  /// Tenant name for SLO attribution ("" = untracked). Ops record into the
-  /// tracker's "<tenant>/read" and "<tenant>/update" classes; the client
-  /// also tags its RPCs with the tenant's dense id + 1 (docs/SLO.md).
-  std::string tenant;
-
-  // ----- transactional variant (docs/TRANSACTIONS.md)
-
-  /// Run read-modify-write ops as single-key minitransactions (txRead +
-  /// txWrite + txCommit) instead of an unconditioned read-then-write.
-  bool transactionalRmw = false;
-
-  /// Proportion of ops (drawn independently of the workload mix) issued as
-  /// two-key transactional transfers between distinct "account" keys.
-  /// <= 0 disables.
-  double transferProportion = 0;
-
-  /// Account keyspace for transfers: keys [transferKeyBase,
-  /// transferKeyBase + transferAccounts). Place it outside the workload's
-  /// key range when an external checker models the account state (regular
-  /// YCSB writes to account keys would look like torn transfers).
-  std::uint64_t transferKeyBase = 0;
-  std::uint64_t transferAccounts = 16;
-};
-
-struct YcsbStats {
-  std::uint64_t opsCompleted = 0;
-  std::uint64_t reads = 0;
-  std::uint64_t updates = 0;
-  std::uint64_t inserts = 0;
-  std::uint64_t readModifyWrites = 0;
-  std::uint64_t transfers = 0;      ///< committed two-key transfers
-  std::uint64_t txAborted = 0;      ///< definite aborts (clean outcome)
-  std::uint64_t txUnknown = 0;      ///< outcomes left to orphan resolution
-  std::uint64_t failures = 0;
-  sim::Histogram readLatency;
-  sim::Histogram updateLatency;  ///< updates, inserts and RMWs
-  sim::SimTime lastCompletionAt = 0;
 };
 
 /// A closed-loop YCSB client instance (one per client node, as the paper
-/// runs exactly one YCSB process per machine).
-class YcsbClient {
+/// runs exactly one YCSB process per machine): each op is issued a jittered
+/// client overhead after the previous one completes. SLO latency runs from
+/// op *intent*, before any token-bucket throttle wait, so an over-admitted
+/// throttled tenant visibly burns its budget.
+class YcsbClient : private OpCore {
  public:
   YcsbClient(sim::Simulation& sim, client::RamCloudClient& client,
              std::uint64_t tableId, WorkloadSpec spec, YcsbClientParams params,
@@ -90,29 +41,14 @@ class YcsbClient {
   void start();
   void stop();
 
-  bool running() const { return running_; }
   bool done() const {
-    return params_.opsTarget > 0 && stats_.opsCompleted >= params_.opsTarget;
+    return params_.opsTarget > 0 && stats().opsCompleted >= params_.opsTarget;
   }
 
-  const YcsbStats& stats() const { return stats_; }
-
-  /// Attach the cluster's SLO tracker. Resolves this client's tenant
-  /// classes ("<tenant>/read", "<tenant>/update") to dense ids once, so the
-  /// per-op record path is id-indexed. The classes must already be
-  /// declared; a client with an empty tenant stays untracked. SLO latency
-  /// is measured from op *intent* (before any token-bucket throttle wait),
-  /// so an over-admitted throttled tenant visibly burns its budget.
-  void setSloTracker(obs::SloTracker* slo);
-
-  /// Called on every completed op (for latency timelines): (now, latency).
-  std::function<void(sim::SimTime, sim::Duration, bool isRead)> onOpComplete;
-
-  /// Called after every transfer attempt with both account keys and the
-  /// commit outcome (kOk = committed, kTxConflict = aborted, other =
-  /// unknown). The chaos harness's atomicity checker hangs off this.
-  std::function<void(std::uint64_t keyA, std::uint64_t keyB, net::Status)>
-      onTransferComplete;
+  using OpCore::onOpComplete;
+  using OpCore::onTransferComplete;
+  using OpCore::setSloTracker;
+  using OpCore::stats;
 
   /// Called once when opsTarget is reached.
   std::function<void()> onDone;
@@ -123,40 +59,22 @@ class YcsbClient {
   /// and the later deadline.
   void applyLoadSurge(double factor, sim::Duration d) {
     surgeFactor_ = std::max(surgeFactor_, factor);
-    surgeUntil_ = std::max(surgeUntil_, sim_.now() + d);
+    surgeUntil_ = std::max(surgeUntil_, sim().now() + d);
   }
   bool surging() const {
-    return surgeFactor_ > 1.0 && sim_.now() < surgeUntil_;
+    return surgeFactor_ > 1.0 && sim().now() < surgeUntil_;
   }
 
  private:
-  enum class OpKind { kRead, kUpdate, kInsert, kReadModifyWrite, kTransfer };
-
   void issueNext();
-  OpKind pickOp();
-  std::uint64_t pickKey();
-  std::uint64_t keyspaceSize() const {
-    return spec_.recordCount + inserted_;
-  }
+  void afterOp();
 
-  sim::Simulation& sim_;
-  client::RamCloudClient& client_;
-  std::uint64_t tableId_;
-  WorkloadSpec spec_;
   YcsbClientParams params_;
-  sim::Rng rng_;
-  KeyChooser keys_;
   sim::TokenBucket bucket_;
 
   bool running_ = false;
   double surgeFactor_ = 1.0;      ///< kLoadSurge arrival-rate multiplier
   sim::SimTime surgeUntil_ = 0;   ///< surge window end (absolute)
-  std::uint64_t generation_ = 0;  ///< invalidates in-flight loops on stop()
-  std::uint64_t inserted_ = 0;    ///< grows the keyspace (workload D)
-  YcsbStats stats_;
-  obs::SloTracker* slo_ = nullptr;
-  int readClass_ = -1;
-  int updateClass_ = -1;
 };
 
 }  // namespace rc::ycsb

@@ -360,6 +360,73 @@ TEST(OpenLoop, LoadSurgeFaultRaisesOpenLoopRate) {
   EXPECT_GT(during, before);
 }
 
+TEST(OpenLoop, ConfiguringOneDriverReplacesTheOther) {
+  // A host runs one driver: whichever of configureYcsb/configureOpenLoop
+  // came last is the only one left, so the cluster totals (and a
+  // kLoadSurge) see one driver per host.
+  for (bool openLast : {true, false}) {
+    SCOPED_TRACE(openLast ? "open loop last" : "closed loop last");
+    core::ClusterParams cp;
+    cp.servers = 2;
+    cp.clients = 1;
+    cp.seed = 7;
+    core::Cluster cluster(cp);
+    const std::uint64_t table = cluster.createTable("usertable");
+    const ycsb::WorkloadSpec spec = ycsb::WorkloadSpec::C(2'000);
+    cluster.bulkLoad(table, spec.recordCount, spec.valueBytes);
+    load::TrafficSourceParams p;
+    p.shape.users = 1'000;
+    if (openLast) {
+      cluster.configureYcsb(table, spec, ycsb::YcsbClientParams{});
+      cluster.configureOpenLoop(table, spec, {p});
+    } else {
+      cluster.configureOpenLoop(table, spec, {p});
+      cluster.configureYcsb(table, spec, ycsb::YcsbClientParams{});
+    }
+    cluster.startYcsb();
+    cluster.startTraffic();
+    cluster.sim().runFor(seconds(1));
+    cluster.stopYcsb();
+    cluster.stopTraffic();
+
+    auto& host = cluster.clientHost(0);
+    EXPECT_EQ(host.ycsb == nullptr, openLast);
+    EXPECT_EQ(host.traffic == nullptr, !openLast);
+    const ycsb::YcsbStats& st =
+        openLast ? host.traffic->stats() : host.ycsb->stats();
+    EXPECT_GT(st.opsCompleted, 0u);
+    EXPECT_EQ(cluster.totalOpsCompleted(), st.opsCompleted);
+    EXPECT_EQ(cluster.totalOpFailures(), st.failures);
+  }
+}
+
+TEST(OpenLoop, StoppedOpsLeaveTheInFlightCount) {
+  // Ops still outstanding at stop() are abandoned, not accounted, but they
+  // must still leave the in-flight count, or a restarted source's valve
+  // would start from the leaked count.
+  core::ClusterParams cp;
+  cp.servers = 2;
+  cp.clients = 1;
+  cp.seed = 7;
+  core::Cluster cluster(cp);
+  const std::uint64_t table = cluster.createTable("usertable");
+  const ycsb::WorkloadSpec spec = ycsb::WorkloadSpec::F(2'000);
+  cluster.bulkLoad(table, spec.recordCount, spec.valueBytes);
+  load::TrafficSourceParams p;
+  p.shape.users = 20'000;
+  cluster.configureOpenLoop(table, spec, {p});
+  const load::TrafficSource& src = *cluster.clientHost(0).traffic;
+
+  cluster.startTraffic();
+  cluster.sim().runFor(msec(200));
+  cluster.stopTraffic();
+  ASSERT_GT(src.inFlight(), 0u);
+  const std::uint64_t accounted = src.stats().opsCompleted;
+  cluster.sim().runFor(seconds(1));
+  EXPECT_EQ(src.inFlight(), 0u);
+  EXPECT_EQ(src.stats().opsCompleted, accounted);
+}
+
 // ----------------------------------------------------- per-tenant QoS stage
 
 TEST(OpenLoop, TenantIsolationUnderTenXSurge) {

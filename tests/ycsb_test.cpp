@@ -1,8 +1,10 @@
-// Tests for the YCSB workload generator and closed-loop client.
+// Tests for the YCSB workload generator, the closed-loop client and the op
+// core it shares with the open-loop TrafficSource.
 
 #include <gtest/gtest.h>
 
 #include <map>
+#include <set>
 
 #include "core/cluster.hpp"
 #include "ycsb/workload.hpp"
@@ -180,43 +182,45 @@ TEST(KeyChooser, ZipfianGoldenSequenceIsStable) {
   }
 }
 
-TEST(YcsbClient, WorkloadDInsertsGrowKeyspace) {
-  core::Cluster c(tiny());
-  const auto table = c.createTable("t");
-  c.bulkLoad(table, 2'000, 1000);
-  YcsbClientParams yp;
-  yp.opsTarget = 3'000;
-  c.configureYcsb(table, WorkloadSpec::D(2'000), yp);
-  c.startYcsb();
-  c.sim().runFor(seconds(30));
-  const auto& st = c.clientHost(0).ycsb->stats();
-  ASSERT_EQ(st.opsCompleted, 3'000u);
-  EXPECT_NEAR(static_cast<double>(st.inserts) / 3'000.0, 0.05, 0.02);
-  EXPECT_EQ(st.failures, 0u);
-  // Inserted keys are really stored (beyond the preloaded id range).
-  std::uint64_t beyond = 0;
-  for (int i = 0; i < c.serverCount(); ++i) {
-    c.server(i).master->objectMap().forEach(
-        [&](const hash::Key& k, const hash::ObjectLocation&) {
-          if (k.keyId >= 2'000) ++beyond;
-        });
+// Workloads D and F run through the op core both load drivers share, so
+// their accounting is checked under both pacings.
+enum class Pacing { kClosedLoop, kOpenLoop };
+
+/// Runs about `ops` ops of `spec` on client host 0 and returns once every
+/// one of them has settled. The closed loop stops at an ops target; the
+/// open loop offers ops/2 per second for 2 s, then its diurnal curve drops
+/// to zero, so nothing is left in flight (and nothing abandoned) after 4 s.
+const YcsbStats& runSettled(core::Cluster& c, std::uint64_t table,
+                            const WorkloadSpec& spec, Pacing pacing,
+                            std::uint64_t ops) {
+  if (pacing == Pacing::kClosedLoop) {
+    YcsbClientParams yp;
+    yp.opsTarget = ops;
+    c.configureYcsb(table, spec, yp);
+    c.startYcsb();
+    c.sim().runFor(seconds(30));
+    return c.clientHost(0).ycsb->stats();
   }
-  EXPECT_EQ(beyond, st.inserts);
+  load::TrafficSourceParams tp;
+  tp.shape.users = static_cast<double>(ops) / 2;
+  tp.shape.diurnal.period = seconds(100);
+  tp.shape.diurnal.points = {{0, 1}, {0.02, 1}, {0.0201, 0}, {0.99, 0}};
+  c.configureOpenLoop(table, spec, {tp});
+  c.startTraffic();
+  c.sim().runFor(seconds(4));
+  EXPECT_EQ(c.clientHost(0).traffic->inFlight(), 0u);
+  return c.clientHost(0).traffic->stats();
 }
 
-TEST(YcsbClient, WorkloadFReadModifyWrites) {
-  core::Cluster c(tiny());
-  const auto table = c.createTable("t");
-  c.bulkLoad(table, 1'000, 1000);
-  YcsbClientParams yp;
-  yp.opsTarget = 2'000;
-  c.configureYcsb(table, WorkloadSpec::F(1'000), yp);
-  c.startYcsb();
-  c.sim().runFor(seconds(30));
-  const auto& st = c.clientHost(0).ycsb->stats();
-  ASSERT_EQ(st.opsCompleted, 2'000u);
-  EXPECT_NEAR(static_cast<double>(st.readModifyWrites) / 2'000.0, 0.5, 0.05);
-  // An RMW is a read followed by a write at the server.
+/// Identities every driver's accounting keeps: each completed op is counted
+/// once by kind, with one latency sample, and matches the servers' reads
+/// and writes (an RMW is a read followed by a write).
+void expectAccounted(core::Cluster& c, const YcsbStats& st) {
+  EXPECT_EQ(st.opsCompleted,
+            st.reads + st.updates + st.inserts + st.readModifyWrites);
+  EXPECT_EQ(st.readLatency.count(), st.reads);
+  EXPECT_EQ(st.updateLatency.count(),
+            st.updates + st.inserts + st.readModifyWrites);
   std::uint64_t reads = 0;
   std::uint64_t writes = 0;
   for (int i = 0; i < c.serverCount(); ++i) {
@@ -224,7 +228,75 @@ TEST(YcsbClient, WorkloadFReadModifyWrites) {
     writes += c.server(i).master->stats().writes;
   }
   EXPECT_EQ(reads, st.reads + st.readModifyWrites);
-  EXPECT_EQ(writes, st.readModifyWrites);
+  EXPECT_EQ(writes, st.updates + st.inserts + st.readModifyWrites);
+}
+
+const char* pacingName(Pacing p) {
+  return p == Pacing::kClosedLoop ? "closed loop" : "open loop";
+}
+
+TEST(YcsbClient, WorkloadDInsertsGrowKeyspace) {
+  for (Pacing pacing : {Pacing::kClosedLoop, Pacing::kOpenLoop}) {
+    SCOPED_TRACE(pacingName(pacing));
+    core::Cluster c(tiny());
+    const auto table = c.createTable("t");
+    c.bulkLoad(table, 2'000, 1000);
+    const YcsbStats& st =
+        runSettled(c, table, WorkloadSpec::D(2'000), pacing, 3'000);
+    if (pacing == Pacing::kClosedLoop) {
+      ASSERT_EQ(st.opsCompleted, 3'000u);
+    } else {
+      EXPECT_NEAR(static_cast<double>(st.opsCompleted), 3'000.0, 300.0);
+    }
+    EXPECT_NEAR(static_cast<double>(st.inserts) /
+                    static_cast<double>(st.opsCompleted),
+                0.05, 0.02);
+    EXPECT_EQ(st.failures, 0u);
+    expectAccounted(c, st);
+    // Inserted keys are really stored (beyond the preloaded id range), one
+    // distinct key per insert, in the driver's insert sequence.
+    std::set<std::uint64_t> inserted;
+    for (int i = 0; i < c.serverCount(); ++i) {
+      c.server(i).master->objectMap().forEach(
+          [&](const hash::Key& k, const hash::ObjectLocation&) {
+            if (k.keyId >= 2'000) inserted.insert(k.keyId);
+          });
+    }
+    ASSERT_EQ(inserted.size(), st.inserts);
+    const std::uint64_t base = 2'000 + (1ULL << 32);  // host 0's insert base
+    std::uint64_t next = base;
+    for (std::uint64_t k : inserted) EXPECT_EQ(k, next++);
+    // And readable afterwards.
+    std::uint64_t readable = 0;
+    for (std::uint64_t k : inserted) {
+      c.clientHost(0).rc->read(table, k, [&](net::Status s, sim::Duration) {
+        if (s == net::Status::kOk) ++readable;
+      });
+    }
+    c.sim().runFor(seconds(1));
+    EXPECT_EQ(readable, st.inserts);
+  }
+}
+
+TEST(YcsbClient, WorkloadFReadModifyWrites) {
+  for (Pacing pacing : {Pacing::kClosedLoop, Pacing::kOpenLoop}) {
+    SCOPED_TRACE(pacingName(pacing));
+    core::Cluster c(tiny());
+    const auto table = c.createTable("t");
+    c.bulkLoad(table, 1'000, 1000);
+    const YcsbStats& st =
+        runSettled(c, table, WorkloadSpec::F(1'000), pacing, 2'000);
+    if (pacing == Pacing::kClosedLoop) {
+      ASSERT_EQ(st.opsCompleted, 2'000u);
+    } else {
+      EXPECT_NEAR(static_cast<double>(st.opsCompleted), 2'000.0, 200.0);
+    }
+    EXPECT_NEAR(static_cast<double>(st.readModifyWrites) /
+                    static_cast<double>(st.opsCompleted),
+                0.5, 0.05);
+    EXPECT_EQ(st.failures, 0u);
+    expectAccounted(c, st);
+  }
 }
 
 TEST(YcsbClient, StopHaltsIssuing) {

@@ -4,9 +4,10 @@
 #   tools/determinism_guard.sh record FILE [BUILD_DIR]   write the hashes
 #   tools/determinism_guard.sh check  FILE [BUILD_DIR]   compare, exit 1 on drift
 #
-# For seeds 101/202/303 it runs four configurations with --metrics-dir:
-# YCSB-B, YCSB-A with minitransactions (--tx), YCSB-A unreplicated (--rf 0)
-# and a crash-recovery run. Record on a build of the old code, check on a
+# For seeds 101/202/303 it runs five configurations with --metrics-dir:
+# YCSB-B, YCSB-A with minitransactions (--tx), YCSB-A unreplicated (--rf 0),
+# a crash-recovery run and the open-loop bench (bench_openloop --quick,
+# which writes one run directory per experiment). Record on a build of the old code, check on a
 # build of the new one: a refactor that keeps the model unchanged leaves
 # every exported byte identical (docs/PERF.md, "The determinism guard").
 set -euo pipefail
@@ -22,11 +23,13 @@ file=$2
 build=${3:-build}
 [[ $mode == record || $mode == check ]] || usage
 rcperf=$build/tools/rcperf
+openloop=$build/bench/bench_openloop
 [[ -x $rcperf ]] || { echo "no rcperf binary at $rcperf" >&2; exit 2; }
+[[ -x $openloop ]] || { echo "no bench_openloop binary at $openloop" >&2; exit 2; }
 
 ycsb=(ycsb --servers 5 --clients 4 --rf 3 --records 20000 --warmup 1
       --measure 3)
-configs=(ycsb_b ycsb_a_tx ycsb_a_rf0 recovery)
+configs=(ycsb_b ycsb_a_tx ycsb_a_rf0 recovery openloop)
 
 run_config() {  # name seed outdir
   case $1 in
@@ -38,6 +41,7 @@ run_config() {  # name seed outdir
                   --metrics-dir "$3" ;;
     recovery)   "$rcperf" recovery --servers 9 --rf 3 --records 200000 \
                   --kill-at 5 --seed "$2" --metrics-dir "$3" ;;
+    openloop)   "$openloop" --quick --seed "$2" --metrics-dir "$3" ;;
   esac
 }
 
