@@ -4,6 +4,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "hash/object_map.hpp"
 #include "log/cleaner.hpp"
 #include "log/log.hpp"
@@ -15,21 +17,44 @@ namespace {
 
 using namespace rc;
 
+/// A never-cleaned log holding one 1000-byte object entry per key in
+/// [0, keys), and the map's references to them.
+struct IndexedLog {
+  log::Log log;
+  std::vector<log::LogRef> refs;
+  explicit IndexedLog(std::uint64_t keys) : log(params()) {
+    for (std::uint64_t k = 0; k < keys; ++k) {
+      log::LogEntry e;
+      e.tableId = 1;
+      e.keyId = k;
+      e.version = k + 1;
+      e.sizeBytes = 1000;
+      refs.push_back(log.append(e, 0));
+    }
+  }
+  static log::LogParams params() {
+    log::LogParams p;
+    p.capacityBytes = 1ULL << 40;
+    return p;
+  }
+};
+
 void BM_ObjectMapPut(benchmark::State& state) {
-  hash::ObjectMap m;
+  IndexedLog il(100000);
+  hash::ObjectMap m(il.log);
   std::uint64_t k = 0;
   for (auto _ : state) {
-    m.put({1, k++ % 100000}, hash::ObjectLocation{{1, 0}, k, 1000});
+    const std::uint64_t key = k++ % 100000;
+    m.put({1, key}, il.refs[key]);
   }
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ObjectMapPut);
 
 void BM_ObjectMapGet(benchmark::State& state) {
-  hash::ObjectMap m;
-  for (std::uint64_t k = 0; k < 100000; ++k) {
-    m.put({1, k}, hash::ObjectLocation{{1, 0}, k, 1000});
-  }
+  IndexedLog il(100000);
+  hash::ObjectMap m(il.log);
+  for (std::uint64_t k = 0; k < 100000; ++k) m.put({1, k}, il.refs[k]);
   std::uint64_t k = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(m.get({1, k++ % 100000}));

@@ -63,6 +63,9 @@ Cluster::Cluster(ClusterParams params)
   directory_.leaseValid = [this](std::uint64_t clientId) {
     return coord_->leaseValid(clientId);
   };
+  directory_.nextSideLogBase = [this] {
+    return log::sideLogIdBase(sideLogsStarted_++);
+  };
 
   auto planLookup = [this](std::uint64_t id) { return coord_->planById(id); };
 
@@ -915,7 +918,7 @@ bool Cluster::verifyAllKeysPresent(std::uint64_t tableId,
     server::MasterService* m =
         owner == node::kInvalidNode ? nullptr : directory_.masterOn(owner);
     if (m == nullptr ||
-        m->objectMap().get(hash::Key{tableId, key}) == nullptr) {
+        !m->objectMap().get(hash::Key{tableId, key})) {
       if (firstMissing != nullptr) *firstMissing = key;
       return false;
     }

@@ -260,6 +260,8 @@ class Cluster {
   net::Network net_;
   net::RpcSystem rpc_;
   server::ServiceDirectory directory_;
+  /// Recovery side logs started in this cluster (directory_.nextSideLogBase).
+  std::uint32_t sideLogsStarted_ = 0;
   obs::MetricRegistry metrics_;
   obs::TimeTrace trace_;
   obs::EventJournal journal_;

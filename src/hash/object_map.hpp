@@ -5,7 +5,7 @@
 #include <optional>
 #include <vector>
 
-#include "log/segment.hpp"
+#include "log/log.hpp"
 
 namespace rc::hash {
 
@@ -21,34 +21,36 @@ struct Key {
 /// routes requests to tablets, so it is exposed here.
 std::uint64_t keyHash(const Key& k);
 
-/// Where an object currently lives.
+/// Where an object currently lives, read from its log entry.
 struct ObjectLocation {
   log::LogRef ref;
   std::uint64_t version = 0;
   std::uint32_t sizeBytes = 0;
-  /// ObjectMap keeps its slot's state in this byte, which would otherwise
-  /// be padding. 0 (the default) is "in use"; nothing else reads it.
-  std::uint8_t slotState = 0;
 };
 
-/// Open-addressing hash table from Key to ObjectLocation.
+/// Open-addressing hash table from Key to the object's entry in one log.
 ///
 /// Linear probing with backshift-free tombstones and amortised growth at
-/// load factor 0.7 — modelled on RAMCloud's in-DRAM index (their real table
-/// stores 47-bit log references in cache-line buckets; the semantics that
-/// matter here are identical).
+/// load factor 0.7. As in RAMCloud's in-DRAM index (Rumble et al., FAST
+/// '14), a slot holds only a log reference plus spare hash bits: the key,
+/// version and size live in the referenced entry, and a probe whose hash
+/// bits match confirms the key there. Every reference in the map resolves
+/// to an entry of `log` holding its key.
 class ObjectMap {
  public:
-  explicit ObjectMap(std::size_t initialBuckets = 64);
+  explicit ObjectMap(const log::Log& log, std::size_t initialBuckets = 64);
 
-  /// Insert or overwrite in one probe. Returns the location `k` had before
-  /// (the entry the caller's new one supersedes), or nullopt if `k` was
-  /// newly inserted.
-  std::optional<ObjectLocation> put(const Key& k, const ObjectLocation& loc);
+  /// Point `k` at `ref`, an object entry for `k` already appended to the
+  /// log, in one probe. Returns the location `k` had before (the entry the
+  /// new one supersedes), or nullopt if `k` was newly inserted.
+  std::optional<ObjectLocation> put(const Key& k, log::LogRef ref);
 
-  /// nullptr if absent.
-  const ObjectLocation* get(const Key& k) const;
-  ObjectLocation* getMutable(const Key& k);
+  /// nullopt if absent.
+  std::optional<ObjectLocation> get(const Key& k) const;
+
+  /// Re-point `k` at `newRef` if its entry still has `version` (the cleaner
+  /// copied that entry to `newRef`). Returns true if the slot moved.
+  bool relocate(const Key& k, std::uint64_t version, log::LogRef newRef);
 
   /// Returns true if the key was present.
   bool erase(const Key& k);
@@ -57,8 +59,11 @@ class ObjectMap {
   /// into cache (RAMCloud's HashTable::prefetchBucket). No effect on
   /// contents.
   void prefetch(const Key& k) const {
-    __builtin_prefetch(&slots_[homeSlot(k)]);
+    __builtin_prefetch(&slots_[homeSlot(keyHash(k))]);
   }
+  /// Second stage of the same hint, once the bucket is likely cached: start
+  /// pulling the entry of the first slot whose hash bits match `k`'s.
+  void prefetchEntry(const Key& k) const;
 
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
@@ -76,27 +81,33 @@ class ObjectMap {
                    fn) const;
 
  private:
-  // Values of ObjectLocation::slotState. kUsed is 0 so a location a caller
-  // writes through getMutable() keeps its slot in use.
-  static constexpr std::uint8_t kUsed = 0;
-  static constexpr std::uint8_t kEmpty = 1;
-  static constexpr std::uint8_t kTombstone = 2;
-  // The location comes first so the state byte (its last field) sits right
-  // before the key: a probe's state-and-key test reads 20 contiguous bytes.
+  /// The state is encoded in the reference: a valid one is in use; an
+  /// invalid one is empty (index 0) or a tombstone (index 1).
   struct Slot {
-    ObjectLocation loc{log::LogRef{}, 0, 0, kEmpty};
-    Key key;
-    std::uint8_t state() const { return loc.slotState; }
+    log::LogRef ref;
+    std::uint32_t hashBits = 0;  ///< low 32 bits of keyHash(key)
+
+    bool used() const { return ref.valid(); }
+    bool emptySlot() const { return !used() && ref.index == 0; }
   };
-  static_assert(sizeof(Slot) <= 40, "ObjectMap slot must stay <= 40 B");
+  static_assert(sizeof(Slot) <= 16, "ObjectMap slot must stay <= 16 B");
+  static constexpr log::LogRef kTombstone{log::kInvalidSegment, 1};
 
   void grow();
-  /// Where `k`'s probe sequence starts.
-  std::size_t homeSlot(const Key& k) const {
-    return static_cast<std::size_t>(keyHash(k)) & (slots_.size() - 1);
+  /// Where a key with hash `h` starts its probe sequence. Table sizes stay
+  /// below 2^32, so the stored low hash bits suffice.
+  std::size_t homeSlot(std::uint64_t h) const {
+    return static_cast<std::size_t>(h) & (slots_.size() - 1);
   }
-  std::size_t probe(const Key& k, bool forInsert) const;
+  /// Where a probe stopped: `k`'s own slot (with its entry) or, if `k` is
+  /// absent, the empty slot or tombstone an insert would take.
+  struct Found {
+    std::size_t slot;
+    const log::HotEntry* entry;  ///< nullptr if `k` is absent
+  };
+  Found probe(const Key& k, std::uint64_t h, bool forInsert) const;
 
+  const log::Log& log_;
   std::vector<Slot> slots_;
   std::size_t size_ = 0;
   std::size_t tombstones_ = 0;

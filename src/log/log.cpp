@@ -12,25 +12,35 @@ Segment& Log::openNewHead(sim::SimTime now) {
   const SegmentId id = nextSegmentId_++;
   auto seg = std::make_shared<Segment>(id, params_.segmentBytes, now);
   Segment& ref = *seg;
-  segments_.emplace(id, std::move(seg));
+  insert(std::move(seg));
   head_ = &ref;
   if (onSegmentOpened) onSegmentOpened(ref);
   return ref;
 }
 
+void Log::insert(std::shared_ptr<Segment> seg) {
+  const SegmentId id = seg->id();
+  if (!segments_.emplace(id, seg).second) return;  // ids never collide
+  const std::size_t page = pageOf(id);
+  if (page >= pages_.size()) pages_.resize(page + 1);
+  auto& slots = pages_[page];
+  const std::size_t off = id & kPageMask;
+  if (off >= slots.size()) slots.resize(off + 1);
+  slots[off] = std::move(seg);
+}
+
 std::shared_ptr<const Segment> Log::sharedSegment(SegmentId id) const {
-  auto it = segments_.find(id);
-  return it == segments_.end() ? nullptr : it->second;
+  const Segment* seg = segment(id);
+  return seg == nullptr ? nullptr : pages_[pageOf(id)][id & kPageMask];
 }
 
 void Log::adopt(std::shared_ptr<Segment> seg) {
   if (!seg) return;
-  const SegmentId id = seg->id();
   if (head_ == seg.get()) head_ = nullptr;
   appendedBytes_ += seg->appendedBytes();
   liveBytes_ += seg->liveBytes();
   for (const HotEntry& e : seg->hotEntries()) noteVersion(e.version);
-  segments_.emplace(id, std::move(seg));
+  insert(std::move(seg));
 }
 
 LogRef Log::append(const LogEntry& e, sim::SimTime now) {
@@ -67,16 +77,6 @@ LogEntry Log::entryAt(LogRef ref) const {
   return seg->entry(ref.index);
 }
 
-const Segment* Log::segment(SegmentId id) const {
-  auto it = segments_.find(id);
-  return it == segments_.end() ? nullptr : it->second.get();
-}
-
-Segment* Log::segment(SegmentId id) {
-  auto it = segments_.find(id);
-  return it == segments_.end() ? nullptr : it->second.get();
-}
-
 void Log::freeSegment(SegmentId id) {
   auto it = segments_.find(id);
   if (it == segments_.end()) return;
@@ -84,6 +84,7 @@ void Log::freeSegment(SegmentId id) {
   assert(seg.liveBytes() == 0 && "freeing a segment with live data");
   appendedBytes_ -= seg.appendedBytes();
   if (head_ == it->second.get()) head_ = nullptr;
+  pages_[pageOf(id)][id & kPageMask].reset();
   segments_.erase(it);
 }
 

@@ -1,9 +1,12 @@
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include "log/segment.hpp"
 
@@ -46,9 +49,33 @@ class Log {
   /// The entry at `ref`, reassembled from its segment.
   LogEntry entryAt(LogRef ref) const;
 
+  /// The stored fields of the entry at `ref`, whose segment must exist.
+  const HotEntry& hotEntry(LogRef ref) const {
+    const Segment* seg = segment(ref.segment);
+    assert(seg != nullptr && ref.index < seg->entryCount());
+    return seg->hotEntries()[ref.index];
+  }
+
+  /// Start pulling the entry at `ref` into cache; no effect if its segment
+  /// is gone.
+  void prefetch(LogRef ref) const {
+    if (const Segment* seg = segment(ref.segment)) {
+      __builtin_prefetch(seg->hotEntries().data() + ref.index);
+    }
+  }
+
   Segment* head() { return head_; }
-  const Segment* segment(SegmentId id) const;
-  Segment* segment(SegmentId id);
+  /// The segment with this id, or nullptr: two array reads, no search.
+  const Segment* segment(SegmentId id) const {
+    const std::size_t page = pageOf(id);
+    if (page >= pages_.size()) return nullptr;
+    const auto& slots = pages_[page];
+    const std::size_t off = id & kPageMask;
+    return off < slots.size() ? slots[off].get() : nullptr;
+  }
+  Segment* segment(SegmentId id) {
+    return const_cast<Segment*>(std::as_const(*this).segment(id));
+  }
 
   /// Remove a (cleaned) segment and reclaim its space.
   void freeSegment(SegmentId id);
@@ -79,6 +106,8 @@ class Log {
   }
 
   std::size_t segmentCount() const { return segments_.size(); }
+  /// Every segment in id order (walks: cleaner victim choice, replica
+  /// installs, tests). Lookups by id go through segment().
   const std::map<SegmentId, std::shared_ptr<Segment>>& segments() const {
     return segments_;
   }
@@ -96,9 +125,22 @@ class Log {
 
  private:
   Segment& openNewHead(sim::SimTime now);
+  /// Add `seg` to segments_ and the lookup table.
+  void insert(std::shared_ptr<Segment> seg);
+
+  /// The lookup table is a vector of pages, each indexed by an id's low
+  /// kSideLogIdBits bits. Ids below kSideLogIdBase (a master's own log)
+  /// use the even pages, side-log blocks the odd ones, so both id families
+  /// fill the table densely from page 0.
+  static constexpr SegmentId kPageMask = (1u << kSideLogIdBits) - 1;
+  static std::size_t pageOf(SegmentId id) {
+    const std::size_t block = (id & ~kSideLogIdBase) >> kSideLogIdBits;
+    return 2 * block + (id >= kSideLogIdBase ? 1 : 0);
+  }
 
   LogParams params_;
   std::map<SegmentId, std::shared_ptr<Segment>> segments_;
+  std::vector<std::vector<std::shared_ptr<Segment>>> pages_;
   Segment* head_ = nullptr;
   SegmentId nextSegmentId_ = 0;
   std::uint64_t liveBytes_ = 0;

@@ -1,6 +1,7 @@
 #include "log/segment.hpp"
 
 #include <cassert>
+#include <stdexcept>
 
 namespace rc::log {
 
@@ -14,6 +15,13 @@ bool hasColdFields(EntryType t) {
 }
 
 }  // namespace
+
+SegmentId sideLogIdBase(std::uint32_t n) {
+  constexpr std::uint32_t kBlocks =
+      (kInvalidSegment - kSideLogIdBase) >> kSideLogIdBits;
+  if (n >= kBlocks) throw std::length_error("side-log segment ids exhausted");
+  return kSideLogIdBase + (n << kSideLogIdBits);
+}
 
 Segment::Segment(SegmentId id, std::uint64_t capacityBytes,
                  sim::SimTime createdAt)

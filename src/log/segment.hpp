@@ -12,6 +12,16 @@ namespace rc::log {
 using SegmentId = std::uint32_t;
 constexpr SegmentId kInvalidSegment = 0xffffffffu;
 
+/// Segment-id layout. A master's own log counts ids up from a small base.
+/// Each recovery side log gets a block of 2^kSideLogIdBits ids from
+/// kSideLogIdBase up, so segments it hands to a recovery master on commit
+/// never collide with that master's own ids.
+constexpr SegmentId kSideLogIdBase = 0x8000'0000u;
+constexpr unsigned kSideLogIdBits = 16;
+/// First id of the `n`-th side log's block (n counts from 0 per cluster).
+/// Throws std::length_error once the side-log id space is used up.
+SegmentId sideLogIdBase(std::uint32_t n);
+
 enum class EntryType : std::uint8_t {
   kObject,
   kTombstone,   ///< records a deletion so replay does not resurrect the key

@@ -1,6 +1,7 @@
 #include "net/network.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace rc::net {
@@ -18,7 +19,10 @@ sim::SimTime Network::send(node::NodeId from, node::NodeId to,
   const sim::Duration wire = sim::secondsF(
       static_cast<double>(bytes) / (params_.bandwidthMBps * 1e6));
 
-  sim::SimTime& txFree = txFree_[from];
+  assert(from >= 0);
+  const auto slot = static_cast<std::size_t>(from);
+  if (slot >= txFree_.size()) txFree_.resize(slot + 1, 0);
+  sim::SimTime& txFree = txFree_[slot];
   const sim::SimTime txStart = std::max(sim_.now(), txFree);
   const sim::SimTime txEnd = txStart + params_.perMessageOverhead + wire;
   txFree = txEnd;

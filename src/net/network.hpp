@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
 #include <vector>
 
 #include "node/node.hpp"
@@ -90,7 +89,9 @@ class Network {
  private:
   sim::Simulation& sim_;
   TransportParams params_;
-  std::unordered_map<node::NodeId, sim::SimTime> txFree_;
+  /// When each sender's NIC is next free, indexed by node id (ids are
+  /// dense and small); a node that never sent reads as free at time 0.
+  std::vector<sim::SimTime> txFree_;
   void chargeNic(node::NodeId id, std::uint64_t bytes, power::EnergyTag tag) {
     const auto slot = static_cast<std::size_t>(id);
     if (slot < nicNodes_.size() && nicNodes_[slot] != nullptr) {

@@ -42,6 +42,10 @@ struct ServiceDirectory {
   /// Masters consult it on every tracked RPC and in the reclamation sweep
   /// (content-plane side channel; lease *grants* still travel as RPCs).
   std::function<bool(std::uint64_t)> leaseValid;
+  /// First segment id of a new recovery side log: a fresh block per call,
+  /// counted per cluster (log::sideLogIdBase), so a cluster's ids do not
+  /// depend on what else ran in the process.
+  std::function<log::SegmentId()> nextSideLogBase;
 };
 
 /// Default RPC deadlines.

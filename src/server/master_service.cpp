@@ -51,11 +51,7 @@ MasterService::MasterService(
               return;
             }
             if (e.type != log::EntryType::kObject) return;
-            const hash::Key k{e.tableId, e.keyId};
-            if (auto* loc = map_.getMutable(k);
-                loc != nullptr && loc->version == e.version) {
-              loc->ref = newRef;
-            }
+            map_.relocate(hash::Key{e.tableId, e.keyId}, e.version, newRef);
           },
           params.cleanerPolicy),
       replicaMgr_(
@@ -280,9 +276,7 @@ MasterService::ApplyResult MasterService::applyWrite(std::uint64_t tableId,
   e.type = log::EntryType::kObject;
   const log::LogRef ref = log_.append(e, node_.sim().now());
 
-  if (const auto old = map_.put(hash::Key{tableId, keyId},
-                                hash::ObjectLocation{ref, e.version,
-                                                     e.sizeBytes})) {
+  if (const auto old = map_.put(hash::Key{tableId, keyId}, ref)) {
     log_.markDead(old->ref);
   }
   return ApplyResult{ref, e.version, e.sizeBytes};
@@ -370,14 +364,17 @@ void MasterService::onRead(const net::RpcRequest& req, Responder respond) {
                                      respond =
                                          std::move(respond)](int w) mutable {
       node_.cpu().tagWorker(w, {power::OpClass::kRead, tenant});
+      // The slot was prefetched on arrival; now pull the entry it points
+      // at, which holds the version and size the reply carries.
+      map_.prefetchEntry(hash::Key{tableId, keyId});
       node_.sim().schedule(
           params_.readServiceTime,
           guard([this, tableId, keyId, span, arrival, tenant, w,
                  respond = std::move(respond)]() mutable {
             node_.cpu().releaseWorker(w);
-            const auto* loc = map_.get(hash::Key{tableId, keyId});
+            const auto loc = map_.get(hash::Key{tableId, keyId});
             net::RpcResponse r;
-            if (loc != nullptr) {
+            if (loc) {
               r.a = 1;
               r.b = loc->version;
               r.payloadBytes = loc->sizeBytes;
@@ -678,8 +675,8 @@ MasterService::Outcome MasterService::writeBody(Mutation& m) {
   if (m.expected != 0) {
     // Conditional check under the append lock: an interleaved writer cannot
     // slip between check and apply.
-    const auto* loc = map_.get(hash::Key{m.tableId, m.keyId});
-    const std::uint64_t cur = loc != nullptr ? loc->version : 0;
+    const auto loc = map_.get(hash::Key{m.tableId, m.keyId});
+    const std::uint64_t cur = loc ? loc->version : 0;
     if (cur != m.expected) {
       return refuse(m, net::Status::kVersionMismatch, cur);
     }
@@ -715,8 +712,8 @@ void MasterService::validatePrepare(MutationPtr m) {
     node_.sim().schedule(
         params_.readServiceTime, guard([this, m, w]() mutable {
           node_.cpu().releaseWorker(w);
-          const auto* loc = map_.get(hash::Key{m->tableId, m->keyId});
-          const std::uint64_t cur = loc != nullptr ? loc->version : 0;
+          const auto loc = map_.get(hash::Key{m->tableId, m->keyId});
+          const std::uint64_t cur = loc ? loc->version : 0;
           const TxLockTable::Lock* lock = txLocks_.get(m->tableId, m->keyId);
           net::RpcResponse r;
           r.b = cur;
@@ -744,8 +741,8 @@ MasterService::Outcome MasterService::prepareBody(Mutation& m) {
   if (txLocks_.isFencedAborted(m.txId)) {
     return answer(net::Status::kTxConflict, 0);
   }
-  const auto* loc = map_.get(hash::Key{m.tableId, m.keyId});
-  const std::uint64_t cur = loc != nullptr ? loc->version : 0;
+  const auto loc = map_.get(hash::Key{m.tableId, m.keyId});
+  const std::uint64_t cur = loc ? loc->version : 0;
   if (txLocks_.voteStatus(m.txId) == 2) {
     // The tx already committed here (orphan resolution beat a stale prepare
     // retry). Answer yes durably, without a lock: a version-mismatch reject
@@ -859,8 +856,8 @@ MasterService::Outcome MasterService::decisionBody(Mutation& m) {
     // No lock for this tx here (already resolved, or never prepared): the
     // answer must still be durable so a retry replays it instead of racing
     // whatever happens later.
-    const auto* loc = map_.get(hash::Key{m.tableId, m.keyId});
-    o.reply.b = loc != nullptr ? loc->version : 0;
+    const auto loc = map_.get(hash::Key{m.tableId, m.keyId});
+    o.reply.b = loc ? loc->version : 0;
     ensureHeadRoom(params_.completionRecordBytes);
     o.record = appendCompletion(m.tableId, m.keyId, m.clientId, m.rpcSeq,
                                 o.reply.b, net::Status::kOk, false);
@@ -976,9 +973,9 @@ MasterService::Outcome MasterService::removeBody(Mutation& m) {
   }
   const bool tracked = m.clientId != 0;
   const hash::Key k{m.tableId, m.keyId};
-  const auto* loc = map_.get(k);
+  const auto loc = map_.get(k);
   Outcome o;
-  o.found = loc != nullptr;
+  o.found = loc.has_value();
   o.crashPoint = true;
   if (o.found) {
     if (tracked) {
@@ -1078,7 +1075,7 @@ std::vector<log::LogEntry> MasterService::takeMigrationBatch(
 }
 
 void MasterService::dropObjectForMigration(const hash::Key& k) {
-  if (const auto* loc = map_.get(k)) {
+  if (const auto loc = map_.get(k)) {
     log_.markDead(loc->ref);
     map_.erase(k);
   }
@@ -1130,7 +1127,7 @@ void MasterService::onMultiRead(const net::RpcRequest& req,
             ++stats_.unknownTablet;
             continue;
           }
-          if (const auto* loc = map_.get(hash::Key{tableId, key})) {
+          if (const auto loc = map_.get(hash::Key{tableId, key})) {
             ++found;
             bytes += loc->sizeBytes;
           }
@@ -1276,8 +1273,7 @@ void MasterService::onMigrationData(const net::RpcRequest& req,
             }
             continue;
           }
-          map_.put(hash::Key{e.tableId, e.keyId},
-                   hash::ObjectLocation{ref, e.version, e.sizeBytes});
+          map_.put(hash::Key{e.tableId, e.keyId}, ref);
         }
         node_.chargeDram(bytes, {power::OpClass::kMigration, 0});
         r.a = batch.size();
@@ -1361,9 +1357,7 @@ void MasterService::bulkInsert(std::uint64_t tableId, std::uint64_t keyId,
   e.sizeBytes = valueBytes + params_.objectOverheadBytes;
   e.version = log_.nextVersion();
   const log::LogRef ref = log_.append(e, now);
-  if (const auto old = map_.put(hash::Key{tableId, keyId},
-                                hash::ObjectLocation{ref, e.version,
-                                                     e.sizeBytes})) {
+  if (const auto old = map_.put(hash::Key{tableId, keyId}, ref)) {
     log_.markDead(old->ref);
   }
   bulkMode_ = false;

@@ -423,8 +423,8 @@ class MasterService : public net::RpcService {
   sim::Rng rng_;
 
   std::vector<Tablet> tablets_;
-  hash::ObjectMap map_;
   log::Log log_;
+  hash::ObjectMap map_{log_};
   log::LogCleaner cleaner_;
   ReplicaManager replicaMgr_;
   sim::FifoLock logLock_;

@@ -170,8 +170,8 @@ void MigrationTask::finish(bool ok) {
     for (const auto& e : pending_) {
       if (e.type != log::EntryType::kObject) continue;
       const hash::Key k{e.tableId, e.keyId};
-      if (const auto* loc = source_.objectMap().get(k);
-          loc != nullptr && loc->version == e.version) {
+      if (const auto loc = source_.objectMap().get(k);
+          loc && loc->version == e.version) {
         source_.dropObjectForMigration(k);
       }
     }

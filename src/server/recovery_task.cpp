@@ -1,21 +1,12 @@
 #include "server/recovery_task.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <utility>
 
 #include "server/backup_service.hpp"
 #include "server/master_service.hpp"
 
 namespace rc::server {
-
-namespace {
-/// Globally unique side-log segment-id ranges (65536 segments each).
-log::SegmentId nextSideLogBase() {
-  static std::atomic<std::uint32_t> instance{0};
-  return 0x8000'0000u + (instance++ << 16);
-}
-}  // namespace
 
 RecoveryTask::RecoveryTask(MasterService& master, RecoveryPlanPtr plan,
                            int partitionIndex)
@@ -24,7 +15,7 @@ RecoveryTask::RecoveryTask(MasterService& master, RecoveryPlanPtr plan,
       part_(partitionIndex),
       alive_(std::make_shared<bool>(true)) {
   log::LogParams lp = master_.params().log;
-  lp.segmentIdBase = nextSideLogBase();
+  lp.segmentIdBase = master_.directory().nextSideLogBase();
   sideLog_ = std::make_unique<log::Log>(lp);
   sideRepl_ = std::make_unique<ReplicaManager>(
       master_.node().sim(), master_.rpc(), master_.node().id(),
@@ -336,7 +327,6 @@ void RecoveryTask::applyEntry(const log::LogEntry& e) {
   const log::LogRef ref = sideLog_->append(copy, master_.node().sim().now());
   master_.node().chargeDram(e.sizeBytes, {power::OpClass::kRecovery, 0});
   st.version = e.version;
-  st.sizeBytes = e.sizeBytes;
   st.tombstone = e.type == log::EntryType::kTombstone;
   st.ref = ref;
 }
@@ -403,8 +393,7 @@ void RecoveryTask::commit() {
       master_.map_.erase(key);
       if (st.ref.valid()) master_.log().markDead(st.ref);
     } else {
-      master_.map_.put(key,
-                       hash::ObjectLocation{st.ref, st.version, st.sizeBytes});
+      master_.map_.put(key, st.ref);
     }
   }
   for (const Tablet& t :

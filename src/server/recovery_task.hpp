@@ -66,7 +66,6 @@ class RecoveryTask {
  private:
   struct Staged {
     std::uint64_t version = 0;
-    std::uint32_t sizeBytes = 0;
     bool tombstone = false;
     log::LogRef ref;
   };

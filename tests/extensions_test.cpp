@@ -39,7 +39,7 @@ TEST(RdmaReplication, AckedWritesAreStillDurable) {
   for (std::uint64_t k = 0; k < 100; ++k) {
     auto* m = c.directory().masterOn(c.ownerOfKey(table, k));
     ASSERT_NE(m, nullptr);
-    EXPECT_NE(m->objectMap().get(hash::Key{table, k}), nullptr) << k;
+    EXPECT_TRUE(m->objectMap().get(hash::Key{table, k}).has_value()) << k;
   }
 }
 

@@ -76,8 +76,8 @@ TEST_P(CrashDurability, AckedWritesSurviveCrash) {
     ASSERT_NE(owner, node::kInvalidNode);
     auto* m = c.directory().masterOn(owner);
     ASSERT_NE(m, nullptr);
-    const auto* loc = m->objectMap().get(hash::Key{table, k});
-    ASSERT_NE(loc, nullptr) << "key " << k << " lost (rf=" << rf << ")";
+    const auto loc = m->objectMap().get(hash::Key{table, k});
+    ASSERT_TRUE(loc.has_value()) << "key " << k << " lost (rf=" << rf << ")";
   }
   // And the bulk-loaded baseline survived too.
   EXPECT_TRUE(c.verifyAllKeysPresent(table, 2'000));
@@ -124,7 +124,7 @@ TEST(CrashDurabilityTombstones, RemovedKeysStayRemoved) {
     const auto owner = c.ownerOfKey(table, k);
     auto* m = c.directory().masterOn(owner);
     ASSERT_NE(m, nullptr);
-    EXPECT_EQ(m->objectMap().get(hash::Key{table, k}), nullptr)
+    EXPECT_FALSE(m->objectMap().get(hash::Key{table, k}).has_value())
         << "deleted key " << k << " resurrected by recovery";
   }
 }

@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <stdexcept>
+
 #include "core/cluster.hpp"
 #include "core/recovery_experiment.hpp"
 #include "server/backup_service.hpp"
@@ -116,6 +119,42 @@ TEST(Recovery, OnlyAckedBytesAreRestored) {
   EXPECT_TRUE(c.verifyAllKeysPresent(table, 3'000));
 }
 
+/// Builds a fresh 3-server cluster, crashes one master and returns the
+/// lowest recovery side-log segment id the survivors adopted
+/// (kInvalidSegment if none).
+log::SegmentId firstSideLogSegmentAfterRecovery() {
+  core::Cluster c(params(3, 1));
+  const auto table = c.createTable("t");
+  c.bulkLoad(table, 2'000, 1000);
+  c.sim().runFor(seconds(1));
+  c.crashServer(0);
+  for (int i = 0; i < 600 && c.coord().recoveryLog().empty(); ++i) {
+    c.sim().runFor(msec(100));
+  }
+  EXPECT_FALSE(c.coord().recoveryLog().empty());
+  log::SegmentId lowest = log::kInvalidSegment;
+  for (int i = 1; i < c.serverCount(); ++i) {
+    for (const auto& [id, seg] : c.server(i).master->log().segments()) {
+      if (id >= log::kSideLogIdBase) lowest = std::min(lowest, id);
+    }
+  }
+  return lowest;
+}
+
+TEST(Recovery, SideLogIdsArePerClusterNotPerProcess) {
+  // The second cluster in this process recovers after the first one did;
+  // its side logs must still start at the first block.
+  EXPECT_EQ(firstSideLogSegmentAfterRecovery(), log::sideLogIdBase(0));
+  EXPECT_EQ(firstSideLogSegmentAfterRecovery(), log::sideLogIdBase(0));
+}
+
+TEST(Recovery, SideLogIdBlocksStayAboveMainLogIds) {
+  EXPECT_EQ(log::sideLogIdBase(0), log::kSideLogIdBase);
+  EXPECT_EQ(log::sideLogIdBase(1), log::kSideLogIdBase + (1u << 16));
+  EXPECT_LT(log::sideLogIdBase(32'766), log::kInvalidSegment - 0xffffu);
+  EXPECT_THROW(log::sideLogIdBase(32'767), std::length_error);
+}
+
 TEST(Recovery, ReplayPrefersNewestVersion) {
   // Overwrites produce multiple entries for one key across segments; the
   // recovered object must carry the highest acked version.
@@ -139,9 +178,9 @@ TEST(Recovery, ReplayPrefersNewestVersion) {
   // Record authoritative versions per key before the crash.
   for (std::uint64_t k = 0; k < 50; ++k) {
     const auto owner = c.ownerOfKey(table, k);
-    const auto* loc =
+    const auto loc =
         c.directory().masterOn(owner)->objectMap().get(hash::Key{table, k});
-    ASSERT_NE(loc, nullptr);
+    ASSERT_TRUE(loc.has_value());
     lastVersion[k] = loc->version;
   }
 
@@ -154,9 +193,9 @@ TEST(Recovery, ReplayPrefersNewestVersion) {
 
   for (std::uint64_t k = 0; k < 50; ++k) {
     const auto owner = c.ownerOfKey(table, k);
-    const auto* loc =
+    const auto loc =
         c.directory().masterOn(owner)->objectMap().get(hash::Key{table, k});
-    ASSERT_NE(loc, nullptr) << "key " << k;
+    ASSERT_TRUE(loc.has_value()) << "key " << k;
     EXPECT_EQ(loc->version, lastVersion[k]) << "key " << k;
   }
 }

@@ -191,8 +191,8 @@ TEST(MasterService, RemoveDeletesAndWritesTombstone) {
   EXPECT_EQ(resp.a, 1u);
   auto r = callSync(c, c.serverNodeId(0), readReq(table, 9));
   EXPECT_EQ(r.a, 0u);  // gone
-  EXPECT_EQ(c.server(0).master->objectMap().get(hash::Key{table, 9}),
-            nullptr);
+  EXPECT_FALSE(
+      c.server(0).master->objectMap().get(hash::Key{table, 9}).has_value());
 }
 
 // Every mutating opcode passes the same admission and commit steps, so each
@@ -272,8 +272,8 @@ TEST(Replication, AckedWriteIsDurableOnRfBackups) {
     ASSERT_EQ(w.status, net::Status::kOk);
 
     auto& master = *c.server(owner - 1).master;
-    const auto* loc = master.objectMap().get(hash::Key{table, 77});
-    ASSERT_NE(loc, nullptr);
+    const auto loc = master.objectMap().get(hash::Key{table, 77});
+    ASSERT_TRUE(loc.has_value());
     const auto* placement =
         master.replicaManager().placementOf(loc->ref.segment);
     ASSERT_NE(placement, nullptr);
@@ -293,7 +293,7 @@ TEST(Replication, DistinctBackupsPerSegment) {
   const auto owner = c.ownerOfKey(table, 1);
   callSync(c, owner, writeReq(table, 1));
   auto& master = *c.server(owner - 1).master;
-  const auto* loc = master.objectMap().get(hash::Key{table, 1});
+  const auto loc = master.objectMap().get(hash::Key{table, 1});
   const auto* placement = master.replicaManager().placementOf(loc->ref.segment);
   ASSERT_NE(placement, nullptr);
   std::set<node::NodeId> uniq(placement->begin(), placement->end());
@@ -321,7 +321,7 @@ TEST(Replication, BackupCrashTriggersReplacement) {
   callSync(c, owner, writeReq(table, 42));
 
   auto& master = *c.server(owner - 1).master;
-  const auto* loc = master.objectMap().get(hash::Key{table, 42});
+  const auto loc = master.objectMap().get(hash::Key{table, 42});
   const auto* placement = master.replicaManager().placementOf(loc->ref.segment);
   ASSERT_NE(placement, nullptr);
   const node::NodeId victim = placement->front();
@@ -384,7 +384,7 @@ TEST(BackupService, FreesFramesOnRequest) {
   const auto owner = c.ownerOfKey(table, 8);
   callSync(c, owner, writeReq(table, 8));
   auto& master = *c.server(owner - 1).master;
-  const auto* loc = master.objectMap().get(hash::Key{table, 8});
+  const auto loc = master.objectMap().get(hash::Key{table, 8});
   master.replicaManager().freeSegment(loc->ref.segment);
   c.sim().runFor(msec(100));
   for (int i = 0; i < c.serverCount(); ++i) {
