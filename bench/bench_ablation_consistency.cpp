@@ -8,63 +8,25 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/cluster.hpp"
 #include "core/experiment.hpp"
 
 using namespace rc;
 
 namespace {
 
-core::YcsbExperimentResult run(int rf, bool waitForAcks,
-                               const bench::Options& opt) {
-  core::YcsbExperimentConfig cfg;
-  cfg.servers = 20;
-  cfg.clients = 60;
-  cfg.replicationFactor = rf;
+constexpr int kServers = 20;
+
+core::ExperimentResult run(int rf, bool waitForAcks,
+                           const bench::Options& opt) {
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = kServers;
+  cfg.cluster.clients = 60;
+  cfg.cluster.replicationFactor = rf;
+  cfg.cluster.master.replication.waitForAcks = waitForAcks;
+  cfg.cluster.seed = opt.seed;
   cfg.workload = ycsb::WorkloadSpec::A();
-  cfg.seed = opt.seed;
   cfg.timeScale = opt.timeScale();
-  // Reach through the cluster defaults: the experiment runner copies
-  // MasterParams from ClusterParams, so we run it manually here.
-  core::ClusterParams cp;
-  cp.servers = cfg.servers;
-  cp.clients = cfg.clients;
-  cp.seed = cfg.seed;
-  cp.replicationFactor = rf;
-  cp.master.replication.waitForAcks = waitForAcks;
-  core::Cluster cluster(cp);
-  const auto table = cluster.createTable("usertable");
-  cluster.bulkLoad(table, cfg.workload.recordCount, cfg.workload.valueBytes);
-
-  ycsb::YcsbClientParams ycp;
-  cluster.configureYcsb(table, cfg.workload, ycp);
-  cluster.startYcsb();
-  cluster.sim().runFor(static_cast<sim::Duration>(
-      static_cast<double>(sim::seconds(2)) * cfg.timeScale));
-  const auto t0 = cluster.sim().now();
-  const auto ops0 = cluster.totalOpsCompleted();
-  std::vector<node::CpuScheduler::Snapshot> snaps;
-  for (int i = 0; i < cluster.serverCount(); ++i) {
-    snaps.push_back(cluster.server(i).node->snapshotCpu());
-  }
-  cluster.sim().runFor(static_cast<sim::Duration>(
-      static_cast<double>(sim::seconds(8)) * cfg.timeScale));
-  const auto t1 = cluster.sim().now();
-
-  core::YcsbExperimentResult r;
-  r.measuredSeconds = sim::toSeconds(t1 - t0);
-  r.opsMeasured = cluster.totalOpsCompleted() - ops0;
-  r.throughputOpsPerSec = static_cast<double>(r.opsMeasured) /
-                          r.measuredSeconds;
-  double watts = 0;
-  for (int i = 0; i < cluster.serverCount(); ++i) {
-    watts += cp.serverNode.power.watts(
-        cluster.server(i).node->meanUtilisationSince(
-            snaps[static_cast<std::size_t>(i)], t1));
-  }
-  r.clusterPowerW = watts;
-  r.meanPowerPerServerW = watts / cluster.serverCount();
-  return r;
+  return core::runExperiment(cfg);
 }
 
 }  // namespace
@@ -75,6 +37,11 @@ int main(int argc, char** argv) {
                 "Taleb et al., ICDCS'17, SS IX-B (consistency discussion)");
 
   const std::uint64_t totalRequests = 6'000'000;
+  // Watts from the fitted P(u) curve, as the paper's PDUs read them.
+  const auto energyKJ = [&](const core::ExperimentResult& r) {
+    return static_cast<double>(totalRequests) / r.throughputOpsPerSec *
+           r.curvePowerW / 1e3;
+  };
   core::TableFormatter t({"rf", "mode", "throughput (Kop/s)",
                           "power/node (W)", "run energy (KJ)"});
   double syncThr[3], relaxThr[3];
@@ -85,15 +52,15 @@ int main(int argc, char** argv) {
     const auto x = run(rf, false, opt);
     syncThr[i] = s.throughputOpsPerSec;
     relaxThr[i] = x.throughputOpsPerSec;
-    syncE[i] = s.energyForRequestsJ(totalRequests) / 1e3;
-    relaxE[i] = x.energyForRequestsJ(totalRequests) / 1e3;
+    syncE[i] = energyKJ(s);
+    relaxE[i] = energyKJ(x);
     t.addRow({std::to_string(rf), "strong (wait for acks)",
               core::TableFormatter::kops(s.throughputOpsPerSec),
-              core::TableFormatter::num(s.meanPowerPerServerW, 1),
+              core::TableFormatter::num(s.curvePowerW / kServers, 1),
               core::TableFormatter::num(syncE[i], 0)});
     t.addRow({std::to_string(rf), "relaxed (fire-and-forget)",
               core::TableFormatter::kops(x.throughputOpsPerSec),
-              core::TableFormatter::num(x.meanPowerPerServerW, 1),
+              core::TableFormatter::num(x.curvePowerW / kServers, 1),
               core::TableFormatter::num(relaxE[i], 0)});
     ++i;
   }

@@ -9,8 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/cluster.hpp"
-#include "ycsb/ycsb_client.hpp"
+#include "core/experiment.hpp"
 
 using namespace rc;
 
@@ -23,48 +22,22 @@ struct Result {
 };
 
 Result run(net::TransportParams transport, const bench::Options& opt) {
-  core::ClusterParams cp;
-  cp.servers = 5;
-  cp.clients = 10;
-  cp.seed = opt.seed;
-  cp.transport = transport;
-  core::Cluster cluster(cp);
-  const auto table = cluster.createTable("usertable");
-  cluster.bulkLoad(table, 100'000, 1000);
-  cluster.configureYcsb(table, ycsb::WorkloadSpec::C(),
-                        ycsb::YcsbClientParams{});
-  cluster.startYcsb();
-
-  const auto warmup = static_cast<sim::Duration>(
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 5;
+  cfg.cluster.clients = 10;
+  cfg.cluster.seed = opt.seed;
+  cfg.cluster.transport = transport;
+  // Windows scale relative to the default 0.4 (timeScale stays 1).
+  cfg.warmup = static_cast<sim::Duration>(
       static_cast<double>(sim::seconds(1)) * opt.timeScale() / 0.4);
-  const auto measure = static_cast<sim::Duration>(
+  cfg.measure = static_cast<sim::Duration>(
       static_cast<double>(sim::seconds(4)) * opt.timeScale() / 0.4);
-  cluster.sim().runFor(warmup);
-  const auto t0 = cluster.sim().now();
-  const auto ops0 = cluster.totalOpsCompleted();
-  std::vector<node::CpuScheduler::Snapshot> snaps;
-  for (int i = 0; i < cluster.serverCount(); ++i) {
-    snaps.push_back(cluster.server(i).node->snapshotCpu());
-  }
-  cluster.sim().runFor(measure);
-  const auto t1 = cluster.sim().now();
-  cluster.stopYcsb();
+  const auto x = core::runExperiment(cfg);
 
   Result r;
-  r.kops = static_cast<double>(cluster.totalOpsCompleted() - ops0) /
-           sim::toSeconds(t1 - t0) / 1e3;
-  sim::Histogram reads;
-  for (int i = 0; i < cluster.clientCount(); ++i) {
-    reads.merge(cluster.clientHost(i).ycsb->stats().readLatency);
-  }
-  r.readLatUs = reads.mean() / 1e3;
-  double watts = 0;
-  for (int i = 0; i < cluster.serverCount(); ++i) {
-    watts += cp.serverNode.power.watts(
-        cluster.server(i).node->meanUtilisationSince(
-            snaps[static_cast<std::size_t>(i)], t1));
-  }
-  r.opsPerJoule = r.kops * 1e3 / watts;
+  r.kops = x.throughputOpsPerSec / 1e3;
+  r.readLatUs = x.readMeanLatencyUs;
+  r.opsPerJoule = r.kops * 1e3 / x.curvePowerW;
   return r;
 }
 

@@ -7,8 +7,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/cluster.hpp"
-#include "ycsb/ycsb_client.hpp"
+#include "core/experiment.hpp"
 
 using namespace rc;
 
@@ -21,44 +20,20 @@ struct Result {
 };
 
 Result run(int rf, bool rdma, const bench::Options& opt) {
-  core::ClusterParams cp;
-  cp.servers = 20;
-  cp.clients = 60;
-  cp.seed = opt.seed;
-  cp.replicationFactor = rf;
-  cp.master.replication.oneSidedRdma = rdma;
-  core::Cluster cluster(cp);
-  const auto table = cluster.createTable("usertable");
-  cluster.bulkLoad(table, 100'000, 1000);
-  cluster.configureYcsb(table, ycsb::WorkloadSpec::A(),
-                        ycsb::YcsbClientParams{});
-  cluster.startYcsb();
-
-  const auto warmup = static_cast<sim::Duration>(
-      static_cast<double>(sim::seconds(2)) * opt.timeScale());
-  const auto measure = static_cast<sim::Duration>(
-      static_cast<double>(sim::seconds(8)) * opt.timeScale());
-  cluster.sim().runFor(warmup);
-  const auto t0 = cluster.sim().now();
-  const auto ops0 = cluster.totalOpsCompleted();
-  std::vector<node::CpuScheduler::Snapshot> snaps;
-  for (int i = 0; i < cluster.serverCount(); ++i) {
-    snaps.push_back(cluster.server(i).node->snapshotCpu());
-  }
-  cluster.sim().runFor(measure);
-  const auto t1 = cluster.sim().now();
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 20;
+  cfg.cluster.clients = 60;
+  cfg.cluster.seed = opt.seed;
+  cfg.cluster.replicationFactor = rf;
+  cfg.cluster.master.replication.oneSidedRdma = rdma;
+  cfg.workload = ycsb::WorkloadSpec::A();
+  cfg.timeScale = opt.timeScale();
+  const auto x = core::runExperiment(cfg);
 
   Result r;
-  r.kops = static_cast<double>(cluster.totalOpsCompleted() - ops0) /
-           sim::toSeconds(t1 - t0) / 1e3;
-  double watts = 0;
-  for (int i = 0; i < cluster.serverCount(); ++i) {
-    watts += cp.serverNode.power.watts(
-        cluster.server(i).node->meanUtilisationSince(
-            snaps[static_cast<std::size_t>(i)], t1));
-  }
-  r.wattsPerNode = watts / cluster.serverCount();
-  r.opsPerJoule = r.kops * 1e3 / watts;
+  r.kops = x.throughputOpsPerSec / 1e3;
+  r.wattsPerNode = x.curvePowerW / cfg.cluster.servers;
+  r.opsPerJoule = r.kops * 1e3 / x.curvePowerW;
   return r;
 }
 

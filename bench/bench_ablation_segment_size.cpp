@@ -8,7 +8,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/recovery_experiment.hpp"
+#include "core/experiment.hpp"
 
 using namespace rc;
 
@@ -23,20 +23,21 @@ int main(int argc, char** argv) {
   double times[6];
   int i = 0;
   for (std::uint64_t mb : sizesMB) {
-    core::RecoveryExperimentConfig cfg;
-    cfg.servers = 9;
-    cfg.replicationFactor = 3;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 9;
+    cfg.cluster.replicationFactor = 3;
     // The sweep needs the lost data to span several segments even at
     // 32 MB, or the 1 MB-vs-8 MB overhead and 8 MB-vs-32 MB pipelining
     // trade-offs both vanish; quick's usual /50 scaling is too small.
-    cfg.records = opt.scale == bench::Options::Scale::kQuick
-                      ? 600'000
-                      : opt.recoveryRecords() / 2;
-    cfg.killAt = sim::seconds(5);
-    cfg.settleAfter = sim::seconds(1);
-    cfg.segmentBytes = mb * 1024 * 1024;
-    cfg.seed = opt.seed;
-    const auto r = core::runRecoveryExperiment(cfg);
+    cfg.workload = ycsb::WorkloadSpec::C(
+        opt.scale == bench::Options::Scale::kQuick ? 600'000
+                                                   : opt.recoveryRecords() / 2);
+    cfg.crash.emplace();
+    cfg.crash->killAt = sim::seconds(5);
+    cfg.crash->settleAfter = sim::seconds(1);
+    cfg.cluster.master.log.segmentBytes = mb * 1024 * 1024;
+    cfg.cluster.seed = opt.seed;
+    const auto r = core::runExperiment(cfg);
     times[i++] = sim::toSeconds(r.recoveryDuration);
     t.addRow({std::to_string(mb),
               core::TableFormatter::num(sim::toSeconds(r.recoveryDuration), 1),

@@ -103,7 +103,7 @@ class Verdict {
 // ----- Event-journal shape helpers (recovery benches) -----------------------
 //
 // Recovery experiments return a copy of the cluster's event journal
-// (RecoveryExperimentResult::spans); these helpers answer the usual shape
+// (ExperimentResult::spans); these helpers answer the usual shape
 // questions — which phases ran, on how many nodes, and for how long.
 
 /// The (single, if the run was healthy) root span named "recovery".

@@ -10,8 +10,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/cluster.hpp"
-#include "ycsb/ycsb_client.hpp"
+#include "core/experiment.hpp"
 
 using namespace rc;
 
@@ -30,46 +29,29 @@ Result run(double memoryUtilisation, log::CleanerPolicy policy,
   const std::uint64_t records = 20'000;
   const std::uint64_t liveBytes = records * 1100;
 
-  core::ClusterParams cp;
-  cp.servers = 2;
-  cp.clients = 4;
-  cp.seed = opt.seed;
-  cp.master.log.segmentBytes = 1 * 1024 * 1024;
-  cp.master.log.capacityBytes = static_cast<std::uint64_t>(
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 2;
+  cfg.cluster.clients = 4;
+  cfg.cluster.seed = opt.seed;
+  cfg.cluster.master.log.segmentBytes = 1 * 1024 * 1024;
+  cfg.cluster.master.log.capacityBytes = static_cast<std::uint64_t>(
       static_cast<double>(liveBytes / 2) / memoryUtilisation);
-  cp.master.log.cleanerThreshold = 0.9;
-  cp.master.cleanerPolicy = policy;
-  core::Cluster cluster(cp);
-  const auto table = cluster.createTable("t");
-  cluster.bulkLoad(table, records, 1000);
-
-  ycsb::WorkloadSpec spec = ycsb::WorkloadSpec::A(records);
+  cfg.cluster.master.log.cleanerThreshold = 0.9;
+  cfg.cluster.master.cleanerPolicy = policy;
+  cfg.workload = ycsb::WorkloadSpec::A(records);
   // Skew makes segment ages diverge — where cost-benefit beats greedy.
-  spec.distribution = ycsb::WorkloadSpec::Distribution::kZipfian;
-  cluster.configureYcsb(table, spec, ycsb::YcsbClientParams{});
-  cluster.startYcsb();
-
-  const auto warmup = static_cast<sim::Duration>(
+  cfg.workload.distribution = ycsb::WorkloadSpec::Distribution::kZipfian;
+  // Windows scale relative to the default 0.4 (timeScale stays 1).
+  cfg.warmup = static_cast<sim::Duration>(
       static_cast<double>(sim::seconds(2)) * opt.timeScale() / 0.4);
-  const auto measure = static_cast<sim::Duration>(
+  cfg.measure = static_cast<sim::Duration>(
       static_cast<double>(sim::seconds(6)) * opt.timeScale() / 0.4);
-  cluster.sim().runFor(warmup);
-  const auto t0 = cluster.sim().now();
-  const auto ops0 = cluster.totalOpsCompleted();
-  cluster.sim().runFor(measure);
-  const auto t1 = cluster.sim().now();
-  cluster.stopYcsb();
+  const auto x = core::runExperiment(cfg);
 
   Result r;
-  r.kops = static_cast<double>(cluster.totalOpsCompleted() - ops0) /
-           sim::toSeconds(t1 - t0) / 1e3;
-  double amp = 0;
-  for (int i = 0; i < cluster.serverCount(); ++i) {
-    const auto& st = cluster.server(i).master->cleaner().stats();
-    amp = std::max(amp, st.writeAmplification());
-    r.cleanerRuns += cluster.server(i).master->stats().cleanerRuns;
-  }
-  r.writeAmp = amp;
+  r.kops = x.throughputOpsPerSec / 1e3;
+  r.writeAmp = x.cleanerWriteAmp;
+  r.cleanerRuns = x.cleanerRuns;
   return r;
 }
 

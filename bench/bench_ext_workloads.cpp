@@ -13,7 +13,6 @@
 
 #include "bench_common.hpp"
 #include "core/experiment.hpp"
-#include "core/openloop.hpp"
 
 using namespace rc;
 
@@ -23,13 +22,13 @@ int main(int argc, char** argv) {
                 "Taleb et al., ICDCS'17, SS X future work");
 
   auto run = [&opt](ycsb::WorkloadSpec spec, int clients) {
-    core::YcsbExperimentConfig cfg;
-    cfg.servers = 10;
-    cfg.clients = clients;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 10;
+    cfg.cluster.clients = clients;
     cfg.workload = std::move(spec);
-    cfg.seed = opt.seed;
+    cfg.cluster.seed = opt.seed;
     cfg.timeScale = opt.timeScale();
-    return core::runYcsbExperiment(cfg);
+    return core::runExperiment(cfg);
   };
 
   // --- more workloads at 30 clients
@@ -98,12 +97,12 @@ int main(int argc, char** argv) {
               "(docs/WORKLOADS.md)\n");
   auto openRun = [&opt](ycsb::WorkloadSpec spec,
                         load::DiurnalCurve diurnal) {
-    core::OpenLoopConfig cfg;
-    cfg.servers = 10;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 10;
     cfg.workload = std::move(spec);
-    cfg.seed = opt.seed;
+    cfg.cluster.seed = opt.seed;
     cfg.timeScale = opt.timeScale();
-    core::OpenLoopTenantConfig t;
+    core::OpenLoopTenant t;
     t.name = "pop";
     t.sources = 2;
     t.shape.users = 50'000;
@@ -111,8 +110,8 @@ int main(int argc, char** argv) {
     t.shape.diurnal = std::move(diurnal);
     t.readSlo = {sim::msec(4), sim::msec(20)};
     t.updateSlo = {sim::msec(8), sim::msec(40)};
-    cfg.tenants = {t};
-    return core::runOpenLoopExperiment(cfg);
+    cfg.openLoop = {t};
+    return core::runExperiment(cfg);
   };
   core::TableFormatter ot({"workload", "offered (Kop/s)",
                            "delivered (Kop/s)", "read p99 (us)",
@@ -122,15 +121,15 @@ int main(int argc, char** argv) {
   for (const auto* r : {&ob, &od}) {
     ot.addRow({r == &ob ? "B (open)" : "D (open)",
                core::TableFormatter::kops(r->offeredRatePerSec),
-               core::TableFormatter::kops(r->deliveredOpsPerSec),
+               core::TableFormatter::kops(r->throughputOpsPerSec),
                core::TableFormatter::num(r->tenants[0].readP99Us, 1),
                std::to_string(r->opFailures)});
   }
   ot.print();
-  v.check(core::within(ob.deliveredOpsPerSec, 0.9 * ob.offeredRatePerSec,
+  v.check(core::within(ob.throughputOpsPerSec, 0.9 * ob.offeredRatePerSec,
                        1.1 * ob.offeredRatePerSec),
           "open-loop B delivers its offered rate");
-  v.check(core::within(od.deliveredOpsPerSec, 0.9 * od.offeredRatePerSec,
+  v.check(core::within(od.throughputOpsPerSec, 0.9 * od.offeredRatePerSec,
                        1.1 * od.offeredRatePerSec),
           "open-loop D (inserts, read-latest) delivers its offered rate");
 
@@ -142,8 +141,8 @@ int main(int argc, char** argv) {
   day.points = {{0.0, 0.4}, {0.5, 1.6}};  // valley 0.4x, peak 1.6x, mean 1.0
   const auto odi = openRun(ycsb::WorkloadSpec::B(), day);
   std::printf("\ndiurnal B: mean multiplier %.2f -> delivered %.1f Kop/s\n",
-              day.mean(), odi.deliveredOpsPerSec / 1e3);
-  v.check(core::within(odi.deliveredOpsPerSec,
+              day.mean(), odi.throughputOpsPerSec / 1e3);
+  v.check(core::within(odi.throughputOpsPerSec,
                        0.88 * odi.offeredRatePerSec,
                        1.1 * odi.offeredRatePerSec),
           "diurnal modulation preserves the curve's mean rate");

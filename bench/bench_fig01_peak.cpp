@@ -33,13 +33,13 @@ int main(int argc, char** argv) {
 
   for (int si = 0; si < 3; ++si) {
     for (int ci = 0; ci < 3; ++ci) {
-      core::YcsbExperimentConfig cfg;
-      cfg.servers = serverCounts[si];
-      cfg.clients = clientCounts[ci];
+      core::ExperimentConfig cfg;
+      cfg.cluster.servers = serverCounts[si];
+      cfg.cluster.clients = clientCounts[ci];
       cfg.workload = ycsb::WorkloadSpec::C(records);
-      cfg.seed = opt.seed;
+      cfg.cluster.seed = opt.seed;
       cfg.timeScale = opt.timeScale();
-      const auto r = core::runYcsbExperiment(cfg);
+      const auto r = core::runExperiment(cfg);
       grid[si][ci] = Cell{r.throughputOpsPerSec / 1e3, r.meanPowerPerServerW};
     }
   }

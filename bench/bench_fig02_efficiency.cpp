@@ -22,13 +22,13 @@ int main(int argc, char** argv) {
   double eff[3][3];
   for (int si = 0; si < 3; ++si) {
     for (int ci = 0; ci < 3; ++ci) {
-      core::YcsbExperimentConfig cfg;
-      cfg.servers = serverCounts[si];
-      cfg.clients = clientCounts[ci];
+      core::ExperimentConfig cfg;
+      cfg.cluster.servers = serverCounts[si];
+      cfg.cluster.clients = clientCounts[ci];
       cfg.workload = ycsb::WorkloadSpec::C(500'000);
-      cfg.seed = opt.seed;
+      cfg.cluster.seed = opt.seed;
       cfg.timeScale = opt.timeScale();
-      eff[si][ci] = core::runYcsbExperiment(cfg).opsPerJoule;
+      eff[si][ci] = core::runExperiment(cfg).opsPerJoule;
     }
   }
 

@@ -25,13 +25,13 @@ int main(int argc, char** argv) {
   for (int w = 0; w < 3; ++w) {
     double base = 0;
     for (int ci = 0; ci < 5; ++ci) {
-      core::YcsbExperimentConfig cfg;
-      cfg.servers = 10;
-      cfg.clients = clientCounts[ci];
+      core::ExperimentConfig cfg;
+      cfg.cluster.servers = 10;
+      cfg.cluster.clients = clientCounts[ci];
       cfg.workload = specs[w];
-      cfg.seed = opt.seed;
+      cfg.cluster.seed = opt.seed;
       cfg.timeScale = opt.timeScale();
-      const double thr = core::runYcsbExperiment(cfg).throughputOpsPerSec;
+      const double thr = core::runExperiment(cfg).throughputOpsPerSec;
       if (ci == 0) base = thr;
       factor[w][ci] = thr / base;
     }

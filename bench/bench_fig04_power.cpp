@@ -25,16 +25,16 @@ int main(int argc, char** argv) {
                                       ycsb::WorkloadSpec::B(),
                                       ycsb::WorkloadSpec::A()};
   double watts[3][5];
-  core::YcsbExperimentResult at90[3];
+  core::ExperimentResult at90[3];
   for (int w = 0; w < 3; ++w) {
     for (int ci = 0; ci < 5; ++ci) {
-      core::YcsbExperimentConfig cfg;
-      cfg.servers = 20;
-      cfg.clients = clientCounts[ci];
+      core::ExperimentConfig cfg;
+      cfg.cluster.servers = 20;
+      cfg.cluster.clients = clientCounts[ci];
       cfg.workload = specs[w];
-      cfg.seed = opt.seed;
+      cfg.cluster.seed = opt.seed;
       cfg.timeScale = opt.timeScale();
-      const auto r = core::runYcsbExperiment(cfg);
+      const auto r = core::runExperiment(cfg);
       watts[w][ci] = r.meanPowerPerServerW;
       if (ci == 4) at90[w] = r;
     }

@@ -30,21 +30,21 @@ int main(int argc, char** argv) {
   std::uint64_t exemplarSumViolations = 0;
   for (int ci = 0; ci < 3; ++ci) {
     for (int rf = 1; rf <= 4; ++rf) {
-      core::YcsbExperimentConfig cfg;
-      cfg.servers = 20;
-      cfg.clients = clientCounts[ci];
-      cfg.replicationFactor = rf;
+      core::ExperimentConfig cfg;
+      cfg.cluster.servers = 20;
+      cfg.cluster.clients = clientCounts[ci];
+      cfg.cluster.replicationFactor = rf;
       cfg.workload = ycsb::WorkloadSpec::A();
-      cfg.seed = opt.seed;
+      cfg.cluster.seed = opt.seed;
       cfg.timeScale = opt.timeScale();
       cfg.metricsDir = opt.runDir("cl" + std::to_string(clientCounts[ci]) +
                                   "_rf" + std::to_string(rf));
       if (ci == 0) {
-        cfg.tenant = "fig05";
+        cfg.client.tenant = "fig05";
         cfg.readSlo = obs::SloTarget{sim::usec(250), sim::msec(1)};
         cfg.updateSlo = obs::SloTarget{sim::usec(800), sim::msec(4)};
       }
-      const auto r = core::runYcsbExperiment(cfg);
+      const auto r = core::runExperiment(cfg);
       thr[ci][rf - 1] = r.throughputOpsPerSec;
       replWaitUs[ci][rf - 1] = r.replicationWaitMeanUs;
       for (const auto& row : r.sloWindows) {

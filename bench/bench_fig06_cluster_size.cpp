@@ -23,17 +23,17 @@ int main(int argc, char** argv) {
                 "Taleb et al., ICDCS'17, Fig. 6a/6b, Findings 3-4");
 
   const int serverCounts[] = {10, 20, 30, 40};
-  core::YcsbExperimentResult res[4][4];
+  core::ExperimentResult res[4][4];
   for (int si = 0; si < 4; ++si) {
     for (int rf = 1; rf <= 4; ++rf) {
-      core::YcsbExperimentConfig cfg;
-      cfg.servers = serverCounts[si];
-      cfg.clients = 60;
-      cfg.replicationFactor = rf;
+      core::ExperimentConfig cfg;
+      cfg.cluster.servers = serverCounts[si];
+      cfg.cluster.clients = 60;
+      cfg.cluster.replicationFactor = rf;
       cfg.workload = ycsb::WorkloadSpec::A();
-      cfg.seed = opt.seed;
+      cfg.cluster.seed = opt.seed;
       cfg.timeScale = opt.timeScale();
-      res[si][rf - 1] = core::runYcsbExperiment(cfg);
+      res[si][rf - 1] = core::runExperiment(cfg);
     }
   }
 

@@ -18,14 +18,14 @@ int main(int argc, char** argv) {
 
   double watts[4];
   for (int rf = 1; rf <= 4; ++rf) {
-    core::YcsbExperimentConfig cfg;
-    cfg.servers = 40;
-    cfg.clients = 60;
-    cfg.replicationFactor = rf;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 40;
+    cfg.cluster.clients = 60;
+    cfg.cluster.replicationFactor = rf;
     cfg.workload = ycsb::WorkloadSpec::A();
-    cfg.seed = opt.seed;
+    cfg.cluster.seed = opt.seed;
     cfg.timeScale = opt.timeScale();
-    watts[rf - 1] = core::runYcsbExperiment(cfg).meanPowerPerServerW;
+    watts[rf - 1] = core::runExperiment(cfg).meanPowerPerServerW;
   }
 
   core::TableFormatter t({"replication factor", "avg power per node (W)"});

@@ -24,14 +24,14 @@ int main(int argc, char** argv) {
   double eff[3][4];
   for (int si = 0; si < 3; ++si) {
     for (int rf = 1; rf <= 4; ++rf) {
-      core::YcsbExperimentConfig cfg;
-      cfg.servers = serverCounts[si];
-      cfg.clients = 60;
-      cfg.replicationFactor = rf;
+      core::ExperimentConfig cfg;
+      cfg.cluster.servers = serverCounts[si];
+      cfg.cluster.clients = 60;
+      cfg.cluster.replicationFactor = rf;
       cfg.workload = ycsb::WorkloadSpec::A();
-      cfg.seed = opt.seed;
+      cfg.cluster.seed = opt.seed;
       cfg.timeScale = opt.timeScale();
-      eff[si][rf - 1] = core::runYcsbExperiment(cfg).opsPerJoulePerNode;
+      eff[si][rf - 1] = core::runExperiment(cfg).opsPerJoulePerNode;
     }
   }
 

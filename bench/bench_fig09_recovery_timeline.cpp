@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/recovery_experiment.hpp"
+#include "core/experiment.hpp"
 
 using namespace rc;
 
@@ -19,15 +19,16 @@ int main(int argc, char** argv) {
   bench::banner("Fig. 9 — CPU and power timeline through crash-recovery",
                 "Taleb et al., ICDCS'17, Fig. 9a/9b, Finding 5");
 
-  core::RecoveryExperimentConfig cfg;
-  cfg.servers = 10;
-  cfg.replicationFactor = 4;
-  cfg.records = opt.recoveryRecords();  // paper: 10 M x 1 KB = 9.7 GB
-  cfg.killAt = opt.scale == bench::Options::Scale::kFull ? sim::seconds(60)
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 10;
+  cfg.cluster.replicationFactor = 4;
+  cfg.workload = ycsb::WorkloadSpec::C(opt.recoveryRecords());  // paper: 10 M x 1 KB = 9.7 GB
+  cfg.crash.emplace();
+  cfg.crash->killAt = opt.scale == bench::Options::Scale::kFull ? sim::seconds(60)
                                                          : sim::seconds(10);
-  cfg.seed = opt.seed;
-  cfg.sampleEvery = opt.recoverySampleEvery();
-  const auto r = core::runRecoveryExperiment(cfg);
+  cfg.cluster.seed = opt.seed;
+  cfg.crash->sampleEvery = opt.recoverySampleEvery();
+  const auto r = core::runExperiment(cfg);
 
   std::printf("\ndata on crashed server: %.2f GB   detection: %.2f s   "
               "recovery: %.1f s\n\n",

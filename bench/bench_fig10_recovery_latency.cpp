@@ -10,7 +10,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/recovery_experiment.hpp"
+#include "core/experiment.hpp"
 
 using namespace rc;
 
@@ -19,16 +19,17 @@ int main(int argc, char** argv) {
   bench::banner("Fig. 10 — client latency through crash-recovery",
                 "Taleb et al., ICDCS'17, Fig. 10, Finding 5");
 
-  core::RecoveryExperimentConfig cfg;
-  cfg.servers = 10;
-  cfg.replicationFactor = 4;
-  cfg.records = opt.recoveryRecords();
-  cfg.killAt = opt.scale == bench::Options::Scale::kFull ? sim::seconds(60)
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 10;
+  cfg.cluster.replicationFactor = 4;
+  cfg.workload = ycsb::WorkloadSpec::C(opt.recoveryRecords());
+  cfg.crash.emplace();
+  cfg.crash->killAt = opt.scale == bench::Options::Scale::kFull ? sim::seconds(60)
                                                          : sim::seconds(10);
-  cfg.probeClients = true;
-  cfg.seed = opt.seed;
-  cfg.sampleEvery = opt.recoverySampleEvery();
-  const auto r = core::runRecoveryExperiment(cfg);
+  cfg.crash->probeClients = true;
+  cfg.cluster.seed = opt.seed;
+  cfg.crash->sampleEvery = opt.recoverySampleEvery();
+  const auto r = core::runExperiment(cfg);
 
   core::TableFormatter t({"t (s)", "client 1 (lost data) us",
                           "client 2 (live data) us"});

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/recovery_experiment.hpp"
+#include "core/experiment.hpp"
 
 using namespace rc;
 
@@ -25,14 +25,15 @@ int main(int argc, char** argv) {
   double rereplBusy[5];
   bool journalOk = true;
   for (int rf = 1; rf <= 5; ++rf) {
-    core::RecoveryExperimentConfig cfg;
-    cfg.servers = 9;
-    cfg.replicationFactor = rf;
-    cfg.records = opt.recoveryRecords();
-    cfg.killAt = sim::seconds(5);
-    cfg.settleAfter = sim::seconds(2);
-    cfg.seed = opt.seed;
-    const auto r = core::runRecoveryExperiment(cfg);
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 9;
+    cfg.cluster.replicationFactor = rf;
+    cfg.workload = ycsb::WorkloadSpec::C(opt.recoveryRecords());
+    cfg.crash.emplace();
+    cfg.crash->killAt = sim::seconds(5);
+    cfg.crash->settleAfter = sim::seconds(2);
+    cfg.cluster.seed = opt.seed;
+    const auto r = core::runExperiment(cfg);
     times[rf - 1] = sim::toSeconds(r.recoveryDuration);
     joules[rf - 1] = r.energyPerNodeDuringRecoveryJ;
     rereplBusy[rf - 1] = bench::spanBusySeconds(r.spans, "rereplication");

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "core/recovery_experiment.hpp"
+#include "core/experiment.hpp"
 
 using namespace rc;
 
@@ -18,24 +18,25 @@ int main(int argc, char** argv) {
   bench::banner("Fig. 12 — aggregated disk I/O during crash-recovery",
                 "Taleb et al., ICDCS'17, Fig. 12, Finding 6");
 
-  core::RecoveryExperimentConfig cfg;
-  cfg.servers = 9;
-  cfg.replicationFactor = 3;
-  cfg.records = opt.recoveryRecords();
-  cfg.killAt = sim::seconds(5);
-  cfg.settleAfter = sim::seconds(4);
-  cfg.seed = opt.seed;
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 9;
+  cfg.cluster.replicationFactor = 3;
+  cfg.workload = ycsb::WorkloadSpec::C(opt.recoveryRecords());
+  cfg.crash.emplace();
+  cfg.crash->killAt = sim::seconds(5);
+  cfg.crash->settleAfter = sim::seconds(4);
+  cfg.cluster.seed = opt.seed;
   // At quick scale the lost data is under one 8 MB segment per recovery
   // master, so the fetch/replay pipeline the paper's overlap comes from
   // degenerates to a single read-then-write handoff. Shrink the segments
   // so each master still alternates segment reads with re-replication
   // writes, and sample finer than 1 s to resolve it.
   if (opt.scale == bench::Options::Scale::kQuick) {
-    cfg.segmentBytes = 1 * 1024 * 1024;
+    cfg.cluster.master.log.segmentBytes = 1 * 1024 * 1024;
   }
-  cfg.sampleEvery = opt.recoverySampleEvery();
-  const double bucketS = sim::toSeconds(cfg.sampleEvery);
-  const auto r = core::runRecoveryExperiment(cfg);
+  cfg.crash->sampleEvery = opt.recoverySampleEvery();
+  const double bucketS = sim::toSeconds(cfg.crash->sampleEvery);
+  const auto r = core::runExperiment(cfg);
 
   core::TableFormatter t({"t (s)", "read (MB/s)", "write (MB/s)"});
   const auto& rd = r.diskReadMBps.points();

@@ -17,7 +17,6 @@
 
 #include "bench_common.hpp"
 #include "core/experiment.hpp"
-#include "core/openloop.hpp"
 
 using namespace rc;
 
@@ -31,15 +30,15 @@ int main(int argc, char** argv) {
   double thr[2][3];
   for (int ri = 0; ri < 2; ++ri) {
     for (int ci = 0; ci < 3; ++ci) {
-      core::YcsbExperimentConfig cfg;
-      cfg.servers = 10;
-      cfg.clients = clientCounts[ci];
-      cfg.replicationFactor = 2;
+      core::ExperimentConfig cfg;
+      cfg.cluster.servers = 10;
+      cfg.cluster.clients = clientCounts[ci];
+      cfg.cluster.replicationFactor = 2;
       cfg.workload = ycsb::WorkloadSpec::A();
-      cfg.throttleOpsPerSec = rates[ri];
-      cfg.seed = opt.seed;
+      cfg.client.throttleOpsPerSec = rates[ri];
+      cfg.cluster.seed = opt.seed;
       cfg.timeScale = opt.timeScale();
-      thr[ri][ci] = core::runYcsbExperiment(cfg).throughputOpsPerSec;
+      thr[ri][ci] = core::runExperiment(cfg).throughputOpsPerSec;
     }
   }
 
@@ -69,12 +68,12 @@ int main(int argc, char** argv) {
   // ----- Part 2: mixed-tenant SLO attribution ------------------------------
   std::printf("mixed tenants: 10 clients throttled @200 R/S, 10 open "
               "(intent-time SLO latency)\n");
-  core::YcsbExperimentConfig mix;
-  mix.servers = 10;
-  mix.clients = 20;
-  mix.replicationFactor = 2;
+  core::ExperimentConfig mix;
+  mix.cluster.servers = 10;
+  mix.cluster.clients = 20;
+  mix.cluster.replicationFactor = 2;
   mix.workload = ycsb::WorkloadSpec::A();
-  mix.seed = opt.seed;
+  mix.cluster.seed = opt.seed;
   mix.timeScale = opt.timeScale();
   mix.metricsDir = opt.runDir("mixed_tenants");  // slo.jsonl for `rcdiag slo`
   const obs::SloTarget readTarget{sim::usec(250), sim::msec(1)};
@@ -93,7 +92,7 @@ int main(int argc, char** argv) {
       p.tenant = "open";
     }
   };
-  const auto mr = core::runYcsbExperiment(mix);
+  const auto mr = core::runExperiment(mix);
 
   // window -> class -> row, for side-by-side per-window columns.
   std::map<std::uint64_t, std::map<std::string, obs::SloTracker::WindowRow>>
@@ -141,14 +140,14 @@ int main(int argc, char** argv) {
   // bucket while tenant A's intent-time tail holds.
   std::printf("open-loop tenants: steady A vs surging B, dispatch QoS "
               "buckets (docs/WORKLOADS.md)\n");
-  core::OpenLoopConfig ol;
-  ol.servers = 10;
-  ol.replicationFactor = 2;
+  core::ExperimentConfig ol;
+  ol.cluster.servers = 10;
+  ol.cluster.replicationFactor = 2;
   ol.workload = ycsb::WorkloadSpec::A();
-  ol.seed = opt.seed;
+  ol.cluster.seed = opt.seed;
   ol.timeScale = opt.timeScale();
   auto mkTenant = [](const char* name, double perNodeRate) {
-    core::OpenLoopTenantConfig t;
+    core::OpenLoopTenant t;
     t.name = name;
     t.sources = 1;
     t.shape.users = 4'000;  // 4 Kop/s offered per tenant
@@ -157,9 +156,9 @@ int main(int argc, char** argv) {
     t.qosRatePerSec = perNodeRate;
     return t;
   };
-  core::OpenLoopTenantConfig olA = mkTenant("steady", 800);  // 8 Kop/s cap
+  core::OpenLoopTenant olA = mkTenant("steady", 800);  // 8 Kop/s cap
   olA.qosPriority = true;
-  core::OpenLoopTenantConfig olB = mkTenant("surging", 600);  // 6 Kop/s cap
+  core::OpenLoopTenant olB = mkTenant("surging", 600);  // 6 Kop/s cap
   const auto surgeStart = static_cast<sim::SimTime>(
       static_cast<double>(sim::seconds(4)) * ol.timeScale);
   olB.shape.flashCrowds = {
@@ -167,8 +166,8 @@ int main(int argc, char** argv) {
        static_cast<sim::Duration>(static_cast<double>(sim::seconds(3)) *
                                   ol.timeScale),
        10.0}};
-  ol.tenants = {olA, olB};
-  const auto olr = core::runOpenLoopExperiment(ol);
+  ol.openLoop = {olA, olB};
+  const auto olr = core::runExperiment(ol);
 
   core::TableFormatter qt({"tenant", "qos offered", "admitted", "throttled",
                            "episodes", "read p999 (us)"});

@@ -22,7 +22,6 @@
 
 #include "bench_common.hpp"
 #include "core/experiment.hpp"
-#include "core/openloop.hpp"
 
 using namespace rc;
 
@@ -30,11 +29,11 @@ namespace {
 
 struct SweepRow {
   double users = 0;
-  core::OpenLoopResult r;
+  core::ExperimentResult r;
 };
 
-core::OpenLoopTenantConfig tenantShape(double users, double ratePerSec) {
-  core::OpenLoopTenantConfig t;
+core::OpenLoopTenant tenantShape(double users, double ratePerSec) {
+  core::OpenLoopTenant t;
   t.name = "pop";
   t.sources = 1;
   t.shape.users = users;
@@ -58,17 +57,17 @@ int main(int argc, char** argv) {
   const double populations[] = {1e3, 1e4, 1e5, 1e6};
   std::vector<SweepRow> sweep;
   for (double users : populations) {
-    core::OpenLoopConfig cfg;
-    cfg.servers = 10;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 10;
     cfg.workload = ycsb::WorkloadSpec::B();
     cfg.warmup = sim::seconds(1);
     cfg.measure = sim::seconds(4);
-    cfg.seed = opt.seed;
+    cfg.cluster.seed = opt.seed;
     cfg.timeScale = opt.timeScale();
-    cfg.tenants = {tenantShape(users, kRate)};
+    cfg.openLoop = {tenantShape(users, kRate)};
     SweepRow row;
     row.users = users;
-    row.r = core::runOpenLoopExperiment(cfg);
+    row.r = core::runExperiment(cfg);
     sweep.push_back(std::move(row));
   }
 
@@ -86,7 +85,7 @@ int main(int argc, char** argv) {
     evMax = std::max(evMax, row.r.eventsPerOp);
     t.addRow({core::TableFormatter::num(row.users, 0),
               core::TableFormatter::num(row.r.offeredRatePerSec, 0),
-              core::TableFormatter::num(row.r.deliveredOpsPerSec, 0),
+              core::TableFormatter::num(row.r.throughputOpsPerSec, 0),
               core::TableFormatter::num(row.r.eventsPerOp, 2),
               core::TableFormatter::num(perWake, 1)});
   }
@@ -95,7 +94,7 @@ int main(int argc, char** argv) {
               "cost follows the op rate, not the user count\n\n");
 
   for (const auto& row : sweep) {
-    v.check(core::within(row.r.deliveredOpsPerSec, 0.9 * kRate, 1.1 * kRate),
+    v.check(core::within(row.r.throughputOpsPerSec, 0.9 * kRate, 1.1 * kRate),
             "delivered ~= offered at " +
                 core::TableFormatter::num(row.users, 0) + " users");
   }
@@ -111,46 +110,23 @@ int main(int argc, char** argv) {
   // ----- Part 2: closed-loop parity at equal delivered rate ----------------
   // Classic closed-loop YCSB-B throttled to the same delivered op rate;
   // compare heap events per delivered op.
-  double closedEventsPerOp = 0;
-  double closedRate = 0;
-  {
-    core::ClusterParams cp;
-    cp.servers = 10;
-    cp.clients = 10;
-    cp.seed = opt.seed;
-    core::Cluster cluster(cp);
-    const std::uint64_t table = cluster.createTable("usertable");
-    const ycsb::WorkloadSpec spec = ycsb::WorkloadSpec::B();
-    cluster.bulkLoad(table, spec.recordCount, spec.valueBytes);
-    ycsb::YcsbClientParams ycp;
-    ycp.opsTarget = 0;
-    ycp.throttleOpsPerSec = kRate / cp.clients;
-    cluster.configureYcsb(table, spec, ycp);
-    cluster.startYcsb();
-    const auto warmup = static_cast<sim::Duration>(
-        static_cast<double>(sim::seconds(1)) * opt.timeScale());
-    const auto measure = std::max<sim::Duration>(
-        sim::msec(500), static_cast<sim::Duration>(
-                            static_cast<double>(sim::seconds(4)) *
-                            opt.timeScale()));
-    cluster.sim().runFor(warmup);
-    const std::uint64_t ev0 = cluster.sim().eventsExecuted();
-    const std::uint64_t ops0 = cluster.totalOpsCompleted();
-    const sim::SimTime t0 = cluster.sim().now();
-    cluster.sim().runFor(measure);
-    const std::uint64_t evD = cluster.sim().eventsExecuted() - ev0;
-    const std::uint64_t opsD = cluster.totalOpsCompleted() - ops0;
-    cluster.stopYcsb();
-    closedEventsPerOp =
-        opsD > 0 ? static_cast<double>(evD) / static_cast<double>(opsD) : 0;
-    closedRate = static_cast<double>(opsD) /
-                 sim::toSeconds(cluster.sim().now() - t0);
-  }
+  core::ExperimentConfig closed;
+  closed.cluster.servers = 10;
+  closed.cluster.clients = 10;
+  closed.cluster.seed = opt.seed;
+  closed.workload = ycsb::WorkloadSpec::B();
+  closed.client.throttleOpsPerSec = kRate / closed.cluster.clients;
+  closed.warmup = sim::seconds(1);
+  closed.measure = sim::seconds(4);
+  closed.timeScale = opt.timeScale();
+  const core::ExperimentResult cl = core::runExperiment(closed);
+  const double closedEventsPerOp = cl.eventsPerOp;
+  const double closedRate = cl.throughputOpsPerSec;
   const double openEventsPerOp = sweep.back().r.eventsPerOp;
   std::printf("parity: closed-loop ycsb_b %.0f op/s at %.2f events/op vs "
               "open-loop 10^6 users %.0f op/s at %.2f events/op\n\n",
               closedRate, closedEventsPerOp,
-              sweep.back().r.deliveredOpsPerSec, openEventsPerOp);
+              sweep.back().r.throughputOpsPerSec, openEventsPerOp);
   v.check(core::within(closedRate, 0.9 * kRate, 1.1 * kRate),
           "closed-loop baseline throttled to the same delivered rate");
   v.check(closedEventsPerOp > 0 &&
@@ -158,20 +134,20 @@ int main(int argc, char** argv) {
           "open-loop events/op within 10% of the closed-loop baseline");
 
   // ----- Part 3: tenant isolation under a 10x surge ------------------------
-  core::OpenLoopConfig iso;
-  iso.servers = 10;
+  core::ExperimentConfig iso;
+  iso.cluster.servers = 10;
   iso.workload = ycsb::WorkloadSpec::B();
   iso.warmup = sim::seconds(1);
   iso.measure = sim::seconds(5);
-  iso.seed = opt.seed;
+  iso.cluster.seed = opt.seed;
   iso.timeScale = opt.timeScale();
   iso.metricsDir = opt.runDir("qos_isolation");
 
-  core::OpenLoopTenantConfig a = tenantShape(5'000, 5'000);
+  core::OpenLoopTenant a = tenantShape(5'000, 5'000);
   a.name = "tenantA";
   a.qosRatePerSec = 1'000;  // 10k/s cluster-wide, 2x headroom
   a.qosPriority = true;
-  core::OpenLoopTenantConfig b = tenantShape(5'000, 5'000);
+  core::OpenLoopTenant b = tenantShape(5'000, 5'000);
   b.name = "tenantB";
   b.qosRatePerSec = 800;  // 8k/s cluster-wide cap
   const sim::SimTime surgeAt = static_cast<sim::SimTime>(
@@ -180,16 +156,16 @@ int main(int argc, char** argv) {
   const auto surgeLen = static_cast<sim::Duration>(
       static_cast<double>(sim::seconds(2)) * iso.timeScale);
   b.shape.flashCrowds = {{surgeAt, surgeLen, 10.0}};
-  iso.tenants = {a, b};
+  iso.openLoop = {a, b};
 
   // Control run: same two tenants, no surge. Tenant A's whole-run p999 in
   // the surge run is gated against this baseline, which stays meaningful
   // at --quick timescales where the run fits inside one SLO window.
-  core::OpenLoopConfig control = iso;
+  core::ExperimentConfig control = iso;
   control.metricsDir.clear();
-  control.tenants[1].shape.flashCrowds.clear();
-  const core::OpenLoopResult cr = core::runOpenLoopExperiment(control);
-  const core::OpenLoopResult ir = core::runOpenLoopExperiment(iso);
+  control.openLoop[1].shape.flashCrowds.clear();
+  const core::ExperimentResult cr = core::runExperiment(control);
+  const core::ExperimentResult ir = core::runExperiment(iso);
 
   core::TableFormatter qt({"tenant", "offered (op/s)", "qos offered",
                            "admitted", "throttled", "episodes",

@@ -24,11 +24,11 @@ struct Row {
 Row measure(int clients, const bench::Options& opt) {
   Row row;
   for (int servers : {1, 5, 10}) {
-    core::YcsbExperimentConfig cfg;
-    cfg.servers = servers;
-    cfg.clients = clients;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = servers;
+    cfg.cluster.clients = clients;
     cfg.workload = ycsb::WorkloadSpec::C(500'000);
-    cfg.seed = opt.seed;
+    cfg.cluster.seed = opt.seed;
     cfg.timeScale = opt.timeScale();
     if (clients == 0) {
       // Idle cluster: run it directly, no YCSB.
@@ -62,7 +62,7 @@ Row measure(int clients, const bench::Options& opt) {
       }
       continue;
     }
-    const auto r = core::runYcsbExperiment(cfg);
+    const auto r = core::runExperiment(cfg);
     if (servers == 1) row.avg1 = r.meanCpuPct;
     if (servers == 5) {
       row.min5 = r.minCpuPct;

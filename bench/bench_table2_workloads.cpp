@@ -24,13 +24,13 @@ int main(int argc, char** argv) {
                                       ycsb::WorkloadSpec::C()};
   for (int w = 0; w < 3; ++w) {
     for (int ci = 0; ci < 5; ++ci) {
-      core::YcsbExperimentConfig cfg;
-      cfg.servers = 10;
-      cfg.clients = clientCounts[ci];
+      core::ExperimentConfig cfg;
+      cfg.cluster.servers = 10;
+      cfg.cluster.clients = clientCounts[ci];
       cfg.workload = specs[w];
-      cfg.seed = opt.seed;
+      cfg.cluster.seed = opt.seed;
       cfg.timeScale = opt.timeScale();
-      thr[w][ci] = core::runYcsbExperiment(cfg).throughputOpsPerSec;
+      thr[w][ci] = core::runExperiment(cfg).throughputOpsPerSec;
     }
   }
 

@@ -36,18 +36,18 @@ int main(int argc, char** argv) {
   int bestServers = 0;
   struct Row {
     int servers;
-    core::YcsbExperimentResult r;
+    core::ExperimentResult r;
   };
   std::vector<Row> rows;
   for (int servers : {5, 10, 20, 30}) {
-    core::YcsbExperimentConfig cfg;
-    cfg.servers = servers;
-    cfg.clients = clients;
-    cfg.replicationFactor = rf;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = servers;
+    cfg.cluster.clients = clients;
+    cfg.cluster.replicationFactor = rf;
     cfg.workload = spec;
     cfg.warmup = sim::seconds(1);
     cfg.measure = sim::seconds(3);
-    const auto r = core::runYcsbExperiment(cfg);
+    const auto r = core::runExperiment(cfg);
     rows.push_back({servers, r});
     if (r.opsPerJoule > bestEff) {
       bestEff = r.opsPerJoule;

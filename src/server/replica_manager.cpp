@@ -96,9 +96,10 @@ void ReplicaManager::sendChain(log::SegmentId segId, std::uint64_t bytes,
   // CPU entirely (flag bit 1 tells the backup).
   const sim::Duration sendCpu =
       params_.oneSidedRdma ? sim::usec(1) : params_.perReplicaSendCpu;
-  sim_.schedule(sendCpu, [this, segId, bytes, close, replicaIdx, retriesLeft,
-                          backup, done = std::move(done)]() mutable {
-    if (stillAlive && !stillAlive()) return;
+  sim_.schedule(sendCpu, [this, life = std::weak_ptr<bool>(life_), segId,
+                          bytes, close, replicaIdx, retriesLeft, backup,
+                          done = std::move(done)]() mutable {
+    if (life.expired() || (stillAlive && !stillAlive())) return;
     bytesReplicated_ += bytes;
     net::RpcRequest req;
     req.op = net::Opcode::kBackupWrite;
@@ -107,16 +108,17 @@ void ReplicaManager::sendChain(log::SegmentId segId, std::uint64_t bytes,
     req.c = (close ? 1u : 0u) | (params_.oneSidedRdma ? 2u : 0u);
     req.payloadBytes = bytes;
     rpc_.call(self_, backup, net::kBackupPort, req, timeouts::kReplication,
-              [this, segId, bytes, close, replicaIdx, retriesLeft,
+              [this, life = std::move(life), segId, bytes, close, replicaIdx,
+               retriesLeft,
                done = std::move(done)](const net::RpcResponse& resp) mutable {
-      if (stillAlive && !stillAlive()) return;
+      if (life.expired() || (stillAlive && !stillAlive())) return;
       if (resp.status == net::Status::kOk) {
         const sim::Duration ackCpu =
             params_.oneSidedRdma ? sim::usec(2) : params_.ackProcessing;
         sim_.schedule(ackCpu,
-                      [this, segId, bytes, close, replicaIdx,
-                       done = std::move(done)]() mutable {
-          if (stillAlive && !stillAlive()) return;
+                      [this, life = std::move(life), segId, bytes, close,
+                       replicaIdx, done = std::move(done)]() mutable {
+          if (life.expired() || (stillAlive && !stillAlive())) return;
           sendChain(segId, bytes, close, replicaIdx + 1,
                     params_.maxRetries, std::move(done));
         });
@@ -148,9 +150,9 @@ void ReplicaManager::sendChain(log::SegmentId segId, std::uint64_t bytes,
                                  (segId << 8) ^ replicaIdx;
       sim_.schedule(
           params_.retryBackoff.delay(attempt, salt),
-          [this, segId, resend, close, replicaIdx, retriesLeft,
-           done = std::move(done)]() mutable {
-            if (stillAlive && !stillAlive()) return;
+          [this, life = std::move(life), segId, resend, close, replicaIdx,
+           retriesLeft, done = std::move(done)]() mutable {
+            if (life.expired() || (stillAlive && !stillAlive())) return;
             sendChain(segId, resend, close, replicaIdx, retriesLeft - 1,
                       std::move(done));
           });
@@ -347,9 +349,10 @@ void ReplicaManager::repairSlot(log::SegmentId segId, std::size_t slot) {
   req.c = (st.closedSent ? 1u : 0u) | (params_.oneSidedRdma ? 2u : 0u);
   req.payloadBytes = resend;
   rpc_.call(self_, fresh, net::kBackupPort, req, timeouts::kReplication,
-            [this, segId, slot, fresh, span](const net::RpcResponse& resp) {
-    if (stillAlive && !stillAlive()) {
-      if (journal_ && span) journal_->abandonSpan(span);
+            [this, life = std::weak_ptr<bool>(life_), journal = journal_,
+             segId, slot, fresh, span](const net::RpcResponse& resp) {
+    if (life.expired() || (stillAlive && !stillAlive())) {
+      if (journal && span) journal->abandonSpan(span);
       return;
     }
     auto it2 = segments_.find(segId);

@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -72,7 +73,8 @@ class ReplicaManager {
                  sim::Rng rng);
 
   /// Recovery tasks destroy their ReplicaManager mid-run; the pending
-  /// repair-tick event must not outlive `this` (eager O(log n) cancel).
+  /// repair-tick event must not outlive `this` (eager O(log n) cancel),
+  /// and in-flight writes find `life_` expired and drop their replies.
   ~ReplicaManager();
 
   /// Pick `factor` distinct backups for a fresh segment (random scatter —
@@ -174,6 +176,12 @@ class ReplicaManager {
   int repairAttempt_ = 0;
   obs::EventJournal* journal_ = nullptr;
   std::uint64_t journalCtx_ = 0;
+
+  /// Lifetime token: every send timer, RPC reply and ack/backoff
+  /// continuation holds a weak_ptr to it and touches `this` only while it
+  /// is alive, so a manager destroyed with writes in flight (a recovery
+  /// task's side log) turns them into no-ops.
+  std::shared_ptr<bool> life_ = std::make_shared<bool>(true);
 };
 
 }  // namespace rc::server

@@ -10,7 +10,6 @@
 
 #include "core/cluster.hpp"
 #include "core/experiment.hpp"
-#include "core/recovery_experiment.hpp"
 
 namespace rc {
 namespace {
@@ -132,15 +131,15 @@ TEST(CrashDurabilityTombstones, RemovedKeysStayRemoved) {
 // ---- Determinism: the entire stack is reproducible from the seed.
 TEST(Determinism, SameSeedSameExperimentResult) {
   auto once = [] {
-    core::YcsbExperimentConfig cfg;
-    cfg.servers = 3;
-    cfg.clients = 3;
-    cfg.replicationFactor = 2;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 3;
+    cfg.cluster.clients = 3;
+    cfg.cluster.replicationFactor = 2;
     cfg.workload = ycsb::WorkloadSpec::A(5'000);
     cfg.warmup = msec(300);
     cfg.measure = seconds(1);
-    cfg.seed = 777;
-    return core::runYcsbExperiment(cfg);
+    cfg.cluster.seed = 777;
+    return core::runExperiment(cfg);
   };
   const auto a = once();
   const auto b = once();
@@ -187,27 +186,28 @@ TEST(Determinism, SameSeedYcsbExportIsByteIdentical) {
 
 TEST(Determinism, DifferentSeedsDiffer) {
   auto once = [](std::uint64_t seed) {
-    core::YcsbExperimentConfig cfg;
-    cfg.servers = 2;
-    cfg.clients = 2;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 2;
+    cfg.cluster.clients = 2;
     cfg.workload = ycsb::WorkloadSpec::A(2'000);
     cfg.warmup = msec(200);
     cfg.measure = seconds(1);
-    cfg.seed = seed;
-    return core::runYcsbExperiment(cfg).opsMeasured;
+    cfg.cluster.seed = seed;
+    return core::runExperiment(cfg).opsMeasured;
   };
   EXPECT_NE(once(1), once(2));
 }
 
 // ---- End-to-end recovery experiment (miniature Fig. 9/11).
 TEST(RecoveryExperiment, SmallScaleEndToEnd) {
-  core::RecoveryExperimentConfig cfg;
-  cfg.servers = 5;
-  cfg.replicationFactor = 2;
-  cfg.records = 200'000;  // ~200 MB
-  cfg.killAt = seconds(5);
-  cfg.settleAfter = seconds(3);
-  const auto r = core::runRecoveryExperiment(cfg);
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 5;
+  cfg.cluster.replicationFactor = 2;
+  cfg.workload = ycsb::WorkloadSpec::C(200'000);  // ~200 MB
+  cfg.crash.emplace();
+  cfg.crash->killAt = seconds(5);
+  cfg.crash->settleAfter = seconds(3);
+  const auto r = core::runExperiment(cfg);
   EXPECT_TRUE(r.recovered);
   EXPECT_TRUE(r.allKeysRecovered);
   EXPECT_GT(sim::toSeconds(r.recoveryDuration), 0.3);
@@ -222,13 +222,14 @@ TEST(RecoveryExperiment, SmallScaleEndToEnd) {
 TEST(RecoveryExperiment, RecoveryTimeGrowsWithRf) {
   double last = 0;
   for (int rf : {1, 3}) {
-    core::RecoveryExperimentConfig cfg;
-    cfg.servers = 5;
-    cfg.replicationFactor = rf;
-    cfg.records = 150'000;
-    cfg.killAt = seconds(3);
-    cfg.settleAfter = seconds(1);
-    const auto r = core::runRecoveryExperiment(cfg);
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 5;
+    cfg.cluster.replicationFactor = rf;
+    cfg.workload = ycsb::WorkloadSpec::C(150'000);
+    cfg.crash.emplace();
+    cfg.crash->killAt = seconds(3);
+    cfg.crash->settleAfter = seconds(1);
+    const auto r = core::runExperiment(cfg);
     ASSERT_TRUE(r.recovered);
     if (rf > 1) {
       EXPECT_GT(sim::toSeconds(r.recoveryDuration), last * 1.3)
@@ -241,13 +242,13 @@ TEST(RecoveryExperiment, RecoveryTimeGrowsWithRf) {
 // ---- Steady-state experiment shape checks (miniature paper findings).
 TEST(ExperimentShape, ReadOnlyScalesWithClients) {
   auto run = [](int clients) {
-    core::YcsbExperimentConfig cfg;
-    cfg.servers = 5;
-    cfg.clients = clients;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 5;
+    cfg.cluster.clients = clients;
     cfg.workload = ycsb::WorkloadSpec::C(20'000);
     cfg.warmup = msec(300);
     cfg.measure = seconds(1);
-    return core::runYcsbExperiment(cfg);
+    return core::runExperiment(cfg);
   };
   const auto two = run(2);
   const auto eight = run(8);
@@ -257,14 +258,14 @@ TEST(ExperimentShape, ReadOnlyScalesWithClients) {
 
 TEST(ExperimentShape, ReplicationDegradesUpdateThroughput) {
   auto run = [](int rf) {
-    core::YcsbExperimentConfig cfg;
-    cfg.servers = 5;
-    cfg.clients = 5;
-    cfg.replicationFactor = rf;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 5;
+    cfg.cluster.clients = 5;
+    cfg.cluster.replicationFactor = rf;
     cfg.workload = ycsb::WorkloadSpec::A(20'000);
     cfg.warmup = msec(300);
     cfg.measure = seconds(2);
-    return core::runYcsbExperiment(cfg).throughputOpsPerSec;
+    return core::runExperiment(cfg).throughputOpsPerSec;
   };
   const double rf1 = run(1);
   const double rf4 = run(4);
@@ -273,13 +274,13 @@ TEST(ExperimentShape, ReplicationDegradesUpdateThroughput) {
 
 TEST(ExperimentShape, UpdateHeavyBurnsMorePowerPerOp) {
   auto run = [](ycsb::WorkloadSpec w) {
-    core::YcsbExperimentConfig cfg;
-    cfg.servers = 4;
-    cfg.clients = 8;
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 4;
+    cfg.cluster.clients = 8;
     cfg.workload = std::move(w);
     cfg.warmup = msec(300);
     cfg.measure = seconds(2);
-    return core::runYcsbExperiment(cfg);
+    return core::runExperiment(cfg);
   };
   const auto a = run(ycsb::WorkloadSpec::A(20'000));
   const auto c = run(ycsb::WorkloadSpec::C(20'000));

@@ -22,7 +22,7 @@
 #include <string>
 #include <vector>
 
-#include "core/openloop.hpp"
+#include "core/experiment.hpp"
 #include "fault/fault_injector.hpp"
 #include "load/arrival.hpp"
 #include "load/traffic_source.hpp"
@@ -255,30 +255,30 @@ TEST(TokenBucket, ReserveStillPacesWithDebt) {
 
 // ------------------------------------------------- open-loop traffic engine
 
-core::OpenLoopConfig smallConfig() {
-  core::OpenLoopConfig cfg;
-  cfg.servers = 4;
+core::ExperimentConfig smallConfig() {
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 4;
   cfg.workload = ycsb::WorkloadSpec::B(20'000);
   cfg.warmup = msec(500);
   cfg.measure = seconds(2);
-  cfg.seed = 42;
-  core::OpenLoopTenantConfig t;
+  cfg.cluster.seed = 42;
+  core::OpenLoopTenant t;
   t.name = "web";
   t.sources = 2;
   t.shape.users = 1'000;  // 2 sources x 1k users x 1 op/s = 2k ops/s
   t.readSlo = {msec(4), msec(20)};
   t.updateSlo = {msec(8), msec(40)};
-  cfg.tenants = {t};
+  cfg.openLoop = {t};
   return cfg;
 }
 
 TEST(OpenLoop, DeliversOfferedRateWhenUncongested) {
-  const core::OpenLoopConfig cfg = smallConfig();
-  const core::OpenLoopResult r = core::runOpenLoopExperiment(cfg);
+  const core::ExperimentConfig cfg = smallConfig();
+  const core::ExperimentResult r = core::runExperiment(cfg);
   EXPECT_EQ(r.modeledUsers, 2'000u);
   EXPECT_NEAR(r.offeredRatePerSec, 2'000.0, 1e-6);
   // Open loop at ~2% of capacity: delivered == offered (within noise).
-  EXPECT_NEAR(r.deliveredOpsPerSec, r.offeredRatePerSec,
+  EXPECT_NEAR(r.throughputOpsPerSec, r.offeredRatePerSec,
               0.1 * r.offeredRatePerSec);
   EXPECT_EQ(r.opFailures, 0u);
   EXPECT_EQ(r.sourceDropped, 0u);
@@ -286,12 +286,12 @@ TEST(OpenLoop, DeliversOfferedRateWhenUncongested) {
 }
 
 TEST(OpenLoop, BatchedGenerationAmortizesHeapEvents) {
-  core::OpenLoopConfig cfg = smallConfig();
-  cfg.tenants[0].sources = 1;
-  cfg.tenants[0].shape.users = 200'000;  // 200k ops/s through one source
+  core::ExperimentConfig cfg = smallConfig();
+  cfg.openLoop[0].sources = 1;
+  cfg.openLoop[0].shape.users = 200'000;  // 200k ops/s through one source
   cfg.warmup = msec(100);
   cfg.measure = msec(500);
-  const core::OpenLoopResult batched = core::runOpenLoopExperiment(cfg);
+  const core::ExperimentResult batched = core::runExperiment(cfg);
   ASSERT_GT(batched.generatorWakeups, 0u);
   const double perWake =
       static_cast<double>(batched.arrivalsGenerated) /
@@ -300,7 +300,7 @@ TEST(OpenLoop, BatchedGenerationAmortizesHeapEvents) {
   EXPECT_GT(perWake, 5.0);
 
   cfg.batchQuantum = 0;  // pace per arrival: ~one wakeup each
-  const core::OpenLoopResult paced = core::runOpenLoopExperiment(cfg);
+  const core::ExperimentResult paced = core::runExperiment(cfg);
   ASSERT_GT(paced.arrivalsGenerated, 0u);
   // Slightly under 1:1 only when two drawn arrivals share a timestamp.
   EXPECT_GE(static_cast<double>(paced.generatorWakeups),
@@ -310,17 +310,17 @@ TEST(OpenLoop, BatchedGenerationAmortizesHeapEvents) {
 TEST(OpenLoop, SourceDropGuardsCollapse) {
   // Offered far beyond capacity with a tiny in-flight cap: the source
   // sheds at the generator instead of growing client state unboundedly.
-  core::OpenLoopConfig cfg = smallConfig();
-  cfg.servers = 2;
-  cfg.tenants[0].sources = 1;
-  cfg.tenants[0].shape.users = 500'000;
+  core::ExperimentConfig cfg = smallConfig();
+  cfg.cluster.servers = 2;
+  cfg.openLoop[0].sources = 1;
+  cfg.openLoop[0].shape.users = 500'000;
   cfg.warmup = msec(100);
   cfg.measure = msec(500);
-  core::OpenLoopResult r;
+  core::ExperimentResult r;
   {
-    core::OpenLoopConfig c = cfg;
+    core::ExperimentConfig c = cfg;
     c.clusterHook = [](core::Cluster&) {};
-    r = core::runOpenLoopExperiment(c);
+    r = core::runExperiment(c);
   }
   EXPECT_GT(r.sourceDropped + r.shedRequests, 0u);
 }
@@ -432,14 +432,14 @@ TEST(OpenLoop, StoppedOpsLeaveTheInFlightCount) {
 TEST(OpenLoop, TenantIsolationUnderTenXSurge) {
   // The acceptance invariant: tenant B surges 10x; its admitted rate is
   // policed at the bucket while tenant A's intent-time p999 holds.
-  core::OpenLoopConfig cfg;
-  cfg.servers = 4;
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 4;
   cfg.workload = ycsb::WorkloadSpec::B(20'000);
   cfg.warmup = seconds(1);
   cfg.measure = seconds(5);
-  cfg.seed = 42;
+  cfg.cluster.seed = 42;
 
-  core::OpenLoopTenantConfig a;
+  core::OpenLoopTenant a;
   a.name = "tenantA";
   a.sources = 1;
   a.shape.users = 1'500;
@@ -448,7 +448,7 @@ TEST(OpenLoop, TenantIsolationUnderTenXSurge) {
   a.qosRatePerSec = 1'000;  // 4k/s cluster-wide >> 1.5k offered
   a.qosPriority = true;
 
-  core::OpenLoopTenantConfig b = a;
+  core::OpenLoopTenant b = a;
   b.name = "tenantB";
   b.shape.users = 1'500;
   b.qosRatePerSec = 750;  // 3k/s cluster-wide cap
@@ -456,12 +456,12 @@ TEST(OpenLoop, TenantIsolationUnderTenXSurge) {
   // 10x surge for 2 s in the middle of the measurement window.
   b.shape.flashCrowds = {{seconds(3), seconds(2), 10.0}};
 
-  cfg.tenants = {a, b};
-  const core::OpenLoopResult r = core::runOpenLoopExperiment(cfg);
+  cfg.openLoop = {a, b};
+  const core::ExperimentResult r = core::runExperiment(cfg);
 
   ASSERT_EQ(r.tenants.size(), 2u);
-  const core::OpenLoopTenantResult& ra = r.tenants[0];
-  const core::OpenLoopTenantResult& rb = r.tenants[1];
+  const core::TenantResult& ra = r.tenants[0];
+  const core::TenantResult& rb = r.tenants[1];
 
   // A never throttles; B does, hard, and only via the bucket.
   EXPECT_EQ(ra.qosThrottled, 0u);
@@ -497,18 +497,18 @@ class OpenLoopSeed : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(OpenLoopSeed, ReplaysBitIdentical) {
   const std::uint64_t seed = GetParam();
   auto run = [&](const std::string& dir) {
-    core::OpenLoopConfig cfg = smallConfig();
-    cfg.seed = seed;
+    core::ExperimentConfig cfg = smallConfig();
+    cfg.cluster.seed = seed;
     cfg.warmup = msec(300);
     cfg.measure = seconds(1);
     cfg.metricsDir = dir;
     // Exercise every schedule type in the replay: diurnal valley, flash
     // crowd, hot-key shift, on/off tenant.
-    cfg.tenants[0].shape.diurnal.period = msec(800);
-    cfg.tenants[0].shape.diurnal.points = {{0.0, 0.6}, {0.5, 1.4}};
-    cfg.tenants[0].shape.flashCrowds = {{msec(600), msec(200), 3.0}};
-    cfg.tenants[0].shape.hotKeyShifts = {{msec(500), 0xABCD}};
-    core::OpenLoopTenantConfig burst;
+    cfg.openLoop[0].shape.diurnal.period = msec(800);
+    cfg.openLoop[0].shape.diurnal.points = {{0.0, 0.6}, {0.5, 1.4}};
+    cfg.openLoop[0].shape.flashCrowds = {{msec(600), msec(200), 3.0}};
+    cfg.openLoop[0].shape.hotKeyShifts = {{msec(500), 0xABCD}};
+    core::OpenLoopTenant burst;
     burst.name = "burst";
     burst.sources = 1;
     burst.shape.process = load::TrafficShape::Process::kOnOff;
@@ -516,15 +516,15 @@ TEST_P(OpenLoopSeed, ReplaysBitIdentical) {
     burst.shape.onOffSources = 4;
     burst.readSlo = {msec(4), msec(20)};
     burst.updateSlo = {msec(8), msec(40)};
-    cfg.tenants.push_back(burst);
-    return core::runOpenLoopExperiment(cfg);
+    cfg.openLoop.push_back(burst);
+    return core::runExperiment(cfg);
   };
   const std::string dirA =
       ::testing::TempDir() + "openloop_replay_a" + std::to_string(seed);
   const std::string dirB =
       ::testing::TempDir() + "openloop_replay_b" + std::to_string(seed);
-  const core::OpenLoopResult a = run(dirA);
-  const core::OpenLoopResult b = run(dirB);
+  const core::ExperimentResult a = run(dirA);
+  const core::ExperimentResult b = run(dirB);
   EXPECT_EQ(a.opsMeasured, b.opsMeasured);
   EXPECT_EQ(a.eventsExecuted, b.eventsExecuted);
   EXPECT_EQ(a.arrivalsGenerated, b.arrivalsGenerated);

@@ -8,7 +8,7 @@
 #include <stdexcept>
 
 #include "core/cluster.hpp"
-#include "core/recovery_experiment.hpp"
+#include "core/experiment.hpp"
 #include "server/backup_service.hpp"
 #include "server/master_service.hpp"
 
@@ -243,16 +243,49 @@ TEST(Recovery, ReRereplicationMakesRecoveredDataDurableAgain) {
   EXPECT_TRUE(c.verifyAllKeysPresent(table, 10'000));
 }
 
+TEST(Recovery, CrashedRecoveryMasterDropsItsPendingBackupWrites) {
+  // Crashing a recovery master mid-replay destroys its RecoveryTask, and
+  // with it the side log's ReplicaManager, while a whole-segment backup
+  // write is still in flight. That write's send timer, RPC reply and
+  // ack/backoff continuations must become no-ops instead of reading the
+  // freed manager (a sanitizer build reports the use-after-free).
+  core::Cluster c(params(5, 2, 1 * 1024 * 1024));
+  const auto table = c.createTable("t");
+  c.bulkLoad(table, 40'000, 1000);
+  c.sim().runFor(seconds(1));
+  c.crashServer(0);
+  // An open side-log "rereplication" span (parented to its recovery task)
+  // marks a write whose continuations are still pending.
+  int busyNode = -1;
+  for (int i = 0; i < 200'000 && busyNode < 0; ++i) {
+    c.sim().runFor(sim::usec(50));
+    for (const auto& s : c.journal().spans()) {
+      if (s.name == "rereplication" && s.open && s.parent != 0) {
+        busyNode = s.node;
+      }
+    }
+  }
+  ASSERT_GT(busyNode, 1);
+  const int busy = busyNode - 1;  // serverNodeId(idx) == 1 + idx
+  ASSERT_GT(c.server(busy).master->activeRecoveries(), 0u);
+  c.crashServer(busy);
+  EXPECT_EQ(c.server(busy).master->activeRecoveries(), 0u);
+  // Past the replication timeout: every orphaned continuation has fired.
+  c.sim().runFor(seconds(2));
+  EXPECT_EQ(c.aliveServerCount(), 3);
+}
+
 TEST(Recovery, DiskReadsHappenWhenFramesWereFlushed) {
   // Bulk-loaded sealed segments sit on disk; recovery must read them back
   // (the paper Fig. 12's read activity).
-  core::RecoveryExperimentConfig cfg;
-  cfg.servers = 4;
-  cfg.replicationFactor = 2;
-  cfg.records = 100'000;
-  cfg.killAt = seconds(3);
-  cfg.settleAfter = seconds(1);
-  const auto r = core::runRecoveryExperiment(cfg);
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 4;
+  cfg.cluster.replicationFactor = 2;
+  cfg.workload = ycsb::WorkloadSpec::C(100'000);
+  cfg.crash.emplace();
+  cfg.crash->killAt = seconds(3);
+  cfg.crash->settleAfter = seconds(1);
+  const auto r = core::runExperiment(cfg);
   ASSERT_TRUE(r.recovered);
   EXPECT_GT(r.diskReadMBps.maxValue(), 0.5);
 }
@@ -261,13 +294,14 @@ TEST(Recovery, HigherRfWritesProportionallyMoreToDisk) {
   double written[2];
   int i = 0;
   for (int rf : {1, 3}) {
-    core::RecoveryExperimentConfig cfg;
-    cfg.servers = 5;
-    cfg.replicationFactor = rf;
-    cfg.records = 100'000;
-    cfg.killAt = seconds(3);
-    cfg.settleAfter = seconds(2);
-    const auto r = core::runRecoveryExperiment(cfg);
+    core::ExperimentConfig cfg;
+    cfg.cluster.servers = 5;
+    cfg.cluster.replicationFactor = rf;
+    cfg.workload = ycsb::WorkloadSpec::C(100'000);
+    cfg.crash.emplace();
+    cfg.crash->killAt = seconds(3);
+    cfg.crash->settleAfter = seconds(2);
+    const auto r = core::runExperiment(cfg);
     ASSERT_TRUE(r.recovered);
     double total = 0;
     for (const auto& p : r.diskWriteMBps.points()) {

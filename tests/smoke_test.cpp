@@ -9,13 +9,13 @@ namespace rc {
 namespace {
 
 TEST(Smoke, ClusterServesReadOnlyWorkload) {
-  core::YcsbExperimentConfig cfg;
-  cfg.servers = 2;
-  cfg.clients = 2;
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 2;
+  cfg.cluster.clients = 2;
   cfg.workload = ycsb::WorkloadSpec::C(10'000);
   cfg.warmup = sim::msec(200);
   cfg.measure = sim::seconds(1);
-  const auto r = core::runYcsbExperiment(cfg);
+  const auto r = core::runExperiment(cfg);
   EXPECT_GT(r.throughputOpsPerSec, 1000.0);
   EXPECT_EQ(r.opFailures, 0u);
   EXPECT_FALSE(r.crashed);
@@ -24,14 +24,14 @@ TEST(Smoke, ClusterServesReadOnlyWorkload) {
 }
 
 TEST(Smoke, ClusterServesUpdateHeavyWithReplication) {
-  core::YcsbExperimentConfig cfg;
-  cfg.servers = 3;
-  cfg.clients = 2;
-  cfg.replicationFactor = 2;
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = 3;
+  cfg.cluster.clients = 2;
+  cfg.cluster.replicationFactor = 2;
   cfg.workload = ycsb::WorkloadSpec::A(5'000);
   cfg.warmup = sim::msec(200);
   cfg.measure = sim::seconds(1);
-  const auto r = core::runYcsbExperiment(cfg);
+  const auto r = core::runExperiment(cfg);
   EXPECT_GT(r.throughputOpsPerSec, 500.0);
   EXPECT_EQ(r.opFailures, 0u);
 }

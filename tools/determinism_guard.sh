@@ -7,9 +7,11 @@
 # For seeds 101/202/303 it runs five configurations with --metrics-dir:
 # YCSB-B, YCSB-A with minitransactions (--tx), YCSB-A unreplicated (--rf 0),
 # a crash-recovery run and the open-loop bench (bench_openloop --quick,
-# which writes one run directory per experiment). Record on a build of the old code, check on a
-# build of the new one: a refactor that keeps the model unchanged leaves
-# every exported byte identical (docs/PERF.md, "The determinism guard").
+# which writes one run directory per experiment), and hashes each run's
+# stdout log next to its exports. Record on a build of the old code, check
+# on a build of the new one: a refactor that keeps the model unchanged
+# leaves every exported and printed byte identical (docs/PERF.md, "The
+# determinism guard").
 set -euo pipefail
 
 usage() {
@@ -20,8 +22,8 @@ usage() {
 [[ $# -ge 2 && $# -le 3 ]] || usage
 mode=$1
 file=$2
-build=${3:-build}
 [[ $mode == record || $mode == check ]] || usage
+build=$(cd "${3:-build}" && pwd)
 rcperf=$build/tools/rcperf
 openloop=$build/bench/bench_openloop
 [[ -x $rcperf ]] || { echo "no rcperf binary at $rcperf" >&2; exit 2; }
@@ -50,29 +52,30 @@ trap 'rm -rf "$work"' EXIT
 
 for seed in 101 202 303; do
   for cfg in "${configs[@]}"; do
-    out=$work/$seed/$cfg
-    mkdir -p "$out"
-    if ! run_config "$cfg" "$seed" "$out" > "$out.log" 2>&1; then
+    out=$seed/$cfg  # relative: the logs print it, so it must not vary
+    mkdir -p "$work/$out"
+    if ! (cd "$work" && run_config "$cfg" "$seed" "$out" > "$out.log" 2>&1)
+    then
       echo "run failed: $cfg seed $seed" >&2
-      cat "$out.log" >&2
+      cat "$work/$out.log" >&2
       exit 1
     fi
   done
 done
 
 hashes=$work/hashes
-(cd "$work" && find . -name '*.jsonl' | LC_ALL=C sort |
-   xargs sha256sum) > "$hashes"
-[[ -s $hashes ]] || { echo "no JSONL exports found" >&2; exit 1; }
+(cd "$work" && find . \( -name '*.jsonl' -o -name '*.log' \) |
+   LC_ALL=C sort | xargs sha256sum) > "$hashes"
+[[ -s $hashes ]] || { echo "no exports found" >&2; exit 1; }
 
 if [[ $mode == record ]]; then
   cp "$hashes" "$file"
-  echo "recorded $(wc -l < "$hashes") export hashes to $file"
+  echo "recorded $(wc -l < "$hashes") export and log hashes to $file"
   exit 0
 fi
 
 if cmp -s "$file" "$hashes"; then
-  echo "determinism guard: $(wc -l < "$hashes") exports byte-identical"
+  echo "determinism guard: $(wc -l < "$hashes") exports and logs byte-identical"
   exit 0
 fi
 echo "determinism guard: exports differ from $file" >&2

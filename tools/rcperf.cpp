@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "core/experiment.hpp"
-#include "core/recovery_experiment.hpp"
 #include "core/table_format.hpp"
 #include "fault/selfperf.hpp"
 #include "obs/slo_tracker.hpp"
@@ -95,22 +94,24 @@ ycsb::WorkloadSpec workloadFor(const Args& a) {
   return spec;
 }
 
-core::YcsbExperimentConfig ycsbConfig(const Args& a) {
-  core::YcsbExperimentConfig cfg;
-  cfg.servers = static_cast<int>(a.num("servers", 10));
-  cfg.clients = static_cast<int>(a.num("clients", 10));
-  cfg.replicationFactor = static_cast<int>(a.num("rf", 0));
+core::ExperimentConfig ycsbConfig(const Args& a) {
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = static_cast<int>(a.num("servers", 10));
+  cfg.cluster.clients = static_cast<int>(a.num("clients", 10));
+  cfg.cluster.replicationFactor = static_cast<int>(a.num("rf", 0));
   cfg.workload = workloadFor(a);
   cfg.warmup = sim::secondsF(a.num("warmup", 1.0));
   cfg.measure = sim::secondsF(a.num("measure", 4.0));
-  cfg.throttleOpsPerSec = a.num("throttle", 0);
-  cfg.seed = static_cast<std::uint64_t>(a.num("seed", 42));
+  cfg.client.throttleOpsPerSec = a.num("throttle", 0);
+  cfg.cluster.seed = static_cast<std::uint64_t>(a.num("seed", 42));
   cfg.metricsDir = a.str("metrics-dir", "");
-  cfg.transactional = a.has("tx");
-  if (cfg.transactional) {
-    cfg.transferProportion = a.num("tx-transfers", 0.05);
-    cfg.transferAccounts =
+  if (a.has("tx")) {
+    cfg.client.transactionalRmw = true;
+    cfg.client.transferProportion = a.num("tx-transfers", 0.05);
+    cfg.client.transferAccounts =
         static_cast<std::uint64_t>(a.num("tx-accounts", 12));
+    // Account pool above the zipfian/insert-probe range.
+    cfg.client.transferKeyBase = cfg.workload.recordCount * 4;
   }
   return cfg;
 }
@@ -121,12 +122,13 @@ void printYcsbHeaderCsv() {
       "cpu_pct,ops_per_joule,read_mean_us,update_mean_us,failures\n");
 }
 
-void printYcsbRow(const core::YcsbExperimentConfig& cfg,
-                  const core::YcsbExperimentResult& r, bool csv) {
+void printYcsbRow(const core::ExperimentConfig& cfg,
+                  const core::ExperimentResult& r, bool csv) {
   if (csv) {
     std::printf("%d,%d,%d,%s,%.0f,%.2f,%.2f,%.1f,%.2f,%.2f,%llu\n",
-                cfg.servers, cfg.clients, cfg.replicationFactor,
-                cfg.workload.name.c_str(), r.throughputOpsPerSec,
+                cfg.cluster.servers, cfg.cluster.clients,
+                cfg.cluster.replicationFactor, cfg.workload.name.c_str(),
+                r.throughputOpsPerSec,
                 r.meanPowerPerServerW, r.meanCpuPct, r.opsPerJoule,
                 r.readMeanLatencyUs, r.updateMeanLatencyUs,
                 static_cast<unsigned long long>(r.opFailures));
@@ -135,7 +137,7 @@ void printYcsbRow(const core::YcsbExperimentConfig& cfg,
   std::printf(
       "srv=%-3d cli=%-3d rf=%d wl=%-2s | %9.0f op/s | %6.1f W/node | "
       "%5.1f%% cpu | %6.1f op/J | rd %7.1fus up %8.1fus | fail %llu%s\n",
-      cfg.servers, cfg.clients, cfg.replicationFactor,
+      cfg.cluster.servers, cfg.cluster.clients, cfg.cluster.replicationFactor,
       cfg.workload.name.c_str(), r.throughputOpsPerSec,
       r.meanPowerPerServerW, r.meanCpuPct, r.opsPerJoule,
       r.readMeanLatencyUs, r.updateMeanLatencyUs,
@@ -146,7 +148,7 @@ void printYcsbRow(const core::YcsbExperimentConfig& cfg,
 int cmdYcsb(const Args& a) {
   const bool csv = a.has("csv");
   const auto cfg = ycsbConfig(a);
-  const auto r = core::runYcsbExperiment(cfg);
+  const auto r = core::runExperiment(cfg);
   if (csv) printYcsbHeaderCsv();
   printYcsbRow(cfg, r, csv);
   if (!cfg.metricsDir.empty()) {
@@ -190,11 +192,11 @@ int cmdSweep(const Args& a, const std::string& param) {
   for (int v : values) {
     auto cfg = ycsbConfig(a);
     if (param == "rf") {
-      cfg.replicationFactor = v;
+      cfg.cluster.replicationFactor = v;
     } else if (param == "servers") {
-      cfg.servers = v;
+      cfg.cluster.servers = v;
     } else if (param == "clients") {
-      cfg.clients = v;
+      cfg.cluster.clients = v;
     } else {
       std::fprintf(stderr, "sweep parameter must be rf|servers|clients\n");
       return 2;
@@ -203,26 +205,29 @@ int cmdSweep(const Args& a, const std::string& param) {
       // One run directory per sweep point.
       cfg.metricsDir += "/" + param + "=" + std::to_string(v);
     }
-    printYcsbRow(cfg, core::runYcsbExperiment(cfg), csv);
+    printYcsbRow(cfg, core::runExperiment(cfg), csv);
   }
   return 0;
 }
 
 int cmdRecovery(const Args& a) {
-  core::RecoveryExperimentConfig cfg;
-  cfg.servers = static_cast<int>(a.num("servers", 9));
-  cfg.replicationFactor = static_cast<int>(a.num("rf", 3));
-  cfg.records = static_cast<std::uint64_t>(a.num("records", 1'000'000));
-  cfg.valueBytes = static_cast<std::uint32_t>(a.num("value-bytes", 1000));
-  cfg.killAt = sim::secondsF(a.num("kill-at", 5.0));
-  cfg.probeClients = a.has("probe-clients");
-  cfg.seed = static_cast<std::uint64_t>(a.num("seed", 42));
+  core::ExperimentConfig cfg;
+  cfg.cluster.servers = static_cast<int>(a.num("servers", 9));
+  cfg.cluster.replicationFactor = static_cast<int>(a.num("rf", 3));
+  cfg.workload = ycsb::WorkloadSpec::C(
+      static_cast<std::uint64_t>(a.num("records", 1'000'000)));
+  cfg.workload.valueBytes =
+      static_cast<std::uint32_t>(a.num("value-bytes", 1000));
+  cfg.crash.emplace();
+  cfg.crash->killAt = sim::secondsF(a.num("kill-at", 5.0));
+  cfg.crash->probeClients = a.has("probe-clients");
+  cfg.cluster.seed = static_cast<std::uint64_t>(a.num("seed", 42));
   if (a.has("segment-mb")) {
-    cfg.segmentBytes =
+    cfg.cluster.master.log.segmentBytes =
         static_cast<std::uint64_t>(a.num("segment-mb", 8)) * 1024 * 1024;
   }
   cfg.metricsDir = a.str("metrics-dir", "");
-  const auto r = core::runRecoveryExperiment(cfg);
+  const auto r = core::runExperiment(cfg);
   std::printf(
       "recovered=%s detect=%.2fs replay=%.2fs data=%.2fGB "
       "peakCpu=%.0f%% power=%.1fW energy/node=%.0fJ allKeys=%s\n",
@@ -235,7 +240,7 @@ int cmdRecovery(const Args& a) {
     std::printf("%s", r.powerMeanW.toCsv("power_w").c_str());
     std::printf("%s", r.diskReadMBps.toCsv("disk_read_MBps").c_str());
     std::printf("%s", r.diskWriteMBps.toCsv("disk_write_MBps").c_str());
-    if (cfg.probeClients) {
+    if (cfg.crash->probeClients) {
       std::printf("%s", r.client1LatencyUs.toCsv("client1_us").c_str());
       std::printf("%s", r.client2LatencyUs.toCsv("client2_us").c_str());
     }
@@ -250,7 +255,7 @@ int cmdRecovery(const Args& a) {
 /// live cluster dashboard would poll, demonstrated against the simulator.
 int cmdTop(const Args& a) {
   auto cfg = ycsbConfig(a);
-  cfg.tenant = a.str("tenant", "ycsb");
+  cfg.client.tenant = a.str("tenant", "ycsb");
   cfg.readSlo = obs::SloTarget{sim::usecF(a.num("read-p99-us", 250)),
                                sim::usecF(a.num("read-p999-us", 1000))};
   cfg.updateSlo = obs::SloTarget{sim::usecF(a.num("update-p99-us", 600)),
@@ -259,12 +264,12 @@ int cmdTop(const Args& a) {
   const double qosRate = a.num("qos-rate", 0);
 
   // The ticker lives in this holder so it survives until the experiment
-  // returns (the hook runs inside runYcsbExperiment, before load).
+  // returns (the hook runs inside runExperiment, before load).
   auto ticker = std::make_shared<std::unique_ptr<sim::PeriodicTask>>();
   auto prevHeat = std::make_shared<obs::MetricRegistry::Snapshot>();
   auto prevShed = std::make_shared<std::pair<double, double>>(0.0, 0.0);
   auto prevQos = std::make_shared<obs::MetricRegistry::Snapshot>();
-  const std::string tenant = cfg.tenant;
+  const std::string tenant = cfg.client.tenant;
   cfg.clusterHook = [ticker, prevHeat, prevShed, prevQos, heatTop, qosRate,
                      tenant](core::Cluster& c) {
     if (qosRate > 0) {
@@ -374,7 +379,7 @@ int cmdTop(const Args& a) {
         });
   };
 
-  const auto r = core::runYcsbExperiment(cfg);
+  const auto r = core::runExperiment(cfg);
   ticker->reset();
   std::printf("\n");
   printYcsbRow(cfg, r, false);
