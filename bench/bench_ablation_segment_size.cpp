@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   core::TableFormatter t({"segment size (MB)", "recovery time (s)",
                           "all keys back"});
   double times[6];
+  bool allBack = true;
   int i = 0;
   for (std::uint64_t mb : sizesMB) {
     core::ExperimentConfig cfg;
@@ -39,6 +40,7 @@ int main(int argc, char** argv) {
     cfg.cluster.seed = opt.seed;
     const auto r = core::runExperiment(cfg);
     times[i++] = sim::toSeconds(r.recoveryDuration);
+    allBack &= r.recovered && r.allKeysRecovered;
     t.addRow({std::to_string(mb),
               core::TableFormatter::num(sim::toSeconds(r.recoveryDuration), 1),
               r.allKeysRecovered ? "yes" : "NO"});
@@ -53,5 +55,6 @@ int main(int argc, char** argv) {
           "8 MB is at or near the best recovery time");
   v.check(times[0] > times[3],
           "1 MB segments recover slower than 8 MB (per-segment overheads)");
+  v.check(allBack, "every segment size recovers every key");
   return v.exitCode();
 }

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   double joules[5];
   double rereplBusy[5];
   bool journalOk = true;
+  bool allBack = true;
   for (int rf = 1; rf <= 5; ++rf) {
     core::ExperimentConfig cfg;
     cfg.cluster.servers = 9;
@@ -39,6 +40,7 @@ int main(int argc, char** argv) {
     rereplBusy[rf - 1] = bench::spanBusySeconds(r.spans, "rereplication");
     const auto* root = bench::recoveryRoot(r.spans);
     journalOk &= root != nullptr && !root->open && !root->abandoned;
+    allBack &= r.recovered && r.allKeysRecovered;
     t.addRow({std::to_string(rf),
               core::TableFormatter::num(times[rf - 1], 1),
               core::TableFormatter::num(joules[rf - 1] / 1e3, 2),
@@ -69,5 +71,6 @@ int main(int argc, char** argv) {
   v.check(rereplBusy[4] > rereplBusy[0],
           "re-replication spans take longer at rf=5 than rf=1 "
           "(the replicated write path behind Finding 6)");
+  v.check(allBack, "every rf recovers every key");
   return v.exitCode();
 }

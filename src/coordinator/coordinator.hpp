@@ -98,7 +98,6 @@ class Coordinator : public net::RpcService {
   /// triggered). Returns false while the server still owns tablets.
   bool decommissionServer(server::ServerId id);
 
-  bool migrationInProgress() const { return !activeMigrations_.empty(); }
   std::uint64_t migrationsCompleted() const { return migrationsCompleted_; }
 
   /// Declare a server dead (the detector calls this; tests/harness may

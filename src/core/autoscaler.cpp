@@ -40,7 +40,6 @@ void Autoscaler::tick(sim::SimTime now) {
   if (active == 0) return;
   const double meanCpu = cpuSum / active;
   activeTrace_.add(now, active);
-  cpuTrace_.add(now, 100.0 * meanCpu);
 
   if (busy_) return;  // one resize at a time
 

@@ -43,7 +43,6 @@ class Autoscaler {
   /// 1-point-per-interval trace of the active server count (for plots).
   const sim::TimeSeries& activeTrace() const { return activeTrace_; }
   /// Mean CPU of active servers per interval.
-  const sim::TimeSeries& cpuTrace() const { return cpuTrace_; }
 
  private:
   void tick(sim::SimTime now);
@@ -61,7 +60,6 @@ class Autoscaler {
   int scaleUps_ = 0;
   int scaleDowns_ = 0;
   sim::TimeSeries activeTrace_;
-  sim::TimeSeries cpuTrace_;
 };
 
 }  // namespace rc::core

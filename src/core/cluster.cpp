@@ -581,7 +581,7 @@ void Cluster::bulkLoad(std::uint64_t tableId, std::uint64_t records,
     const server::ServerId owner = ownerOfKey(tableId, key);
     if (owner == node::kInvalidNode) continue;
     if (auto* m = directory_.masterOn(owner)) {
-      m->bulkInsert(tableId, key, valueBytes, sim_.now());
+      m->bulkInsert(tableId, key, valueBytes);
     }
   }
   for (auto& s : servers_) {

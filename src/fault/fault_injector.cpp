@@ -18,16 +18,12 @@ const char* faultKindName(FaultKind k) {
       return "network_delay";
     case FaultKind::kPartition:
       return "partition";
-    case FaultKind::kHealNetwork:
-      return "heal_network";
     case FaultKind::kDiskStall:
       return "disk_stall";
     case FaultKind::kDiskDegrade:
       return "disk_degrade";
     case FaultKind::kDiskRestore:
       return "disk_restore";
-    case FaultKind::kDropFrames:
-      return "drop_frames";
     case FaultKind::kCorruptFrames:
       return "corrupt_frames";
     case FaultKind::kCpuThrottle:
@@ -161,16 +157,11 @@ void FaultInjector::fire(const FaultEvent& ev) {
     case FaultKind::kCrashBeforeReply:
       fireCrashBeforeReply(ev);
       return;
-    case FaultKind::kHealNetwork:
-      record(ev);
-      healTag(ev.tag);
-      return;
     case FaultKind::kDiskStall:
     case FaultKind::kDiskDegrade:
     case FaultKind::kDiskRestore:
       fireDisk(ev);
       return;
-    case FaultKind::kDropFrames:
     case FaultKind::kCorruptFrames:
       fireFrames(ev);
       return;
@@ -201,7 +192,6 @@ void FaultInjector::fireNetwork(const FaultEvent& ev) {
   r.id = nextRuleId_++;
   r.a = resolveSet(ev.setA, ev.server);
   r.b = resolveSet(ev.setB, -1);
-  r.tag = ev.tag;
   switch (ev.kind) {
     case FaultKind::kNetworkLoss:
       r.loss = std::clamp(ev.magnitude, 0.0, 1.0);
@@ -236,15 +226,6 @@ void FaultInjector::fireNetwork(const FaultEvent& ev) {
       journalEvent(*evp, "heal_");
     });
   }
-}
-
-void FaultInjector::healTag(const std::string& tag) {
-  rules_.erase(std::remove_if(rules_.begin(), rules_.end(),
-                              [&tag](const LinkRule& r) {
-                                return r.tag == tag;
-                              }),
-               rules_.end());
-  syncFilter();
 }
 
 void FaultInjector::removeRule(std::uint64_t ruleId) {
@@ -293,13 +274,8 @@ void FaultInjector::fireFrames(const FaultEvent& ev) {
   if (!cluster_.serverAlive(idx)) return;
   record(ev);
   journalEvent(ev, "fault_");
-  auto& backup = *cluster_.server(idx).backup;
   const int count = std::max(0, static_cast<int>(ev.magnitude));
-  if (ev.kind == FaultKind::kDropFrames) {
-    backup.injectFrameLoss(count, rng_);
-  } else {
-    backup.injectFrameCorruption(count, rng_);
-  }
+  cluster_.server(idx).backup->injectFrameCorruption(count, rng_);
 }
 
 void FaultInjector::fireCpu(const FaultEvent& ev) {

@@ -27,8 +27,7 @@ namespace rc::fault {
 /// Network faults funnel through one Network fault filter installed at
 /// arm(): an ordered list of link rules (loss probability, extra latency,
 /// partitions as loss=1.0) matched bidirectionally against (from, to).
-/// Rules are removed when their duration elapses or a kHealNetwork event
-/// names their tag.
+/// Rules are removed when their duration elapses.
 class FaultInjector {
  public:
   /// One line of the what-actually-happened ledger, for assertions.
@@ -50,7 +49,6 @@ class FaultInjector {
 
   const std::vector<Injection>& injections() const { return injections_; }
   int crashesInjected() const { return crashes_; }
-  int recoveriesObserved() const { return recoveriesSeen_; }
   std::size_t activeNetworkRules() const { return rules_.size(); }
 
  private:
@@ -63,7 +61,6 @@ class FaultInjector {
     /// false: match (a,b) in either direction. true: only a -> b — used by
     /// kReplyDrop so requests get through while replies vanish.
     bool directional = false;
-    std::string tag;
   };
 
   void scheduleEvent(const FaultEvent& ev);
@@ -72,7 +69,6 @@ class FaultInjector {
 
   void fireCrash(const FaultEvent& ev);
   void fireNetwork(const FaultEvent& ev);
-  void healTag(const std::string& tag);
   void removeRule(std::uint64_t ruleId);
 
   /// Install the Network fault filter only while link rules exist. Every

@@ -16,11 +16,9 @@ enum class FaultKind {
   kNetworkLoss,    ///< drop each matching message with probability
   kNetworkDelay,   ///< add fixed extra one-way latency to matching messages
   kPartition,      ///< drop everything between two node sets
-  kHealNetwork,    ///< remove network rules carrying a given tag
   kDiskStall,      ///< firmware-style pause: no I/O progress for `duration`
   kDiskDegrade,    ///< divide disk throughput by `magnitude`
   kDiskRestore,    ///< restore nominal disk throughput
-  kDropFrames,     ///< silently delete `magnitude` replica frames
   kCorruptFrames,  ///< mark `magnitude` frames unreadable (listed but
                    ///< failing on read — the nasty kind)
   kCpuThrottle,    ///< gray failure: cap worker capacity at `magnitude`
@@ -76,8 +74,7 @@ struct FaultEvent {
   /// Extra one-way latency for kNetworkDelay.
   sim::Duration extraLatency = 0;
 
-  /// Label connecting a fault to its heal (kHealNetwork removes rules by
-  /// tag) and identifying it in the journal.
+  /// Label identifying the fault in the injection ledger and the journal.
   std::string tag;
 };
 
@@ -150,15 +147,6 @@ struct FaultPlan {
     return *this;
   }
 
-  FaultPlan& healNetwork(sim::SimTime at, std::string tag) {
-    FaultEvent e;
-    e.kind = FaultKind::kHealNetwork;
-    e.trigger.at = at;
-    e.tag = std::move(tag);
-    events.push_back(std::move(e));
-    return *this;
-  }
-
   FaultPlan& diskStall(sim::SimTime at, int serverIdx,
                        sim::Duration duration) {
     FaultEvent e;
@@ -178,16 +166,6 @@ struct FaultPlan {
     e.server = serverIdx;
     e.magnitude = factor;
     e.duration = duration;
-    events.push_back(std::move(e));
-    return *this;
-  }
-
-  FaultPlan& dropFrames(sim::SimTime at, int serverIdx, int count) {
-    FaultEvent e;
-    e.kind = FaultKind::kDropFrames;
-    e.trigger.at = at;
-    e.server = serverIdx;
-    e.magnitude = count;
     events.push_back(std::move(e));
     return *this;
   }

@@ -67,7 +67,6 @@ class Disk {
   /// Throughput degradation: both rates are divided by `factor` (>= 1;
   /// 1 restores nominal speed). Applies to chunks started after the call.
   void setSlowdownFactor(double factor);
-  double slowdownFactor() const { return slowdown_; }
 
   /// Firmware-style stall: no new chunk starts before now + `d`. In-flight
   /// chunks finish; queued operations (and their seek/rotate state) are

@@ -112,7 +112,6 @@ class SloTracker {
   void setEnergyProbe(EnergyProbe probe) { energyProbe_ = std::move(probe); }
 
   bool enabled() const { return !classes_.empty(); }
-  sim::Duration windowLength() const { return window_; }
   std::uint64_t windowIndexAt(sim::SimTime t) const {
     return static_cast<std::uint64_t>(t) / static_cast<std::uint64_t>(window_);
   }
@@ -157,7 +156,6 @@ class SloTracker {
     if (on && !exemplarBrownout_) ++brownoutEngagements_;
     exemplarBrownout_ = on;
   }
-  bool exemplarBrownout() const { return exemplarBrownout_; }
   std::uint64_t brownoutEngagements() const { return brownoutEngagements_; }
 
   /// slo.jsonl: slo_window / slo_node / exemplar / exemplar_stage lines,

@@ -42,12 +42,6 @@ class EnergyMeter {
     return componentTotals_[static_cast<std::size_t>(c)];
   }
 
-  double cellJoules(Component c, OpClass o, std::uint16_t tenant) const {
-    return cells_[cellIndex(static_cast<std::size_t>(c),
-                            static_cast<std::size_t>(o),
-                            tenantSlot(tenant))];
-  }
-
   /// Dynamic joules charged against a tenant slot (all components).
   double tenantJoules(std::uint16_t tenant) const {
     return tenantTotals_[tenantSlot(tenant)];

@@ -43,11 +43,6 @@ class PduSampler {
   /// Mean sampled watts over the whole trace.
   double meanWatts() const { return trace_.meanValue(); }
 
-  /// Mean sampled watts within [from, to).
-  double meanWattsInWindow(sim::SimTime from, sim::SimTime to) const {
-    return trace_.meanInWindow(from, to);
-  }
-
   /// Energy in joules over [from, to) computed exactly as the paper does:
   /// each power sample multiplied by the window it covers, summed. Windows
   /// are the actual inter-sample gaps (the final stop() sample may cover a

@@ -309,28 +309,6 @@ std::vector<BackupService::FrameKey> BackupService::sortedFrameKeys() const {
   return keys;
 }
 
-std::size_t BackupService::injectFrameLoss(std::size_t count,
-                                           sim::Rng& rng) {
-  std::vector<FrameKey> keys = sortedFrameKeys();
-  std::size_t dropped = 0;
-  while (dropped < count && !keys.empty()) {
-    const std::size_t pick = rng.uniformInt(keys.size());
-    const FrameKey key = keys[pick];
-    keys.erase(keys.begin() + static_cast<std::ptrdiff_t>(pick));
-    auto it = frames_.find(key);
-    if (it == frames_.end()) continue;
-    const Frame& f = it->second;
-    if (f.closed && !f.onDisk) {
-      unflushedBytes_ -= std::min(unflushedBytes_, f.ackedBytes);
-    }
-    // Pending loadWaiters see the frame vanish and answer kError.
-    frames_.erase(it);
-    ++dropped;
-  }
-  if (dropped > 0) drainAckWaiters();
-  return dropped;
-}
-
 std::size_t BackupService::injectFrameCorruption(std::size_t count,
                                                  sim::Rng& rng) {
   std::vector<FrameKey> keys = sortedFrameKeys();

@@ -74,14 +74,11 @@ class BackupService : public net::RpcService {
 
   // ----- fault injection (see fault::FaultInjector)
 
-  /// Silently drop up to `count` frames (lost backup state). Selection is
-  /// deterministic: frames sorted by (master, segment), picked via `rng`.
-  /// Returns the number of frames actually dropped.
-  std::size_t injectFrameLoss(std::size_t count, sim::Rng& rng);
-
-  /// Mark up to `count` frames corrupt. Corrupt frames still show up in
-  /// segment lists — the failure is only discovered when recovery tries to
-  /// read them (kGetRecoveryData fails), exercising replica fallback.
+  /// Mark up to `count` frames corrupt. Selection is deterministic: frames
+  /// sorted by (master, segment), picked via `rng`. Corrupt frames still
+  /// show up in segment lists — the failure is only discovered when
+  /// recovery tries to read them (kGetRecoveryData fails), exercising
+  /// replica fallback.
   std::size_t injectFrameCorruption(std::size_t count, sim::Rng& rng);
 
   std::uint64_t unflushedBytes() const { return unflushedBytes_; }

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <atomic>
 #include <cstdio>
+#include <span>
 #include <utility>
 
 #include "server/backup_service.hpp"
@@ -84,7 +85,7 @@ std::vector<node::NodeId> MasterService::backupCandidates() const {
 }
 
 int MasterService::concurrentStreams() const {
-  const sim::SimTime cutoff = node_.sim().now() - params_.concurrencyWindow;
+  const sim::SimTime cutoff = node_.sim().now() - kConcurrencyWindow;
   int n = 0;
   for (const sim::SimTime last : recentStreams_) n += last >= cutoff;
   return n;
@@ -98,101 +99,136 @@ void MasterService::noteStream(node::NodeId from) {
 
 void MasterService::handleRpc(const net::RpcRequest& req, node::NodeId from,
                               Responder respond) {
-  if (req.op == net::Opcode::kRead || req.op == net::Opcode::kWrite ||
-      req.op == net::Opcode::kRemove || req.op == net::Opcode::kTxPrepare ||
-      req.op == net::Opcode::kTxDecision) {
-    noteStream(from);
-    // Span opened at client issue time: the elapsed stage is the
-    // client->server network + transport leg.
-    stampTrace(req.traceSpan, obs::TimeTrace::Stage::kNetworkRequest);
-  }
-  // Admission control: shed data-plane work before it costs a worker.
-  // Exempt: pings and control plane (cheap / load-shedding them hides
-  // failures), replication+recovery (rf safety), and kTxDecision — shedding
-  // a lock release would wedge the lock table (docs/OVERLOAD.md).
+  // Every data-plane opcode takes the read path or the mutation pipeline;
+  // a tx prepare without a payload only validates a read-only tx's read.
+  ReadBody read = nullptr;
+  Body mutation = nullptr;
   switch (req.op) {
     case net::Opcode::kRead:
-    case net::Opcode::kWrite:
-    case net::Opcode::kRemove:
-    case net::Opcode::kTxPrepare:
+      read = &MasterService::readBody;
+      break;
     case net::Opcode::kScan:
+      read = &MasterService::scanBody;
+      break;
     case net::Opcode::kMultiRead:
-    case net::Opcode::kMultiWrite: {
-      const bool isWrite = req.op != net::Opcode::kRead &&
-                           req.op != net::Opcode::kScan &&
-                           req.op != net::Opcode::kMultiRead;
-      const Dispatch::AdmitResult ar =
-          dispatch_.admit(isWrite, static_cast<int>(req.tenant));
-      if (!ar.admitted) {
-        ++stats_.shedRequests;
-        // One dispatch poll to emit the rejection: cheap, but not free.
-        dispatch_.enqueue([respond = std::move(respond),
-                           retryAfter = ar.retryAfter]() mutable {
-          net::RpcResponse r;
-          r.status = net::Status::kOverloaded;
-          r.a = static_cast<std::uint64_t>(retryAfter);
-          respond(std::move(r));
-        });
-        return;
+      read = &MasterService::multiReadBody;
+      break;
+    case net::Opcode::kTxPrepare:
+      if (req.payloadBytes == 0) {
+        read = &MasterService::validateBody;
+      } else {
+        mutation = &MasterService::prepareBody;
       }
       break;
-    }
-    default:
+    case net::Opcode::kWrite:
+      mutation = &MasterService::writeBody;
       break;
-  }
-  switch (req.op) {
-    case net::Opcode::kPing: {
+    case net::Opcode::kRemove:
+      mutation = &MasterService::removeBody;
+      break;
+    case net::Opcode::kTxDecision:
+      mutation = &MasterService::decisionBody;
+      break;
+    case net::Opcode::kMultiWrite:
+      mutation = &MasterService::multiWriteBody;
+      break;
+    case net::Opcode::kPing:
       // Pings are answered by the dispatch thread itself.
       dispatch_.enqueue([respond = std::move(respond)]() mutable {
         respond(net::RpcResponse{});
       });
-      break;
-    }
-    case net::Opcode::kRead:
-      onRead(req, std::move(respond));
-      break;
-    case net::Opcode::kWrite:
-      onMutation(req, std::move(respond), &MasterService::writeBody);
-      break;
-    case net::Opcode::kTxPrepare:
-      onMutation(req, std::move(respond), &MasterService::prepareBody);
-      break;
-    case net::Opcode::kTxDecision:
-      onMutation(req, std::move(respond), &MasterService::decisionBody);
-      break;
+      return;
     case net::Opcode::kTxVote:
       onTxVote(req, std::move(respond));
-      break;
-    case net::Opcode::kRemove:
-      onMutation(req, std::move(respond), &MasterService::removeBody);
-      break;
-    case net::Opcode::kScan:
-      onScan(req, std::move(respond));
-      break;
-    case net::Opcode::kMultiRead:
-      onMultiRead(req, std::move(respond));
-      break;
-    case net::Opcode::kMultiWrite:
-      onMutation(req, std::move(respond), &MasterService::multiWriteBody);
-      break;
+      return;
     case net::Opcode::kStartRecovery:
       onStartRecovery(req, std::move(respond));
-      break;
+      return;
     case net::Opcode::kServerListUpdate:
       onServerListUpdate(req, std::move(respond));
-      break;
+      return;
     case net::Opcode::kMigrateTablet:
       onMigrateTablet(req, std::move(respond));
-      break;
+      return;
     case net::Opcode::kMigrationData:
       onMigrationData(req, std::move(respond));
-      break;
-    default: {
-      net::RpcResponse r;
-      r.status = net::Status::kError;
-      respond(std::move(r));
+      return;
+    default:
+      reject(respond, net::Status::kError);
+      return;
+  }
+  noteStream(from);
+  // Span opened at client issue time: the elapsed stage is the
+  // client->server network + transport leg.
+  stampTrace(req.traceSpan, obs::TimeTrace::Stage::kNetworkRequest);
+  // Admission control: shed data-plane work before it costs a worker.
+  // Exempt: kTxDecision — shedding a lock release would wedge the lock
+  // table — and, outside this path, pings and control plane (cheap /
+  // load-shedding them hides failures) and replication+recovery (rf
+  // safety) (docs/OVERLOAD.md). A tx validation is shed as a write.
+  if (req.op != net::Opcode::kTxDecision) {
+    const Dispatch::AdmitResult ar =
+        dispatch_.admit(/*isWrite=*/read == nullptr ||
+                            req.op == net::Opcode::kTxPrepare,
+                        static_cast<int>(req.tenant));
+    if (!ar.admitted) {
+      ++stats_.shedRequests;
+      // One dispatch poll to emit the rejection: cheap, but not free.
+      dispatch_.enqueue([respond = std::move(respond),
+                         retryAfter = ar.retryAfter]() mutable {
+        net::RpcResponse r;
+        r.status = net::Status::kOverloaded;
+        r.a = static_cast<std::uint64_t>(retryAfter);
+        respond(std::move(r));
+      });
+      return;
     }
   }
+  auto m = std::make_shared<Request>();
+  m->op = req.op;
+  m->tableId = req.a;
+  m->clientId = req.clientId;
+  m->rpcSeq = req.rpcSeq;
+  m->firstUnacked = req.firstUnacked;
+  m->span = req.traceSpan;
+  m->tenant = req.tenant;
+  m->arrival = node_.sim().now();
+  m->respond = std::move(respond);
+  m->keys = req.keys;
+  if (req.op == net::Opcode::kMultiWrite) {
+    m->valueBytes = static_cast<std::uint32_t>(req.b);
+  } else {
+    m->keyId = req.b;
+    m->endHash = req.c;
+    m->valueBytes = static_cast<std::uint32_t>(req.payloadBytes);
+    m->txId = req.d;
+    if (req.op == net::Opcode::kTxDecision) {
+      m->commit = (req.c & 1) != 0;
+      m->fromResolution = (req.c & 2) != 0;
+    } else {
+      m->expected = req.c;
+    }
+  }
+  if (req.op == net::Opcode::kTxPrepare && req.keys && !req.keys->empty()) {
+    // Participant key list packed as alternating (tableId, keyId) pairs.
+    auto parts = std::make_shared<
+        std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
+    parts->reserve(req.keys->size() / 2);
+    for (std::size_t i = 0; i + 1 < req.keys->size(); i += 2) {
+      parts->emplace_back((*req.keys)[i], (*req.keys)[i + 1]);
+    }
+    m->participants = std::move(parts);
+  }
+  if (read == nullptr) {
+    dispatch_.enqueue(guard([this, m, mutation]() mutable {
+      if (admit(*m)) commit(std::move(m), mutation);
+    }));
+    return;
+  }
+  if (req.op == net::Opcode::kRead) map_.prefetch(hash::Key{req.a, req.b});
+  dispatch_.enqueue(guard([this, m, read]() mutable {
+    if (admitRead(*m)) serveRead(std::move(m), read);
+  }));
 }
 
 void MasterService::crash() {
@@ -223,19 +259,19 @@ void MasterService::addTablet(const Tablet& t) {
   }
 }
 
-void MasterService::noteTabletOp(std::uint64_t tableId, std::uint64_t keyId,
-                                 bool isWrite) {
-  const std::uint64_t h = hash::keyHash(hash::Key{tableId, keyId});
+const Tablet* MasterService::tabletFor(std::uint64_t tableId,
+                                       std::uint64_t hash) const {
   for (const Tablet& t : tablets_) {
-    if (t.covers(tableId, h)) {
-      TabletHeat& heat = tabletHeat_[{t.tableId, t.startHash}];
-      if (isWrite) {
-        ++heat.writes;
-      } else {
-        ++heat.reads;
-      }
-      return;
-    }
+    if (t.covers(tableId, hash)) return &t;
+  }
+  return nullptr;
+}
+
+void MasterService::noteTabletOp(std::uint64_t tableId, std::uint64_t hash,
+                                 bool isWrite) {
+  if (const Tablet* t = tabletFor(tableId, hash)) {
+    TabletHeat& heat = tabletHeat_[{t->tableId, t->startHash}];
+    ++(isWrite ? heat.writes : heat.reads);
   }
 }
 
@@ -258,11 +294,19 @@ void MasterService::registerTabletHeat(std::uint64_t tableId,
 }
 
 bool MasterService::ownsKey(std::uint64_t tableId, std::uint64_t keyId) const {
-  const std::uint64_t h = hash::keyHash(hash::Key{tableId, keyId});
-  for (const Tablet& t : tablets_) {
-    if (t.covers(tableId, h)) return true;
+  return tabletFor(tableId, hash::keyHash(hash::Key{tableId, keyId})) !=
+         nullptr;
+}
+
+bool MasterService::ownsRange(std::uint64_t tableId, std::uint64_t first,
+                              std::uint64_t last) const {
+  // Adjacent tablets of this master may share the range between them.
+  for (std::uint64_t h = first;;) {
+    const Tablet* t = tabletFor(tableId, h);
+    if (t == nullptr) return false;
+    if (t->endHash >= last) return true;
+    h = t->endHash + 1;
   }
-  return false;
 }
 
 MasterService::ApplyResult MasterService::applyWrite(std::uint64_t tableId,
@@ -271,7 +315,7 @@ MasterService::ApplyResult MasterService::applyWrite(std::uint64_t tableId,
   log::LogEntry e;
   e.tableId = tableId;
   e.keyId = keyId;
-  e.sizeBytes = valueBytes + params_.objectOverheadBytes;
+  e.sizeBytes = valueBytes + kObjectOverheadBytes;
   e.version = log_.nextVersion();
   e.type = log::EntryType::kObject;
   const log::LogRef ref = log_.append(e, node_.sim().now());
@@ -291,7 +335,7 @@ log::LogRef MasterService::appendCompletion(std::uint64_t tableId,
   log::LogEntry c;
   c.tableId = tableId;
   c.keyId = keyId;
-  c.sizeBytes = params_.completionRecordBytes;
+  c.sizeBytes = kCompletionRecordBytes;
   c.version = version;
   c.type = log::EntryType::kCompletion;
   c.clientId = clientId;
@@ -323,7 +367,7 @@ void MasterService::releaseCompletionRecords(
 void MasterService::startLeaseReclaim() {
   if (leaseReclaim_ != nullptr || !directory_.leaseValid) return;
   leaseReclaim_ = std::make_unique<sim::PeriodicTask>(
-      node_.sim(), params_.leaseReclaimInterval, [this](sim::SimTime) {
+      node_.sim(), kLeaseReclaimInterval, [this](sim::SimTime) {
         if (!node_.cpu().poweredOn()) return;
         std::vector<log::LogRef> freed;
         unacked_.reclaimExpired(directory_.leaseValid, &freed);
@@ -331,7 +375,7 @@ void MasterService::startLeaseReclaim() {
         sweepOrphanedTx();
         std::vector<log::LogRef> txFreed;
         txLocks_.gcResolved(directory_.leaseValid, node_.sim().now(),
-                            2 * params_.leaseReclaimInterval, &txFreed);
+                            2 * kLeaseReclaimInterval, &txFreed);
         for (const log::LogRef& ref : txFreed) {
           if (ref.valid() && log_.segment(ref.segment) != nullptr) {
             log_.markDead(ref);
@@ -340,141 +384,176 @@ void MasterService::startLeaseReclaim() {
       });
 }
 
-void MasterService::onRead(const net::RpcRequest& req, Responder respond) {
-  const std::uint64_t tableId = req.a;
-  const std::uint64_t keyId = req.b;
-  const std::uint64_t span = req.traceSpan;
-  const std::uint16_t tenant = req.tenant;
-  const sim::SimTime arrival = node_.sim().now();
-  map_.prefetch(hash::Key{tableId, keyId});
+bool MasterService::reject(Responder& respond, net::Status status) {
+  net::RpcResponse r;
+  r.status = status;
+  respond(std::move(r));
+  return false;
+}
 
-  dispatch_.enqueue(guard([this, tableId, keyId, span, arrival, tenant,
-                           respond = std::move(respond)]() mutable {
-    stampTrace(span, obs::TimeTrace::Stage::kDispatchWait);
-    if (!ownsKey(tableId, keyId)) {
-      ++stats_.unknownTablet;
-      net::RpcResponse r;
-      r.status = net::Status::kUnknownTablet;
-      respond(std::move(r));
-      return;
-    }
-    noteTabletOp(tableId, keyId, /*isWrite=*/false);
-    node_.cpu().acquireWorker(guard([this, tableId, keyId, span, arrival,
-                                     tenant,
-                                     respond =
-                                         std::move(respond)](int w) mutable {
-      node_.cpu().tagWorker(w, {power::OpClass::kRead, tenant});
+void MasterService::serveRead(RequestPtr r, ReadBody body) {
+  node_.cpu().acquireWorker(guard([this, r, body](int w) mutable {
+    node_.cpu().tagWorker(w, {power::OpClass::kRead, r->tenant});
+    if (r->op == net::Opcode::kRead) {
       // The slot was prefetched on arrival; now pull the entry it points
       // at, which holds the version and size the reply carries.
-      map_.prefetchEntry(hash::Key{tableId, keyId});
-      node_.sim().schedule(
-          params_.readServiceTime,
-          guard([this, tableId, keyId, span, arrival, tenant, w,
-                 respond = std::move(respond)]() mutable {
-            node_.cpu().releaseWorker(w);
-            const auto loc = map_.get(hash::Key{tableId, keyId});
-            net::RpcResponse r;
-            if (loc) {
-              r.a = 1;
-              r.b = loc->version;
-              r.payloadBytes = loc->sizeBytes;
-              node_.chargeDram(loc->sizeBytes,
-                               {power::OpClass::kRead, tenant});
-            } else {
-              r.a = 0;
-              ++stats_.missingKeys;
-            }
-            ++stats_.reads;
-            stats_.readServiceLatency.add(node_.sim().now() - arrival);
-            dispatch_.noteSojourn(node_.sim().now() - arrival);
-            stampTrace(span, obs::TimeTrace::Stage::kWorkerService);
-            respond(std::move(r));
-          }));
-    }));
+      map_.prefetchEntry(hash::Key{r->tableId, r->keyId});
+    }
+    node_.sim().schedule(
+        readServiceTime(*r), guard([this, r, body, w]() mutable {
+          node_.cpu().releaseWorker(w);
+          net::RpcResponse reply;
+          if (const std::uint64_t reads = (this->*body)(*r, reply)) {
+            stats_.reads += reads;
+            stats_.readServiceLatency.add(node_.sim().now() - r->arrival);
+            dispatch_.noteSojourn(node_.sim().now() - r->arrival);
+          }
+          stampTrace(r->span, obs::TimeTrace::Stage::kWorkerService);
+          r->respond(std::move(reply));
+        }));
   }));
 }
 
-void MasterService::onMutation(const net::RpcRequest& req, Responder respond,
-                               Body body) {
-  auto m = std::make_shared<Mutation>();
-  m->op = req.op;
-  m->tableId = req.a;
-  m->clientId = req.clientId;
-  m->rpcSeq = req.rpcSeq;
-  m->firstUnacked = req.firstUnacked;
-  m->span = req.traceSpan;
-  m->tenant = req.tenant;
-  m->arrival = node_.sim().now();
-  m->respond = std::move(respond);
-  if (req.op == net::Opcode::kMultiWrite) {
-    m->valueBytes = static_cast<std::uint32_t>(req.b);
-    m->keys = req.keys;
+bool MasterService::admitRead(Request& r) {
+  stampTrace(r.span, obs::TimeTrace::Stage::kDispatchWait);
+  if (r.op == net::Opcode::kMultiRead && (!r.keys || r.keys->empty())) {
+    return reject(r.respond, net::Status::kError);
+  }
+  const auto keys = r.op == net::Opcode::kMultiRead
+                        ? std::span<const std::uint64_t>(*r.keys)
+                        : std::span<const std::uint64_t>(&r.keyId, 1);
+  // A batch is not split: one key owned elsewhere sends it all back.
+  const bool owned =
+      r.op == net::Opcode::kScan
+          ? ownsRange(r.tableId, r.keyId, r.endHash)
+          : std::ranges::all_of(keys, [&](std::uint64_t k) {
+              return ownsKey(r.tableId, k);
+            });
+  if (!owned) {
+    ++stats_.unknownTablet;
+    return reject(r.respond, net::Status::kUnknownTablet);
+  }
+  if (r.op == net::Opcode::kTxPrepare &&
+      isMigratingRange(r.tableId,
+                       hash::keyHash(hash::Key{r.tableId, r.keyId}))) {
+    // A validation answers like a locking prepare: the client backs off and
+    // re-routes once the coordinator flips the tablet map.
+    return reject(r.respond, net::Status::kRecovering);
+  }
+  if (r.op == net::Opcode::kScan) {
+    noteTabletOp(r.tableId, r.keyId, /*isWrite=*/false);
+    return true;
+  }
+  for (const std::uint64_t k : keys) {
+    noteTabletOp(r.tableId, hash::keyHash(hash::Key{r.tableId, k}),
+                 /*isWrite=*/false);
+  }
+  return true;
+}
+
+sim::Duration MasterService::readServiceTime(const Request& r) const {
+  switch (r.op) {
+    case net::Opcode::kScan:
+      // Every index entry costs a probe, inside the range or not.
+      return kScanSetupCpu +
+             kScanPerEntryCpu * static_cast<sim::Duration>(map_.size());
+    case net::Opcode::kMultiRead:
+      return kMultiOpBaseCpu +
+             kMultiReadPerKeyCpu *
+                 static_cast<sim::Duration>(r.keys->size());
+    default:
+      return params_.readServiceTime;
+  }
+}
+
+std::uint64_t MasterService::readBody(const Request& r,
+                                      net::RpcResponse& reply) {
+  if (const auto loc = map_.get(hash::Key{r.tableId, r.keyId})) {
+    reply.a = 1;
+    reply.b = loc->version;
+    reply.payloadBytes = loc->sizeBytes;
+    node_.chargeDram(loc->sizeBytes, {power::OpClass::kRead, r.tenant});
   } else {
-    m->keyId = req.b;
-    m->valueBytes = static_cast<std::uint32_t>(req.payloadBytes);
-    m->txId = req.d;
-    if (req.op == net::Opcode::kTxDecision) {
-      m->commit = (req.c & 1) != 0;
-      m->fromResolution = (req.c & 2) != 0;
-    } else {
-      m->expected = req.c;
-    }
+    ++stats_.missingKeys;
   }
-  if (req.op == net::Opcode::kTxPrepare && req.keys && !req.keys->empty()) {
-    // Participant key list packed as alternating (tableId, keyId) pairs.
-    auto parts = std::make_shared<
-        std::vector<std::pair<std::uint64_t, std::uint64_t>>>();
-    parts->reserve(req.keys->size() / 2);
-    for (std::size_t i = 0; i + 1 < req.keys->size(); i += 2) {
-      parts->emplace_back((*req.keys)[i], (*req.keys)[i + 1]);
-    }
-    m->participants = std::move(parts);
-  }
-  dispatch_.enqueue(guard([this, m, body]() mutable {
-    if (!admit(*m)) return;
-    if (m->validateOnly()) {
-      validatePrepare(std::move(m));  // reads only: no commit
-    } else {
-      commit(std::move(m), body);
-    }
-  }));
+  return 1;
 }
 
-bool MasterService::admit(Mutation& m) {
-  auto reject = [&m](net::Status status) {
-    net::RpcResponse r;
-    r.status = status;
-    m.respond(std::move(r));
-    return false;
-  };
+std::uint64_t MasterService::validateBody(const Request& r,
+                                          net::RpcResponse& reply) {
+  // The read version must still be current and the object unlocked. No
+  // lock, no log record — the client decides locally from the votes.
+  const auto loc = map_.get(hash::Key{r.tableId, r.keyId});
+  reply.b = loc ? loc->version : 0;
+  const TxLockTable::Lock* lock = txLocks_.get(r.tableId, r.keyId);
+  if (lock != nullptr && lock->txId != r.txId) {
+    reply.status = net::Status::kTxConflict;
+    txLocks_.countConflict();
+  } else if (reply.b != r.expected) {
+    reply.status = net::Status::kVersionMismatch;
+  }
+  return 0;
+}
+
+std::uint64_t MasterService::scanBody(const Request& r,
+                                      net::RpcResponse& reply) {
+  map_.forEach([&](const hash::Key& k, const hash::ObjectLocation& loc) {
+    if (k.tableId != r.tableId) return;
+    const std::uint64_t h = hash::keyHash(k);
+    if (h < r.keyId || h > r.endHash) return;
+    ++reply.a;
+    reply.payloadBytes += loc.sizeBytes;
+  });
+  node_.chargeDram(reply.payloadBytes, {power::OpClass::kRead, r.tenant});
+  return 1;
+}
+
+std::uint64_t MasterService::multiReadBody(const Request& r,
+                                           net::RpcResponse& reply) {
+  for (const std::uint64_t key : *r.keys) {
+    if (const auto loc = map_.get(hash::Key{r.tableId, key})) {
+      ++reply.a;
+      reply.payloadBytes += loc->sizeBytes;
+    }
+  }
+  reply.b = r.keys->size() - reply.a;  // missing
+  stats_.missingKeys += reply.b;
+  node_.chargeDram(reply.payloadBytes, {power::OpClass::kRead, r.tenant});
+  return r.keys->size();
+}
+
+bool MasterService::admit(Request& m) {
   stampTrace(m.span, obs::TimeTrace::Stage::kDispatchWait);
   if (m.op == net::Opcode::kMultiWrite) {
     // A batch is checked key by key (ownership, fence, lock) in its body.
-    if (!m.keys || m.keys->empty()) return reject(net::Status::kError);
-  } else {
-    if (!ownsKey(m.tableId, m.keyId)) {
-      ++stats_.unknownTablet;
-      return reject(net::Status::kUnknownTablet);
+    if (!m.keys || m.keys->empty()) {
+      return reject(m.respond, net::Status::kError);
     }
-    if (isMigratingRange(m.tableId,
-                         hash::keyHash(hash::Key{m.tableId, m.keyId}))) {
+  } else {
+    const std::uint64_t h = hash::keyHash(hash::Key{m.tableId, m.keyId});
+    if (tabletFor(m.tableId, h) == nullptr) {
+      ++stats_.unknownTablet;
+      return reject(m.respond, net::Status::kUnknownTablet);
+    }
+    if (isMigratingRange(m.tableId, h)) {
       // The range is being shipped elsewhere; the client backs off and
       // re-routes once the coordinator flips the tablet map.
-      return reject(net::Status::kRecovering);
+      return reject(m.respond, net::Status::kRecovering);
     }
-    noteTabletOp(m.tableId, m.keyId, /*isWrite=*/!m.validateOnly());
+    noteTabletOp(m.tableId, h, /*isWrite=*/true);
   }
-  if (m.validateOnly()) return true;
   if (m.clientId == 0) {
     // A locking prepare must be RIFL-tracked: without a lease there is no
     // owner to reclaim the lock from when the client dies.
-    if (m.op == net::Opcode::kTxPrepare) return reject(net::Status::kError);
+    if (m.op == net::Opcode::kTxPrepare) {
+      return reject(m.respond, net::Status::kError);
+    }
     return true;
   }
   // RIFL admission: reject expired leases, then check the suppression
   // table before burning a worker on a duplicate.
   if (directory_.leaseValid && !directory_.leaseValid(m.clientId)) {
-    return reject(net::Status::kExpiredLease);
+    return reject(m.respond, net::Status::kExpiredLease);
   }
   startLeaseReclaim();
   std::vector<log::LogRef> freed;
@@ -494,24 +573,24 @@ bool MasterService::admit(Mutation& m) {
     case UnackedRpcResults::Check::kInProgress:
       // First attempt still replicating; the retry backs off like a
       // recovery wait and re-probes.
-      return reject(net::Status::kRecovering);
+      return reject(m.respond, net::Status::kRecovering);
     case UnackedRpcResults::Check::kStale:
-      return reject(net::Status::kStaleRpc);
+      return reject(m.respond, net::Status::kStaleRpc);
     case UnackedRpcResults::Check::kNew:
       break;
   }
   return true;
 }
 
-sim::Duration MasterService::commitServiceTime(const Mutation& m) const {
+sim::Duration MasterService::commitServiceTime(const Request& m) const {
   switch (m.op) {
     case net::Opcode::kRemove:
-      return params_.removeServiceTime;
+      return kRemoveServiceTime;
     case net::Opcode::kTxDecision:
       return params_.writeAppendCpu;
     case net::Opcode::kMultiWrite:
-      return params_.multiOpBaseCpu +
-             params_.multiWritePerKeyCpu *
+      return kMultiOpBaseCpu +
+             kMultiWritePerKeyCpu *
                  static_cast<sim::Duration>(m.keys->size());
     default: {
       // Thread-handling cost under concurrency (Finding 2's root cause): the
@@ -520,13 +599,13 @@ sim::Duration MasterService::commitServiceTime(const Mutation& m) const {
       // as fitted to Table II.
       const int streams = concurrentStreams();
       return params_.writeAppendCpu +
-             sim::usecF(params_.convoyPenaltyUs *
+             sim::usecF(kConvoyPenaltyUs *
                         std::sqrt(static_cast<double>(streams)));
     }
   }
 }
 
-void MasterService::commit(MutationPtr m, Body body) {
+void MasterService::commit(RequestPtr m, Body body) {
   node_.cpu().acquireWorker(guard([this, m, body](int w) mutable {
     node_.cpu().tagWorker(w, {power::OpClass::kUpdate, m->tenant});
     logLock_.acquire(guard([this, m, body, w]() mutable {
@@ -564,7 +643,7 @@ void MasterService::commit(MutationPtr m, Body body) {
               // Log sync without backups still pays RAMCloud's
               // thread-handling overhead (see MasterParams).
               node_.sim().schedule(
-                  params_.unreplicatedSyncTime,
+                  kUnreplicatedSyncTime,
                   guard([finish = std::move(finish)]() mutable {
                     finish(true);
                   }));
@@ -580,7 +659,7 @@ void MasterService::commit(MutationPtr m, Body body) {
   }));
 }
 
-void MasterService::finishCommit(Mutation& m, Outcome& o, int w, bool ok) {
+void MasterService::finishCommit(Request& m, Outcome& o, int w, bool ok) {
   logLock_.release();
   const bool tracked = m.clientId != 0;
   net::RpcResponse r;
@@ -636,7 +715,7 @@ void MasterService::finishCommit(Mutation& m, Outcome& o, int w, bool ok) {
   maybeStartCleaner();
 }
 
-MasterService::Outcome MasterService::refuse(Mutation& m, net::Status verdict,
+MasterService::Outcome MasterService::refuse(Request& m, net::Status verdict,
                                              std::uint64_t version) {
   // The refusal is an outcome too: record it durably so a duplicate retry
   // replays it instead of re-running the check against whatever exists by
@@ -649,7 +728,7 @@ MasterService::Outcome MasterService::refuse(Mutation& m, net::Status verdict,
     o.record = appendCompletion(m.tableId, m.keyId, m.clientId, m.rpcSeq,
                                 version, verdict, true);
     o.segment = o.record.segment;
-    o.bytes = params_.completionRecordBytes;
+    o.bytes = kCompletionRecordBytes;
     node_.chargeDram(o.bytes, {power::OpClass::kUpdate, m.tenant});
   }
   return o;
@@ -668,7 +747,7 @@ MasterService::Outcome MasterService::lockConflict(
   return o;
 }
 
-MasterService::Outcome MasterService::writeBody(Mutation& m) {
+MasterService::Outcome MasterService::writeBody(Request& m) {
   if (const TxLockTable::Lock* held = txLocks_.get(m.tableId, m.keyId)) {
     return lockConflict(*held);
   }
@@ -685,8 +764,8 @@ MasterService::Outcome MasterService::writeBody(Mutation& m) {
   if (tracked) {
     // The completion record must land in the same segment as the object so
     // both replicate (and recover) atomically.
-    ensureHeadRoom(m.valueBytes + params_.objectOverheadBytes +
-                   params_.completionRecordBytes);
+    ensureHeadRoom(m.valueBytes + kObjectOverheadBytes +
+                   kCompletionRecordBytes);
   }
   const ApplyResult res = applyWrite(m.tableId, m.keyId, m.valueBytes);
   Outcome o;
@@ -697,39 +776,13 @@ MasterService::Outcome MasterService::writeBody(Mutation& m) {
   if (tracked) {
     o.record = appendCompletion(m.tableId, m.keyId, m.clientId, m.rpcSeq,
                                 res.version, net::Status::kOk, true);
-    o.bytes += params_.completionRecordBytes;
+    o.bytes += kCompletionRecordBytes;
   }
   node_.chargeDram(o.bytes, {power::OpClass::kUpdate, m.tenant});
   return o;
 }
 
-void MasterService::validatePrepare(MutationPtr m) {
-  // Validation-only item (read-only transaction, docs/TRANSACTIONS.md):
-  // check the read version is still current and the object unlocked. No
-  // lock, no log record — the client decides locally from the votes.
-  node_.cpu().acquireWorker(guard([this, m](int w) mutable {
-    node_.cpu().tagWorker(w, {power::OpClass::kRead, m->tenant});
-    node_.sim().schedule(
-        params_.readServiceTime, guard([this, m, w]() mutable {
-          node_.cpu().releaseWorker(w);
-          const auto loc = map_.get(hash::Key{m->tableId, m->keyId});
-          const std::uint64_t cur = loc ? loc->version : 0;
-          const TxLockTable::Lock* lock = txLocks_.get(m->tableId, m->keyId);
-          net::RpcResponse r;
-          r.b = cur;
-          if (lock != nullptr && lock->txId != m->txId) {
-            r.status = net::Status::kTxConflict;
-            txLocks_.countConflict();
-          } else if (cur != m->expected) {
-            r.status = net::Status::kVersionMismatch;
-          }
-          stampTrace(m->span, obs::TimeTrace::Stage::kWorkerService);
-          m->respond(std::move(r));
-        }));
-  }));
-}
-
-MasterService::Outcome MasterService::prepareBody(Mutation& m) {
+MasterService::Outcome MasterService::prepareBody(Request& m) {
   // Vote checks under the append lock: fence, lock, version. An answer
   // without a lock is not a write: it feeds neither the write counters nor
   // the sojourn estimate.
@@ -760,11 +813,11 @@ MasterService::Outcome MasterService::prepareBody(Mutation& m) {
     return answer(net::Status::kVersionMismatch, cur);
   }
   // Vote yes: durable prepare record now, the lock once it is durable.
-  ensureHeadRoom(params_.txPrepareRecordBytes);
+  ensureHeadRoom(kTxPrepareRecordBytes);
   log::LogEntry p;
   p.tableId = m.tableId;
   p.keyId = m.keyId;
-  p.sizeBytes = params_.txPrepareRecordBytes;
+  p.sizeBytes = kTxPrepareRecordBytes;
   p.version = cur;
   p.type = log::EntryType::kTxPrepare;
   p.clientId = m.clientId;
@@ -788,7 +841,7 @@ MasterService::Outcome MasterService::prepareBody(Mutation& m) {
   return o;
 }
 
-void MasterService::lockPrepared(const Mutation& m, const log::LogRef& rec) {
+void MasterService::lockPrepared(const Request& m, const log::LogRef& rec) {
   // Re-prepare by the same tx (lease-expiry retry under a new clientId):
   // drop the superseded record so it does not pin live bytes forever.
   const TxLockTable::Lock* prev = txLocks_.get(m.tableId, m.keyId);
@@ -813,7 +866,7 @@ void MasterService::lockPrepared(const Mutation& m, const log::LogRef& rec) {
   txLocks_.countPrepare();
 }
 
-MasterService::Outcome MasterService::decisionBody(Mutation& m) {
+MasterService::Outcome MasterService::decisionBody(Request& m) {
   const TxLockTable::Lock* lock = txLocks_.get(m.tableId, m.keyId);
   const bool tracked = m.clientId != 0;
   Outcome o;
@@ -822,8 +875,8 @@ MasterService::Outcome MasterService::decisionBody(Mutation& m) {
     // Apply: object write (commit only) + decision record land in one
     // segment so they recover atomically.
     const std::uint32_t objBytes =
-        m.commit ? lock->pendingValueBytes + params_.objectOverheadBytes : 0;
-    ensureHeadRoom(objBytes + params_.completionRecordBytes);
+        m.commit ? lock->pendingValueBytes + kObjectOverheadBytes : 0;
+    ensureHeadRoom(objBytes + kCompletionRecordBytes);
     if (m.commit) {
       const ApplyResult res =
           applyWrite(m.tableId, m.keyId, lock->pendingValueBytes);
@@ -833,7 +886,7 @@ MasterService::Outcome MasterService::decisionBody(Mutation& m) {
     log::LogEntry d;
     d.tableId = m.tableId;
     d.keyId = m.keyId;
-    d.sizeBytes = params_.completionRecordBytes;
+    d.sizeBytes = kCompletionRecordBytes;
     d.version = o.reply.b;
     d.type = log::EntryType::kTxDecision;
     d.clientId = tracked ? m.clientId : lock->clientId;
@@ -858,10 +911,10 @@ MasterService::Outcome MasterService::decisionBody(Mutation& m) {
     // whatever happens later.
     const auto loc = map_.get(hash::Key{m.tableId, m.keyId});
     o.reply.b = loc ? loc->version : 0;
-    ensureHeadRoom(params_.completionRecordBytes);
+    ensureHeadRoom(kCompletionRecordBytes);
     o.record = appendCompletion(m.tableId, m.keyId, m.clientId, m.rpcSeq,
                                 o.reply.b, net::Status::kOk, false);
-    o.bytes = params_.completionRecordBytes;
+    o.bytes = kCompletionRecordBytes;
     node_.chargeDram(o.bytes, {power::OpClass::kUpdate, m.tenant});
   }
   o.segment = o.record.segment;
@@ -869,7 +922,7 @@ MasterService::Outcome MasterService::decisionBody(Mutation& m) {
   return o;
 }
 
-void MasterService::releaseDecided(const Mutation& m, const log::LogRef& rec) {
+void MasterService::releaseDecided(const Request& m, const log::LogRef& rec) {
   TxLockTable::Lock released;
   if (!txLocks_.release(m.tableId, m.keyId, m.txId, &released)) return;
   // The prepare record has served its purpose: without it, crash replay
@@ -890,12 +943,11 @@ void MasterService::onTxVote(const net::RpcRequest& req, Responder respond) {
   const std::uint64_t txId = req.d;
   dispatch_.enqueue(guard([this, tableId, keyId, txId,
                            respond = std::move(respond)]() mutable {
-    net::RpcResponse r;
     if (!ownsKey(tableId, keyId)) {
-      r.status = net::Status::kUnknownTablet;
-      respond(std::move(r));
+      reject(respond, net::Status::kUnknownTablet);
       return;
     }
+    net::RpcResponse r;
     const TxLockTable::Lock* lock = txLocks_.get(tableId, keyId);
     if (lock != nullptr && lock->txId == txId) {
       r.a = 1;  // prepared here: vote yes
@@ -926,21 +978,19 @@ void MasterService::sweepOrphanedTx() {
     req.op = net::Opcode::kTxResolve;
     req.a = lock.txId;
     req.b = lock.clientId;
+    auto keys = std::make_shared<std::vector<std::uint64_t>>();
     if (lock.participants && !lock.participants->empty()) {
-      auto keys = std::make_shared<std::vector<std::uint64_t>>();
       keys->reserve(lock.participants->size() * 2);
       for (const auto& [t, k] : *lock.participants) {
         keys->push_back(t);
         keys->push_back(k);
       }
-      req.keys = std::move(keys);
     } else {
       // Degenerate single-object tx: the lock itself is the only vote.
-      auto keys = std::make_shared<std::vector<std::uint64_t>>();
       keys->push_back(lock.tableId);
       keys->push_back(lock.keyId);
-      req.keys = std::move(keys);
     }
+    req.keys = std::move(keys);
     ++txResolveRequests_;
     rpc_.call(node_.id(), coordinator_, net::kCoordinatorPort, std::move(req),
               timeouts::kControl, [](const net::RpcResponse&) {});
@@ -967,7 +1017,30 @@ bool MasterService::installRecoveredTxLock(const log::LogEntry& prepare,
   return true;
 }
 
-MasterService::Outcome MasterService::removeBody(Mutation& m) {
+bool MasterService::recoverRiflRecord(const log::LogEntry& e,
+                                      const log::LogRef& ref) {
+  // Untracked records carry no suppression entry (an untracked decision
+  // keeps the lock owner's clientId, with seq 0).
+  if (e.clientId == 0 || e.rpcSeq == 0) return false;
+  UnackedRpcResults::Result rr;
+  rr.status = e.opStatus;
+  rr.version = e.version;
+  rr.found = e.type != log::EntryType::kCompletion || e.found;
+  rr.tableId = e.tableId;
+  rr.keyId = e.keyId;
+  rr.record = ref;
+  return unacked_.recover(e.clientId, e.rpcSeq, rr);
+}
+
+bool MasterService::installReplayedPrepare(const log::LogEntry& e,
+                                           const log::LogRef& ref) {
+  const bool owned = recoverRiflRecord(e, ref);
+  if (installRecoveredTxLock(e, ref, owned)) return true;
+  if (!owned) log_.markDead(ref);
+  return false;
+}
+
+MasterService::Outcome MasterService::removeBody(Request& m) {
   if (const TxLockTable::Lock* held = txLocks_.get(m.tableId, m.keyId)) {
     return lockConflict(*held);
   }
@@ -979,12 +1052,12 @@ MasterService::Outcome MasterService::removeBody(Mutation& m) {
   o.crashPoint = true;
   if (o.found) {
     if (tracked) {
-      ensureHeadRoom(params_.tombstoneBytes + params_.completionRecordBytes);
+      ensureHeadRoom(kTombstoneBytes + kCompletionRecordBytes);
     }
     log::LogEntry t;
     t.tableId = m.tableId;
     t.keyId = m.keyId;
-    t.sizeBytes = params_.tombstoneBytes;
+    t.sizeBytes = kTombstoneBytes;
     t.version = log_.nextVersion();
     t.type = log::EntryType::kTombstone;
     t.refSegment = loc->ref.segment;
@@ -1000,53 +1073,11 @@ MasterService::Outcome MasterService::removeBody(Mutation& m) {
     o.record = appendCompletion(m.tableId, m.keyId, m.clientId, m.rpcSeq,
                                 o.reply.b, net::Status::kOk, o.found);
     o.segment = o.record.segment;
-    o.bytes += params_.completionRecordBytes;
+    o.bytes += kCompletionRecordBytes;
   }
   node_.chargeDram(o.bytes, {power::OpClass::kUpdate, m.tenant});
   o.reply.a = o.found ? 1 : 0;
   return o;
-}
-
-void MasterService::onScan(const net::RpcRequest& req, Responder respond) {
-  const std::uint64_t tableId = req.a;
-  const std::uint64_t startHash = req.b;
-  const std::uint64_t endHash = req.c;
-  const std::uint16_t tenant = req.tenant;
-
-  dispatch_.enqueue(guard([this, tableId, startHash, endHash, tenant,
-                           respond = std::move(respond)]() mutable {
-    node_.cpu().acquireWorker(guard([this, tableId, startHash, endHash,
-                                     tenant,
-                                     respond =
-                                         std::move(respond)](int w) mutable {
-      node_.cpu().tagWorker(w, {power::OpClass::kRead, tenant});
-      // Walk the index; objects outside [startHash, endHash] or the table
-      // are skipped (they still cost a probe, folded into perEntry).
-      std::uint64_t count = 0;
-      std::uint64_t bytes = 0;
-      map_.forEach([&](const hash::Key& k, const hash::ObjectLocation& loc) {
-        if (k.tableId != tableId) return;
-        const std::uint64_t h = hash::keyHash(k);
-        if (h < startHash || h > endHash) return;
-        ++count;
-        bytes += loc.sizeBytes;
-      });
-      const sim::Duration cpu =
-          params_.scanSetupCpu +
-          params_.scanPerEntryCpu *
-              static_cast<sim::Duration>(map_.size());
-      node_.sim().schedule(cpu, guard([this, w, count, bytes, tenant,
-                                       respond =
-                                           std::move(respond)]() mutable {
-        node_.chargeDram(bytes, {power::OpClass::kRead, tenant});
-        node_.cpu().releaseWorker(w);
-        net::RpcResponse r;
-        r.a = count;
-        r.payloadBytes = bytes;
-        respond(std::move(r));
-      }));
-    }));
-  }));
 }
 
 bool MasterService::isMigratingRange(std::uint64_t tableId,
@@ -1096,75 +1127,24 @@ void MasterService::onMigrationTaskFinished(MigrationTask* task) {
   }));
 }
 
-void MasterService::onMultiRead(const net::RpcRequest& req,
-                                Responder respond) {
-  const std::uint64_t tableId = req.a;
-  const std::uint16_t tenant = req.tenant;
-  auto keys = req.keys;
-
-  dispatch_.enqueue(guard([this, tableId, keys, tenant,
-                           respond = std::move(respond)]() mutable {
-    if (!keys || keys->empty()) {
-      net::RpcResponse r;
-      r.status = net::Status::kError;
-      respond(std::move(r));
-      return;
-    }
-    node_.cpu().acquireWorker(guard([this, tableId, keys, tenant,
-                                     respond =
-                                         std::move(respond)](int w) mutable {
-      node_.cpu().tagWorker(w, {power::OpClass::kRead, tenant});
-      const sim::Duration cpu =
-          params_.multiOpBaseCpu +
-          params_.multiReadPerKeyCpu * static_cast<sim::Duration>(keys->size());
-      node_.sim().schedule(cpu, guard([this, tableId, keys, w, tenant,
-                                       respond =
-                                           std::move(respond)]() mutable {
-        std::uint64_t found = 0;
-        std::uint64_t bytes = 0;
-        for (const std::uint64_t key : *keys) {
-          if (!ownsKey(tableId, key)) {
-            ++stats_.unknownTablet;
-            continue;
-          }
-          if (const auto loc = map_.get(hash::Key{tableId, key})) {
-            ++found;
-            bytes += loc->sizeBytes;
-          }
-          ++stats_.reads;
-        }
-        node_.chargeDram(bytes, {power::OpClass::kRead, tenant});
-        net::RpcResponse r;
-        r.a = found;
-        r.b = static_cast<std::uint64_t>(keys->size()) - found;  // missing
-        r.payloadBytes = bytes;
-        respond(std::move(r));
-        node_.cpu().releaseWorker(w);
-        maybeStartCleaner();
-      }));
-    }));
-  }));
-}
-
-MasterService::Outcome MasterService::multiWriteBody(Mutation& m) {
+MasterService::Outcome MasterService::multiWriteBody(Request& m) {
   // Every key passes the single-key rules. A refused key (wrong tablet,
   // migration fence, prepared tx lock) is not applied and is reported as
   // not served.
   Outcome o;
   o.counted = 0;
   for (const std::uint64_t key : *m.keys) {
-    if (!ownsKey(m.tableId, key)) {
+    const std::uint64_t h = hash::keyHash(hash::Key{m.tableId, key});
+    if (tabletFor(m.tableId, h) == nullptr) {
       ++stats_.unknownTablet;
       continue;
     }
-    if (isMigratingRange(m.tableId, hash::keyHash(hash::Key{m.tableId, key}))) {
-      continue;
-    }
+    if (isMigratingRange(m.tableId, h)) continue;
     if (txLocks_.get(m.tableId, key) != nullptr) {
       txLocks_.countConflict();
       continue;
     }
-    noteTabletOp(m.tableId, key, /*isWrite=*/true);
+    noteTabletOp(m.tableId, h, /*isWrite=*/true);
     o.bytes += applyWrite(m.tableId, key, m.valueBytes).entryBytes;
     ++o.counted;
   }
@@ -1191,13 +1171,11 @@ void MasterService::onMigrateTablet(const net::RpcRequest& req,
         break;
       }
     }
-    net::RpcResponse r;
     if (mine == nullptr || directory_.masterOn(dest) == nullptr) {
-      r.status = net::Status::kError;
-      respond(std::move(r));
+      reject(respond, net::Status::kError);
       return;
     }
-    respond(std::move(r));  // ack; completion via kMigrationDone
+    respond(net::RpcResponse{});  // ack; completion via kMigrationDone
     startMigration(*mine, dest);
   }));
 }
@@ -1221,16 +1199,13 @@ void MasterService::onMigrationData(const net::RpcRequest& req,
                                        respond =
                                            std::move(respond)]() mutable {
         MasterService* src = directory_.masterOn(source);
-        std::vector<log::LogEntry> batch =
-            src != nullptr ? src->takeMigrationBatch(batchId)
-                           : std::vector<log::LogEntry>{};
-        net::RpcResponse r;
         if (src == nullptr) {
-          r.status = net::Status::kError;
-          respond(std::move(r));
+          reject(respond, net::Status::kError);
           node_.cpu().releaseWorker(w);
           return;
         }
+        const std::vector<log::LogEntry> batch =
+            src->takeMigrationBatch(batchId);
         std::uint64_t bytes = 0;
         log::SegmentId lastSeg = log::kInvalidSegment;
         for (const log::LogEntry& e : batch) {
@@ -1241,41 +1216,20 @@ void MasterService::onMigrationData(const net::RpcRequest& req,
           lastSeg = ref.segment;
           if (e.type == log::EntryType::kCompletion) {
             // Migrated suppression state: install, never index.
-            UnackedRpcResults::Result rr;
-            rr.status = e.opStatus;
-            rr.version = e.version;
-            rr.found = e.found;
-            rr.tableId = e.tableId;
-            rr.keyId = e.keyId;
-            rr.record = ref;
-            if (!unacked_.recover(e.clientId, e.rpcSeq, rr)) {
-              log_.markDead(ref);
-            }
+            if (!recoverRiflRecord(e, ref)) log_.markDead(ref);
             continue;
           }
           if (e.type == log::EntryType::kTxPrepare) {
             // A version lock moves with its tablet: re-install it and its
             // suppression entry so the new owner votes consistently and the
             // orphan sweep here can finish the tx (docs/TRANSACTIONS.md).
-            UnackedRpcResults::Result rr;
-            rr.status = e.opStatus;
-            rr.version = e.version;
-            rr.found = true;
-            rr.tableId = e.tableId;
-            rr.keyId = e.keyId;
-            rr.record = ref;
-            const bool owned =
-                e.clientId != 0 && unacked_.recover(e.clientId, e.rpcSeq, rr);
-            if (installRecoveredTxLock(e, ref, owned)) {
-              txLocks_.countMigrated();
-            } else if (!owned) {
-              log_.markDead(ref);
-            }
+            if (installReplayedPrepare(e, ref)) txLocks_.countMigrated();
             continue;
           }
           map_.put(hash::Key{e.tableId, e.keyId}, ref);
         }
         node_.chargeDram(bytes, {power::OpClass::kMigration, 0});
+        net::RpcResponse r;
         r.a = batch.size();
         auto finish = guard([this, w, r,
                              respond = std::move(respond)](bool ok) mutable {
@@ -1304,14 +1258,12 @@ void MasterService::onStartRecovery(const net::RpcRequest& req,
   dispatch_.enqueue(guard([this, planId, partition,
                            respond = std::move(respond)]() mutable {
     RecoveryPlanPtr plan = planLookup_ ? planLookup_(planId) : nullptr;
-    net::RpcResponse r;
     if (!plan || partition < 0 ||
         partition >= static_cast<int>(plan->partitions.size())) {
-      r.status = net::Status::kError;
-      respond(std::move(r));
+      reject(respond, net::Status::kError);
       return;
     }
-    respond(std::move(r));  // ack start; completion arrives via
+    respond(net::RpcResponse{});  // ack start; completion arrives via
                             // kRecoveryDone
     startRecovery(std::move(plan), partition);
   }));
@@ -1349,17 +1301,9 @@ void MasterService::onRecoveryTaskFinished(RecoveryTask* task) {
 }
 
 void MasterService::bulkInsert(std::uint64_t tableId, std::uint64_t keyId,
-                               std::uint32_t valueBytes, sim::SimTime now) {
+                               std::uint32_t valueBytes) {
   bulkMode_ = true;
-  log::LogEntry e;
-  e.tableId = tableId;
-  e.keyId = keyId;
-  e.sizeBytes = valueBytes + params_.objectOverheadBytes;
-  e.version = log_.nextVersion();
-  const log::LogRef ref = log_.append(e, now);
-  if (const auto old = map_.put(hash::Key{tableId, keyId}, ref)) {
-    log_.markDead(old->ref);
-  }
+  applyWrite(tableId, keyId, valueBytes);
   bulkMode_ = false;
 }
 
@@ -1389,45 +1333,31 @@ std::shared_ptr<const log::Segment> MasterService::findSegment(
 
 void MasterService::registerMetrics(obs::MetricRegistry& reg,
                                     const std::string& prefix) {
-  reg.probeCounter(prefix + ".reads", "ops", [this] {
-    return static_cast<double>(stats_.reads);
-  });
-  reg.probeCounter(prefix + ".writes", "ops", [this] {
-    return static_cast<double>(stats_.writes);
-  });
-  reg.probeCounter(prefix + ".removes", "ops", [this] {
-    return static_cast<double>(stats_.removes);
-  });
-  reg.probeCounter(prefix + ".missing_keys", "ops", [this] {
-    return static_cast<double>(stats_.missingKeys);
-  });
-  reg.probeCounter(prefix + ".unknown_tablet", "ops", [this] {
-    return static_cast<double>(stats_.unknownTablet);
-  });
-  reg.probeCounter(prefix + ".cleaner_runs", "ops", [this] {
-    return static_cast<double>(stats_.cleanerRuns);
-  });
-  reg.probeCounter(prefix + ".replication_failures", "ops", [this] {
-    return static_cast<double>(stats_.replicationFailures);
-  });
-  reg.probeCounter(prefix + ".shed_requests", "ops", [this] {
-    return static_cast<double>(stats_.shedRequests);
-  });
-  reg.probeCounter(prefix + ".cleaner_deferrals", "ops", [this] {
-    return static_cast<double>(stats_.cleanerDeferrals);
-  });
-  reg.probeCounter(prefix + ".replication.repairs_deferred", "ops", [this] {
-    return static_cast<double>(replicaMgr_.repairsDeferred());
-  });
-  reg.probeGauge(prefix + ".log_lock_waiters", "items", [this] {
-    return static_cast<double>(logLock_.waiters());
-  });
-  reg.probeGauge(prefix + ".log_segments", "items", [this] {
-    return static_cast<double>(log_.segments().size());
-  });
-  reg.probeGauge(prefix + ".objects", "items", [this] {
-    return static_cast<double>(map_.size());
-  });
+  // Every probe reads a live counter; registration order is export order.
+  auto probe = [&](const char* name, const char* unit, auto read) {
+    reg.probeCounter(prefix + name, unit,
+                     [read] { return static_cast<double>(read()); });
+  };
+  auto gauge = [&](const char* name, auto read) {
+    reg.probeGauge(prefix + name, "items",
+                   [read] { return static_cast<double>(read()); });
+  };
+  probe(".reads", "ops", [this] { return stats_.reads; });
+  probe(".writes", "ops", [this] { return stats_.writes; });
+  probe(".removes", "ops", [this] { return stats_.removes; });
+  probe(".missing_keys", "ops", [this] { return stats_.missingKeys; });
+  probe(".unknown_tablet", "ops", [this] { return stats_.unknownTablet; });
+  probe(".cleaner_runs", "ops", [this] { return stats_.cleanerRuns; });
+  probe(".replication_failures", "ops",
+        [this] { return stats_.replicationFailures; });
+  probe(".shed_requests", "ops", [this] { return stats_.shedRequests; });
+  probe(".cleaner_deferrals", "ops",
+        [this] { return stats_.cleanerDeferrals; });
+  probe(".replication.repairs_deferred", "ops",
+        [this] { return replicaMgr_.repairsDeferred(); });
+  gauge(".log_lock_waiters", [this] { return logLock_.waiters(); });
+  gauge(".log_segments", [this] { return log_.segments().size(); });
+  gauge(".objects", [this] { return map_.size(); });
   reg.probeHistogram(prefix + ".read_service", "us",
                      [this]() -> const sim::Histogram* {
                        return &stats_.readServiceLatency;
@@ -1436,66 +1366,40 @@ void MasterService::registerMetrics(obs::MetricRegistry& reg,
                      [this]() -> const sim::Histogram* {
                        return &stats_.writeServiceLatency;
                      });
-  reg.probeCounter(prefix + ".replication.bytes", "bytes", [this] {
-    return static_cast<double>(replicaMgr_.bytesReplicated());
-  });
-  reg.probeCounter(prefix + ".replication.timeouts", "ops", [this] {
-    return static_cast<double>(replicaMgr_.replicaTimeouts());
-  });
-  reg.probeCounter(prefix + ".replication.replacements", "ops", [this] {
-    return static_cast<double>(replicaMgr_.replacementsMade());
-  });
-  reg.probeGauge(prefix + ".replication.pending_async", "items", [this] {
-    return static_cast<double>(replicaMgr_.pendingAsyncWrites());
-  });
-  reg.probeCounter(prefix + ".linearize.duplicates_suppressed", "ops", [this] {
-    return static_cast<double>(unacked_.duplicatesSuppressed());
-  });
-  reg.probeCounter(prefix + ".linearize.completion_records", "ops", [this] {
-    return static_cast<double>(unacked_.completionsRecorded());
-  });
-  reg.probeCounter(prefix + ".linearize.records_recovered", "ops", [this] {
-    return static_cast<double>(unacked_.recordsRecovered());
-  });
-  reg.probeCounter(prefix + ".linearize.records_gced", "ops", [this] {
-    return static_cast<double>(unacked_.recordsGced());
-  });
-  reg.probeCounter(prefix + ".linearize.stale_rejected", "ops", [this] {
-    return static_cast<double>(unacked_.staleRejected());
-  });
-  reg.probeCounter(prefix + ".linearize.expired_clients", "ops", [this] {
-    return static_cast<double>(unacked_.clientsExpired());
-  });
-  reg.probeGauge(prefix + ".linearize.tracked_clients", "items", [this] {
-    return static_cast<double>(unacked_.trackedClients());
-  });
-  reg.probeCounter(prefix + ".tx.prepares", "ops", [this] {
-    return static_cast<double>(txLocks_.prepares());
-  });
-  reg.probeCounter(prefix + ".tx.commits", "ops", [this] {
-    return static_cast<double>(txLocks_.commits());
-  });
-  reg.probeCounter(prefix + ".tx.aborts", "ops", [this] {
-    return static_cast<double>(txLocks_.aborts());
-  });
-  reg.probeCounter(prefix + ".tx.conflicts", "ops", [this] {
-    return static_cast<double>(txLocks_.conflicts());
-  });
-  reg.probeCounter(prefix + ".tx.orphans_resolved", "ops", [this] {
-    return static_cast<double>(txLocks_.orphansResolved());
-  });
-  reg.probeCounter(prefix + ".tx.locks_recovered", "ops", [this] {
-    return static_cast<double>(txLocks_.locksRecovered());
-  });
-  reg.probeCounter(prefix + ".tx.locks_migrated", "ops", [this] {
-    return static_cast<double>(txLocks_.locksMigrated());
-  });
-  reg.probeCounter(prefix + ".tx.resolve_requests", "ops", [this] {
-    return static_cast<double>(txResolveRequests_);
-  });
-  reg.probeGauge(prefix + ".tx.locks_held", "items", [this] {
-    return static_cast<double>(txLocks_.locksHeld());
-  });
+  probe(".replication.bytes", "bytes",
+        [this] { return replicaMgr_.bytesReplicated(); });
+  probe(".replication.timeouts", "ops",
+        [this] { return replicaMgr_.replicaTimeouts(); });
+  probe(".replication.replacements", "ops",
+        [this] { return replicaMgr_.replacementsMade(); });
+  gauge(".replication.pending_async",
+        [this] { return replicaMgr_.pendingAsyncWrites(); });
+  probe(".linearize.duplicates_suppressed", "ops",
+        [this] { return unacked_.duplicatesSuppressed(); });
+  probe(".linearize.completion_records", "ops",
+        [this] { return unacked_.completionsRecorded(); });
+  probe(".linearize.records_recovered", "ops",
+        [this] { return unacked_.recordsRecovered(); });
+  probe(".linearize.records_gced", "ops",
+        [this] { return unacked_.recordsGced(); });
+  probe(".linearize.stale_rejected", "ops",
+        [this] { return unacked_.staleRejected(); });
+  probe(".linearize.expired_clients", "ops",
+        [this] { return unacked_.clientsExpired(); });
+  gauge(".linearize.tracked_clients",
+        [this] { return unacked_.trackedClients(); });
+  probe(".tx.prepares", "ops", [this] { return txLocks_.prepares(); });
+  probe(".tx.commits", "ops", [this] { return txLocks_.commits(); });
+  probe(".tx.aborts", "ops", [this] { return txLocks_.aborts(); });
+  probe(".tx.conflicts", "ops", [this] { return txLocks_.conflicts(); });
+  probe(".tx.orphans_resolved", "ops",
+        [this] { return txLocks_.orphansResolved(); });
+  probe(".tx.locks_recovered", "ops",
+        [this] { return txLocks_.locksRecovered(); });
+  probe(".tx.locks_migrated", "ops",
+        [this] { return txLocks_.locksMigrated(); });
+  probe(".tx.resolve_requests", "ops", [this] { return txResolveRequests_; });
+  gauge(".tx.locks_held", [this] { return txLocks_.locksHeld(); });
   // Tablet heat: probes for tablets owned now, plus dynamic registration
   // for tablets gained later (recovery, migration) via addTablet.
   metricReg_ = &reg;
@@ -1513,7 +1417,7 @@ void MasterService::maybeStartCleaner() {
   // stops at the hard memory ceiling, where cleaning beats admission.
   if (dispatch_.underPressure() &&
       static_cast<double>(log_.memoryInUse()) <
-          params_.cleanerDeferUtilization *
+          kCleanerDeferUtilization *
               static_cast<double>(log_.params().capacityBytes)) {
     ++stats_.cleanerDeferrals;
     return;
@@ -1535,9 +1439,9 @@ void MasterService::cleanerLoop() {
   const log::Segment* seg = log_.segment(victim);
   const std::uint64_t liveBytes = seg != nullptr ? seg->liveBytes() : 0;
   const sim::Duration cost =
-      params_.cleanerPassCpu +
+      kCleanerPassCpu +
       sim::nsec(static_cast<sim::Duration>(
-          params_.cleanerPerByteCpuNs * static_cast<double>(liveBytes)));
+          kCleanerPerByteCpuNs * static_cast<double>(liveBytes)));
   // One journal span per pass; cleaner passes on a node are serialized by
   // cleanerActive_, so these spans never overlap per actor.
   std::uint64_t passSpan = 0;

@@ -31,9 +31,76 @@ namespace rc::server {
 
 class RecoveryTask;
 
-/// Service-time calibration of the master data path. The defaults are
-/// fitted to the paper's measurements on the Nancy nodes (see DESIGN.md §4
-/// and EXPERIMENTS.md for the derivation of each constant).
+/// Calibration of the master data path, fitted to the paper's measurements
+/// on the Nancy nodes (see DESIGN.md §4 and EXPERIMENTS.md for the
+/// derivation of each constant).
+
+/// RAMCloud's log-sync/scheduling overhead on the update path when
+/// replication is off. Calibrated from Table II (workload A at 10
+/// clients); the paper attributes it to thread handling ("this issue was
+/// confirmed by RAMCloud developers" — the nanoscheduling problem).
+inline constexpr sim::Duration kUnreplicatedSyncTime = sim::usec(90);
+
+/// Thread-handling cost an update pays under concurrency: each update's
+/// sync is stretched by kConvoyPenaltyUs * sqrt(S), where S is the number
+/// of distinct request streams (clients) seen in the last
+/// kConcurrencyWindow. Models the paper's "poor thread handling under
+/// highly-concurrent accesses" (futile context switches / wakeups) and
+/// produces Table II's peak-then-decline for workload A. Calibrated on
+/// Table II rows at 10/20/90 clients.
+inline constexpr double kConvoyPenaltyUs = 11.0;
+inline constexpr sim::Duration kConcurrencyWindow = sim::msec(50);
+
+/// Tombstone append CPU for remove operations.
+inline constexpr sim::Duration kRemoveServiceTime = sim::usec(20);
+
+/// Scan (paper SS X future work): per-object CPU while walking the hash
+/// index over a tablet range, plus a fixed setup cost.
+inline constexpr sim::Duration kScanSetupCpu = sim::usec(10);
+inline constexpr sim::Duration kScanPerEntryCpu = sim::nsec(150);
+
+/// Batched operations (multiRead/multiWrite): one dispatch + worker
+/// hand-off amortised over the batch, then a smaller per-key cost.
+inline constexpr sim::Duration kMultiOpBaseCpu = sim::usec(6);
+inline constexpr sim::Duration kMultiReadPerKeyCpu = sim::usec(2);
+inline constexpr sim::Duration kMultiWritePerKeyCpu = sim::usec(8);
+
+/// Recovery replay: CPU per entry re-inserted (hash + log, batched).
+inline constexpr sim::Duration kReplayPerEntryCpu = sim::nsec(1200);
+/// Entries replayed per worker task; small enough that live reads can
+/// interleave (their 1.4-2.4x latency bump during recovery, Fig. 10).
+inline constexpr int kReplayChunkEntries = 64;
+/// Concurrent segment fetches a recovery master keeps outstanding.
+inline constexpr int kRecoveryFetchWindow = 3;
+/// Sealed-but-unacked replay segments tolerated before replay pauses
+/// (RAMCloud recovers with bounded un-replicated state).
+inline constexpr int kRecoveryMaxUnackedSegments = 1;
+
+/// Log-cleaner pass overhead and per-relocated-byte CPU.
+inline constexpr sim::Duration kCleanerPassCpu = sim::usec(500);
+inline constexpr double kCleanerPerByteCpuNs = 0.3;
+
+/// Per-object log metadata footprint added to the value size.
+inline constexpr std::uint32_t kObjectOverheadBytes = 100;
+inline constexpr std::uint32_t kTombstoneBytes = 60;
+/// In-log footprint of a RIFL completion record (compact: clientId, seq,
+/// status, version — docs/LINEARIZABILITY.md).
+inline constexpr std::uint32_t kCompletionRecordBytes = 32;
+/// In-log footprint of a minitransaction kTxPrepare record: completion
+/// header plus txId, pending-value size, expected version and the
+/// participant key list (docs/TRANSACTIONS.md).
+inline constexpr std::uint32_t kTxPrepareRecordBytes = 64;
+/// Cadence of the sweep that drops duplicate-suppression state for
+/// clients whose coordinator lease expired.
+inline constexpr sim::Duration kLeaseReclaimInterval = sim::seconds(1);
+
+/// Hard memory ceiling for the overload cleaner deferral: while the node
+/// is shedding, cleaner passes are skipped *until* memoryInUse exceeds
+/// this fraction of log capacity — past it, reclaiming segments beats
+/// admission (docs/OVERLOAD.md degradation ladder).
+inline constexpr double kCleanerDeferUtilization = 0.9;
+
+/// The settable part of the master's configuration.
 struct MasterParams {
   /// Worker CPU per read (hash lookup + reply marshalling). 3 workers at
   /// 8 us give the single-server read ceiling of ~372 Kop/s (Fig. 1a).
@@ -43,71 +110,8 @@ struct MasterParams {
   /// log append bookkeeping, under the append lock.
   sim::Duration writeAppendCpu = sim::usec(25);
 
-  /// RAMCloud's log-sync/scheduling overhead on the update path when
-  /// replication is off. Calibrated from Table II (workload A at 10
-  /// clients); the paper attributes it to thread handling ("this issue was
-  /// confirmed by RAMCloud developers" — the nanoscheduling problem).
-  sim::Duration unreplicatedSyncTime = sim::usec(90);
-
-  /// Thread-handling cost an update pays under concurrency: each update's
-  /// sync is stretched by convoyPenaltyUs * sqrt(S), where S is the number
-  /// of distinct request streams (clients) seen in the last
-  /// concurrencyWindow. Models the paper's "poor thread handling under
-  /// highly-concurrent accesses" (futile context switches / wakeups) and
-  /// produces Table II's peak-then-decline for workload A. Calibrated on
-  /// Table II rows at 10/20/90 clients.
-  double convoyPenaltyUs = 11.0;
-  sim::Duration concurrencyWindow = sim::msec(50);
-
-  /// Tombstone append CPU for remove operations.
-  sim::Duration removeServiceTime = sim::usec(20);
-
-  /// Scan (paper SS X future work): per-object CPU while walking the hash
-  /// index over a tablet range, plus a fixed setup cost.
-  sim::Duration scanSetupCpu = sim::usec(10);
-  sim::Duration scanPerEntryCpu = sim::nsec(150);
-
-  /// Batched operations (multiRead/multiWrite): one dispatch + worker
-  /// hand-off amortised over the batch, then a smaller per-key cost.
-  sim::Duration multiOpBaseCpu = sim::usec(6);
-  sim::Duration multiReadPerKeyCpu = sim::usec(2);
-  sim::Duration multiWritePerKeyCpu = sim::usec(8);
-
-  /// Recovery replay: CPU per entry re-inserted (hash + log, batched).
-  sim::Duration replayPerEntryCpu = sim::nsec(1200);
-  /// Entries replayed per worker task; small enough that live reads can
-  /// interleave (their 1.4-2.4x latency bump during recovery, Fig. 10).
-  int replayChunkEntries = 64;
-  /// Concurrent segment fetches a recovery master keeps outstanding.
-  int recoveryFetchWindow = 3;
-  /// Sealed-but-unacked replay segments tolerated before replay pauses
-  /// (RAMCloud recovers with bounded un-replicated state).
-  int recoveryMaxUnackedSegments = 1;
-
-  /// Log-cleaner pass overhead, per-relocated-byte CPU, victim policy.
-  sim::Duration cleanerPassCpu = sim::usec(500);
-  double cleanerPerByteCpuNs = 0.3;
+  /// Log-cleaner victim policy.
   log::CleanerPolicy cleanerPolicy = log::CleanerPolicy::kCostBenefit;
-
-  /// Per-object log metadata footprint added to the value size.
-  std::uint32_t objectOverheadBytes = 100;
-  std::uint32_t tombstoneBytes = 60;
-  /// In-log footprint of a RIFL completion record (compact: clientId, seq,
-  /// status, version — docs/LINEARIZABILITY.md).
-  std::uint32_t completionRecordBytes = 32;
-  /// In-log footprint of a minitransaction kTxPrepare record: completion
-  /// header plus txId, pending-value size, expected version and the
-  /// participant key list (docs/TRANSACTIONS.md).
-  std::uint32_t txPrepareRecordBytes = 64;
-  /// Cadence of the sweep that drops duplicate-suppression state for
-  /// clients whose coordinator lease expired.
-  sim::Duration leaseReclaimInterval = sim::seconds(1);
-
-  /// Hard memory ceiling for the overload cleaner deferral: while the node
-  /// is shedding, cleaner passes are skipped *until* memoryInUse exceeds
-  /// this fraction of log capacity — past it, reclaiming segments beats
-  /// admission (docs/OVERLOAD.md degradation ladder).
-  double cleanerDeferUtilization = 0.9;
 
   log::LogParams log;
   ReplicationParams replication;
@@ -150,12 +154,15 @@ class MasterService : public net::RpcService {
   void addTablet(const Tablet& t);
   const std::vector<Tablet>& tablets() const { return tablets_; }
   bool ownsKey(std::uint64_t tableId, std::uint64_t keyId) const;
+  /// True when this master's tablets cover every hash in [first, last].
+  bool ownsRange(std::uint64_t tableId, std::uint64_t first,
+                 std::uint64_t last) const;
 
   /// Event-free data loading (the paper's unmeasured YCSB load phase).
   /// Fills log + hash table; replica frames are installed afterwards with
   /// installReplicasAfterBulkLoad().
   void bulkInsert(std::uint64_t tableId, std::uint64_t keyId,
-                  std::uint32_t valueBytes, sim::SimTime now);
+                  std::uint32_t valueBytes);
 
   /// Install backup frames (sealed segments flushed to disk, open head
   /// buffered) matching the replica placements chosen during bulk load.
@@ -192,10 +199,8 @@ class MasterService : public net::RpcService {
   ReplicaManager& replicaManager() { return replicaMgr_; }
   const log::LogCleaner& cleaner() const { return cleaner_; }
   const MasterStats& stats() const { return stats_; }
-  MasterStats& mutableStats() { return stats_; }
   const MasterParams& params() const { return params_; }
   node::Node& node() { return node_; }
-  Dispatch& dispatch() { return dispatch_; }
   net::RpcSystem& rpc() { return rpc_; }
   const ServiceDirectory& directory() const { return directory_; }
   node::NodeId coordinatorNode() const { return coordinator_; }
@@ -230,9 +235,6 @@ class MasterService : public net::RpcService {
   /// instead (the injector crashes the server from it).
   void armCrashBeforeReply(std::function<void()> hook) {
     crashBeforeReplyHook_ = std::move(hook);
-  }
-  bool crashBeforeReplyArmed() const {
-    return static_cast<bool>(crashBeforeReplyHook_);
   }
 
   // ----- observability
@@ -275,7 +277,7 @@ class MasterService : public net::RpcService {
     };
   }
 
-  /// Distinct request streams seen within concurrencyWindow.
+  /// Distinct request streams seen within kConcurrencyWindow.
   int concurrentStreams() const;
   void noteStream(node::NodeId from);
 
@@ -300,23 +302,26 @@ class MasterService : public net::RpcService {
     std::uint64_t writes = 0;
     bool registered = false;
   };
-  void noteTabletOp(std::uint64_t tableId, std::uint64_t keyId, bool isWrite);
+  const Tablet* tabletFor(std::uint64_t tableId, std::uint64_t hash) const;
+  void noteTabletOp(std::uint64_t tableId, std::uint64_t hash, bool isWrite);
   void registerTabletHeat(std::uint64_t tableId, std::uint64_t startHash,
                           TabletHeat& heat);
 
-  /// One mutating RPC (write, remove, tx prepare, tx decision, multi-write)
-  /// from its dispatch-thread admission to its reply.
-  struct Mutation {
+  /// One data-plane RPC from its dispatch-thread admission to its reply:
+  /// a mutation (write, remove, tx prepare, tx decision, multi-write) or a
+  /// read (read, read-only tx validation, scan, multi-read).
+  struct Request {
     net::Opcode op = net::Opcode::kWrite;
     std::uint64_t tableId = 0;
-    std::uint64_t keyId = 0;
-    std::uint32_t valueBytes = 0;  ///< tx prepare: 0 = validation-only
+    std::uint64_t keyId = 0;       ///< scan: first hash of the range
+    std::uint64_t endHash = 0;     ///< scan: last hash of the range
+    std::uint32_t valueBytes = 0;
     std::uint64_t expected = 0;    ///< conditional version (0 = blind)
     std::uint64_t txId = 0;
     bool commit = false;           ///< tx decision: commit (else abort)
     bool fromResolution = false;   ///< tx decision sent by orphan resolution
     log::TxParticipants participants;
-    std::shared_ptr<const std::vector<std::uint64_t>> keys;  ///< multi-write
+    std::shared_ptr<const std::vector<std::uint64_t>> keys;  ///< batches
     std::uint64_t clientId = 0;    ///< 0 = untracked (no exactly-once)
     std::uint64_t rpcSeq = 0;
     std::uint64_t firstUnacked = 0;
@@ -324,13 +329,8 @@ class MasterService : public net::RpcService {
     std::uint16_t tenant = 0;
     sim::SimTime arrival = 0;
     Responder respond;
-
-    /// Read-set check of a read-only transaction: admitted, never committed.
-    bool validateOnly() const {
-      return op == net::Opcode::kTxPrepare && valueBytes == 0;
-    }
   };
-  using MutationPtr = std::shared_ptr<Mutation>;
+  using RequestPtr = std::shared_ptr<Request>;
 
   /// What a commit body did under the log lock.
   struct Outcome {
@@ -349,41 +349,66 @@ class MasterService : public net::RpcService {
     bool crashPoint = false;     ///< crash_before_reply may fire here
     std::uint64_t journalSpan = 0;
   };
-  using Body = Outcome (MasterService::*)(Mutation&);
+  using Body = Outcome (MasterService::*)(Request&);
 
-  /// The handler of every mutating opcode: admission, then `body` under
-  /// commit (a validation-only tx prepare is admitted, then only read).
-  void onMutation(const net::RpcRequest& req, Responder respond, Body body);
   /// Dispatch-thread admission: dispatch-wait stamp, tablet ownership,
   /// migration fence, tablet heat, RIFL lease and duplicate check. Replies
   /// and returns false when the request goes no further.
-  bool admit(Mutation& m);
+  bool admit(Request& m);
   /// Worker + log lock, op-specific service time, `body`, then durability
   /// (replication or the rf=0 sync), RIFL record, stats and the reply.
-  void commit(MutationPtr m, Body body);
-  void finishCommit(Mutation& m, Outcome& o, int w, bool ok);
-  sim::Duration commitServiceTime(const Mutation& m) const;
+  void commit(RequestPtr m, Body body);
+  void finishCommit(Request& m, Outcome& o, int w, bool ok);
+  sim::Duration commitServiceTime(const Request& m) const;
 
-  Outcome writeBody(Mutation& m);
-  Outcome removeBody(Mutation& m);
-  Outcome prepareBody(Mutation& m);
-  Outcome decisionBody(Mutation& m);
-  Outcome multiWriteBody(Mutation& m);
+  Outcome writeBody(Request& m);
+  Outcome removeBody(Request& m);
+  Outcome prepareBody(Request& m);
+  Outcome decisionBody(Request& m);
+  Outcome multiWriteBody(Request& m);
   /// Durable refusal: append (tracked) the completion record that replays
   /// `verdict` to retries.
-  Outcome refuse(Mutation& m, net::Status verdict, std::uint64_t version);
+  Outcome refuse(Request& m, net::Status verdict, std::uint64_t version);
   /// A prepared transaction's version lock blocks a plain update.
   Outcome lockConflict(const TxLockTable::Lock& held);
   /// Once a yes-vote's prepare record is durable: take the version lock.
-  void lockPrepared(const Mutation& m, const log::LogRef& rec);
+  void lockPrepared(const Request& m, const log::LogRef& rec);
   /// Once a decision is durable: release the lock it settles.
-  void releaseDecided(const Mutation& m, const log::LogRef& rec);
+  void releaseDecided(const Request& m, const log::LogRef& rec);
 
-  void onRead(const net::RpcRequest& req, Responder respond);
-  void validatePrepare(MutationPtr m);
+  /// Recovery replay / migration install of a RIFL record (completion, tx
+  /// prepare or decision): re-enter its outcome in the suppression table.
+  /// False when the record is untracked or its outcome already known.
+  bool recoverRiflRecord(const log::LogEntry& e, const log::LogRef& ref);
+  /// A replayed kTxPrepare without a decision: its RIFL entry, then its
+  /// lock; a record that neither takes is marked dead. True when the lock
+  /// was installed.
+  bool installReplayedPrepare(const log::LogEntry& e, const log::LogRef& ref);
+
+  /// Fills the reply on the worker; returns the reads to book (a
+  /// validation books none and feeds no sojourn sample).
+  using ReadBody = std::uint64_t (MasterService::*)(const Request&,
+                                                    net::RpcResponse&);
+  /// Dispatch-thread admission of a read: dispatch-wait stamp, ownership of
+  /// the key, of every key of a batch or of the scanned range, the
+  /// migration fence (validation only) and tablet heat. Replies and returns
+  /// false when the request goes no further.
+  bool admitRead(Request& r);
+  /// One worker hand-off: tag, op-specific service time, release, then
+  /// `body`, read stats and the reply.
+  void serveRead(RequestPtr r, ReadBody body);
+  sim::Duration readServiceTime(const Request& r) const;
+
+  std::uint64_t readBody(const Request& r, net::RpcResponse& reply);
+  /// Read-set check of a read-only transaction (docs/TRANSACTIONS.md).
+  std::uint64_t validateBody(const Request& r, net::RpcResponse& reply);
+  std::uint64_t scanBody(const Request& r, net::RpcResponse& reply);
+  std::uint64_t multiReadBody(const Request& r, net::RpcResponse& reply);
+
+  /// Admission refusal: reply `status` and go no further.
+  static bool reject(Responder& respond, net::Status status);
+
   void onTxVote(const net::RpcRequest& req, Responder respond);
-  void onScan(const net::RpcRequest& req, Responder respond);
-  void onMultiRead(const net::RpcRequest& req, Responder respond);
   void onStartRecovery(const net::RpcRequest& req, Responder respond);
   void onServerListUpdate(const net::RpcRequest& req, Responder respond);
   void onMigrateTablet(const net::RpcRequest& req, Responder respond);

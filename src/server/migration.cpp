@@ -57,7 +57,7 @@ void MigrationTask::collectKeys() {
     log::LogEntry e;
     e.tableId = lock.tableId;
     e.keyId = lock.keyId;
-    e.sizeBytes = source_.params().txPrepareRecordBytes;
+    e.sizeBytes = kTxPrepareRecordBytes;
     e.version = lock.expectedVersion;
     e.type = log::EntryType::kTxPrepare;
     e.clientId = lock.clientId;
@@ -80,7 +80,7 @@ void MigrationTask::collectKeys() {
     log::LogEntry e;
     e.tableId = r.result.tableId;
     e.keyId = r.result.keyId;
-    e.sizeBytes = source_.params().completionRecordBytes;
+    e.sizeBytes = kCompletionRecordBytes;
     e.version = r.result.version;
     e.type = log::EntryType::kCompletion;
     e.clientId = r.clientId;

@@ -46,13 +46,6 @@ struct RecoveryPlan {
     std::vector<node::NodeId> backups;     ///< replica holders (primary first)
   };
   std::vector<SegmentSource> segments;
-
-  int partitionOf(ServerId master) const {
-    for (std::size_t i = 0; i < recoveryMasters.size(); ++i) {
-      if (recoveryMasters[i] == master) return static_cast<int>(i);
-    }
-    return -1;
-  }
 };
 
 using RecoveryPlanPtr = std::shared_ptr<const RecoveryPlan>;

@@ -103,7 +103,7 @@ void RecoveryTask::abandonJournalSpans() {
 void RecoveryTask::pumpFetches() {
   if (aborted_ || failed_) return;
   while (nextFetch_ < plan_->segments.size() &&
-         outstandingFetches_ < master_.params().recoveryFetchWindow) {
+         outstandingFetches_ < kRecoveryFetchWindow) {
     const std::size_t idx = nextFetch_++;
     ++outstandingFetches_;
     fetchSegment(idx, 0);
@@ -129,7 +129,7 @@ void RecoveryTask::fetchSegment(std::size_t segIdx, std::size_t sourceIdx) {
   if (auto* j = master_.journal();
       j != nullptr && !fetchSpans_.contains(segIdx)) {
     // One span per segment, spanning replica fallbacks; up to
-    // recoveryFetchWindow of these legitimately overlap per actor.
+    // kRecoveryFetchWindow of these legitimately overlap per actor.
     fetchSpans_[segIdx] = j->beginSpan("segment_fetch", master_.node().id(),
                                        taskSpan_, plan_->recoveryId);
   }
@@ -197,7 +197,6 @@ void RecoveryTask::onSegmentData(std::size_t segIdx,
                                  std::vector<log::LogEntry> entries) {
   if (aborted_ || failed_) return;
   --outstandingFetches_;
-  ++segmentsFetched_;
   if (auto it = fetchSpans_.find(segIdx); it != fetchSpans_.end()) {
     auto* j = master_.journal();
     j->addBytes(it->second, plan_->segments[segIdx].bytes);
@@ -212,7 +211,7 @@ void RecoveryTask::onSegmentData(std::size_t segIdx,
 
 void RecoveryTask::pumpReplay() {
   if (aborted_ || failed_ || replaying_) return;
-  if (unackedSegments_ > master_.params().recoveryMaxUnackedSegments) return;
+  if (unackedSegments_ > kRecoveryMaxUnackedSegments) return;
   if (replayQueue_.empty()) {
     maybeFinish();
     return;
@@ -241,10 +240,10 @@ void RecoveryTask::replayChunk(std::vector<log::LogEntry> entries,
     return;
   }
   const std::size_t chunk = std::min<std::size_t>(
-      static_cast<std::size_t>(master_.params().replayChunkEntries),
+      static_cast<std::size_t>(kReplayChunkEntries),
       entries.size() - offset);
   const sim::Duration cpu =
-      master_.params().replayPerEntryCpu * static_cast<sim::Duration>(chunk);
+      kReplayPerEntryCpu * static_cast<sim::Duration>(chunk);
 
   // Replay runs on the task's pinned replay worker (already accounted
   // busy); chunking keeps the event loop responsive.
@@ -260,7 +259,7 @@ void RecoveryTask::replayChunk(std::vector<log::LogEntry> entries,
     if (replaySpan_ != 0) master_.journal()->addCount(replaySpan_, chunk);
     // Replication gating: if appends sealed a side segment and too many
     // are unacked, pause until acks drain (pumpReplay re-checks).
-    if (unackedSegments_ > master_.params().recoveryMaxUnackedSegments) {
+    if (unackedSegments_ > kRecoveryMaxUnackedSegments) {
       // Pause: re-queue the remainder at the front so order is preserved;
       // pumpReplay resumes once acks drain.
       if (offset + chunk < entries.size()) {
@@ -401,14 +400,7 @@ void RecoveryTask::commit() {
     master_.addTablet(t);
   }
   for (const auto& [e, ref] : recoveredCompletions_) {
-    UnackedRpcResults::Result rr;
-    rr.status = e.opStatus;
-    rr.version = e.version;
-    rr.found = e.found;
-    rr.tableId = e.tableId;
-    rr.keyId = e.keyId;
-    rr.record = ref;
-    if (!master_.unackedRpcResults().recover(e.clientId, e.rpcSeq, rr)) {
+    if (!master_.recoverRiflRecord(e, ref)) {
       // Already known (an earlier partition of the same crash carried it,
       // or the client's watermark has passed): drop the duplicate copy.
       master_.log().markDead(ref);
@@ -421,17 +413,7 @@ void RecoveryTask::commit() {
   std::set<TxRecordKey> decided;
   for (const auto& [e, ref] : recoveredTxDecisions_) {
     decided.insert({e.txId, e.tableId, e.keyId});
-    bool owned = false;
-    if (e.clientId != 0 && e.rpcSeq != 0) {
-      UnackedRpcResults::Result rr;
-      rr.status = e.opStatus;
-      rr.version = e.version;
-      rr.found = true;
-      rr.tableId = e.tableId;
-      rr.keyId = e.keyId;
-      rr.record = ref;
-      owned = master_.unackedRpcResults().recover(e.clientId, e.rpcSeq, rr);
-    }
+    const bool owned = master_.recoverRiflRecord(e, ref);
     master_.txLockTable().noteResolved(e.txId, e.txCommit, e.clientId,
                                        e.tableId, e.keyId, ref, owned,
                                        master_.node().sim().now());
@@ -442,21 +424,8 @@ void RecoveryTask::commit() {
       master_.log().markDead(ref);
       continue;
     }
-    bool owned = false;
-    if (e.clientId != 0) {
-      UnackedRpcResults::Result rr;
-      rr.status = e.opStatus;
-      rr.version = e.version;
-      rr.found = true;
-      rr.tableId = e.tableId;
-      rr.keyId = e.keyId;
-      rr.record = ref;
-      owned = master_.unackedRpcResults().recover(e.clientId, e.rpcSeq, rr);
-    }
-    if (master_.installRecoveredTxLock(e, ref, owned)) {
+    if (master_.installReplayedPrepare(e, ref)) {
       master_.txLockTable().countRecovered();
-    } else if (!owned) {
-      master_.log().markDead(ref);
     }
   }
 

@@ -22,7 +22,7 @@ class MasterService;
 /// Replays one partition of a crashed master's data on a recovery master.
 ///
 /// Pipeline (mirrors RAMCloud's SOSP'11 design):
-///   fetch  — up to `recoveryFetchWindow` kGetRecoveryData RPCs in flight;
+///   fetch  — up to `kRecoveryFetchWindow` kGetRecoveryData RPCs in flight;
 ///            backups read the frame from disk once and serve all
 ///            partitions from memory.
 ///   replay — entries re-inserted in worker-CPU chunks into a private
@@ -30,7 +30,7 @@ class MasterService;
 ///            irrelevant), tombstones suppress deleted objects.
 ///   re-replicate — each sealed side-log segment is replicated whole to
 ///            fresh backups; replay pauses when more than
-///            `recoveryMaxUnackedSegments` are unacknowledged. Backup acks
+///            `kRecoveryMaxUnackedSegments` are unacknowledged. Backup acks
 ///            are flush-gated under buffer pressure, which couples recovery
 ///            speed to contended disk bandwidth (Findings 5/6).
 ///   commit — hash table updated, side-log segments adopted, tablets
@@ -56,7 +56,6 @@ class RecoveryTask {
   void onBackupDown(node::NodeId dead);
 
   // Progress counters (for tests and the Fig. 9-12 timelines).
-  std::size_t segmentsFetched() const { return segmentsFetched_; }
   std::uint64_t entriesReplayed() const { return entriesReplayed_; }
 
   /// Resolve a side-log segment (backups snapshot replica contents
@@ -139,7 +138,6 @@ class RecoveryTask {
   std::deque<std::vector<log::LogEntry>> replayQueue_;
   bool replaying_ = false;
   int unackedSegments_ = 0;
-  std::size_t segmentsFetched_ = 0;
   std::size_t segmentsReplayed_ = 0;
   std::uint64_t entriesReplayed_ = 0;
   bool drainStarted_ = false;

@@ -32,7 +32,6 @@ class FifoLock {
   std::uint64_t acquisitions() const { return acquisitions_; }
 
   /// Drop all waiters without granting (used when a node crashes).
-  void clearWaiters() { waiters_.clear(); }
 
   /// Crash reset: lock free, no waiters.
   void reset() {

@@ -115,7 +115,6 @@ class TimeWeightedValue {
   double integralTo(SimTime t) const;
 
   double current() const { return value_; }
-  SimTime lastChange() const { return lastTime_; }
 
  private:
   double value_ = 0;
@@ -128,29 +127,13 @@ class TimeWeightedValue {
   SimTime startTime() const { return startTime_; }
 };
 
-/// Counts discrete completions and reports rates over [from, to] windows.
+/// Completion rates over [from, to] windows.
 class OpCounter {
  public:
-  void record(SimTime t) {
-    ++total_;
-    lastAt_ = t;
-  }
-  void add(SimTime t, std::uint64_t n) {
-    total_ += n;
-    lastAt_ = t;
-  }
-
-  std::uint64_t total() const { return total_; }
-  SimTime lastAt() const { return lastAt_; }
-
-  /// Snapshot-based window rate: callers remember a snapshot of total()
-  /// at window start.
+  /// Snapshot-based window rate: callers remember a cumulative completion
+  /// count at window start.
   static double rate(std::uint64_t startCount, std::uint64_t endCount,
                      SimTime from, SimTime to);
-
- private:
-  std::uint64_t total_ = 0;
-  SimTime lastAt_ = 0;
 };
 
 }  // namespace rc::sim

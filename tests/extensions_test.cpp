@@ -240,7 +240,7 @@ TEST(MultiOps, MultiWriteLeavesTxLockedKeyAlone) {
   EXPECT_EQ(missing, 1u);
   EXPECT_EQ(owner.objectMap().get(hash::Key{table, locked})->version, before);
   EXPECT_EQ(owner.objectMap().get(hash::Key{table, locked})->sizeBytes,
-            1000u + p.master.objectOverheadBytes);
+            1000u + server::kObjectOverheadBytes);
   EXPECT_EQ(owner.txLockTable().conflicts(), 1u);
 }
 

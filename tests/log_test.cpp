@@ -282,13 +282,13 @@ void expectSameRecord(const LogEntry& want, const LogEntry& got,
 
 /// One record of each type on `keys[0..4]`, every field its type uses set
 /// to a distinct non-default value. Versions come from `nextVersion`. Sizes
-/// follow MasterParams so migration rebuilds the same records.
+/// follow the master's record-size constants so migration rebuilds the same
+/// records.
 std::vector<LogEntry> oneOfEachType(std::uint64_t tableId,
                                     const std::vector<std::uint64_t>& keys,
                                     SegmentId tombstoneRef,
                                     const std::function<std::uint64_t()>&
                                         nextVersion) {
-  const server::MasterParams mp;
   auto base = [&](std::size_t i, EntryType type, std::uint32_t size) {
     LogEntry e;
     e.tableId = tableId;
@@ -298,18 +298,21 @@ std::vector<LogEntry> oneOfEachType(std::uint64_t tableId,
     e.sizeBytes = size;
     return e;
   };
-  LogEntry obj = base(0, EntryType::kObject, 1000 + mp.objectOverheadBytes);
+  LogEntry obj = base(0, EntryType::kObject,
+                      1000 + server::kObjectOverheadBytes);
 
-  LogEntry tomb = base(1, EntryType::kTombstone, mp.tombstoneBytes);
+  LogEntry tomb = base(1, EntryType::kTombstone, server::kTombstoneBytes);
   tomb.refSegment = tombstoneRef;
 
-  LogEntry done = base(2, EntryType::kCompletion, mp.completionRecordBytes);
+  LogEntry done = base(2, EntryType::kCompletion,
+                       server::kCompletionRecordBytes);
   done.clientId = 0x5151;
   done.rpcSeq = 17;
   done.opStatus = 3;
   done.found = false;
 
-  LogEntry prep = base(3, EntryType::kTxPrepare, mp.txPrepareRecordBytes);
+  LogEntry prep = base(3, EntryType::kTxPrepare,
+                       server::kTxPrepareRecordBytes);
   prep.clientId = 0x6262;
   prep.rpcSeq = 29;
   prep.opStatus = 0;
@@ -321,7 +324,8 @@ std::vector<LogEntry> oneOfEachType(std::uint64_t tableId,
       std::vector<std::pair<std::uint64_t, std::uint64_t>>{
           {tableId, keys[3]}, {tableId, keys[4]}});
 
-  LogEntry dec = base(4, EntryType::kTxDecision, mp.completionRecordBytes);
+  LogEntry dec = base(4, EntryType::kTxDecision,
+                      server::kCompletionRecordBytes);
   dec.clientId = 0x8383;
   dec.rpcSeq = 41;
   dec.opStatus = 0;

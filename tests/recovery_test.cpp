@@ -84,7 +84,7 @@ TEST(BackupFilter, WatermarkExcludesUnreplicatedTail) {
   const auto table = c.createTable("t", 1);
   auto& master = *c.server(0).master;
   for (std::uint64_t k = 0; k < 10; ++k) {
-    master.bulkInsert(table, k, 1000, c.sim().now());
+    master.bulkInsert(table, k, 1000);
   }
   auto seg = master.log().sharedSegment(
       master.log().segments().begin()->first);

@@ -166,6 +166,177 @@ TEST(MasterService, WrongOwnerReturnsUnknownTablet) {
   EXPECT_EQ(r.status, net::Status::kUnknownTablet);
 }
 
+net::RpcRequest scanReq(std::uint64_t table, const Tablet& range) {
+  net::RpcRequest r;
+  r.op = net::Opcode::kScan;
+  r.a = table;
+  r.b = range.startHash;
+  r.c = range.endHash;
+  return r;
+}
+
+net::RpcRequest multiReadReq(std::uint64_t table,
+                             std::vector<std::uint64_t> keys) {
+  net::RpcRequest r;
+  r.op = net::Opcode::kMultiRead;
+  r.a = table;
+  r.keys = std::make_shared<const std::vector<std::uint64_t>>(std::move(keys));
+  return r;
+}
+
+/// Read-only transaction validation: a tx prepare without a payload.
+net::RpcRequest validateReq(std::uint64_t table, std::uint64_t key,
+                            std::uint64_t version) {
+  net::RpcRequest r;
+  r.op = net::Opcode::kTxPrepare;
+  r.a = table;
+  r.b = key;
+  r.c = version;
+  r.d = 77;  // txId
+  return r;
+}
+
+// A scan sent to a master that owns no tablet covering the range must say
+// so; answering "0 objects" would silently undercount a stale-map scan.
+TEST(MasterService, ScanOfRangeOwnedElsewhereIsUnknownTablet) {
+  core::Cluster c(smallCluster(2, 0));
+  const auto table = c.createTable("t");
+  c.bulkLoad(table, 100, 1000);
+  const auto mine = c.coord().tabletMap().tabletsOwnedBy(c.serverNodeId(0));
+  ASSERT_EQ(mine.size(), 1u);
+  const auto owned = callSync(c, c.serverNodeId(0), scanReq(table, mine[0]));
+  EXPECT_EQ(owned.status, net::Status::kOk);
+  EXPECT_GT(owned.a, 0u);
+
+  const auto r = callSync(c, c.serverNodeId(1), scanReq(table, mine[0]));
+  EXPECT_EQ(r.status, net::Status::kUnknownTablet);
+  EXPECT_EQ(c.server(1).master->stats().unknownTablet, 1u);
+  // A range that only starts on the other master is not covered either.
+  Tablet wider = mine[0];
+  wider.startHash = 0;
+  wider.endHash = ~0ULL;
+  EXPECT_EQ(callSync(c, c.serverNodeId(0), scanReq(table, wider)).status,
+            net::Status::kUnknownTablet);
+}
+
+// A multi-read holding a key the master does not own must not report that
+// key as absent: the caller could not tell "absent" from "ask the owner".
+TEST(MasterService, MultiReadWithKeyOwnedElsewhereIsUnknownTablet) {
+  core::Cluster c(smallCluster(2, 0));
+  const auto table = c.createTable("t");
+  c.bulkLoad(table, 100, 1000);
+  std::vector<std::uint64_t> mine;
+  std::uint64_t foreign = 0;
+  for (std::uint64_t k = 0; k < 100; ++k) {
+    if (c.ownerOfKey(table, k) == c.serverNodeId(0)) {
+      mine.push_back(k);
+    } else {
+      foreign = k;
+    }
+  }
+  ASSERT_GE(mine.size(), 2u);
+  ASSERT_NE(c.ownerOfKey(table, foreign), c.serverNodeId(0));
+  const auto& st = c.server(0).master->stats();
+
+  auto r = callSync(c, c.serverNodeId(0), multiReadReq(table, {mine[0],
+                                                               foreign}));
+  EXPECT_EQ(r.status, net::Status::kUnknownTablet);
+  EXPECT_EQ(st.unknownTablet, 1u);
+  EXPECT_EQ(st.reads, 0u);
+  EXPECT_EQ(st.missingKeys, 0u);
+
+  r = callSync(c, c.serverNodeId(0), multiReadReq(table, {mine[0], mine[1]}));
+  EXPECT_EQ(r.status, net::Status::kOk);
+  EXPECT_EQ(r.a, 2u);
+  EXPECT_EQ(r.b, 0u);
+}
+
+// Read, tx validation, scan and multi-read pass one admission step and one
+// worker hand-off: each is tagged as a read, books tablet heat, and
+// counts reads and missing keys by the same rules; each is refused by a
+// non-owner the same way.
+TEST(MasterService, ReadPathOpcodesShareAdmissionAndWorkerHandOff) {
+  core::Cluster c(smallCluster(2, 0));
+  const auto table = c.createTable("t");
+  c.bulkLoad(table, 100, 1000);
+  const node::NodeId owner = c.ownerOfKey(table, 3);
+  const node::NodeId other =
+      owner == c.serverNodeId(0) ? c.serverNodeId(1) : c.serverNodeId(0);
+  std::vector<std::uint64_t> ownedKeys;
+  for (std::uint64_t k = 0; ownedKeys.size() < 2; ++k) {
+    if (k != 3 && c.ownerOfKey(table, k) == owner) ownedKeys.push_back(k);
+  }
+  std::uint64_t absent = 1'000;
+  while (c.ownerOfKey(table, absent) != owner) ++absent;
+  const auto tablets = c.coord().tabletMap().tabletsOwnedBy(owner);
+  ASSERT_EQ(tablets.size(), 1u);
+  const std::uint64_t version =
+      c.directory().masterOn(owner)->objectMap().get(hash::Key{table, 3})
+          ->version;
+
+  struct Case {
+    const char* name;
+    net::RpcRequest req;
+    std::uint64_t reads;
+    std::uint64_t missing;
+    double heat;
+  };
+  std::vector<std::uint64_t> batch = ownedKeys;
+  batch.push_back(absent);
+  const Case cases[] = {
+      {"read", readReq(table, 3), 1, 0, 1},
+      {"read absent", readReq(table, absent), 1, 1, 1},
+      {"validation", validateReq(table, 3, version), 0, 0, 1},
+      {"scan", scanReq(table, tablets[0]), 1, 0, 1},
+      {"multi-read", multiReadReq(table, batch), 3, 1, 3},
+  };
+  const MasterService& m = *c.directory().masterOn(owner);
+  const power::EnergyMeter& meter = c.server(owner - 1).node->energyMeter();
+  auto cpuJoules = [&meter](power::OpClass cls) {
+    double j = 0;
+    meter.forEachCell([&](power::Component comp, power::OpClass o,
+                          std::uint16_t, double joules) {
+      if (comp == power::Component::kCpu && o == cls) j += joules;
+    });
+    return j;
+  };
+  auto heatReads = [&c] {
+    double sum = 0;
+    c.metrics().forEach([&](const obs::MetricInfo& info) {
+      if (info.name.find(".tablet.heat.") != std::string::npos &&
+          info.name.ends_with(".reads")) {
+        sum += c.metrics().value(info.name);
+      }
+    });
+    return sum;
+  };
+  for (const Case& k : cases) {
+    SCOPED_TRACE(k.name);
+    const MasterStats before = m.stats();
+    const double heat = heatReads();
+    const double readCpu = cpuJoules(power::OpClass::kRead);
+    const double updateCpu = cpuJoules(power::OpClass::kUpdate);
+
+    const auto r = callSync(c, owner, k.req);
+    EXPECT_EQ(r.status, net::Status::kOk);
+    EXPECT_EQ(m.stats().reads - before.reads, k.reads);
+    EXPECT_EQ(m.stats().missingKeys - before.missingKeys, k.missing);
+    EXPECT_EQ(m.stats().unknownTablet, before.unknownTablet);
+    EXPECT_EQ(m.stats().readServiceLatency.count() -
+                  before.readServiceLatency.count(),
+              k.reads > 0 ? 1u : 0u);
+    EXPECT_EQ(heatReads() - heat, k.heat);
+    EXPECT_GT(cpuJoules(power::OpClass::kRead), readCpu);
+    EXPECT_EQ(cpuJoules(power::OpClass::kUpdate), updateCpu);
+
+    const auto& otherStats = c.directory().masterOn(other)->stats();
+    const std::uint64_t refused = otherStats.unknownTablet;
+    EXPECT_EQ(callSync(c, other, k.req).status, net::Status::kUnknownTablet);
+    EXPECT_EQ(otherStats.unknownTablet, refused + 1);
+  }
+  EXPECT_EQ(m.stats().unknownTablet, 0u);
+}
+
 TEST(MasterService, VersionsIncreaseAcrossOverwrites) {
   core::Cluster c(smallCluster(1, 0));
   const auto table = c.createTable("t");
