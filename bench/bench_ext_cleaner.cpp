@@ -65,13 +65,12 @@ int main(int argc, char** argv) {
   const double utils[] = {0.30, 0.60, 0.80, 0.90};
   core::TableFormatter t({"memory util", "policy", "throughput (Kop/s)",
                           "cleaner passes", "write amp"});
-  double cbThr[4], grThr[4], cbAmp[4], grAmp[4];
+  double cbThr[4], cbAmp[4], grAmp[4];
   std::uint64_t cbRuns[4];
   for (int i = 0; i < 4; ++i) {
     const Result cb = run(utils[i], log::CleanerPolicy::kCostBenefit, opt);
     const Result gr = run(utils[i], log::CleanerPolicy::kGreedy, opt);
     cbThr[i] = cb.kops;
-    grThr[i] = gr.kops;
     cbAmp[i] = cb.writeAmp;
     grAmp[i] = gr.writeAmp;
     cbRuns[i] = cb.cleanerRuns;

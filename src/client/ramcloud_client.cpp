@@ -1,5 +1,6 @@
 #include "client/ramcloud_client.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace rc::client {
@@ -17,46 +18,61 @@ RamCloudClient::RamCloudClient(
       params_(params),
       retryBudget_(params.retryBudgetPerSec, params.retryBudgetBurst) {}
 
+namespace {
+
+/// Wire bytes per key of a multi-op request, on top of the values.
+constexpr std::uint64_t kPerKeyWireBytes = 30;
+
+// Adapters from the public callbacks to the completion every op carries.
+auto latencyOnly(RamCloudClient::OpCallback cb) {
+  return [cb = std::move(cb)](net::Status s, const net::RpcResponse&,
+                              sim::Duration d) { cb(s, d); };
+}
+
+auto withVersion(RamCloudClient::VersionCallback cb) {
+  return [cb = std::move(cb)](net::Status s, const net::RpcResponse& r,
+                              sim::Duration d) { cb(s, r.b, d); };
+}
+
+auto keysServed(RamCloudClient::MultiOpCallback cb) {
+  return [cb = std::move(cb)](net::Status s, const net::RpcResponse& r,
+                              sim::Duration) { cb(s, r.a, r.b); };
+}
+
+}  // namespace
+
 void RamCloudClient::read(std::uint64_t tableId, std::uint64_t keyId,
                           OpCallback cb) {
-  ++stats_.opsIssued;
-  issue(OpState{net::Opcode::kRead, tableId, keyId, 0, sim_.now(),
-                params_.maxRetries, std::move(cb)});
+  start(OpState(*this, net::Opcode::kRead, tableId, keyId, 0,
+                latencyOnly(std::move(cb))));
 }
 
 void RamCloudClient::write(std::uint64_t tableId, std::uint64_t keyId,
                            std::uint32_t valueBytes, OpCallback cb) {
-  ++stats_.opsIssued;
-  issue(OpState{net::Opcode::kWrite, tableId, keyId, valueBytes, sim_.now(),
-                params_.maxRetries, std::move(cb)});
+  start(OpState(*this, net::Opcode::kWrite, tableId, keyId, valueBytes,
+                latencyOnly(std::move(cb))));
 }
 
 void RamCloudClient::remove(std::uint64_t tableId, std::uint64_t keyId,
                             OpCallback cb) {
-  ++stats_.opsIssued;
-  issue(OpState{net::Opcode::kRemove, tableId, keyId, 0, sim_.now(),
-                params_.maxRetries, std::move(cb)});
+  start(OpState(*this, net::Opcode::kRemove, tableId, keyId, 0,
+                latencyOnly(std::move(cb))));
 }
 
 void RamCloudClient::readV(std::uint64_t tableId, std::uint64_t keyId,
                            VersionCallback cb) {
-  ++stats_.opsIssued;
-  OpState st{net::Opcode::kRead, tableId, keyId, 0, sim_.now(),
-             params_.maxRetries, nullptr};
-  st.vcb = std::move(cb);
-  issue(std::move(st));
+  start(OpState(*this, net::Opcode::kRead, tableId, keyId, 0,
+                withVersion(std::move(cb))));
 }
 
 void RamCloudClient::writeV(std::uint64_t tableId, std::uint64_t keyId,
                             std::uint32_t valueBytes,
                             std::uint64_t expectedVersion,
                             VersionCallback cb) {
-  ++stats_.opsIssued;
-  OpState st{net::Opcode::kWrite, tableId, keyId, valueBytes, sim_.now(),
-             params_.maxRetries, nullptr};
-  st.vcb = std::move(cb);
-  st.expectedVersion = expectedVersion;
-  issue(std::move(st));
+  OpState st(*this, net::Opcode::kWrite, tableId, keyId, valueBytes,
+             withVersion(std::move(cb)));
+  st.c = expectedVersion;
+  start(std::move(st));
 }
 
 std::uint64_t RamCloudClient::txBegin() {
@@ -182,31 +198,41 @@ void RamCloudClient::txCommit(std::uint64_t txId, OpCallback cb) {
     }
     cx->pendingDecisions = static_cast<int>(cx->writeKeys.size());
     for (const auto& [tableId, keyId] : cx->writeKeys) {
-      OpState st{net::Opcode::kTxDecision, tableId, keyId, 0, sim_.now(),
-                 params_.maxRetries, nullptr};
+      // A decision ack reports in `a` whether it released a held lock.
+      OpState st(
+          *this, net::Opcode::kTxDecision, tableId, keyId, 0,
+          [cx, finalize](net::Status s, const net::RpcResponse& r,
+                         sim::Duration) {
+            if (s == net::Status::kOk) {
+              ++cx->decisionsAcked;
+              if (r.a != 0) ++cx->decisionsApplied;
+            }
+            if (--cx->pendingDecisions == 0) finalize();
+          });
       st.txId = cx->txId;
-      st.txCommitDecision = cx->commit;
-      st.vcb = [cx, finalize](net::Status s, std::uint64_t applied,
-                              sim::Duration) {
-        if (s == net::Status::kOk) {
-          ++cx->decisionsAcked;
-          if (applied != 0) ++cx->decisionsApplied;
-        }
-        if (--cx->pendingDecisions == 0) finalize();
-      };
-      ++stats_.opsIssued;
-      issue(std::move(st));
+      st.c = cx->commit ? 1 : 0;
+      start(std::move(st));
     }
   };
 
   cx->pendingVotes = static_cast<int>(tx.items.size());
   for (const auto& [key, item] : tx.items) {
-    OpState st{net::Opcode::kTxPrepare, key.first, key.second,
-               item.written ? item.valueBytes : 0, sim_.now(),
-               params_.maxRetries, nullptr};
+    OpState st(
+        *this, net::Opcode::kTxPrepare, key.first, key.second,
+        item.written ? item.valueBytes : 0,
+        [cx, decisionRound](net::Status s, const net::RpcResponse&,
+                            sim::Duration) {
+          if (s == net::Status::kVersionMismatch ||
+              s == net::Status::kTxConflict) {
+            cx->anyNo = true;
+          } else if (s != net::Status::kOk) {
+            cx->anyUnknown = true;
+          }
+          if (--cx->pendingVotes == 0) decisionRound();
+        });
     st.txId = txId;
-    st.expectedVersion = item.read ? item.readVersion : 0;
-    st.txKeys = cx->participants;
+    st.c = item.read ? item.readVersion : 0;
+    st.keys = cx->participants;
     if (item.written) {
       // Tracked: pre-assign the seq so it can be held past the vote (the
       // firstUnacked watermark must not release the prepare record before
@@ -216,18 +242,7 @@ void RamCloudClient::txCommit(std::uint64_t txId, OpCallback cb) {
       outstandingSeqs_.insert(st.seq);
       cx->prepareSeqs.push_back(st.seq);
     }
-    st.vcb = [cx, decisionRound](net::Status s, std::uint64_t,
-                                 sim::Duration) {
-      if (s == net::Status::kVersionMismatch ||
-          s == net::Status::kTxConflict) {
-        cx->anyNo = true;
-      } else if (s != net::Status::kOk) {
-        cx->anyUnknown = true;
-      }
-      if (--cx->pendingVotes == 0) decisionRound();
-    };
-    ++stats_.opsIssued;
-    issue(std::move(st));
+    start(std::move(st));
   }
 }
 
@@ -237,156 +252,101 @@ void RamCloudClient::stallFor(sim::Duration d) {
 }
 
 void RamCloudClient::scanTable(std::uint64_t tableId, ScanCallback cb) {
-  refreshMapThen([this, tableId, cb = std::move(cb)]() mutable {
-    struct Agg {
-      std::uint64_t count = 0;
-      std::uint64_t bytes = 0;
-      int pending = 0;
-      bool anyError = false;
-      ScanCallback cb;
-    };
-    auto agg = std::make_shared<Agg>();
-    agg->cb = std::move(cb);
-
-    std::vector<coordinator::TabletMap::Entry> tablets;
-    for (const auto& e : cachedMap_.entries()) {
-      if (e.tablet.tableId == tableId) tablets.push_back(e);
-    }
-    if (tablets.empty()) {
-      agg->cb(net::Status::kUnknownTablet, 0, 0);
-      return;
-    }
-    agg->pending = static_cast<int>(tablets.size());
-    for (const auto& e : tablets) {
-      net::RpcRequest req;
-      req.op = net::Opcode::kScan;
-      req.a = tableId;
-      req.b = e.tablet.startHash;
-      req.c = e.tablet.endHash;
-      rpc_.call(self_, e.tablet.owner, net::kMasterPort, req,
-                sim::seconds(30), [agg](const net::RpcResponse& resp) {
-                  if (resp.status == net::Status::kOk) {
-                    agg->count += resp.a;
-                    agg->bytes += resp.payloadBytes;
-                  } else {
-                    agg->anyError = true;
-                  }
-                  if (--agg->pending == 0) {
-                    agg->cb(agg->anyError ? net::Status::kError
-                                          : net::Status::kOk,
-                            agg->count, agg->bytes);
-                  }
-                });
-    }
-  });
+  OpState st(*this, net::Opcode::kScan, tableId, 0, 0,
+             [cb = std::move(cb)](net::Status s, const net::RpcResponse& r,
+                                  sim::Duration) {
+               cb(s, r.a, r.payloadBytes);
+             });
+  st.c = ~std::uint64_t{0};  // the whole hash space
+  start(std::move(st));
 }
 
 void RamCloudClient::multiRead(std::uint64_t tableId,
                                std::vector<std::uint64_t> keys,
                                MultiOpCallback cb) {
-  issueMulti(net::Opcode::kMultiRead, tableId, std::move(keys), 0,
-             std::move(cb), params_.maxRetries);
+  OpState st(*this, net::Opcode::kMultiRead, tableId, 0, 0,
+             keysServed(std::move(cb)));
+  st.keys = std::make_shared<const std::vector<std::uint64_t>>(std::move(keys));
+  start(std::move(st));
 }
 
 void RamCloudClient::multiWrite(std::uint64_t tableId,
                                 std::vector<std::uint64_t> keys,
                                 std::uint32_t valueBytes,
                                 MultiOpCallback cb) {
-  issueMulti(net::Opcode::kMultiWrite, tableId, std::move(keys), valueBytes,
-             std::move(cb), params_.maxRetries);
+  OpState st(*this, net::Opcode::kMultiWrite, tableId, 0, valueBytes,
+             keysServed(std::move(cb)));
+  st.keys = std::make_shared<const std::vector<std::uint64_t>>(std::move(keys));
+  start(std::move(st));
 }
 
-void RamCloudClient::issueMulti(net::Opcode op, std::uint64_t tableId,
-                                std::vector<std::uint64_t> keys,
-                                std::uint32_t valueBytes, MultiOpCallback cb,
-                                int retriesLeft) {
-  refreshMapThen([this, op, tableId, keys = std::move(keys), valueBytes,
-                  cb = std::move(cb), retriesLeft]() mutable {
-    // Group keys by owning master (per the cached map).
-    std::unordered_map<node::NodeId, std::vector<std::uint64_t>> groups;
-    bool anyUnknown = false;
-    for (const std::uint64_t k : keys) {
-      node::NodeId target = node::kInvalidNode;
-      if (routeFor(tableId, k, &target) != Route::kOk) {
-        anyUnknown = true;
+void RamCloudClient::split(OpState st) {
+  std::vector<OpState> parts;
+  auto part = [&]() -> OpState& {
+    OpState& p = parts.emplace_back(*this, st.op, st.tableId, st.keyId,
+                                    st.valueBytes, nullptr);
+    p.startedAt = st.startedAt;
+    p.retriesLeft = st.retriesLeft;
+    return p;
+  };
+  if (st.op == net::Opcode::kScan) {
+    for (const auto& e : cachedMap_.entries()) {
+      if (e.tablet.tableId != st.tableId || e.tablet.endHash < st.keyId ||
+          e.tablet.startHash > st.c) {
         continue;
       }
-      auto& group = groups[target];
-      // Upper-bound reservation: a batch usually routes to few masters,
-      // and the per-group growth reallocations dominated this loop.
-      if (group.empty()) group.reserve(keys.size());
-      group.push_back(k);
+      OpState& p = part();
+      p.keyId = std::max(st.keyId, e.tablet.startHash);
+      p.c = std::min(st.c, e.tablet.endHash);
     }
-    if (groups.empty() || anyUnknown) {
-      if (retriesLeft > 0) {
-        // Routing incomplete (recovering/unknown): back off and retry the
-        // whole batch.
-        sim_.schedule(params_.recoveringBackoff,
-                      [this, op, tableId, keys = std::move(keys), valueBytes,
-                       cb = std::move(cb), retriesLeft]() mutable {
-                        issueMulti(op, tableId, std::move(keys), valueBytes,
-                                   std::move(cb), retriesLeft - 1);
-                      });
-      } else {
-        cb(net::Status::kError, 0, 0);
+  } else {
+    // Keys on recovering or unknown tablets form parts that wait and
+    // re-route like any op.
+    std::map<std::pair<Route, node::NodeId>, std::vector<std::uint64_t>>
+        groups;
+    for (const std::uint64_t k : *st.keys) {
+      node::NodeId target = node::kInvalidNode;
+      auto& g = groups[{routeFor(st.tableId, k, &target), target}];
+      if (g.empty()) g.reserve(st.keys->size());
+      g.push_back(k);
+    }
+    for (auto& [owner, keys] : groups) {
+      part().keys =
+          std::make_shared<const std::vector<std::uint64_t>>(std::move(keys));
+    }
+  }
+  // Every part reports here: kOk parts' reply words are summed, the first
+  // failed part's status stands for the op, which completes once.
+  struct Merge {
+    Done done;
+    std::size_t pending = 0;
+    net::Status status = net::Status::kOk;
+    net::RpcResponse sum;
+  };
+  auto merge = std::make_shared<Merge>();
+  merge->done = std::move(st.done);
+  merge->pending = parts.size();
+  stats_.opsIssued += parts.size() - 1;  // st itself was counted
+  for (OpState& p : parts) {
+    p.done = [merge](net::Status s, const net::RpcResponse& r,
+                     sim::Duration latency) {
+      if (s == net::Status::kOk) {
+        merge->sum.a += r.a;
+        merge->sum.b += r.b;
+        merge->sum.payloadBytes += r.payloadBytes;
+      } else if (merge->status == net::Status::kOk) {
+        merge->status = s;
       }
-      return;
-    }
-
-    struct Agg {
-      std::uint64_t served = 0;
-      std::uint64_t missing = 0;
-      int pending = 0;
-      bool anyError = false;
-      MultiOpCallback cb;
+      if (--merge->pending == 0) {
+        merge->done(merge->status, merge->sum, latency);
+      }
     };
-    auto agg = std::make_shared<Agg>();
-    agg->cb = std::move(cb);
-    agg->pending = static_cast<int>(groups.size());
-
-    constexpr std::uint64_t kPerKeyWireBytes = 30;
-    for (auto& [target, groupKeys] : groups) {
-      net::RpcRequest req;
-      req.op = op;
-      req.a = tableId;
-      req.b = valueBytes;
-      req.c = groupKeys.size();
-      req.payloadBytes =
-          groupKeys.size() * kPerKeyWireBytes +
-          (op == net::Opcode::kMultiWrite
-               ? groupKeys.size() * static_cast<std::uint64_t>(valueBytes)
-               : 0);
-      req.keys = std::make_shared<const std::vector<std::uint64_t>>(
-          std::move(groupKeys));
-      ++stats_.opsIssued;
-      rpc_.call(self_, target, net::kMasterPort, req, params_.opTimeout,
-                [this, agg, op](const net::RpcResponse& resp) {
-                  if (resp.status == net::Status::kOk) {
-                    ++stats_.opsSucceeded;
-                    agg->served += resp.a;
-                    agg->missing += resp.b;
-                  } else {
-                    // Batches are not re-split on a shed group; the bounce
-                    // is still counted so overload shows up in the stats.
-                    if (resp.status == net::Status::kOverloaded) {
-                      ++stats_.overloadedBounces;
-                      ++opOverloaded_[static_cast<std::size_t>(op)];
-                    }
-                    ++stats_.opsFailed;
-                    agg->anyError = true;
-                  }
-                  if (--agg->pending == 0) {
-                    agg->cb(agg->anyError ? net::Status::kError
-                                          : net::Status::kOk,
-                            agg->served, agg->missing);
-                  }
-                });
-    }
-  });
+    issue(std::move(p));
+  }
 }
 
 void RamCloudClient::finish(OpState& st, net::Status status,
-                            std::uint64_t version) {
+                            const net::RpcResponse& reply) {
   if (status == net::Status::kOk) {
     ++stats_.opsSucceeded;
   } else {
@@ -396,15 +356,10 @@ void RamCloudClient::finish(OpState& st, net::Status status,
   // and the masters may garbage-collect its completion record. Prepare ops
   // hold theirs until txCommit's decision round finishes (holdSeq).
   if (st.seq != 0 && !st.holdSeq) outstandingSeqs_.erase(st.seq);
-  if (st.vcb) {
-    st.vcb(status, version, sim_.now() - st.startedAt);
-  } else {
-    st.cb(status, sim_.now() - st.startedAt);
-  }
+  st.done(status, reply, sim_.now() - st.startedAt);
 }
 
-void RamCloudClient::openLeaseThen(std::function<void()> then) {
-  leaseWaiters_.push_back(std::move(then));
+void RamCloudClient::openLease() {
   if (openingLease_) return;
   openingLease_ = true;
   net::RpcRequest req;
@@ -419,13 +374,11 @@ void RamCloudClient::openLeaseThen(std::function<void()> then) {
                 startRenewals();
                 auto waiters = std::move(leaseWaiters_);
                 leaseWaiters_.clear();
-                for (auto& w : waiters) w();
+                for (auto& w : waiters) issue(std::move(w));
               } else {
                 // Coordinator unreachable: retry; queued ops stay queued.
-                sim_.schedule(params_.recoveringBackoff, [this] {
-                  if (clientId_ == 0 && !leaseWaiters_.empty()) {
-                    openLeaseThen([] {});
-                  }
+                sim_.schedule(kRecoveringBackoff, [this] {
+                  if (clientId_ == 0 && !leaseWaiters_.empty()) openLease();
                 });
               }
             });
@@ -455,12 +408,8 @@ void RamCloudClient::startRenewals() {
       });
 }
 
-RamCloudClient::Route RamCloudClient::routeFor(std::uint64_t tableId,
-                                               std::uint64_t keyId,
-                                               node::NodeId* target) const {
-  if (!haveMap_) return Route::kUnknown;
-  const std::uint64_t h = hash::keyHash(hash::Key{tableId, keyId});
-  const auto* e = cachedMap_.lookup(tableId, h);
+RamCloudClient::Route RamCloudClient::routeTo(
+    const coordinator::TabletMap::Entry* e, node::NodeId* target) {
   if (e == nullptr) return Route::kUnknown;
   if (e->state == coordinator::TabletMap::TabletState::kRecovering) {
     return Route::kRecovering;
@@ -469,8 +418,31 @@ RamCloudClient::Route RamCloudClient::routeFor(std::uint64_t tableId,
   return Route::kOk;
 }
 
-void RamCloudClient::refreshMapThen(std::function<void()> then) {
-  refreshWaiters_.push_back(std::move(then));
+RamCloudClient::Route RamCloudClient::route(const OpState& st,
+                                            node::NodeId* target) const {
+  if (st.op == net::Opcode::kScan) {
+    // One RPC when the tablet holding the first hash holds the range.
+    const auto* e = cachedMap_.lookup(st.tableId, st.keyId);
+    if (e != nullptr && e->tablet.endHash < st.c) return Route::kSplit;
+    return routeTo(e, target);
+  }
+  if (st.op == net::Opcode::kMultiRead || st.op == net::Opcode::kMultiWrite) {
+    // One RPC when every key routes alike; no keys, no owner.
+    if (st.keys->empty()) return Route::kUnknown;
+    const Route first = routeFor(st.tableId, st.keys->front(), target);
+    for (const std::uint64_t k : *st.keys) {
+      node::NodeId t = node::kInvalidNode;
+      if (routeFor(st.tableId, k, &t) != first || t != *target) {
+        return Route::kSplit;
+      }
+    }
+    return first;
+  }
+  return routeFor(st.tableId, st.keyId, target);
+}
+
+void RamCloudClient::refreshThenIssue(OpState st) {
+  refreshWaiters_.push_back(std::move(st));
   if (refreshing_) return;
   refreshing_ = true;
   ++stats_.mapRefreshes;
@@ -479,15 +451,12 @@ void RamCloudClient::refreshMapThen(std::function<void()> then) {
   rpc_.call(self_, coordinator_, net::kCoordinatorPort, req,
             server::timeouts::kControl, [this](const net::RpcResponse& resp) {
               if (resp.status == net::Status::kOk && mapAccess_) {
-                if (const auto* m = mapAccess_()) {
-                  cachedMap_ = *m;
-                  haveMap_ = true;
-                }
+                if (const auto* m = mapAccess_()) cachedMap_ = *m;
               }
               refreshing_ = false;
               auto waiters = std::move(refreshWaiters_);
               refreshWaiters_.clear();
-              for (auto& w : waiters) w();
+              for (auto& w : waiters) issue(std::move(w));
             });
 }
 
@@ -504,52 +473,53 @@ void RamCloudClient::issue(OpState st) {
   // Tracked mutating ops need a lease before the first attempt (and a new
   // one after an expiry); ops queue behind the open.
   if (tracked(st) && clientId_ == 0) {
-    openLeaseThen(
-        [this, st = std::move(st)]() mutable { issue(std::move(st)); });
+    leaseWaiters_.push_back(std::move(st));
+    openLease();
     return;
   }
 
   node::NodeId target = node::kInvalidNode;
-  const Route route = routeFor(st.tableId, st.keyId, &target);
-
-  if (route == Route::kUnknown) {
-    if (st.retriesLeft-- <= 0) {
-      finish(st, net::Status::kError);
+  switch (route(st, &target)) {
+    case Route::kOk:
+      break;
+    case Route::kSplit:
+      split(std::move(st));
       return;
-    }
-    refreshMapThen([this, st = std::move(st)]() mutable { issue(std::move(st)); });
-    return;
-  }
-
-  if (route == Route::kRecovering) {
-    ++stats_.recoveryWaits;
-    if (sim_.now() - st.startedAt > params_.recoveringDeadline) {
-      finish(st, net::Status::kTimeout);
+    case Route::kUnknown:
+      if (st.retriesLeft-- <= 0) {
+        finish(st, net::Status::kUnknownTablet);
+        return;
+      }
+      refreshThenIssue(std::move(st));
       return;
-    }
-    sim_.schedule(params_.recoveringBackoff, [this, st = std::move(st)]() mutable {
-      refreshMapThen(
-          [this, st = std::move(st)]() mutable { issue(std::move(st)); });
-    });
-    return;
+    case Route::kRecovering:
+      ++stats_.recoveryWaits;
+      if (sim_.now() - st.startedAt > kRecoveringDeadline) {
+        finish(st, net::Status::kTimeout);
+        return;
+      }
+      sim_.schedule(kRecoveringBackoff, [this, st = std::move(st)]() mutable {
+        refreshThenIssue(std::move(st));
+      });
+      return;
   }
 
   net::RpcRequest req;
   req.op = st.op;
   req.a = st.tableId;
   req.b = st.keyId;
-  if (st.op == net::Opcode::kWrite) {
-    req.payloadBytes = st.valueBytes;
-    req.c = st.expectedVersion;
-  } else if (st.op == net::Opcode::kTxPrepare) {
-    // payloadBytes == 0 marks a validation-only item (no lock, no record).
-    req.payloadBytes = st.valueBytes;
-    req.c = st.expectedVersion;
-    req.d = st.txId;
-    req.keys = st.txKeys;
-  } else if (st.op == net::Opcode::kTxDecision) {
-    req.c = st.txCommitDecision ? 1 : 0;
-    req.d = st.txId;
+  req.c = st.c;
+  req.d = st.txId;
+  // A prepare without payload is a validation-only item (no lock, no record).
+  req.payloadBytes = st.valueBytes;
+  req.keys = st.keys;
+  if (st.op == net::Opcode::kMultiRead || st.op == net::Opcode::kMultiWrite) {
+    const std::uint64_t n = st.keys->size();
+    req.b = st.valueBytes;
+    req.c = n;
+    req.payloadBytes =
+        n * kPerKeyWireBytes +
+        (st.op == net::Opcode::kMultiWrite ? n * st.valueBytes : 0);
   }
   if (tracked(st)) {
     if (st.seq == 0) {
@@ -567,7 +537,10 @@ void RamCloudClient::issue(OpState st) {
   req.traceSpan = span;
   req.tenant = tenant_;
 
-  rpc_.call(self_, target, net::kMasterPort, req, params_.opTimeout,
+  const sim::Duration timeout = st.op == net::Opcode::kScan
+                                    ? server::timeouts::kScan
+                                    : params_.opTimeout;
+  rpc_.call(self_, target, net::kMasterPort, req, timeout,
             [this, span, target,
              st = std::move(st)](const net::RpcResponse& resp) mutable {
     lastOp_.valid = false;
@@ -587,15 +560,11 @@ void RamCloudClient::issue(OpState st) {
     }
     switch (resp.status) {
       case net::Status::kOk:
-        // Decision acks report "applied to a held lock" in a, not a
-        // version — txCommit needs it to classify the outcome.
-        finish(st, net::Status::kOk,
-               st.op == net::Opcode::kTxDecision ? resp.a : resp.b);
-        return;
       case net::Status::kVersionMismatch:
-        // Conditional write lost the race; the reply carries the current
-        // version. Terminal — the caller decides whether to re-read.
-        finish(st, net::Status::kVersionMismatch, resp.b);
+        // Terminal. A conditional write or prepare that lost the race
+        // carries the current version; the caller decides whether to
+        // re-read.
+        finish(st, resp.status, resp);
         return;
       case net::Status::kUnknownTablet:
         ++stats_.staleRoutes;
@@ -609,76 +578,62 @@ void RamCloudClient::issue(OpState st) {
         ++stats_.leaseExpiries;
         clientId_ = 0;
         break;
-      case net::Status::kOverloaded: {
-        // Shed by the server's admission control. The server is alive —
-        // no failover, no map refresh — so just space the reissue: jittered
-        // exponential backoff floored at the server's retry-after hint
-        // (resp.a, ns), plus whatever the retry budget makes us wait. The
-        // budget is what stops a cluster-wide incident from turning bounces
-        // into an amplifying retry storm (docs/OVERLOAD.md).
+      case net::Status::kOverloaded:
         ++stats_.overloadedBounces;
         ++opOverloaded_[static_cast<std::size_t>(st.op)];
-        if (st.retriesLeft-- <= 0) {
-          ++stats_.overloadedGiveUps;
-          finish(st, net::Status::kOverloaded);
-          return;
-        }
-        noteRetry(st.op);
-        const int attempt = params_.maxRetries - st.retriesLeft - 1;
-        const std::uint64_t salt = (static_cast<std::uint64_t>(self_) << 48) ^
-                                   (st.tableId << 32) ^ (st.keyId << 8) ^
-                                   static_cast<std::uint64_t>(st.startedAt) ^
-                                   0x0ec1ULL;
-        sim::Duration wait =
-            std::max(params_.overloadBackoff.delay(attempt, salt),
-                     static_cast<sim::Duration>(resp.a));
-        const sim::Duration budgetWait = retryBudget_.reserve(sim_.now());
-        if (budgetWait > 0) ++stats_.retryBudgetWaits;
-        sim_.schedule(wait + budgetWait,
-                      [this, st = std::move(st)]() mutable {
-          issue(std::move(st));
-        });
-        return;
-      }
-      case net::Status::kRecovering: {
+        break;
+      case net::Status::kRecovering:
         // Back off and re-route (no budget consumed: the data will come
         // back once recovery finishes).
         ++stats_.recoveryWaits;
-        if (sim_.now() - st.startedAt > params_.recoveringDeadline) {
+        if (sim_.now() - st.startedAt > kRecoveringDeadline) {
           finish(st, net::Status::kTimeout);
           return;
         }
         noteRetry(st.op);
-        sim_.schedule(params_.recoveringBackoff,
+        sim_.schedule(kRecoveringBackoff,
                       [this, st = std::move(st)]() mutable {
-          refreshMapThen(
-              [this, st = std::move(st)]() mutable { issue(std::move(st)); });
+          refreshThenIssue(std::move(st));
         });
         return;
-      }
       default:
         finish(st, resp.status);
         return;
     }
+    const bool overloaded = resp.status == net::Status::kOverloaded;
     if (st.retriesLeft-- <= 0) {
-      finish(st, net::Status::kTimeout);
+      if (overloaded) ++stats_.overloadedGiveUps;
+      finish(st, overloaded ? net::Status::kOverloaded : net::Status::kTimeout);
       return;
     }
     noteRetry(st.op);
-    // Hard failure (timeout, stale routing or expired lease): back off with
-    // deterministic jitter before re-resolving the route. These retries
-    // draw on the same retry budget as overload bounces — a timeout storm
-    // against a struggling server is the classic metastability trigger.
     const int attempt = params_.maxRetries - st.retriesLeft - 1;
     const std::uint64_t salt = (static_cast<std::uint64_t>(self_) << 48) ^
                                (st.tableId << 32) ^ (st.keyId << 8) ^
                                static_cast<std::uint64_t>(st.startedAt);
+    // Every retry draws on the retry budget: a bounce or timeout storm
+    // against a struggling server is the classic metastability trigger
+    // (docs/OVERLOAD.md).
     const sim::Duration budgetWait = retryBudget_.reserve(sim_.now());
     if (budgetWait > 0) ++stats_.retryBudgetWaits;
+    if (overloaded) {
+      // Shed by the server's admission control. The server is alive — no
+      // failover, no map refresh — so just space the reissue: jittered
+      // exponential backoff floored at the server's retry-after hint
+      // (resp.a, ns).
+      const sim::Duration wait =
+          std::max(params_.overloadBackoff.delay(attempt, salt ^ 0x0ec1ULL),
+                   static_cast<sim::Duration>(resp.a));
+      sim_.schedule(wait + budgetWait, [this, st = std::move(st)]() mutable {
+        issue(std::move(st));
+      });
+      return;
+    }
+    // Hard failure (timeout, stale routing or expired lease): back off with
+    // deterministic jitter before re-resolving the route.
     sim_.schedule(params_.retryBackoff.delay(attempt, salt) + budgetWait,
                   [this, st = std::move(st)]() mutable {
-      refreshMapThen(
-          [this, st = std::move(st)]() mutable { issue(std::move(st)); });
+      refreshThenIssue(std::move(st));
     });
   });
 }

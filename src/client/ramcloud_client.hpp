@@ -16,9 +16,17 @@
 #include "obs/time_trace.hpp"
 #include "server/common.hpp"
 #include "sim/backoff.hpp"
+#include "sim/inline_task.hpp"
 #include "sim/simulation.hpp"
 
 namespace rc::client {
+
+/// Wait between retries while the target tablet is being recovered. These
+/// waits do not consume the retry budget: the op blocks until the data is
+/// available again (paper Fig. 10's "client 1").
+inline constexpr sim::Duration kRecoveringBackoff = sim::msec(20);
+/// How long an op may block on recovery before giving up entirely.
+inline constexpr sim::Duration kRecoveringDeadline = sim::seconds(180);
 
 struct ClientParams {
   sim::Duration opTimeout = server::timeouts::kClientOp;
@@ -40,18 +48,6 @@ struct ClientParams {
   /// regression fixture runs that way).
   double retryBudgetPerSec = 100.0;
   double retryBudgetBurst = 20.0;
-  /// Wait between retries while the target tablet is being recovered
-  /// (these waits do not consume the retry budget: the op blocks until the
-  /// data is available again — paper Fig. 10's "client 1").
-  sim::Duration recoveringBackoff = sim::msec(20);
-  /// How long an op may block on recovery before giving up entirely.
-  sim::Duration recoveringDeadline = sim::seconds(180);
-  /// Exactly-once semantics (RIFL, docs/LINEARIZABILITY.md): lazily open a
-  /// coordinator lease before the first mutating op and stamp every
-  /// write/remove with (clientId, rpcSeq, firstUnacked) so masters can
-  /// suppress duplicate retries. Off reverts to PR 3's at-least-once
-  /// retries. Batched multiWrite stays untracked either way.
-  bool exactlyOnce = true;
 };
 
 struct ClientStats {
@@ -75,7 +71,8 @@ struct ClientStats {
 };
 
 /// RAMCloud client library: tablet-map caching, request routing, retry and
-/// recovery back-off.
+/// recovery back-off. Writes, removes and tx prepares/decisions are
+/// exactly-once (RIFL, docs/LINEARIZABILITY.md); multiWrite is untracked.
 class RamCloudClient {
  public:
   /// status + end-to-end latency (first issue to final completion,
@@ -108,16 +105,22 @@ class RamCloudClient {
               std::uint32_t valueBytes, std::uint64_t expectedVersion,
               VersionCallback cb);
 
-  /// Table scan (paper SS X future work): fans one kScan RPC out per
-  /// tablet and aggregates. cb(status, objectCount, totalBytes).
+  /// Table scan (paper SS X future work): one kScan part per tablet of the
+  /// cached map, aggregated. cb(status, objectCount, totalBytes). Each part
+  /// retries like a single-key op; a part bounced for a stale route
+  /// re-splits its hash range against the refreshed map. status is kOk
+  /// when every part succeeded, else the status of a failed part
+  /// (kUnknownTablet when no tablet of the table is known).
   using ScanCallback =
       std::function<void(net::Status, std::uint64_t, std::uint64_t)>;
   void scanTable(std::uint64_t tableId, ScanCallback cb);
 
   /// Batched operations (RAMCloud's multiRead/multiWrite): keys are
-  /// grouped by owning master, one RPC per master, results aggregated.
-  /// cb(status, keysServed, keysMissing). status is kOk when every group
-  /// succeeded.
+  /// grouped by owning master per the cached map, one part per master,
+  /// results aggregated. Parts retry like single-key ops; a part bounced
+  /// for a stale route re-splits its keys against the refreshed map.
+  /// cb(status, keysServed, keysMissing). status is kOk when every part
+  /// succeeded, else the status of a failed part.
   using MultiOpCallback =
       std::function<void(net::Status, std::uint64_t, std::uint64_t)>;
   void multiRead(std::uint64_t tableId, std::vector<std::uint64_t> keys,
@@ -131,8 +134,8 @@ class RamCloudClient {
   // optimistic read set; writes are buffered locally; txCommit runs the
   // prepare round (per-object version locks + durable kTxPrepare records on
   // the participants) and, if every vote is yes, the decision round. Any
-  // vote-no or unknown vote aborts. Requires exactlyOnce (the locks are
-  // reclaimed through the owning lease when this client dies).
+  // vote-no or unknown vote aborts. The locks are reclaimed through the
+  // owning lease when this client dies.
 
   /// Open a transaction context; returns its globally-unique txId.
   std::uint64_t txBegin();
@@ -179,9 +182,9 @@ class RamCloudClient {
     return opOverloaded_[static_cast<std::size_t>(op)];
   }
 
-  /// Attach the cluster's per-RPC time trace: every read/write/remove RPC
-  /// attempt opens a span at issue and closes it at completion (including
-  /// synthesised timeouts). nullptr disables tracing.
+  /// Attach the cluster's per-RPC time trace: every data-plane RPC attempt
+  /// opens a span at issue and closes it at completion (a timed-out
+  /// attempt abandons it). nullptr disables tracing.
   void setTimeTrace(obs::TimeTrace* trace) { trace_ = trace; }
 
   /// Tenant/op-class tag stamped on every traced span and RPC this client
@@ -204,53 +207,85 @@ class RamCloudClient {
   const LastOp& lastOp() const { return lastOp_; }
 
  private:
+  /// An op's completion: final status, the reply words (a, b and
+  /// payloadBytes of the final reply when it is kOk or kVersionMismatch,
+  /// else zero) and the latency from first issue. Sized so a wrapped
+  /// std::function callback stays inline.
+  using Done = sim::InlineFunction<
+      void(net::Status, const net::RpcResponse&, sim::Duration), 32>;
+
+  /// One data-plane op, carried unchanged through every retry.
   struct OpState {
+    OpState(const RamCloudClient& client, net::Opcode op,
+            std::uint64_t tableId, std::uint64_t keyId,
+            std::uint32_t valueBytes, Done done)
+        : op(op),
+          valueBytes(valueBytes),
+          retriesLeft(client.params_.maxRetries),
+          tableId(tableId),
+          keyId(keyId),
+          startedAt(client.sim_.now()),
+          done(std::move(done)) {}
+
     net::Opcode op;
-    std::uint64_t tableId;
-    std::uint64_t keyId;
-    std::uint32_t valueBytes;
-    sim::SimTime startedAt;
-    int retriesLeft;
-    OpCallback cb;
-    VersionCallback vcb;  ///< set instead of cb by the *V variants
-    std::uint64_t expectedVersion = 0;  ///< conditional write (0 = blind)
-    /// RIFL sequence number, assigned once at the first issue of a tracked
-    /// op and reused verbatim by every retry — the master's duplicate key.
-    std::uint64_t seq = 0;
-    // Minitransaction fields (kTxPrepare / kTxDecision ops only).
-    std::uint64_t txId = 0;
-    bool txCommitDecision = false;  ///< kTxDecision: commit vs. abort
-    std::shared_ptr<const std::vector<std::uint64_t>> txKeys;  ///< packed
     /// Prepare ops keep their seq in outstandingSeqs_ past completion: the
     /// firstUnacked watermark must not pass a prepare whose decision is
     /// still pending, or the master GCs the prepare record while the lock
     /// still needs it. txCommit erases them after the decision round.
     bool holdSeq = false;
+    std::uint32_t valueBytes;
+    int retriesLeft;
+    std::uint64_t tableId;
+    std::uint64_t keyId;  ///< scan: first hash of the range
+    /// Request word c: a write's or prepare's expected version (0 = blind),
+    /// a decision's commit flag, a scan's last hash.
+    std::uint64_t c = 0;
+    std::uint64_t txId = 0;  ///< kTxPrepare / kTxDecision
+    sim::SimTime startedAt;
+    /// RIFL sequence number, assigned once at the first issue of a tracked
+    /// op and reused verbatim by every retry — the master's duplicate key.
+    std::uint64_t seq = 0;
+    /// Multi-op part: its keys. Tx prepare: the participant list, packed.
+    std::shared_ptr<const std::vector<std::uint64_t>> keys;
+    Done done;
   };
 
-  bool tracked(const OpState& st) const {
-    return params_.exactlyOnce &&
-           (st.op == net::Opcode::kWrite || st.op == net::Opcode::kRemove ||
-            st.op == net::Opcode::kTxDecision ||
-            (st.op == net::Opcode::kTxPrepare && st.valueBytes > 0));
+  static bool tracked(const OpState& st) {
+    return st.op == net::Opcode::kWrite || st.op == net::Opcode::kRemove ||
+           st.op == net::Opcode::kTxDecision ||
+           (st.op == net::Opcode::kTxPrepare && st.valueBytes > 0);
   }
 
+  /// The one attempt path every data-plane RPC takes.
   void issue(OpState st);
-  void refreshMapThen(std::function<void()> then);
-  void openLeaseThen(std::function<void()> then);
+  void start(OpState st) {
+    ++stats_.opsIssued;
+    issue(std::move(st));
+  }
+  /// Replace a multi-op or scan whose keys or range span several tablets
+  /// by one part per owner or tablet, merged into its completion.
+  void split(OpState st);
+  void refreshThenIssue(OpState st);
+  void openLease();
   void startRenewals();
   void noteRetry(net::Opcode op) {
     ++opRetries_[static_cast<std::size_t>(op)];
   }
-  void finish(OpState& st, net::Status status, std::uint64_t version = 0);
-  void issueMulti(net::Opcode op, std::uint64_t tableId,
-                  std::vector<std::uint64_t> keys, std::uint32_t valueBytes,
-                  MultiOpCallback cb, int retriesLeft);
+  void finish(OpState& st, net::Status status,
+              const net::RpcResponse& reply = net::RpcResponse{});
 
-  /// Routing decision against the *cached* map.
-  enum class Route { kOk, kRecovering, kUnknown };
+  /// Routing decision against the *cached* map. kSplit: a multi-op's keys
+  /// or a scan's range is not served by one tablet.
+  enum class Route { kOk, kRecovering, kUnknown, kSplit };
+  static Route routeTo(const coordinator::TabletMap::Entry* e,
+                       node::NodeId* target);
   Route routeFor(std::uint64_t tableId, std::uint64_t keyId,
-                 node::NodeId* target) const;
+                 node::NodeId* target) const {
+    return routeTo(cachedMap_.lookup(tableId, hash::keyHash(
+                                                  hash::Key{tableId, keyId})),
+                   target);
+  }
+  Route route(const OpState& st, node::NodeId* target) const;
 
   sim::Simulation& sim_;
   net::RpcSystem& rpc_;
@@ -259,16 +294,15 @@ class RamCloudClient {
   std::function<const coordinator::TabletMap*()> mapAccess_;
   ClientParams params_;
 
-  coordinator::TabletMap cachedMap_;
-  bool haveMap_ = false;
+  coordinator::TabletMap cachedMap_;  ///< empty until the first refresh
   bool refreshing_ = false;
-  std::vector<std::function<void()>> refreshWaiters_;
+  std::vector<OpState> refreshWaiters_;
 
   // ----- exactly-once state (docs/LINEARIZABILITY.md)
   std::uint64_t clientId_ = 0;
   sim::Duration leaseTerm_ = 0;
   bool openingLease_ = false;
-  std::vector<std::function<void()>> leaseWaiters_;
+  std::vector<OpState> leaseWaiters_;
   /// Never reset, even across lease reopen: a (clientId, seq) pair must
   /// stay unique for the client's lifetime.
   std::uint64_t nextSeq_ = 1;

@@ -2,51 +2,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 
+#include "obs/jsonl.hpp"
+
 namespace rc::obs {
-
-namespace {
-
-std::string escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-bool findString(const std::string& line, const std::string& key,
-                std::string* out) {
-  const std::string pat = "\"" + key + "\":\"";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  std::string r;
-  for (std::size_t i = at + pat.size(); i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      r.push_back(line[++i]);
-    } else if (line[i] == '"') {
-      *out = r;
-      return true;
-    } else {
-      r.push_back(line[i]);
-    }
-  }
-  return false;
-}
-
-bool findNumber(const std::string& line, const std::string& key, double* out) {
-  const std::string pat = "\"" + key + "\":";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(line.c_str() + at + pat.size(), nullptr);
-  return true;
-}
-
-}  // namespace
 
 EventJournal::SpanId EventJournal::beginSpan(const std::string& name, int node,
                                              SpanId parent, std::uint64_t ctx) {
@@ -190,7 +150,7 @@ bool EventJournal::writeJsonl(const std::string& path) const {
     std::snprintf(comp[2], sizeof comp[2], "%.6f", s.nicJ);
     std::snprintf(comp[3], sizeof comp[3], "%.6f", s.diskJ);
     os << "{\"type\":\"span\",\"id\":" << s.id << ",\"parent\":" << s.parent
-       << ",\"name\":\"" << escape(s.name) << "\",\"node\":" << s.node
+       << ",\"name\":\"" << jsonEscape(s.name) << "\",\"node\":" << s.node
        << ",\"ctx\":" << s.ctx << ",\"t0\":" << t0 << ",\"t1\":" << t1
        << ",\"open\":" << (s.open ? 1 : 0)
        << ",\"abandoned\":" << (s.abandoned ? 1 : 0) << ",\"joules\":" << joules
@@ -208,25 +168,25 @@ std::vector<EventJournal::Span> EventJournal::readJsonl(
   for (std::string line; std::getline(is, line);) {
     if (line.empty()) continue;
     std::string type;
-    if (!findString(line, "type", &type) || type != "span") continue;
+    if (!jsonString(line, "type", &type) || type != "span") continue;
     Span s;
     double n = 0;
-    if (findNumber(line, "id", &n)) s.id = static_cast<SpanId>(n);
-    if (findNumber(line, "parent", &n)) s.parent = static_cast<SpanId>(n);
-    findString(line, "name", &s.name);
-    if (findNumber(line, "node", &n)) s.node = static_cast<int>(n);
-    if (findNumber(line, "ctx", &n)) s.ctx = static_cast<std::uint64_t>(n);
-    if (findNumber(line, "t0", &n)) s.begin = sim::secondsF(n);
-    if (findNumber(line, "t1", &n)) s.end = sim::secondsF(n);
-    if (findNumber(line, "open", &n)) s.open = n != 0;
-    if (findNumber(line, "abandoned", &n)) s.abandoned = n != 0;
-    findNumber(line, "joules", &s.joules);
-    findNumber(line, "cpu_j", &s.cpuJ);
-    findNumber(line, "dram_j", &s.dramJ);
-    findNumber(line, "nic_j", &s.nicJ);
-    findNumber(line, "disk_j", &s.diskJ);
-    if (findNumber(line, "bytes", &n)) s.bytes = static_cast<std::uint64_t>(n);
-    if (findNumber(line, "count", &n)) s.count = static_cast<std::uint64_t>(n);
+    if (jsonNumber(line, "id", &n)) s.id = static_cast<SpanId>(n);
+    if (jsonNumber(line, "parent", &n)) s.parent = static_cast<SpanId>(n);
+    jsonString(line, "name", &s.name);
+    if (jsonNumber(line, "node", &n)) s.node = static_cast<int>(n);
+    if (jsonNumber(line, "ctx", &n)) s.ctx = static_cast<std::uint64_t>(n);
+    if (jsonNumber(line, "t0", &n)) s.begin = sim::secondsF(n);
+    if (jsonNumber(line, "t1", &n)) s.end = sim::secondsF(n);
+    if (jsonNumber(line, "open", &n)) s.open = n != 0;
+    if (jsonNumber(line, "abandoned", &n)) s.abandoned = n != 0;
+    jsonNumber(line, "joules", &s.joules);
+    jsonNumber(line, "cpu_j", &s.cpuJ);
+    jsonNumber(line, "dram_j", &s.dramJ);
+    jsonNumber(line, "nic_j", &s.nicJ);
+    jsonNumber(line, "disk_j", &s.diskJ);
+    if (jsonNumber(line, "bytes", &n)) s.bytes = static_cast<std::uint64_t>(n);
+    if (jsonNumber(line, "count", &n)) s.count = static_cast<std::uint64_t>(n);
     out.push_back(std::move(s));
   }
   return out;

@@ -1,23 +1,14 @@
 #include "obs/metrics_exporter.hpp"
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "obs/jsonl.hpp"
+
 namespace rc::obs {
 
 namespace {
-
-std::string jsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
 
 void writeHistogramLine(std::ostream& os, const std::string& name,
                         const std::string& unit, const sim::Histogram& h) {
@@ -36,35 +27,6 @@ void writeSeriesLines(std::ostream& os, const std::string& name,
        << "\",\"t\":" << sim::toSeconds(p.time) << ",\"value\":" << p.value
        << "}\n";
   }
-}
-
-/// Minimal field extraction for the exporter's own (flat, one-line) output.
-bool findString(const std::string& line, const std::string& key,
-                std::string* out) {
-  const std::string pat = "\"" + key + "\":\"";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  std::string r;
-  for (std::size_t i = at + pat.size(); i < line.size(); ++i) {
-    if (line[i] == '\\' && i + 1 < line.size()) {
-      r.push_back(line[++i]);
-    } else if (line[i] == '"') {
-      *out = r;
-      return true;
-    } else {
-      r.push_back(line[i]);
-    }
-  }
-  return false;
-}
-
-bool findNumber(const std::string& line, const std::string& key,
-                double* out) {
-  const std::string pat = "\"" + key + "\":";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(line.c_str() + at + pat.size(), nullptr);
-  return true;
 }
 
 }  // namespace
@@ -152,20 +114,20 @@ std::vector<MetricsExporter::Record> MetricsExporter::readJsonl(
   for (std::string line; std::getline(is, line);) {
     if (line.empty()) continue;
     Record r;
-    if (!findString(line, "type", &r.type)) continue;
-    findString(line, "name", &r.name);
-    findString(line, "unit", &r.unit);
-    findNumber(line, "value", &r.value);
-    findNumber(line, "t", &r.t);
+    if (!jsonString(line, "type", &r.type)) continue;
+    jsonString(line, "name", &r.name);
+    jsonString(line, "unit", &r.unit);
+    jsonNumber(line, "value", &r.value);
+    jsonNumber(line, "t", &r.t);
     double n = 0;
-    if (findNumber(line, "count", &n)) {
+    if (jsonNumber(line, "count", &n)) {
       r.count = static_cast<std::uint64_t>(n);
     }
-    findNumber(line, "mean", &r.mean);
-    findNumber(line, "p50", &r.p50);
-    findNumber(line, "p90", &r.p90);
-    findNumber(line, "p99", &r.p99);
-    findNumber(line, "max", &r.max);
+    jsonNumber(line, "mean", &r.mean);
+    jsonNumber(line, "p50", &r.p50);
+    jsonNumber(line, "p90", &r.p90);
+    jsonNumber(line, "p99", &r.p99);
+    jsonNumber(line, "max", &r.max);
     out.push_back(std::move(r));
   }
   return out;

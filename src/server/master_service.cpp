@@ -525,9 +525,17 @@ std::uint64_t MasterService::multiReadBody(const Request& r,
 bool MasterService::admit(Request& m) {
   stampTrace(m.span, obs::TimeTrace::Stage::kDispatchWait);
   if (m.op == net::Opcode::kMultiWrite) {
-    // A batch is checked key by key (ownership, fence, lock) in its body.
     if (!m.keys || m.keys->empty()) {
       return reject(m.respond, net::Status::kError);
+    }
+    // As for a multi-read, one key owned elsewhere sends the whole batch
+    // back, so a part routed from a stale map re-splits at the client. The
+    // fence and lock rules are applied key by key in the body.
+    if (!std::ranges::all_of(*m.keys, [&](std::uint64_t k) {
+          return ownsKey(m.tableId, k);
+        })) {
+      ++stats_.unknownTablet;
+      return reject(m.respond, net::Status::kUnknownTablet);
     }
   } else {
     const std::uint64_t h = hash::keyHash(hash::Key{m.tableId, m.keyId});
@@ -814,19 +822,7 @@ MasterService::Outcome MasterService::prepareBody(Request& m) {
   }
   // Vote yes: durable prepare record now, the lock once it is durable.
   ensureHeadRoom(kTxPrepareRecordBytes);
-  log::LogEntry p;
-  p.tableId = m.tableId;
-  p.keyId = m.keyId;
-  p.sizeBytes = kTxPrepareRecordBytes;
-  p.version = cur;
-  p.type = log::EntryType::kTxPrepare;
-  p.clientId = m.clientId;
-  p.rpcSeq = m.rpcSeq;
-  p.opStatus = static_cast<std::uint8_t>(net::Status::kOk);
-  p.txId = m.txId;
-  p.txPendingBytes = m.valueBytes;
-  p.txExpectedVersion = m.expected;
-  p.txParticipants = m.participants;
+  const log::LogEntry p = TxLockTable::prepareRecord(preparedLock(m), cur);
   Outcome o;
   o.record = log_.append(p, node_.sim().now());
   o.segment = o.record.segment;
@@ -850,6 +846,15 @@ void MasterService::lockPrepared(const Request& m, const log::LogRef& rec) {
       log_.segment(prev->prepareRecord.segment) != nullptr) {
     log_.markDead(prev->prepareRecord);
   }
+  TxLockTable::Lock lock = preparedLock(m);
+  lock.prepareRecord = rec;
+  lock.preparedAt = node_.sim().now();
+  lock.recordOwnedByUnacked = true;
+  txLocks_.acquire(std::move(lock));
+  txLocks_.countPrepare();
+}
+
+TxLockTable::Lock MasterService::preparedLock(const Request& m) {
   TxLockTable::Lock lock;
   lock.txId = m.txId;
   lock.clientId = m.clientId;
@@ -858,12 +863,8 @@ void MasterService::lockPrepared(const Request& m, const log::LogRef& rec) {
   lock.keyId = m.keyId;
   lock.pendingValueBytes = m.valueBytes;
   lock.expectedVersion = m.expected;
-  lock.prepareRecord = rec;
   lock.participants = m.participants;
-  lock.preparedAt = node_.sim().now();
-  lock.recordOwnedByUnacked = true;
-  txLocks_.acquire(std::move(lock));
-  txLocks_.countPrepare();
+  return lock;
 }
 
 MasterService::Outcome MasterService::decisionBody(Request& m) {
@@ -1000,19 +1001,10 @@ void MasterService::sweepOrphanedTx() {
 bool MasterService::installRecoveredTxLock(const log::LogEntry& prepare,
                                            const log::LogRef& ref,
                                            bool ownedByUnacked) {
-  TxLockTable::Lock lock;
-  lock.txId = prepare.txId;
-  lock.clientId = prepare.clientId;
-  lock.rpcSeq = prepare.rpcSeq;
-  lock.tableId = prepare.tableId;
-  lock.keyId = prepare.keyId;
-  lock.pendingValueBytes = prepare.txPendingBytes;
-  lock.expectedVersion = prepare.txExpectedVersion;
-  lock.prepareRecord = ref;
-  lock.participants = prepare.txParticipants;
-  lock.preparedAt = node_.sim().now();
-  lock.recordOwnedByUnacked = ownedByUnacked;
-  if (!txLocks_.acquire(std::move(lock))) return false;
+  if (!txLocks_.acquire(TxLockTable::lockFor(prepare, ref, node_.sim().now(),
+                                              ownedByUnacked))) {
+    return false;
+  }
   startLeaseReclaim();  // the sweep is what resolves orphans
   return true;
 }
@@ -1128,9 +1120,9 @@ void MasterService::onMigrationTaskFinished(MigrationTask* task) {
 }
 
 MasterService::Outcome MasterService::multiWriteBody(Request& m) {
-  // Every key passes the single-key rules. A refused key (wrong tablet,
-  // migration fence, prepared tx lock) is not applied and is reported as
-  // not served.
+  // Every key passes the single-key rules. A refused key (migration fence,
+  // prepared tx lock, or a tablet dropped since admission) is not applied
+  // and is reported as not served.
   Outcome o;
   o.counted = 0;
   for (const std::uint64_t key : *m.keys) {

@@ -86,10 +86,6 @@ inline constexpr std::uint32_t kTombstoneBytes = 60;
 /// In-log footprint of a RIFL completion record (compact: clientId, seq,
 /// status, version — docs/LINEARIZABILITY.md).
 inline constexpr std::uint32_t kCompletionRecordBytes = 32;
-/// In-log footprint of a minitransaction kTxPrepare record: completion
-/// header plus txId, pending-value size, expected version and the
-/// participant key list (docs/TRANSACTIONS.md).
-inline constexpr std::uint32_t kTxPrepareRecordBytes = 64;
 /// Cadence of the sweep that drops duplicate-suppression state for
 /// clients whose coordinator lease expired.
 inline constexpr sim::Duration kLeaseReclaimInterval = sim::seconds(1);
@@ -373,6 +369,8 @@ class MasterService : public net::RpcService {
   Outcome lockConflict(const TxLockTable::Lock& held);
   /// Once a yes-vote's prepare record is durable: take the version lock.
   void lockPrepared(const Request& m, const log::LogRef& rec);
+  /// The lock a vote-yes on prepare `m` grants, before its record exists.
+  static TxLockTable::Lock preparedLock(const Request& m);
   /// Once a decision is durable: release the lock it settles.
   void releaseDecided(const Request& m, const log::LogRef& rec);
 

@@ -54,20 +54,7 @@ void MigrationTask::collectKeys() {
         return keyInRange(tableId, keyId);
       });
   for (const auto& lock : locks) {
-    log::LogEntry e;
-    e.tableId = lock.tableId;
-    e.keyId = lock.keyId;
-    e.sizeBytes = kTxPrepareRecordBytes;
-    e.version = lock.expectedVersion;
-    e.type = log::EntryType::kTxPrepare;
-    e.clientId = lock.clientId;
-    e.rpcSeq = lock.rpcSeq;
-    e.opStatus = static_cast<std::uint8_t>(net::Status::kOk);
-    e.txId = lock.txId;
-    e.txPendingBytes = lock.pendingValueBytes;
-    e.txExpectedVersion = lock.expectedVersion;
-    e.txParticipants = lock.participants;
-    pending_.push_back(e);
+    pending_.push_back(TxLockTable::prepareRecord(lock, lock.expectedVersion));
   }
   // Duplicate-suppression state travels with the tablet: ship the retained
   // completion records too, so a retry that lands on the new owner after

@@ -2,7 +2,46 @@
 
 #include <algorithm>
 
+#include "net/rpc.hpp"
+
 namespace rc::server {
+
+log::LogEntry TxLockTable::prepareRecord(const Lock& lock,
+                                         std::uint64_t version) {
+  log::LogEntry e;
+  e.tableId = lock.tableId;
+  e.keyId = lock.keyId;
+  e.sizeBytes = kTxPrepareRecordBytes;
+  e.version = version;
+  e.type = log::EntryType::kTxPrepare;
+  e.clientId = lock.clientId;
+  e.rpcSeq = lock.rpcSeq;
+  e.opStatus = static_cast<std::uint8_t>(net::Status::kOk);
+  e.txId = lock.txId;
+  e.txPendingBytes = lock.pendingValueBytes;
+  e.txExpectedVersion = lock.expectedVersion;
+  e.txParticipants = lock.participants;
+  return e;
+}
+
+TxLockTable::Lock TxLockTable::lockFor(const log::LogEntry& prepare,
+                                       const log::LogRef& ref,
+                                       sim::SimTime preparedAt,
+                                       bool recordOwnedByUnacked) {
+  Lock lock;
+  lock.txId = prepare.txId;
+  lock.clientId = prepare.clientId;
+  lock.rpcSeq = prepare.rpcSeq;
+  lock.tableId = prepare.tableId;
+  lock.keyId = prepare.keyId;
+  lock.pendingValueBytes = prepare.txPendingBytes;
+  lock.expectedVersion = prepare.txExpectedVersion;
+  lock.prepareRecord = ref;
+  lock.participants = prepare.txParticipants;
+  lock.preparedAt = preparedAt;
+  lock.recordOwnedByUnacked = recordOwnedByUnacked;
+  return lock;
+}
 
 const TxLockTable::Lock* TxLockTable::get(std::uint64_t tableId,
                                           std::uint64_t keyId) const {

@@ -11,6 +11,11 @@
 
 namespace rc::server {
 
+/// In-log footprint of a minitransaction kTxPrepare record: completion
+/// header plus txId, pending-value size, expected version and the
+/// participant key list (docs/TRANSACTIONS.md).
+inline constexpr std::uint32_t kTxPrepareRecordBytes = 64;
+
 /// Per-object minitransaction lock state on a participant master
 /// (docs/TRANSACTIONS.md). A lock is installed when a kTxPrepare vote-yes
 /// record becomes durable and released when the kTxDecision for the same
@@ -55,6 +60,14 @@ class TxLockTable {
   };
 
   using Key = std::pair<std::uint64_t, std::uint64_t>;  ///< (tableId, keyId)
+
+  /// The durable kTxPrepare record of `lock`. `version` is the record's
+  /// object version: the prepare path writes the version its vote saw,
+  /// migration the lock's expectedVersion.
+  static log::LogEntry prepareRecord(const Lock& lock, std::uint64_t version);
+  /// The lock a kTxPrepare record grants; `ref` locates the record.
+  static Lock lockFor(const log::LogEntry& prepare, const log::LogRef& ref,
+                      sim::SimTime preparedAt, bool recordOwnedByUnacked);
 
   /// Lock lookup; nullptr when the object is unlocked.
   const Lock* get(std::uint64_t tableId, std::uint64_t keyId) const;

@@ -68,13 +68,15 @@ struct OverflowPool {
 ///    rather than malloc/free.
 ///  - Move-only: continuations may own move-only state (other
 ///    InlineFunctions, pool handles) that std::function could never hold.
-template <typename Sig>
+///  - InlineBytes sizes the buffer: a field kept in a hot, moved-around
+///    struct can trade inline room for a smaller footprint.
+template <typename Sig, std::size_t InlineBytes = 64>
 class InlineFunction;
 
-template <typename R, typename... Args>
-class InlineFunction<R(Args...)> {
+template <typename R, typename... Args, std::size_t InlineBytes>
+class InlineFunction<R(Args...), InlineBytes> {
  public:
-  static constexpr std::size_t kInlineBytes = 64;
+  static constexpr std::size_t kInlineBytes = InlineBytes;
 
   InlineFunction() noexcept = default;
   InlineFunction(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -248,6 +249,66 @@ TEST(Linearize, LostRepliesForceRetriesButApplyOnce) {
   });
   c.sim().runFor(seconds(1));
   EXPECT_EQ(readVersion, writeVersion);
+}
+
+TEST(Linearize, LostRemoveReplyIsRetriedButAppliedOnce) {
+  core::Cluster c(params(2, 1, 0));
+  const auto table = c.createTable("t", 1);
+  auto& rc = *c.clientHost(0).rc;
+
+  rc.write(table, 2, 100, [](net::Status s, sim::Duration) {
+    ASSERT_EQ(s, net::Status::kOk);
+  });
+  c.sim().runFor(msec(300));
+  const int owner = ownerIndexOf(c, table, 2);
+
+  fault::FaultPlan plan;
+  plan.replyDrop(msec(400), owner, /*probability=*/1.0, msec(1500));
+  fault::FaultInjector injector(c, plan, c.sim().rng().fork(0x11F1));
+  injector.arm();
+  c.sim().runFor(msec(200));  // into the drop window
+
+  net::Status st = net::Status::kError;
+  rc.remove(table, 2, [&](net::Status s, sim::Duration) { st = s; });
+  c.sim().runFor(seconds(6));
+
+  EXPECT_EQ(st, net::Status::kOk);
+  EXPECT_GE(rc.retriesForOpcode(net::Opcode::kRemove), 1u);
+  const auto& master = *c.server(owner).master;
+  const auto& unacked = master.unackedRpcResults();
+  EXPECT_GE(unacked.duplicatesSuppressed(), 1u);
+  EXPECT_GT(c.metrics().value("cluster.linearize.duplicates_suppressed"), 0.0);
+
+  // The completion record says the remove found the object, and replaying
+  // it (one more duplicate of the same seq) answers found again rather
+  // than re-executing against the now-absent key.
+  const auto records = unacked.collectForRange(
+      [&](std::uint64_t t, std::uint64_t k) { return t == table && k == 2; });
+  ASSERT_FALSE(records.empty());
+  const auto& rec = *std::max_element(
+      records.begin(), records.end(),
+      [](const auto& x, const auto& y) { return x.seq < y.seq; });
+  EXPECT_TRUE(rec.result.found);
+  net::RpcRequest dup;
+  dup.op = net::Opcode::kRemove;
+  dup.a = table;
+  dup.b = 2;
+  dup.clientId = rc.clientId();
+  dup.rpcSeq = rec.seq;
+  dup.firstUnacked = rec.seq;
+  net::RpcResponse replay;
+  bool replied = false;
+  c.rpc().call(c.clientNodeId(0), c.serverNodeId(owner), net::kMasterPort,
+               dup, seconds(1), [&](const net::RpcResponse& r) {
+                 replay = r;
+                 replied = true;
+               });
+  c.sim().runFor(msec(100));
+  ASSERT_TRUE(replied);
+  EXPECT_EQ(replay.status, net::Status::kOk);
+  EXPECT_EQ(replay.a, 1u);  // found
+
+  EXPECT_FALSE(master.objectMap().get(hash::Key{table, 2}).has_value());
 }
 
 TEST(Linearize, CrashBetweenApplyAndReplyIsSuppressedByRecovery) {

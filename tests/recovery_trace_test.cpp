@@ -143,7 +143,9 @@ TEST(RecoveryTrace, CrashYieldsOneCompleteSpanTree) {
   // are flagged abandoned (at minimum the victim's in-flight work, if any).
   const auto victimNode = c.serverNodeId(2);
   for (const auto& s : j.spans()) {
-    if (s.node == victimNode) EXPECT_FALSE(s.open) << s.name;
+    if (s.node == victimNode) {
+      EXPECT_FALSE(s.open) << s.name;
+    }
   }
 
   // Journal accounting is consistent.

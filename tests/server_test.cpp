@@ -480,7 +480,9 @@ TEST(Replication, WriteLatencyGrowsWithRf) {
     callSync(c, owner, writeReq(table, 3));
     const double lat =
         c.server(owner - 1).master->stats().writeServiceLatency.mean();
-    if (rf >= 2) EXPECT_GT(lat, lastLatency);
+    if (rf >= 2) {
+      EXPECT_GT(lat, lastLatency);
+    }
     lastLatency = lat;
   }
 }

@@ -36,12 +36,15 @@
 #include <vector>
 
 #include "obs/event_journal.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/metrics_exporter.hpp"
 #include "sim/time.hpp"
 
 namespace {
 
 using rc::obs::EventJournal;
+using rc::obs::jsonNumber;
+using rc::obs::jsonString;
 using rc::obs::MetricsExporter;
 using Span = EventJournal::Span;
 
@@ -524,28 +527,6 @@ void printPhases(const RunData& run) {
 
 // --------------------------------------------------------------------- slo
 
-/// Minimal flat-JSONL field access (every slo.jsonl line is one flat
-/// object, the same convention metrics.jsonl uses).
-bool jsonNum(const std::string& line, const std::string& key, double* out) {
-  const std::string pat = "\"" + key + "\":";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  *out = std::strtod(line.c_str() + at + pat.size(), nullptr);
-  return true;
-}
-
-bool jsonStr(const std::string& line, const std::string& key,
-             std::string* out) {
-  const std::string pat = "\"" + key + "\":\"";
-  const auto at = line.find(pat);
-  if (at == std::string::npos) return false;
-  const auto from = at + pat.size();
-  const auto end = line.find('"', from);
-  if (end == std::string::npos) return false;
-  *out = line.substr(from, end - from);
-  return true;
-}
-
 struct SloWindow {
   std::uint64_t window = 0;
   double t0 = 0, t1 = 0;  ///< seconds
@@ -588,40 +569,40 @@ int sloCmd(const std::string& dir) {
   std::string line;
   while (std::getline(is, line)) {
     std::string type;
-    if (!jsonStr(line, "type", &type)) continue;
+    if (!jsonString(line, "type", &type)) continue;
     double v = 0;
     if (type == "slo_window") {
       SloWindow w;
-      if (jsonNum(line, "window", &v)) w.window = static_cast<std::uint64_t>(v);
-      if (jsonNum(line, "t0_us", &v)) w.t0 = v / 1e6;
-      if (jsonNum(line, "t1_us", &v)) w.t1 = v / 1e6;
-      jsonStr(line, "class", &w.cls);
-      if (jsonNum(line, "count", &v)) w.count = static_cast<std::uint64_t>(v);
-      jsonNum(line, "p50_us", &w.p50);
-      jsonNum(line, "p99_us", &w.p99);
-      jsonNum(line, "p999_us", &w.p999);
-      jsonNum(line, "target_p99_us", &w.targetP99);
-      jsonNum(line, "target_p999_us", &w.targetP999);
-      jsonNum(line, "burn_rate", &w.burn);
-      if (jsonNum(line, "breached", &v)) w.breached = v != 0;
+      if (jsonNumber(line, "window", &v)) w.window = static_cast<std::uint64_t>(v);
+      if (jsonNumber(line, "t0_us", &v)) w.t0 = v / 1e6;
+      if (jsonNumber(line, "t1_us", &v)) w.t1 = v / 1e6;
+      jsonString(line, "class", &w.cls);
+      if (jsonNumber(line, "count", &v)) w.count = static_cast<std::uint64_t>(v);
+      jsonNumber(line, "p50_us", &w.p50);
+      jsonNumber(line, "p99_us", &w.p99);
+      jsonNumber(line, "p999_us", &w.p999);
+      jsonNumber(line, "target_p99_us", &w.targetP99);
+      jsonNumber(line, "target_p999_us", &w.targetP999);
+      jsonNumber(line, "burn_rate", &w.burn);
+      if (jsonNumber(line, "breached", &v)) w.breached = v != 0;
       windows.push_back(std::move(w));
     } else if (type == "exemplar") {
       SloExemplar e;
-      if (jsonNum(line, "window", &v)) e.window = static_cast<std::uint64_t>(v);
-      jsonStr(line, "class", &e.cls);
-      if (jsonNum(line, "rank", &v)) e.rank = static_cast<int>(v);
-      if (jsonNum(line, "span", &v)) e.span = static_cast<std::uint64_t>(v);
-      if (jsonNum(line, "node", &v)) e.node = static_cast<int>(v);
-      jsonNum(line, "us", &e.us);
+      if (jsonNumber(line, "window", &v)) e.window = static_cast<std::uint64_t>(v);
+      jsonString(line, "class", &e.cls);
+      if (jsonNumber(line, "rank", &v)) e.rank = static_cast<int>(v);
+      if (jsonNumber(line, "span", &v)) e.span = static_cast<std::uint64_t>(v);
+      if (jsonNumber(line, "node", &v)) e.node = static_cast<int>(v);
+      jsonNumber(line, "us", &e.us);
       exemplars.push_back(std::move(e));
     } else if (type == "exemplar_stage") {
       SloStage s;
-      if (jsonNum(line, "span", &v)) s.span = static_cast<std::uint64_t>(v);
-      if (jsonNum(line, "seq", &v)) s.seq = static_cast<int>(v);
-      jsonStr(line, "stage", &s.stage);
-      jsonNum(line, "us", &s.us);
-      if (jsonNum(line, "depth", &v)) s.depth = static_cast<int>(v);
-      if (jsonNum(line, "node", &v)) s.node = static_cast<int>(v);
+      if (jsonNumber(line, "span", &v)) s.span = static_cast<std::uint64_t>(v);
+      if (jsonNumber(line, "seq", &v)) s.seq = static_cast<int>(v);
+      jsonString(line, "stage", &s.stage);
+      jsonNumber(line, "us", &s.us);
+      if (jsonNumber(line, "depth", &v)) s.depth = static_cast<int>(v);
+      if (jsonNumber(line, "node", &v)) s.node = static_cast<int>(v);
       stages.push_back(std::move(s));
     }
   }
@@ -776,49 +757,49 @@ bool loadEnergy(const std::string& dir, EnergyData* out) {
   std::string line;
   while (std::getline(is, line)) {
     std::string type;
-    if (!jsonStr(line, "type", &type)) continue;
+    if (!jsonString(line, "type", &type)) continue;
     double v = 0;
     if (type == "energy_node") {
       EnergyNode n;
-      if (jsonNum(line, "node", &v)) n.node = static_cast<int>(v);
-      jsonNum(line, "seconds", &n.seconds);
+      if (jsonNumber(line, "node", &v)) n.node = static_cast<int>(v);
+      jsonNumber(line, "seconds", &n.seconds);
       for (std::size_t c = 0; c < kNumComponents; ++c) {
-        jsonNum(line, std::string(kComponents[c]) + "_j", &n.comp[c]);
+        jsonNumber(line, std::string(kComponents[c]) + "_j", &n.comp[c]);
       }
-      jsonNum(line, "total_j", &n.totalJ);
-      jsonNum(line, "pdu_j", &n.pduJ);
-      jsonNum(line, "mean_w", &n.meanW);
+      jsonNumber(line, "total_j", &n.totalJ);
+      jsonNumber(line, "pdu_j", &n.pduJ);
+      jsonNumber(line, "mean_w", &n.meanW);
       out->nodes.push_back(n);
     } else if (type == "energy_cell") {
       EnergyCell c;
-      if (jsonNum(line, "node", &v)) c.node = static_cast<int>(v);
-      jsonStr(line, "component", &c.component);
-      jsonStr(line, "class", &c.cls);
-      if (jsonNum(line, "tenant", &v)) c.tenant = static_cast<int>(v);
-      jsonNum(line, "joules", &c.joules);
+      if (jsonNumber(line, "node", &v)) c.node = static_cast<int>(v);
+      jsonString(line, "component", &c.component);
+      jsonString(line, "class", &c.cls);
+      if (jsonNumber(line, "tenant", &v)) c.tenant = static_cast<int>(v);
+      jsonNumber(line, "joules", &c.joules);
       out->cells.push_back(std::move(c));
     } else if (type == "energy_remainder") {
       int node = -1;
       std::string comp;
       double j = 0;
-      if (jsonNum(line, "node", &v)) node = static_cast<int>(v);
-      jsonStr(line, "component", &comp);
-      jsonNum(line, "joules", &j);
+      if (jsonNumber(line, "node", &v)) node = static_cast<int>(v);
+      jsonString(line, "component", &comp);
+      jsonNumber(line, "joules", &j);
       out->remainders[{node, comp}] = j;
     } else if (type == "energy_tenant") {
       EnergyTenant t;
-      jsonStr(line, "class", &t.cls);
-      jsonNum(line, "joules", &t.joules);
-      if (jsonNum(line, "ops", &v)) t.ops = static_cast<std::uint64_t>(v);
-      jsonNum(line, "j_per_op", &t.jPerOp);
-      jsonNum(line, "ops_per_j", &t.opsPerJ);
+      jsonString(line, "class", &t.cls);
+      jsonNumber(line, "joules", &t.joules);
+      if (jsonNumber(line, "ops", &v)) t.ops = static_cast<std::uint64_t>(v);
+      jsonNumber(line, "j_per_op", &t.jPerOp);
+      jsonNumber(line, "ops_per_j", &t.opsPerJ);
       out->tenants.push_back(std::move(t));
     } else if (type == "energy_cluster") {
-      jsonNum(line, "total_j", &out->clusterJ);
-      if (jsonNum(line, "ops", &v)) {
+      jsonNumber(line, "total_j", &out->clusterJ);
+      if (jsonNumber(line, "ops", &v)) {
         out->clusterOps = static_cast<std::uint64_t>(v);
       }
-      jsonNum(line, "ops_per_j", &out->clusterOpsPerJ);
+      jsonNumber(line, "ops_per_j", &out->clusterOpsPerJ);
     }
   }
   if (out->nodes.empty()) {
