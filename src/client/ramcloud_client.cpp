@@ -118,9 +118,7 @@ void RamCloudClient::txCommit(std::uint64_t txId, OpCallback cb) {
   }
   TxState tx = std::move(it->second);
   activeTxs_.erase(it);
-  ++stats_.txStarted;
   if (tx.items.empty()) {
-    ++stats_.txCommitted;
     cb(net::Status::kOk, 0);
     return;
   }
@@ -177,13 +175,6 @@ void RamCloudClient::txCommit(std::uint64_t txId, OpCallback cb) {
       // Abort chosen on an unknown vote, and no abort landed on a lock: if
       // every prepare actually succeeded, resolution commits it instead.
       result = net::Status::kTimeout;
-    }
-    if (result == net::Status::kOk) {
-      ++stats_.txCommitted;
-    } else if (result == net::Status::kTxConflict) {
-      ++stats_.txAborted;
-    } else {
-      ++stats_.txUnknown;
     }
     cx->cb(result, sim_.now() - cx->startedAt);
   };
@@ -347,11 +338,7 @@ void RamCloudClient::split(OpState st) {
 
 void RamCloudClient::finish(OpState& st, net::Status status,
                             const net::RpcResponse& reply) {
-  if (status == net::Status::kOk) {
-    ++stats_.opsSucceeded;
-  } else {
-    ++stats_.opsFailed;
-  }
+  if (status == net::Status::kOk) ++stats_.opsSucceeded;
   // Terminal completion acknowledges the seq: firstUnacked advances past it
   // and the masters may garbage-collect its completion record. Prepare ops
   // hold theirs until txCommit's decision round finishes (holdSeq).
@@ -370,7 +357,6 @@ void RamCloudClient::openLease() {
               if (resp.status == net::Status::kOk) {
                 clientId_ = resp.a;
                 leaseTerm_ = static_cast<sim::Duration>(resp.b);
-                ++stats_.leasesOpened;
                 startRenewals();
                 auto waiters = std::move(leaseWaiters_);
                 leaseWaiters_.clear();
@@ -397,10 +383,8 @@ void RamCloudClient::startRenewals() {
         rpc_.call(self_, coordinator_, net::kCoordinatorPort, req,
                   server::timeouts::kControl,
                   [this, cid = clientId_](const net::RpcResponse& resp) {
-                    if (resp.status == net::Status::kOk) {
-                      ++stats_.leaseRenewals;
-                    } else if (resp.status == net::Status::kExpiredLease &&
-                               clientId_ == cid) {
+                    if (resp.status == net::Status::kExpiredLease &&
+                        clientId_ == cid) {
                       ++stats_.leaseExpiries;
                       clientId_ = 0;  // reopen lazily on the next tracked op
                     }
@@ -493,7 +477,6 @@ void RamCloudClient::issue(OpState st) {
       refreshThenIssue(std::move(st));
       return;
     case Route::kRecovering:
-      ++stats_.recoveryWaits;
       if (sim_.now() - st.startedAt > kRecoveringDeadline) {
         finish(st, net::Status::kTimeout);
         return;
@@ -585,7 +568,6 @@ void RamCloudClient::issue(OpState st) {
       case net::Status::kRecovering:
         // Back off and re-route (no budget consumed: the data will come
         // back once recovery finishes).
-        ++stats_.recoveryWaits;
         if (sim_.now() - st.startedAt > kRecoveringDeadline) {
           finish(st, net::Status::kTimeout);
           return;

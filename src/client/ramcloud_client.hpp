@@ -53,18 +53,10 @@ struct ClientParams {
 struct ClientStats {
   std::uint64_t opsIssued = 0;
   std::uint64_t opsSucceeded = 0;
-  std::uint64_t opsFailed = 0;
   std::uint64_t rpcTimeouts = 0;
   std::uint64_t staleRoutes = 0;
   std::uint64_t mapRefreshes = 0;
-  std::uint64_t recoveryWaits = 0;
-  std::uint64_t leasesOpened = 0;
-  std::uint64_t leaseRenewals = 0;
   std::uint64_t leaseExpiries = 0;  ///< kExpiredLease responses observed
-  std::uint64_t txStarted = 0;      ///< txCommit calls
-  std::uint64_t txCommitted = 0;    ///< definite commit reported (kOk)
-  std::uint64_t txAborted = 0;      ///< definite abort reported (kTxConflict)
-  std::uint64_t txUnknown = 0;      ///< outcome left to orphan resolution
   std::uint64_t overloadedBounces = 0;  ///< kOverloaded responses observed
   std::uint64_t overloadedGiveUps = 0;  ///< ops failed after bounce budget
   std::uint64_t retryBudgetWaits = 0;   ///< retries delayed by empty bucket
@@ -188,10 +180,9 @@ class RamCloudClient {
   void setTimeTrace(obs::TimeTrace* trace) { trace_ = trace; }
 
   /// Tenant/op-class tag stamped on every traced span and RPC this client
-  /// issues (0 = untagged). The SLO tracker keys windows by tenant; flight
-  /// recorder entries carry it too (docs/SLO.md).
+  /// issues (0 = untagged). The SLO tracker keys windows by tenant; trace
+  /// ring entries carry it too (docs/SLO.md).
   void setTenant(std::uint16_t tenant) { tenant_ = tenant; }
-  std::uint16_t tenant() const { return tenant_; }
 
   /// Span detail of the most recently *completed* RPC attempt, captured at
   /// endSpan so workload drivers can hand the SLO tracker a full stage

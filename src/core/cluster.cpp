@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <fstream>
 
+#include "obs/jsonl.hpp"
+
 namespace rc::core {
 
 Cluster::Cluster(ClusterParams params)
@@ -18,12 +20,10 @@ Cluster::Cluster(ClusterParams params)
   params_.master.replication.factor = params_.replicationFactor;
   params_.clientNode.metered = false;
 
-  // Every stage stamp mirrors into the flight ring (near-zero cost); the
-  // ring is only *dumped* when something arms it — an SLO breach here, or
-  // a fault injection (FaultInjector::fire).
-  trace_.setFlightRecorder(&flight_);
+  // The trace ring is only *dumped* when something arms it — an SLO
+  // breach here, or a fault injection (FaultInjector::fire).
   slo_.onBreach = [this](const obs::SloTracker::WindowRow& row) {
-    flight_.trigger(sim_.now(), "slo_breach:" + row.cls);
+    trace_.trigger(sim_.now(), "slo_breach:" + row.cls);
   };
 
   directory_.masterOn = [this](node::NodeId n) -> server::MasterService* {
@@ -173,7 +173,7 @@ void Cluster::registerClusterMetrics() {
   trace_.registerMetrics(metrics_, "cluster.rpc");
   journal_.registerMetrics(metrics_, "cluster.journal");
   slo_.registerMetrics(metrics_, "slo");
-  flight_.registerMetrics(metrics_, "cluster.flight");
+  trace_.registerRingMetrics(metrics_, "cluster.flight");
   metrics_.probeCounter("cluster.client.ops", "ops", [this] {
     return static_cast<double>(totalOpsCompleted());
   });
@@ -431,7 +431,6 @@ bool Cluster::exportMetrics(const std::string& dir) {
   if (slo_.enabled()) slo_.finish();
   stopPduSampling();
   obs::MetricsExporter exporter(metrics_);
-  exporter.attachTimeTrace(&trace_);
   if (sampler_) exporter.attachSampler(sampler_.get());
   for (int i = 0; i < serverCount(); ++i) {
     const auto* pdu = servers_[static_cast<std::size_t>(i)].node->pdu();
@@ -445,9 +444,10 @@ bool Cluster::exportMetrics(const std::string& dir) {
   if (!journal_.writeJsonl(dir + "/events.jsonl")) return false;
   if (slo_.enabled() && !slo_.writeJsonl(dir + "/slo.jsonl")) return false;
   if (!writeEnergyJsonl(dir + "/energy.jsonl")) return false;
-  // flight.jsonl appears only when something armed the recorder: a clean
-  // run's dir stays flight-free by design (acceptance criterion).
-  if (flight_.triggered() && !flight_.writeJsonl(dir + "/flight.jsonl")) {
+  // flight.jsonl appears only when something armed the ring: a clean
+  // run's dir stays flight-free by design.
+  if (trace_.triggered() &&
+      !trace_.writeFlightJsonl(dir + "/flight.jsonl")) {
     return false;
   }
   return true;
@@ -491,7 +491,8 @@ bool Cluster::writeEnergyJsonl(const std::string& path) const {
                     "{\"type\":\"energy_cell\",\"node\":%d,"
                     "\"component\":\"%s\",\"class\":\"%s\",\"tenant\":%u,"
                     "\"joules\":%.9f}\n",
-                    nid, power::componentName(c), power::opClassName(o),
+                    nid, power::componentName(c),
+                    obs::jsonEscape(power::opClassName(o)).c_str(),
                     static_cast<unsigned>(slot), j);
       os << line;
     });
@@ -538,7 +539,8 @@ bool Cluster::writeEnergyJsonl(const std::string& path) const {
         "{\"type\":\"energy_tenant\",\"class\":\"%s\",\"tenant\":%u,"
         "\"joules\":%.6f,\"ops\":%llu,\"j_per_op\":%.9f,"
         "\"ops_per_j\":%.4f}\n",
-        slo_.className(id).c_str(), static_cast<unsigned>(slot), j,
+        obs::jsonEscape(slo_.className(id)).c_str(),
+        static_cast<unsigned>(slot), j,
         static_cast<unsigned long long>(ops),
         ops > 0 && j > 0 ? j / static_cast<double>(ops) : 0.0,
         j > 0 ? static_cast<double>(ops) / j : 0.0);

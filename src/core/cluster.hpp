@@ -13,7 +13,6 @@
 #include "net/rpc.hpp"
 #include "node/node.hpp"
 #include "obs/event_journal.hpp"
-#include "obs/flight_recorder.hpp"
 #include "obs/metric_registry.hpp"
 #include "obs/metrics_exporter.hpp"
 #include "obs/slo_tracker.hpp"
@@ -95,14 +94,9 @@ class Cluster {
   const obs::EventJournal& journal() const { return journal_; }
 
   /// Windowed SLO tracker (docs/SLO.md). Declare tenant classes on it
-  /// before configureYcsb; a breached window arms the flight recorder.
+  /// before configureYcsb; a breached window arms the trace ring's dump.
   obs::SloTracker& sloTracker() { return slo_; }
   const obs::SloTracker& sloTracker() const { return slo_; }
-
-  /// Always-on ring of fine-grained pipeline stamps, dumped to
-  /// flight.jsonl by exportMetrics only when armed (SLO breach or fault).
-  obs::FlightRecorder& flightRecorder() { return flight_; }
-  const obs::FlightRecorder& flightRecorder() const { return flight_; }
 
   /// Start the 1 Hz registry sampler (same tick cadence as the PDUs; call
   /// it alongside startPduSampling so the series align). Idempotent.
@@ -110,10 +104,10 @@ class Cluster {
   const obs::StatsSampler* sampler() const { return sampler_.get(); }
 
   /// Dump metrics.jsonl + series.csv (registry state, sampler series,
-  /// per-node PDU watt traces, time-trace histograms + ring) plus
-  /// events.jsonl (the journal's span tree) into `dir`. When the SLO
-  /// tracker has declared classes, also slo.jsonl (closing any in-progress
-  /// windows first); when the flight recorder was armed, flight.jsonl.
+  /// per-node PDU watt traces, time-trace histograms) plus events.jsonl
+  /// (the journal's span tree) into `dir`. When the SLO tracker has
+  /// declared classes, also slo.jsonl (closing any in-progress windows
+  /// first); when the trace ring was armed, flight.jsonl.
   bool exportMetrics(const std::string& dir);
 
   int serverCount() const { return static_cast<int>(servers_.size()); }
@@ -265,7 +259,6 @@ class Cluster {
   obs::MetricRegistry metrics_;
   obs::TimeTrace trace_;
   obs::EventJournal journal_;
-  obs::FlightRecorder flight_;
   obs::SloTracker slo_;
   std::unique_ptr<obs::StatsSampler> sampler_;
   /// Fixed per-node energy origins for the journal's energy probe.

@@ -137,9 +137,9 @@ void FaultInjector::journalEvent(const FaultEvent& ev, const char* prefix) {
 }
 
 void FaultInjector::fire(const FaultEvent& ev) {
-  // Any injected fault arms the flight recorder: the fine-grained stamp
-  // ring around the fault gets dumped at export (docs/SLO.md).
-  cluster_.flightRecorder().trigger(
+  // Any injected fault arms the trace ring: the fine-grained stamps around
+  // the fault get dumped to flight.jsonl at export (docs/SLO.md).
+  cluster_.timeTrace().trigger(
       cluster_.sim().now(), std::string("fault:") + faultKindName(ev.kind));
   switch (ev.kind) {
     case FaultKind::kCrashServer:

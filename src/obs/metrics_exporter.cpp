@@ -58,14 +58,6 @@ bool MetricsExporter::writeJsonl(const std::string& path) const {
   for (const auto& [name, ts] : extraSeries_) {
     writeSeriesLines(os, name, *ts);
   }
-  if (trace_ != nullptr) {
-    for (const auto& ev : trace_->recentEvents()) {
-      os << "{\"type\":\"trace\",\"t\":" << sim::toSeconds(ev.at)
-         << ",\"span\":" << ev.span << ",\"name\":\""
-         << TimeTrace::stageName(ev.stage)
-         << "\",\"value\":" << sim::toMicros(ev.elapsed) << "}\n";
-    }
-  }
   return static_cast<bool>(os);
 }
 

@@ -7,7 +7,7 @@
 
 #include "obs/metric_registry.hpp"
 #include "obs/stats_sampler.hpp"
-#include "obs/time_trace.hpp"
+#include "sim/stats.hpp"
 
 namespace rc::obs {
 
@@ -15,8 +15,7 @@ namespace rc::obs {
 ///
 ///   <dir>/metrics.jsonl — one JSON object per line: every registered
 ///     counter/gauge ("value"), every histogram (count/mean/p50/p90/p99/max,
-///     microseconds), every sampler and extra series point ("point"), and
-///     the tail of the TimeTrace ring buffer ("trace").
+///     microseconds) and every sampler and extra series point ("point").
 ///   <dir>/series.csv — wide CSV of the sampler's aligned 1 Hz series:
 ///     time_s, then one column per series, one row per tick.
 ///
@@ -28,7 +27,6 @@ class MetricsExporter {
       : registry_(registry) {}
 
   void attachSampler(const StatsSampler* sampler) { sampler_ = sampler; }
-  void attachTimeTrace(const TimeTrace* trace) { trace_ = trace; }
 
   /// Include an externally-owned series (e.g. a PDU trace) in the JSONL
   /// dump. The pointer must outlive the exporter calls.
@@ -41,13 +39,13 @@ class MetricsExporter {
   bool exportRunDir(const std::string& dir) const;
 
   /// One parsed line of metrics.jsonl. `type` is "counter", "gauge",
-  /// "histogram", "point" or "trace"; unused fields stay zero/empty.
+  /// "histogram" or "point"; unused fields stay zero/empty.
   struct Record {
     std::string type;
     std::string name;
     std::string unit;
     double value = 0;
-    double t = 0;  ///< seconds (points/trace)
+    double t = 0;  ///< seconds (points)
     std::uint64_t count = 0;
     double mean = 0, p50 = 0, p90 = 0, p99 = 0, max = 0;  ///< us (histograms)
   };
@@ -56,7 +54,6 @@ class MetricsExporter {
  private:
   const MetricRegistry& registry_;
   const StatsSampler* sampler_ = nullptr;
-  const TimeTrace* trace_ = nullptr;
   std::vector<std::pair<std::string, const sim::TimeSeries*>> extraSeries_;
 };
 

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "obs/jsonl.hpp"
+
 namespace rc::obs {
 
 SloTracker::SloTracker(sim::Simulation& sim, sim::Duration window,
@@ -196,6 +198,7 @@ std::string SloTracker::toJsonl() const {
   char line[512];
   const double wUs = sim::toMicros(window_);
   for (const WindowRow* r : sorted) {
+    const std::string cls = jsonEscape(r->cls);
     std::snprintf(
         line, sizeof(line),
         "{\"type\":\"slo_window\",\"window\":%llu,\"t0_us\":%.3f,"
@@ -206,7 +209,7 @@ std::string SloTracker::toJsonl() const {
         "\"j_per_op\":%.9f,\"ops_per_j\":%.4f}\n",
         static_cast<unsigned long long>(r->window),
         static_cast<double>(r->window) * wUs,
-        static_cast<double>(r->window + 1) * wUs, r->cls.c_str(),
+        static_cast<double>(r->window + 1) * wUs, cls.c_str(),
         static_cast<unsigned long long>(r->count), sim::toMicros(r->p50),
         sim::toMicros(r->p99), sim::toMicros(r->p999),
         sim::toMicros(r->target.p99), sim::toMicros(r->target.p999),
@@ -219,7 +222,7 @@ std::string SloTracker::toJsonl() const {
                     "{\"type\":\"slo_node\",\"window\":%llu,\"class\":\"%s\","
                     "\"node\":%d,\"count\":%llu,\"p50_us\":%.3f,"
                     "\"p99_us\":%.3f,\"p999_us\":%.3f}\n",
-                    static_cast<unsigned long long>(r->window), r->cls.c_str(),
+                    static_cast<unsigned long long>(r->window), cls.c_str(),
                     nq.node, static_cast<unsigned long long>(nq.count),
                     sim::toMicros(nq.p50), sim::toMicros(nq.p99),
                     sim::toMicros(nq.p999));
@@ -230,7 +233,7 @@ std::string SloTracker::toJsonl() const {
       std::snprintf(line, sizeof(line),
                     "{\"type\":\"exemplar\",\"window\":%llu,\"class\":\"%s\","
                     "\"rank\":%zu,\"span\":%llu,\"node\":%d,\"us\":%.3f}\n",
-                    static_cast<unsigned long long>(r->window), r->cls.c_str(),
+                    static_cast<unsigned long long>(r->window), cls.c_str(),
                     rank, static_cast<unsigned long long>(e.span), e.node,
                     sim::toMicros(e.latency));
       os << line;
@@ -241,7 +244,7 @@ std::string SloTracker::toJsonl() const {
             "{\"type\":\"exemplar_stage\",\"window\":%llu,"
             "\"class\":\"%s\",\"span\":%llu,\"seq\":%u,\"stage\":\"%s\","
             "\"us\":%.3f,\"depth\":%d,\"node\":%d}\n",
-            static_cast<unsigned long long>(r->window), r->cls.c_str(),
+            static_cast<unsigned long long>(r->window), cls.c_str(),
             static_cast<unsigned long long>(e.span), static_cast<unsigned>(i),
             TimeTrace::stageName(s.stage), sim::toMicros(s.elapsed),
             s.queueDepth, s.node);

@@ -1,8 +1,9 @@
 #include "obs/time_trace.hpp"
 
-#include <algorithm>
+#include <cstdio>
+#include <fstream>
 
-#include "obs/flight_recorder.hpp"
+#include "obs/jsonl.hpp"
 
 namespace rc::obs {
 
@@ -24,10 +25,8 @@ const char* TimeTrace::stageName(Stage s) {
   return "unknown";
 }
 
-TimeTrace::TimeTrace(sim::Simulation& sim, std::size_t ringCapacity)
-    : sim_(sim),
-      ring_(std::max<std::size_t>(1, ringCapacity)),
-      spanTable_(kSpanTableSize) {}
+TimeTrace::TimeTrace(sim::Simulation& sim)
+    : sim_(sim), ring_(kRingCapacity), spanTable_(kSpanTableSize) {}
 
 const TimeTrace::SpanState* TimeTrace::findSpan(std::uint64_t span) const {
   const SpanSlot& slot = spanTable_[span & (kSpanTableSize - 1)];
@@ -60,14 +59,6 @@ std::uint64_t TimeTrace::beginSpan(std::uint16_t tenant) {
   return id;
 }
 
-void TimeTrace::record(std::uint64_t span, Stage stage,
-                       sim::Duration elapsed) {
-  histograms_[static_cast<std::size_t>(stage)].add(elapsed);
-  ring_[ringNext_] = Event{sim_.now(), span, stage, elapsed};
-  ringNext_ = (ringNext_ + 1) % ring_.size();
-  ringCount_ = std::min(ringCount_ + 1, ring_.size());
-}
-
 void TimeTrace::stamp(std::uint64_t span, Stage stage,
                       std::int32_t queueDepth, std::int32_t node) {
   SpanState* found = findSpan(span);
@@ -75,14 +66,11 @@ void TimeTrace::stamp(std::uint64_t span, Stage stage,
   SpanState& st = *found;
   const sim::SimTime now = sim_.now();
   const sim::Duration elapsed = now - st.last;
-  record(span, stage, elapsed);
+  histograms_[static_cast<std::size_t>(stage)].add(elapsed);
+  record(Entry{now, span, stage, /*abandoned=*/false, st.tenant, node,
+               queueDepth, elapsed});
   if (st.numStages < kMaxStagesPerSpan) {
     st.stages[st.numStages++] = StageRec{stage, elapsed, queueDepth, node};
-  }
-  if (flight_ != nullptr) {
-    flight_->record(FlightRecorder::Entry{
-        now, span, static_cast<std::uint8_t>(stage), /*abandoned=*/false,
-        st.tenant, node, queueDepth, elapsed});
   }
   st.last = now;
 }
@@ -92,7 +80,9 @@ void TimeTrace::endSpan(std::uint64_t span, SpanDetail* detail) {
   if (found == nullptr) return;
   const SpanState& st = *found;
   const sim::Duration total = sim_.now() - st.begin;
-  record(span, Stage::kTotal, total);
+  histograms_[static_cast<std::size_t>(Stage::kTotal)].add(total);
+  record(Entry{sim_.now(), span, Stage::kTotal, /*abandoned=*/false,
+               st.tenant, -1, -1, total});
   if (detail != nullptr) {
     detail->begin = st.begin;
     detail->total = total;
@@ -107,32 +97,59 @@ void TimeTrace::endSpan(std::uint64_t span, SpanDetail* detail) {
 void TimeTrace::abandonSpan(std::uint64_t span) {
   const SpanState* found = findSpan(span);
   if (found == nullptr) return;
-  if (flight_ != nullptr) {
-    // The RPC never completed, so its stamps reach no histogram and no
-    // exemplar; re-emit the retained records into the flight ring so the
-    // dead request's decomposition (with queue depths) survives a dump
-    // even when the live ring has wrapped past the original entries.
-    const SpanState& st = *found;
-    for (std::uint8_t i = 0; i < st.numStages; ++i) {
-      const StageRec& r = st.stages[i];
-      flight_->record(FlightRecorder::Entry{
-          sim_.now(), span, static_cast<std::uint8_t>(r.stage),
-          /*abandoned=*/true, st.tenant, r.node, r.queueDepth, r.elapsed});
-    }
+  // The RPC never completed, so it gets no total and no exemplar; re-emit
+  // the retained records so the dead request's decomposition (with queue
+  // depths) survives a dump even when the ring has wrapped past the
+  // original entries.
+  const SpanState& st = *found;
+  for (std::uint8_t i = 0; i < st.numStages; ++i) {
+    const StageRec& r = st.stages[i];
+    record(Entry{sim_.now(), span, r.stage, /*abandoned=*/true, st.tenant,
+                 r.node, r.queueDepth, r.elapsed});
   }
   eraseSpan(span);
   ++abandoned_;
 }
 
-std::vector<TimeTrace::Event> TimeTrace::recentEvents() const {
-  std::vector<Event> out;
-  out.reserve(ringCount_);
-  const std::size_t start =
-      ringCount_ < ring_.size() ? 0 : ringNext_;
-  for (std::size_t i = 0; i < ringCount_; ++i) {
-    out.push_back(ring_[(start + i) % ring_.size()]);
+std::vector<TimeTrace::Entry> TimeTrace::entries() const {
+  const std::uint64_t first =
+      recorded_ > kRingCapacity ? recorded_ - kRingCapacity : 0;
+  std::vector<Entry> out;
+  out.reserve(static_cast<std::size_t>(recorded_ - first));
+  for (std::uint64_t i = first; i < recorded_; ++i) {
+    out.push_back(ring_[i % kRingCapacity]);
   }
   return out;
+}
+
+void TimeTrace::trigger(sim::SimTime at, const std::string& reason) {
+  triggers_.push_back(Trigger{at, reason});
+}
+
+bool TimeTrace::writeFlightJsonl(const std::string& path) const {
+  std::ofstream os(path);
+  if (!os) return false;
+  char line[320];
+  for (const Trigger& t : triggers_) {
+    std::snprintf(line, sizeof(line),
+                  "{\"type\":\"flight_trigger\",\"t_us\":%.3f,"
+                  "\"reason\":\"%s\"}\n",
+                  sim::toMicros(t.at), jsonEscape(t.reason).c_str());
+    os << line;
+  }
+  for (const Entry& e : entries()) {
+    std::snprintf(
+        line, sizeof(line),
+        "{\"type\":\"flight\",\"t_us\":%.3f,\"span\":%llu,"
+        "\"stage\":\"%s\",\"node\":%d,\"depth\":%d,\"tenant\":%u,"
+        "\"us\":%.3f,\"abandoned\":%d}\n",
+        sim::toMicros(e.at), static_cast<unsigned long long>(e.span),
+        stageName(e.stage), e.node, e.queueDepth,
+        static_cast<unsigned>(e.tenant), sim::toMicros(e.elapsed),
+        e.abandoned ? 1 : 0);
+    os << line;
+  }
+  return static_cast<bool>(os);
 }
 
 void TimeTrace::registerMetrics(MetricRegistry& reg,
@@ -153,6 +170,14 @@ void TimeTrace::registerMetrics(MetricRegistry& reg,
                    [this] { return static_cast<double>(abandoned_); });
   reg.probeGauge(prefix + ".active_spans", "items",
                  [this] { return static_cast<double>(activeCount_); });
+}
+
+void TimeTrace::registerRingMetrics(MetricRegistry& reg,
+                                    const std::string& prefix) {
+  reg.probeCounter(prefix + ".stamps", "ops",
+                   [this] { return static_cast<double>(recorded_); });
+  reg.probeCounter(prefix + ".triggers", "ops",
+                   [this] { return static_cast<double>(triggers_.size()); });
 }
 
 }  // namespace rc::obs

@@ -13,8 +13,6 @@
 
 namespace rc::obs {
 
-class FlightRecorder;
-
 /// Per-RPC time trace (the repro's TimeTrace equivalent).
 ///
 /// A span is opened when the client issues an RPC; each subsequent stamp()
@@ -24,8 +22,14 @@ class FlightRecorder;
 ///     --replication / log-sync wait--> reply --network--> client
 ///
 /// Stage durations accumulate into per-stage histograms (Finding 3's
-/// dispatch-vs-replication contention becomes directly measurable) and the
-/// most recent events land in a fixed-size ring buffer for export.
+/// dispatch-vs-replication contention becomes directly measurable).
+///
+/// Every stamp, every span total and every abandoned span's re-emitted
+/// stage records also land in one fixed-size ring of POD entries (the
+/// "flight recorder") at O(1) cost. The ring stays passive until something
+/// goes wrong: an SLO breach or an injected fault arms a trigger, and only
+/// then does the run dump flight.jsonl (the trigger list plus the ring's
+/// tail). Fault-free, breach-free runs write nothing (docs/SLO.md).
 ///
 /// Stamping an unknown or already-ended span is a harmless no-op: a server
 /// may keep annotating an RPC whose client already timed out, exactly like
@@ -44,12 +48,24 @@ class TimeTrace {
       static_cast<std::size_t>(Stage::kTotal) + 1;
   static const char* stageName(Stage s);
 
-  struct Event {
+  /// One ring record: a stamp, a span total (stage kTotal) or, with
+  /// abandoned=true, a stage record re-emitted when its span was abandoned
+  /// (client timeout / server crash) — the ring may have wrapped past the
+  /// original stamp, but the re-emission keeps the dead RPC's stage
+  /// decomposition dumpable.
+  struct Entry {
     sim::SimTime at = 0;
     std::uint64_t span = 0;
     Stage stage = Stage::kTotal;
+    bool abandoned = false;
+    std::uint16_t tenant = 0;      ///< RpcRequest tenant tag (0 = untagged)
+    std::int32_t node = -1;        ///< serving node (-1 = client side)
+    std::int32_t queueDepth = -1;  ///< dispatch queue depth (-1 = n/a)
     sim::Duration elapsed = 0;
   };
+
+  /// The ring holds the most recent kRingCapacity entries.
+  static constexpr std::size_t kRingCapacity = 8192;
 
   /// One stamped stage retained inside the span: the stage, the duration
   /// charged to it, and the dispatch queue depth / serving node observed at
@@ -78,14 +94,14 @@ class TimeTrace {
     std::array<StageRec, kMaxStagesPerSpan> stages{};
   };
 
-  explicit TimeTrace(sim::Simulation& sim, std::size_t ringCapacity = 4096);
+  explicit TimeTrace(sim::Simulation& sim);
 
   TimeTrace(const TimeTrace&) = delete;
   TimeTrace& operator=(const TimeTrace&) = delete;
 
   /// Open a span at now(); returns its id (never 0). `tenant` is the
-  /// issuing client's tenant/op-class tag, carried into flight-recorder
-  /// entries and SpanDetail.
+  /// issuing client's tenant/op-class tag, carried into ring entries and
+  /// SpanDetail.
   std::uint64_t beginSpan(std::uint16_t tenant = 0);
 
   /// Charge now()-since-last-stamp to `stage`. Servers pass the dispatch
@@ -99,19 +115,13 @@ class TimeTrace {
   /// (exemplar capture reads it there).
   void endSpan(std::uint64_t span, SpanDetail* detail = nullptr);
 
-  /// Drop the span without recording stage histograms or ring events: the
-  /// RPC never completed (its server died and the client timed out), so
-  /// quantile surfaces only ever describe RPCs that finished. The stamps
-  /// recorded before the abandon are NOT lost, though — they are flushed
-  /// into the attached flight recorder (abandoned=true entries), so a
-  /// crashed server's exemplars stay decomposable even after the live ring
-  /// wrapped past them.
+  /// Drop the span without recording a total: the RPC never completed (its
+  /// server died and the client timed out), so quantile surfaces only ever
+  /// describe RPCs that finished. The stamps recorded before the abandon
+  /// are NOT lost, though — they are re-emitted into the ring
+  /// (abandoned=true entries), so a crashed server's exemplars stay
+  /// decomposable even after the ring wrapped past them.
   void abandonSpan(std::uint64_t span);
-
-  /// Attach the always-on flight recorder: every stamp is mirrored into its
-  /// ring, and abandoned spans flush their retained stage records there.
-  /// nullptr detaches.
-  void setFlightRecorder(FlightRecorder* recorder) { flight_ = recorder; }
 
   bool spanActive(std::uint64_t span) const {
     return findSpan(span) != nullptr;
@@ -125,15 +135,35 @@ class TimeTrace {
     return histograms_[static_cast<std::size_t>(s)];
   }
 
-  /// Ring-buffer contents, oldest first.
-  std::vector<Event> recentEvents() const;
-  std::size_t ringCapacity() const { return ring_.size(); }
+  /// Ring contents, oldest first.
+  std::vector<Entry> entries() const;
+  /// Entries ever written to the ring (including overwritten ones).
+  std::uint64_t recorded() const { return recorded_; }
+
+  /// Arm a flight.jsonl dump. Called on an SLO window breach or when the
+  /// fault injector fires; exporters consult triggered() to decide whether
+  /// flight.jsonl is written.
+  void trigger(sim::SimTime at, const std::string& reason);
+  bool triggered() const { return !triggers_.empty(); }
+
+  /// Write flight.jsonl: one {"type":"flight_trigger",...} line per
+  /// trigger, then one {"type":"flight",...} line per ring entry, oldest
+  /// first.
+  bool writeFlightJsonl(const std::string& path) const;
 
   /// Register per-stage histograms and span counters under `prefix`
   /// (e.g. "cluster.rpc" -> "cluster.rpc.stage.dispatch_wait").
   void registerMetrics(MetricRegistry& reg, const std::string& prefix);
+  /// Register the ring's entry and trigger counters under `prefix`
+  /// (`<prefix>.stamps`, `<prefix>.triggers`).
+  void registerRingMetrics(MetricRegistry& reg, const std::string& prefix);
 
  private:
+  struct Trigger {
+    sim::SimTime at = 0;
+    std::string reason;
+  };
+
   struct SpanState {
     sim::SimTime begin = 0;
     sim::SimTime last = 0;
@@ -163,13 +193,16 @@ class TimeTrace {
     return const_cast<SpanState*>(std::as_const(*this).findSpan(span));
   }
   void eraseSpan(std::uint64_t span);
-  void record(std::uint64_t span, Stage stage, sim::Duration elapsed);
+  /// O(1), allocation-free: overwrite the oldest ring slot.
+  void record(const Entry& e) {
+    ring_[recorded_ % kRingCapacity] = e;
+    ++recorded_;
+  }
 
   sim::Simulation& sim_;
-  FlightRecorder* flight_ = nullptr;
-  std::vector<Event> ring_;
-  std::size_t ringNext_ = 0;
-  std::size_t ringCount_ = 0;
+  std::vector<Entry> ring_;
+  std::uint64_t recorded_ = 0;
+  std::vector<Trigger> triggers_;
   std::uint64_t nextSpan_ = 1;
   std::uint64_t started_ = 0;
   std::uint64_t completed_ = 0;

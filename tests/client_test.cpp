@@ -285,7 +285,8 @@ TEST(RamCloudClient, ScanAndMultiReadOpenOneSpanPerPart) {
   // Each part's stages decompose its span's total exactly.
   std::map<std::uint64_t, sim::Duration> stageSum;
   std::map<std::uint64_t, sim::Duration> total;
-  for (const auto& e : trace.recentEvents()) {
+  for (const auto& e : trace.entries()) {
+    if (e.abandoned) continue;
     if (e.stage == obs::TimeTrace::Stage::kTotal) {
       total[e.span] = e.elapsed;
     } else {

@@ -166,17 +166,40 @@ TEST(TimeTrace, UnknownOrEndedSpanIsNoOp) {
 
 TEST(TimeTrace, RingKeepsMostRecentEventsOldestFirst) {
   sim::Simulation sim;
-  TimeTrace tt(sim, /*ringCapacity=*/4);
-  for (int i = 0; i < 6; ++i) {
+  TimeTrace tt(sim);
+  // Every write in order: stamps, span totals and abandoned re-emissions.
+  struct Written {
+    std::uint64_t span;
+    Stage stage;
+    bool abandoned;
+  };
+  std::vector<Written> written;
+  const std::size_t target = TimeTrace::kRingCapacity + 1000;
+  for (std::size_t i = 0; written.size() < target; ++i) {
     const std::uint64_t s = tt.beginSpan();
-    tt.endSpan(s);  // one kTotal event per span
+    tt.stamp(s, Stage::kNetworkRequest);
+    written.push_back({s, Stage::kNetworkRequest, false});
+    tt.stamp(s, Stage::kDispatchWait);
+    written.push_back({s, Stage::kDispatchWait, false});
+    if (i % 3 == 0) {
+      tt.abandonSpan(s);
+      written.push_back({s, Stage::kNetworkRequest, true});
+      written.push_back({s, Stage::kDispatchWait, true});
+    } else {
+      tt.endSpan(s);
+      written.push_back({s, Stage::kTotal, false});
+    }
   }
-  const auto events = tt.recentEvents();
-  ASSERT_EQ(events.size(), 4u);
-  // Spans 3..6 survive, oldest first.
-  for (std::size_t i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].span, 3 + i);
-    EXPECT_EQ(events[i].stage, Stage::kTotal);
+  EXPECT_EQ(tt.recorded(), written.size());
+  const auto entries = tt.entries();
+  ASSERT_EQ(entries.size(), TimeTrace::kRingCapacity);
+  // The last kRingCapacity writes survive, oldest first.
+  const std::size_t first = written.size() - TimeTrace::kRingCapacity;
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    const Written& w = written[first + i];
+    ASSERT_EQ(entries[i].span, w.span) << i;
+    ASSERT_EQ(entries[i].stage, w.stage) << i;
+    ASSERT_EQ(entries[i].abandoned, w.abandoned) << i;
   }
 }
 
@@ -523,16 +546,11 @@ TEST(MetricsExporter, JsonlRoundTrip) {
   sim::Histogram& h = reg.histogram("svc.latency", "us");
   for (int i = 1; i <= 100; ++i) h.add(usec(i * 10));
 
-  TimeTrace tt(sim);
-  const std::uint64_t span = tt.beginSpan();
-  tt.endSpan(span);
-
   StatsSampler sampler(sim, reg);
   sim.runUntil(seconds(3) + msec(1));
 
   MetricsExporter exp(reg);
   exp.attachSampler(&sampler);
-  exp.attachTimeTrace(&tt);
 
   const std::string dir = ::testing::TempDir() + "/obs_export_roundtrip";
   ASSERT_TRUE(exp.exportRunDir(dir));
@@ -574,12 +592,8 @@ TEST(MetricsExporter, JsonlRoundTrip) {
   ASSERT_EQ(tick.size(), 3u);
   EXPECT_TRUE(std::is_sorted(tick.begin(), tick.end()));
 
-  // The time-trace ring made it out.
-  bool sawTrace = false;
-  for (const auto& r : records) {
-    if (r.type == "trace" && r.name == "total") sawTrace = true;
-  }
-  EXPECT_TRUE(sawTrace);
+  // The time-trace ring is dumped to flight.jsonl only, never here.
+  for (const auto& r : records) EXPECT_NE(r.type, "trace");
 
   // series.csv: header + one row per tick, one column per series + time_s.
   std::ifstream csv(dir + "/series.csv");

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -13,7 +16,7 @@
 #include "core/cluster.hpp"
 #include "fault/fault_injector.hpp"
 #include "fault/fault_plan.hpp"
-#include "obs/flight_recorder.hpp"
+#include "obs/jsonl.hpp"
 #include "obs/slo_tracker.hpp"
 #include "obs/time_trace.hpp"
 #include "sim/simulation.hpp"
@@ -177,8 +180,6 @@ TEST(SloTracker, UnknownAndNegativeClassIdsAreNoops) {
 TEST(FlightRecorder, AbandonSpanFlushesRetainedStampsToRing) {
   sim::Simulation sim;
   obs::TimeTrace trace(sim);
-  obs::FlightRecorder flight(64);
-  trace.setFlightRecorder(&flight);
 
   const std::uint64_t span = trace.beginSpan(/*tenant=*/5);
   sim.runFor(sim::usec(10));
@@ -190,7 +191,7 @@ TEST(FlightRecorder, AbandonSpanFlushesRetainedStampsToRing) {
   trace.abandonSpan(span);
 
   // Two live stamps + the same two re-emitted as abandoned forensics.
-  const auto entries = flight.entries();
+  const auto entries = trace.entries();
   ASSERT_EQ(entries.size(), 4u);
   int abandonedCount = 0;
   for (const auto& e : entries) {
@@ -209,16 +210,18 @@ TEST(FlightRecorder, AbandonSpanFlushesRetainedStampsToRing) {
 }
 
 TEST(FlightRecorder, RingOverwritesOldestAndNeverAllocates) {
-  obs::FlightRecorder flight(4);
-  for (std::uint64_t i = 1; i <= 10; ++i) {
-    flight.record(obs::FlightRecorder::Entry{0, i, 0, false, 0, -1, -1, 0});
+  sim::Simulation sim;
+  obs::TimeTrace trace(sim);
+  constexpr std::uint64_t kCap = obs::TimeTrace::kRingCapacity;
+  for (std::uint64_t i = 1; i <= kCap + 6; ++i) {
+    trace.endSpan(trace.beginSpan());  // one kTotal entry per span
   }
-  const auto entries = flight.entries();
-  ASSERT_EQ(entries.size(), 4u);
+  const auto entries = trace.entries();
+  ASSERT_EQ(entries.size(), kCap);
   EXPECT_EQ(entries.front().span, 7u);  // oldest retained
-  EXPECT_EQ(entries.back().span, 10u);
-  EXPECT_EQ(flight.recorded(), 10u);
-  EXPECT_FALSE(flight.triggered());
+  EXPECT_EQ(entries.back().span, kCap + 6);
+  EXPECT_EQ(trace.recorded(), kCap + 6);
+  EXPECT_FALSE(trace.triggered());
 }
 
 // ----- cluster end-to-end ---------------------------------------------------
@@ -287,7 +290,7 @@ E2eOutcome runE2e(std::uint64_t seed, bool stall, bool tightTargets) {
   c.sloTracker().finish();
   E2eOutcome out;
   out.sloJsonl = c.sloTracker().toJsonl();
-  out.flightTriggered = c.flightRecorder().triggered();
+  out.flightTriggered = c.timeTrace().triggered();
   out.breached = c.sloTracker().breachedWindows();
   out.rows = c.sloTracker().rows();
   return out;
@@ -346,7 +349,7 @@ TEST(SloEndToEnd, FaultFreeRunsNeverArmTheFlightRecorderAtLooseTargets) {
   c.sim().runFor(sim::seconds(2));
   c.stopYcsb();
 
-  EXPECT_FALSE(c.flightRecorder().triggered());
+  EXPECT_FALSE(c.timeTrace().triggered());
   EXPECT_GT(c.sloTracker().recorded(), 0u);
 
   const std::string dir = ::testing::TempDir() + "slo_fault_free";
@@ -395,4 +398,127 @@ TEST(SloEndToEnd, ExportWritesSloJsonlThatRoundTripsByteIdentically) {
   const std::string a = slurp(dirA + "/slo.jsonl");
   ASSERT_FALSE(a.empty());
   EXPECT_EQ(a, slurp(dirB + "/slo.jsonl"));
+}
+
+TEST(SloEndToEnd, ClassNamesWithQuotesAndBackslashesRoundTripInEveryStream) {
+  // A tenant name with JSON metacharacters, and a read target no request
+  // can meet, so its windows breach and arm the flight dump.
+  const std::string tenant = "a\"b\\c";
+  core::ClusterParams p;
+  p.servers = 3;
+  p.clients = 1;
+  p.replicationFactor = 1;
+  p.seed = 5;
+  core::Cluster c(p);
+  c.sloTracker().declareClass(tenant + "/read",
+                              obs::SloTarget{sim::nsec(1), 0});
+  c.sloTracker().declareClass(tenant + "/update",
+                              obs::SloTarget{sim::seconds(1), 0});
+  const auto table = c.createTable("usertable");
+  c.bulkLoad(table, 2'000, 128);
+  ycsb::YcsbClientParams ycp;
+  ycp.tenant = tenant;
+  c.configureYcsb(table, ycsb::WorkloadSpec::B(2'000), ycp);
+  c.startYcsb();
+  c.sim().runFor(sim::seconds(1));
+  c.stopYcsb();
+  const std::string dir = ::testing::TempDir() + "slo_escaped_names";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(c.exportMetrics(dir));
+
+  // Every "class" (or trigger "reason") field of `file` whose line has
+  // `type`, read back through the JSONL reader.
+  auto fields = [&](const std::string& file, const std::string& type,
+                    const std::string& key) {
+    std::vector<std::string> out;
+    std::ifstream is(dir + "/" + file);
+    for (std::string line; std::getline(is, line);) {
+      std::string t, v;
+      if (obs::jsonString(line, "type", &t) && t == type &&
+          obs::jsonString(line, key, &v)) {
+        out.push_back(v);
+      }
+    }
+    return out;
+  };
+  const std::vector<std::string> both = {tenant + "/read",
+                                         tenant + "/update"};
+  for (const char* type :
+       {"slo_window", "slo_node", "exemplar", "exemplar_stage"}) {
+    const auto classes = fields("slo.jsonl", type, "class");
+    ASSERT_FALSE(classes.empty()) << type;
+    for (const auto& cls : classes) {
+      EXPECT_TRUE(cls == both[0] || cls == both[1]) << type << ": " << cls;
+    }
+  }
+  EXPECT_EQ(fields("energy.jsonl", "energy_tenant", "class"), both);
+  const auto reasons = fields("flight.jsonl", "flight_trigger", "reason");
+  ASSERT_FALSE(reasons.empty());
+  for (const auto& r : reasons) EXPECT_EQ(r, "slo_breach:" + both[0]);
+}
+
+TEST(TimeTrace, FlightJsonlStageRowsSumToSpanTotals) {
+  // A fault-armed run (dropped replies, so some spans are abandoned after
+  // the server stamped them): in the dumped ring, every span seen from its
+  // first stamp to its total decomposes exactly. Rows print microseconds
+  // to 3 decimals, i.e. exact integer nanoseconds.
+  core::ClusterParams p;
+  p.servers = 4;
+  p.clients = 4;
+  p.replicationFactor = 2;
+  p.seed = 9;
+  core::Cluster c(p);
+  const auto table = c.createTable("usertable");
+  c.bulkLoad(table, 5'000, 256);
+  c.configureYcsb(table, ycsb::WorkloadSpec::A(5'000),
+                  ycsb::YcsbClientParams{});
+  fault::FaultPlan plan;
+  plan.replyDrop(sim::msec(500), /*serverIdx=*/1, /*probability=*/0.05,
+                 sim::msec(500));
+  fault::FaultInjector injector(c, plan, c.sim().rng().fork(0xF1));
+  injector.arm();
+  // Stop issuing when the drops end, then let the unanswered RPCs time
+  // out, so their abandoned re-emissions are among the ring's newest rows.
+  c.startYcsb();
+  c.sim().runFor(sim::seconds(1));
+  c.stopYcsb();
+  c.sim().runFor(sim::seconds(2));
+  const std::string dir = ::testing::TempDir() + "flight_stage_sums";
+  std::filesystem::remove_all(dir);
+  ASSERT_TRUE(c.exportMetrics(dir));
+
+  std::map<std::uint64_t, long long> stageSum;
+  std::map<std::uint64_t, long long> total;
+  std::set<std::uint64_t> opened;
+  std::uint64_t abandonedRows = 0;
+  std::ifstream is(dir + "/flight.jsonl");
+  for (std::string line; std::getline(is, line);) {
+    std::string type, stage;
+    double span = 0, us = 0, abandoned = 0;
+    ASSERT_TRUE(obs::jsonString(line, "type", &type)) << line;
+    if (type != "flight") continue;
+    ASSERT_TRUE(obs::jsonString(line, "stage", &stage) &&
+                obs::jsonNumber(line, "span", &span) &&
+                obs::jsonNumber(line, "us", &us) &&
+                obs::jsonNumber(line, "abandoned", &abandoned))
+        << line;
+    const auto id = static_cast<std::uint64_t>(span);
+    const long long ns = std::llround(us * 1000.0);
+    if (abandoned != 0) {
+      ++abandonedRows;
+    } else if (stage == "total") {
+      total[id] = ns;
+    } else {
+      if (stage == "network_request") opened.insert(id);
+      stageSum[id] += ns;
+    }
+  }
+  EXPECT_GT(abandonedRows, 0u);
+  std::size_t checked = 0;
+  for (const auto& [id, t] : total) {
+    if (opened.count(id) == 0) continue;  // began before the ring's tail
+    EXPECT_EQ(stageSum[id], t) << "span " << id;
+    ++checked;
+  }
+  EXPECT_GT(checked, 1000u);
 }

@@ -1089,8 +1089,7 @@ int checkRun(const std::string& dir) {
   const auto recs = MetricsExporter::readJsonl(dir + "/metrics.jsonl");
   for (const auto& rec : recs) {
     if (rec.type != "counter" && rec.type != "gauge" &&
-        rec.type != "histogram" && rec.type != "point" &&
-        rec.type != "trace") {
+        rec.type != "histogram" && rec.type != "point") {
       std::fprintf(stderr, "check: unknown record type '%s' in metrics.jsonl\n",
                    rec.type.c_str());
       ++violations;

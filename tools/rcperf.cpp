@@ -24,7 +24,6 @@
 
 #include "core/experiment.hpp"
 #include "core/table_format.hpp"
-#include "fault/selfperf.hpp"
 #include "obs/slo_tracker.hpp"
 
 using namespace rc;
@@ -390,29 +389,6 @@ int cmdTop(const Args& a) {
   return r.crashed ? 1 : 0;
 }
 
-int cmdSelfperf(const Args& a) {
-  fault::selfperf::Options opt;
-  opt.quick = a.has("quick");
-  opt.slo = a.has("slo");
-  if (a.has("no-energy")) opt.energy = false;
-  opt.repeat = std::max(1, static_cast<int>(a.num("repeat", 1)));
-  const auto results = fault::selfperf::runAll(opt);
-  for (const auto& r : results) {
-    std::printf("%-14s %12llu events  %6.2f sim-s  %7.3f wall-s  "
-                "%10.0f ev/s  %.4f wall-s/sim-s\n",
-                r.name.c_str(), static_cast<unsigned long long>(r.events),
-                r.simSeconds, r.wallSeconds, r.eventsPerSec(),
-                r.wallPerSimSecond());
-  }
-  const std::string jsonPath = a.str("json", "BENCH_selfperf.json");
-  if (!fault::selfperf::writeJson(results, opt, jsonPath)) {
-    std::fprintf(stderr, "cannot write %s\n", jsonPath.c_str());
-    return 1;
-  }
-  std::printf("wrote %s\n", jsonPath.c_str());
-  return 0;
-}
-
 void usage() {
   std::puts(
       "rcperf — simulated-RAMCloud experiment runner\n"
@@ -439,14 +415,7 @@ void usage() {
       "                  --qos-rate caps the tenant's admitted rate per node\n"
       "                  with a dispatch token bucket; docs/SLO.md,\n"
       "                  docs/ENERGY.md, docs/OVERLOAD.md,\n"
-      "                  docs/WORKLOADS.md)\n"
-      "  rcperf selfperf [--quick] [--repeat N] [--slo] [--no-energy]\n"
-      "                  [--json FILE]\n"
-      "                  (host events/sec of the simulator itself on the\n"
-      "                  canonical scenarios; writes BENCH_selfperf.json —\n"
-      "                  see docs/PERF.md; also: rcperf --selfperf;\n"
-      "                  --slo runs ycsb_b with the SLO tracker live,\n"
-      "                  --no-energy disables the energy ledger)\n");
+      "                  docs/WORKLOADS.md)\n");
 }
 
 }  // namespace
@@ -457,9 +426,6 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  if (cmd == "selfperf" || cmd == "--selfperf") {
-    return cmdSelfperf(Args::parse(argc, argv, 2));
-  }
   if (cmd == "ycsb") return cmdYcsb(Args::parse(argc, argv, 2));
   if (cmd == "top") return cmdTop(Args::parse(argc, argv, 2));
   if (cmd == "recovery") return cmdRecovery(Args::parse(argc, argv, 2));
