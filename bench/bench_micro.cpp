@@ -1,6 +1,6 @@
 // Micro-benchmarks of the substrate data structures (google-benchmark):
-// hash-table ops, log appends, cleaner passes, DES event throughput,
-// zipfian key generation, end-to-end simulated RPCs.
+// hash-table ops, log appends and entry reads, cleaner passes, DES event
+// throughput, zipfian key generation, end-to-end simulated RPCs.
 
 #include <benchmark/benchmark.h>
 
@@ -10,6 +10,7 @@
 #include "log/cleaner.hpp"
 #include "log/log.hpp"
 #include "net/rpc.hpp"
+#include "sim/rng.hpp"
 #include "sim/simulation.hpp"
 #include "ycsb/workload.hpp"
 
@@ -80,6 +81,26 @@ void BM_LogAppend(benchmark::State& state) {
                           1100);
 }
 BENCHMARK(BM_LogAppend);
+
+/// Reads of random entries over many segments (8,388 entries per 8 MB
+/// segment): per access, `Log::hotEntry` finds the segment, then the
+/// entry's chunk, then the entry. Each read picks the next ref from the
+/// entry it read, so reads do not overlap and the time is their latency.
+void BM_LogHotEntryRandom(benchmark::State& state) {
+  const auto keys = static_cast<std::uint64_t>(state.range(0));
+  IndexedLog il(keys);
+  sim::Rng rng(7);
+  std::vector<log::LogRef> order(1 << 16);
+  for (log::LogRef& r : order) r = il.refs[rng.uniformInt(keys)];
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const std::uint64_t v = il.log.hotEntry(order[i]).version;
+    benchmark::DoNotOptimize(v);
+    i = (i + 1 + (v & 1)) & (order.size() - 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LogHotEntryRandom)->Arg(100'000)->Arg(1'000'000);
 
 void BM_CleanerPass(benchmark::State& state) {
   for (auto _ : state) {

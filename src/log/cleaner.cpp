@@ -71,14 +71,4 @@ std::uint64_t LogCleaner::cleanSegment(SegmentId victimId, sim::SimTime now) {
   return before;
 }
 
-std::uint64_t LogCleaner::cleanUntilSatisfied(sim::SimTime now) {
-  std::uint64_t total = 0;
-  while (log_.needsCleaning()) {
-    const std::uint64_t got = cleanOnce(now);
-    if (got == 0) break;
-    total += got;
-  }
-  return total;
-}
-
 }  // namespace rc::log

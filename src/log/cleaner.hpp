@@ -58,10 +58,6 @@ class LogCleaner {
   /// Clean a specific (sealed) segment. Returns bytes reclaimed.
   std::uint64_t cleanSegment(SegmentId victim, sim::SimTime now);
 
-  /// Clean until the log no longer needsCleaning() or no progress can be
-  /// made. Returns total bytes reclaimed.
-  std::uint64_t cleanUntilSatisfied(sim::SimTime now);
-
   const CleanerStats& stats() const { return stats_; }
   CleanerPolicy policy() const { return policy_; }
 

@@ -39,12 +39,15 @@ void Log::adopt(std::shared_ptr<Segment> seg) {
   if (head_ == seg.get()) head_ = nullptr;
   appendedBytes_ += seg->appendedBytes();
   liveBytes_ += seg->liveBytes();
-  for (const HotEntry& e : seg->hotEntries()) noteVersion(e.version);
+  const Segment::HotEntries& entries = seg->hotEntries();
+  for (std::size_t i = 0; i < entries.size(); ++i) {
+    noteVersion(entries[i].version);
+  }
   insert(std::move(seg));
 }
 
 LogRef Log::append(const LogEntry& e, sim::SimTime now) {
-  if (e.sizeBytes > params_.segmentBytes) {
+  if (e.sizeBytes > params_.segmentBytes || e.sizeBytes > kMaxEntryBytes) {
     throw std::invalid_argument("log entry larger than a segment");
   }
   if (head_ == nullptr) {

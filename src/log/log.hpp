@@ -39,7 +39,9 @@ class Log {
   std::function<void(Segment&)> onSegmentOpened;
 
   /// Append an entry; rolls the head if needed. `now` timestamps segments
-  /// for the cleaner's age heuristic.
+  /// for the cleaner's age heuristic. Throws std::invalid_argument, and
+  /// changes nothing, if the entry is larger than a segment or than
+  /// kMaxEntryBytes.
   LogRef append(const LogEntry& e, sim::SimTime now);
 
   /// Mark the entry dead; no-op if its segment was already cleaned or the
@@ -56,11 +58,12 @@ class Log {
     return seg->hotEntries()[ref.index];
   }
 
-  /// Start pulling the entry at `ref` into cache; no effect if its segment
-  /// is gone.
+  /// Start pulling the entry at `ref` into cache; no effect if there is no
+  /// such entry.
   void prefetch(LogRef ref) const {
-    if (const Segment* seg = segment(ref.segment)) {
-      __builtin_prefetch(seg->hotEntries().data() + ref.index);
+    const Segment* seg = segment(ref.segment);
+    if (seg != nullptr && ref.index < seg->entryCount()) {
+      __builtin_prefetch(&seg->hotEntries()[ref.index]);
     }
   }
 

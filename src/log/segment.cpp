@@ -5,17 +5,6 @@
 
 namespace rc::log {
 
-namespace {
-
-/// Whether records of this type keep cold fields (RIFL outcome and
-/// minitransaction state). Objects and tombstones never do.
-bool hasColdFields(EntryType t) {
-  return t == EntryType::kCompletion || t == EntryType::kTxPrepare ||
-         t == EntryType::kTxDecision;
-}
-
-}  // namespace
-
 SegmentId sideLogIdBase(std::uint32_t n) {
   constexpr std::uint32_t kBlocks =
       (kInvalidSegment - kSideLogIdBase) >> kSideLogIdBits;
@@ -28,29 +17,36 @@ Segment::Segment(SegmentId id, std::uint64_t capacityBytes,
     : id_(id), capacity_(capacityBytes), createdAt_(createdAt) {}
 
 std::uint32_t Segment::append(const LogEntry& e) {
+  if (e.sizeBytes > kMaxEntryBytes) {
+    throw std::length_error("log entry larger than a segment can record");
+  }
   assert(hasRoom(e.sizeBytes));
+  // Each type keeps only the fields its store holds: a field set beyond
+  // them would not survive the round trip.
+  const bool tx =
+      e.type == EntryType::kTxPrepare || e.type == EntryType::kTxDecision;
+  assert(tx || (e.txId == 0 && e.txExpectedVersion == 0 && !e.txParticipants &&
+                e.txPendingBytes == 0 && !e.txCommit));
+  assert(tx || e.type == EntryType::kCompletion ||
+         (e.clientId == 0 && e.rpcSeq == 0 && e.opStatus == 0 && e.found));
+  assert(e.type == EntryType::kTombstone || e.refSegment == kInvalidSegment);
   appended_ += e.sizeBytes;
   if (e.live) live_ += e.sizeBytes;
-  // Objects and tombstones have no cold storage: a field set on them would
-  // not survive the round trip.
-  assert(hasColdFields(e.type) ||
-         (e.clientId == 0 && e.rpcSeq == 0 && e.txId == 0 &&
-          e.txExpectedVersion == 0 && !e.txParticipants &&
-          e.txPendingBytes == 0 && e.opStatus == 0 && e.found && !e.txCommit));
-  assert(e.type == EntryType::kTombstone || e.refSegment == kInvalidSegment);
-  std::uint32_t aux = 0;
+  std::size_t aux = 0;
   if (e.type == EntryType::kTombstone) {
     aux = e.refSegment;
-  } else if (hasColdFields(e.type)) {
-    aux = static_cast<std::uint32_t>(cold_.size());
-    cold_.push_back(ColdFields{e.clientId, e.rpcSeq, e.txId,
-                               e.txExpectedVersion, e.txParticipants,
-                               e.txPendingBytes, e.opStatus, e.found,
-                               e.txCommit});
+  } else if (e.type == EntryType::kCompletion) {
+    aux = completions_.push_back(
+        CompletionFields{e.clientId, e.rpcSeq, e.opStatus, e.found});
+  } else if (tx) {
+    aux = txs_.push_back(TxFields{e.clientId, e.rpcSeq, e.txId,
+                                  e.txExpectedVersion, e.txParticipants,
+                                  e.txPendingBytes, e.opStatus, e.found,
+                                  e.txCommit});
   }
-  entries_.push_back(HotEntry{e.tableId, e.keyId, e.version, e.sizeBytes, aux,
-                              e.type, e.live});
-  return static_cast<std::uint32_t>(entries_.size() - 1);
+  return static_cast<std::uint32_t>(entries_.push_back(
+      HotEntry{e.tableId, e.keyId, e.version, static_cast<std::uint32_t>(aux),
+               e.sizeBytes, e.type, e.live}));
 }
 
 LogEntry Segment::entry(std::uint32_t index) const {
@@ -63,19 +59,34 @@ LogEntry Segment::entry(std::uint32_t index) const {
   e.sizeBytes = h.sizeBytes;
   e.type = h.type;
   e.live = h.live;
-  if (h.type == EntryType::kTombstone) {
-    e.refSegment = h.aux;
-  } else if (hasColdFields(h.type)) {
-    const ColdFields& c = cold_[h.aux];
-    e.clientId = c.clientId;
-    e.rpcSeq = c.rpcSeq;
-    e.txId = c.txId;
-    e.txExpectedVersion = c.txExpectedVersion;
-    e.txParticipants = c.txParticipants;
-    e.txPendingBytes = c.txPendingBytes;
-    e.opStatus = c.opStatus;
-    e.found = c.found;
-    e.txCommit = c.txCommit;
+  switch (h.type) {
+    case EntryType::kObject:
+      break;
+    case EntryType::kTombstone:
+      e.refSegment = h.aux;
+      break;
+    case EntryType::kCompletion: {
+      const CompletionFields& c = completions_[h.aux];
+      e.clientId = c.clientId;
+      e.rpcSeq = c.rpcSeq;
+      e.opStatus = c.opStatus;
+      e.found = c.found;
+      break;
+    }
+    case EntryType::kTxPrepare:
+    case EntryType::kTxDecision: {
+      const TxFields& t = txs_[h.aux];
+      e.clientId = t.clientId;
+      e.rpcSeq = t.rpcSeq;
+      e.txId = t.txId;
+      e.txExpectedVersion = t.txExpectedVersion;
+      e.txParticipants = t.txParticipants;
+      e.txPendingBytes = t.txPendingBytes;
+      e.opStatus = t.opStatus;
+      e.found = t.found;
+      e.txCommit = t.txCommit;
+      break;
+    }
   }
   return e;
 }

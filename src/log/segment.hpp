@@ -5,6 +5,7 @@
 #include <utility>
 #include <vector>
 
+#include "log/chunked_store.hpp"
 #include "sim/time.hpp"
 
 namespace rc::log {
@@ -32,6 +33,8 @@ enum class EntryType : std::uint8_t {
   kTxDecision,  ///< minitransaction outcome (commit/abort) for one object;
                 ///< fences late prepares and suppresses decision retries
 };
+/// Every EntryType fits HotEntry's 3-bit type field.
+static_assert(static_cast<unsigned>(EntryType::kTxDecision) < 8);
 
 /// Key list of every object a minitransaction touches, carried inside each
 /// kTxPrepare record so *any* surviving participant can drive cooperative
@@ -44,8 +47,8 @@ using TxParticipants =
 /// *contents* are not materialised — the simulator tracks sizes, versions
 /// and liveness, which is everything the storage-management and recovery
 /// logic operates on. A segment does not store this struct: it keeps a
-/// HotEntry per record, plus the fields only completion and tx records use
-/// in a side vector.
+/// HotEntry per record, plus the fields only completion or tx records use
+/// in one side store per kind.
 struct LogEntry {
   std::uint64_t tableId = 0;
   std::uint64_t keyId = 0;
@@ -71,19 +74,23 @@ struct LogEntry {
   bool txCommit = false;      ///< decision: true = commit, false = abort
 };
 
+/// Largest record a segment stores: HotEntry keeps the size in 28 bits.
+constexpr std::uint32_t kMaxEntryBytes = (1u << 28) - 1;
+
 /// What a segment stores for every record: the fields every record type
 /// uses. `aux` is the tombstone's refSegment, or the index of the record's
-/// cold fields in its segment (completion and tx records); 0 for objects.
+/// side fields in its segment's completion or tx store; 0 for objects.
+/// Size, type and liveness share one 32-bit word.
 struct HotEntry {
   std::uint64_t tableId = 0;
   std::uint64_t keyId = 0;
   std::uint64_t version = 0;
-  std::uint32_t sizeBytes = 0;
   std::uint32_t aux = 0;
-  EntryType type = EntryType::kObject;
-  bool live = true;
+  std::uint32_t sizeBytes : 28 = 0;
+  EntryType type : 3 = EntryType::kObject;
+  bool live : 1 = true;
 };
-static_assert(sizeof(HotEntry) <= 40, "hot log entry must stay <= 40 B");
+static_assert(sizeof(HotEntry) == 32, "hot log entry must stay 32 B");
 
 /// Reference to an entry in a specific segment.
 struct LogRef {
@@ -108,11 +115,17 @@ class Segment {
   bool sealed() const { return sealed_; }
   std::size_t entryCount() const { return entries_.size(); }
 
+  /// Entries per chunk of the hot store and of each side store.
+  static constexpr std::size_t kChunkEntries = 512;
+  using HotEntries = ChunkedStore<HotEntry, kChunkEntries>;
+
   bool hasRoom(std::uint32_t bytes) const {
     return !sealed_ && appended_ + bytes <= capacity_;
   }
 
   /// Appends and returns the entry index. Caller must check hasRoom().
+  /// Throws std::length_error, appending nothing, if `e` is larger than
+  /// kMaxEntryBytes.
   std::uint32_t append(const LogEntry& e);
 
   /// Mark an entry dead (overwritten or deleted object). Returns the bytes
@@ -125,8 +138,9 @@ class Segment {
   /// The record as it was appended (liveness as of now).
   LogEntry entry(std::uint32_t index) const;
   /// The stored per-record fields, in append order: what readers that only
-  /// need sizes, keys, versions or liveness walk.
-  const std::vector<HotEntry>& hotEntries() const { return entries_; }
+  /// need sizes, keys, versions or liveness walk. An entry's address does
+  /// not change while the segment lives.
+  const HotEntries& hotEntries() const { return entries_; }
 
   /// Fraction of appended bytes still live; 0 for an empty segment.
   double utilisation() const {
@@ -142,8 +156,17 @@ class Segment {
   std::uint64_t live_ = 0;
   sim::SimTime createdAt_;
   bool sealed_ = false;
-  /// The LogEntry fields only completion and tx records set.
-  struct ColdFields {
+  /// The LogEntry fields a completion record sets.
+  struct CompletionFields {
+    std::uint64_t clientId = 0;
+    std::uint64_t rpcSeq = 0;
+    std::uint8_t opStatus = 0;
+    bool found = true;
+  };
+  static_assert(sizeof(CompletionFields) <= 24,
+                "completion side record must stay <= 24 B");
+  /// The LogEntry fields tx prepare and decision records set.
+  struct TxFields {
     std::uint64_t clientId = 0;
     std::uint64_t rpcSeq = 0;
     std::uint64_t txId = 0;
@@ -155,8 +178,10 @@ class Segment {
     bool txCommit = false;
   };
 
-  std::vector<HotEntry> entries_;
-  std::vector<ColdFields> cold_;  ///< indexed by HotEntry::aux
+  HotEntries entries_;
+  /// Indexed by the HotEntry::aux of completion and of tx records.
+  ChunkedStore<CompletionFields, kChunkEntries> completions_;
+  ChunkedStore<TxFields, kChunkEntries> txs_;
 };
 
 }  // namespace rc::log

@@ -192,10 +192,11 @@ void BackupService::onGetRecoveryData(const net::RpcRequest& req,
       // Count entries within the acked watermark for the filtering cost.
       std::uint64_t seen = 0;
       std::uint64_t count = 0;
-      for (const log::HotEntry& e : f2.data->hotEntries()) {
-        if (seen + e.sizeBytes > f2.ackedBytes) break;
-        seen += e.sizeBytes;
-        ++count;
+      const log::Segment::HotEntries& entries = f2.data->hotEntries();
+      for (; count < entries.size(); ++count) {
+        const std::uint32_t bytes = entries[count].sizeBytes;
+        if (seen + bytes > f2.ackedBytes) break;
+        seen += bytes;
       }
       const std::uint64_t share = f2.ackedBytes / parts;
       node_.cpu().acquireWorker([this, count, share,

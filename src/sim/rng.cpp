@@ -34,11 +34,6 @@ std::uint64_t Rng::uniformInt(std::uint64_t bound) {
   }
 }
 
-std::int64_t Rng::uniformRange(std::int64_t lo, std::int64_t hi) {
-  return lo + static_cast<std::int64_t>(
-                  uniformInt(static_cast<std::uint64_t>(hi - lo) + 1));
-}
-
 double Rng::uniformDouble() {
   return static_cast<double>(next64() >> 11) * 0x1.0p-53;
 }

@@ -23,9 +23,6 @@ class Rng {
   /// Uniform integer in [0, bound) without modulo bias. bound must be > 0.
   std::uint64_t uniformInt(std::uint64_t bound);
 
-  /// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniformRange(std::int64_t lo, std::int64_t hi);
-
   /// Uniform double in [0, 1).
   double uniformDouble();
 

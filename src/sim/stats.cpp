@@ -139,12 +139,6 @@ double TimeSeries::maxValue() const {
   return m;
 }
 
-double TimeSeries::minValue() const {
-  double m = points_.empty() ? 0 : points_.front().value;
-  for (const auto& p : points_) m = std::min(m, p.value);
-  return m;
-}
-
 double TimeSeries::meanInWindow(SimTime from, SimTime to) const {
   double s = 0;
   std::uint64_t n = 0;

@@ -88,7 +88,6 @@ class TimeSeries {
 
   double meanValue() const;
   double maxValue() const;
-  double minValue() const;
 
   /// Mean of values with time in [from, to).
   double meanInWindow(SimTime from, SimTime to) const;

@@ -18,11 +18,9 @@ constexpr Duration seconds(std::int64_t n) { return n * 1'000'000'000; }
 
 /// Fractional helpers (used by calibrated service-time parameters).
 constexpr Duration usecF(double n) { return static_cast<Duration>(n * 1e3); }
-constexpr Duration msecF(double n) { return static_cast<Duration>(n * 1e6); }
 constexpr Duration secondsF(double n) { return static_cast<Duration>(n * 1e9); }
 
 constexpr double toSeconds(Duration d) { return static_cast<double>(d) / 1e9; }
-constexpr double toMillis(Duration d) { return static_cast<double>(d) / 1e6; }
 constexpr double toMicros(Duration d) { return static_cast<double>(d) / 1e3; }
 
 }  // namespace rc::sim

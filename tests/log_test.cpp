@@ -55,6 +55,45 @@ TEST(Segment, SealedRefusesAppends) {
   EXPECT_FALSE(s.hasRoom(1));
 }
 
+// Size, type and liveness share one 32-bit word of the hot entry.
+static_assert(sizeof(HotEntry) == 32);
+static_assert(kMaxEntryBytes == (1u << 28) - 1);
+
+TEST(Segment, RefusesAnEntryTooLargeToRecordAndNeverTruncates) {
+  Segment s(1, 1ULL << 30, 0);
+  EXPECT_THROW(s.append(object(1, kMaxEntryBytes + 1, 1)), std::length_error);
+  EXPECT_THROW(s.append(object(2, 0xffff'ffffu, 2)), std::length_error);
+  EXPECT_EQ(s.entryCount(), 0u);
+  EXPECT_EQ(s.appendedBytes(), 0u);
+  EXPECT_EQ(s.liveBytes(), 0u);
+  // The largest recordable size reads back whole.
+  const auto i = s.append(object(3, kMaxEntryBytes, 3));
+  EXPECT_EQ(s.hotEntries()[i].sizeBytes, kMaxEntryBytes);
+  EXPECT_EQ(s.entry(i).sizeBytes, kMaxEntryBytes);
+  EXPECT_EQ(s.appendedBytes(), kMaxEntryBytes);
+
+  // A log with segments that could hold it refuses it before rolling.
+  Log log(smallLog(1ULL << 30, 1ULL << 32));
+  log.append(object(4, 100, 4), 0);
+  EXPECT_THROW(log.append(object(5, kMaxEntryBytes + 1, 5), 0),
+               std::invalid_argument);
+  EXPECT_EQ(log.segmentCount(), 1u);
+  EXPECT_EQ(log.appendedBytes(), 100u);
+}
+
+TEST(Segment, EntryAddressIsStableAcrossAppends) {
+  Segment s(1, 1ULL << 30, 0);
+  const auto i = s.append(object(7, 100, 3));
+  const HotEntry& held = s.hotEntries()[i];
+  for (std::uint64_t k = 0; k < 1000; ++k) s.append(object(100 + k, 100, 4));
+  EXPECT_EQ(&s.hotEntries()[i], &held);
+  EXPECT_EQ(held.keyId, 7u);
+  EXPECT_EQ(held.version, 3u);
+  EXPECT_EQ(held.sizeBytes, 100u);
+  EXPECT_TRUE(held.live);
+  EXPECT_EQ(held.type, EntryType::kObject);
+}
+
 TEST(Log, RollsHeadWhenFull) {
   Log log(smallLog());
   int sealed = 0;
@@ -245,10 +284,11 @@ TEST(Cleaner, DropsTombstoneWhenObjectSegmentGone) {
 }
 
 // ---- Round trips of every record type. A segment stores each record as a
-// 40-byte hot entry plus, for completion and tx records, a side vector of
-// cold fields; every boundary that hands records on (segment reads, the
-// cleaner, backup filtering, recovery replay, migration batches) must give
-// back every field it was given.
+// 32-byte hot entry plus, for completion and tx records, an entry in the
+// completion or the tx side store; every boundary that hands records on
+// (segment reads, the cleaner, backup filtering, recovery replay, migration
+// batches) must give back every field it was given. The record sets span
+// more than one chunk of the hot store and of each side store.
 
 /// Compares every LogEntry field; `live` only when asked (recovery and
 /// migration re-append copies as live and may mark them dead afterwards).
@@ -338,14 +378,46 @@ std::function<std::uint64_t()> counterFrom(std::uint64_t first) {
   return [v = first]() mutable { return v++; };
 }
 
+/// Rounds of oneOfEachType: enough that a segment holding them all spans
+/// two chunks of the hot, the completion and the tx store.
+constexpr std::size_t kRounds = Segment::kChunkEntries + 8;
+
+/// kRounds record sets, round r on keys[5r .. 5r+4]. Each round's side
+/// fields differ, so a record read from the wrong store entry shows.
+std::vector<LogEntry> manyOfEachType(std::uint64_t tableId,
+                                     const std::vector<std::uint64_t>& keys,
+                                     SegmentId tombstoneRef,
+                                     const std::function<std::uint64_t()>&
+                                         nextVersion) {
+  std::vector<LogEntry> out;
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    const std::vector<std::uint64_t> roundKeys(keys.begin() + 5 * r,
+                                               keys.begin() + 5 * r + 5);
+    for (LogEntry& e :
+         oneOfEachType(tableId, roundKeys, tombstoneRef, nextVersion)) {
+      if (e.clientId != 0) e.rpcSeq += 100 * r;
+      if (e.txId != 0) e.txId += r;
+      if (e.type == EntryType::kCompletion) e.found = r % 2 == 1;
+      out.push_back(std::move(e));
+    }
+  }
+  return out;
+}
+
+std::vector<std::uint64_t> keyRange(std::uint64_t first, std::size_t n) {
+  std::vector<std::uint64_t> keys(n);
+  for (std::size_t i = 0; i < n; ++i) keys[i] = first + i;
+  return keys;
+}
+
 TEST(LogRecord, EveryTypeRoundTripsThroughSegmentCleanerAndBackupFilter) {
-  Log log(smallLog(4096, 1 << 20));
+  Log log(smallLog(4 << 20, 64 << 20));
   // The tombstone's object lives in another segment that outlives the
   // cleaning, so the cleaner relocates the tombstone rather than drop it.
-  const LogRef anchor = log.append(object(99, 300, 1), 0);
+  const LogRef anchor = log.append(object(999'999, 300, 1), 0);
   log.sealHead();
-  const auto records =
-      oneOfEachType(1, {1, 2, 3, 4, 5}, anchor.segment, counterFrom(2));
+  const auto records = manyOfEachType(1, keyRange(1, 5 * kRounds),
+                                      anchor.segment, counterFrom(2));
   std::vector<LogRef> refs;
   for (const LogEntry& e : records) refs.push_back(log.append(e, 0));
   log.sealHead();
@@ -353,6 +425,7 @@ TEST(LogRecord, EveryTypeRoundTripsThroughSegmentCleanerAndBackupFilter) {
   // Segment read, through both Log and Segment.
   const Segment* seg = log.segment(refs[0].segment);
   ASSERT_NE(seg, nullptr);
+  ASSERT_EQ(refs.back().segment, refs[0].segment);
   for (std::size_t i = 0; i < records.size(); ++i) {
     expectSameRecord(records[i], log.entryAt(refs[i]));
     expectSameRecord(records[i], seg->entry(refs[i].index));
@@ -385,15 +458,15 @@ TEST(LogRecord, EveryTypeRoundTripsThroughSegmentCleanerAndBackupFilter) {
 
   // Cleaner relocation: the callback and the relocated copy both see every
   // field.
-  std::map<EntryType, std::pair<LogEntry, LogRef>> moved;
+  std::map<std::uint64_t, std::pair<LogEntry, LogRef>> moved;  // by key
   LogCleaner cleaner(log, [&](const LogEntry& e, LogRef nr) {
-    moved.emplace(e.type, std::make_pair(e, nr));
+    moved.emplace(e.keyId, std::make_pair(e, nr));
   });
   cleaner.cleanSegment(refs[0].segment, sim::seconds(1));
   EXPECT_EQ(cleaner.stats().tombstonesDropped, 0u);
   ASSERT_EQ(moved.size(), records.size());
   for (const LogEntry& want : records) {
-    const auto& [seen, nr] = moved.at(want.type);
+    const auto& [seen, nr] = moved.at(want.keyId);
     expectSameRecord(want, seen);
     expectSameRecord(want, log.entryAt(nr));
   }
@@ -445,9 +518,9 @@ TEST(LogRecord, EveryTypeRoundTripsThroughRecoveryReplay) {
   // Keys beyond the bulk-loaded range, so replay sees one record per key.
   log.sealHead();
   const auto records =
-      oneOfEachType(table, keysOwnedBy(c, 0, table, 10'000, 5),
-                    log.segments().begin()->first,
-                    [&log] { return log.nextVersion(); });
+      manyOfEachType(table, keysOwnedBy(c, 0, table, 10'000, 5 * kRounds),
+                     log.segments().begin()->first,
+                     [&log] { return log.nextVersion(); });
   for (const LogEntry& e : records) log.append(e, c.sim().now());
   log.sealHead();  // replicates the tail to the backups
   c.sim().runFor(sim::seconds(1));
@@ -482,20 +555,26 @@ TEST(LogRecord, MigratedTypesRoundTripThroughAMigrationBatch) {
   const LogEntry obj =
       log.entryAt(m0.objectMap().get(hash::Key{table, objKey})->ref);
   const auto crafted =
-      oneOfEachType(table, keysOwnedBy(c, 0, table, 10'000, 5),
-                    kInvalidSegment, [&log] { return log.nextVersion(); });
-  const LogEntry& done = crafted[2];
-  const LogEntry& prep = crafted[3];
-  server::UnackedRpcResults::Result rr;
-  rr.status = done.opStatus;
-  rr.version = done.version;
-  rr.found = done.found;
-  rr.tableId = done.tableId;
-  rr.keyId = done.keyId;
-  rr.record = log.append(done, c.sim().now());
-  ASSERT_TRUE(m0.unackedRpcResults().recover(done.clientId, done.rpcSeq, rr));
-  ASSERT_TRUE(m0.installRecoveredTxLock(
-      prep, log.append(prep, c.sim().now()), /*ownedByUnacked=*/false));
+      manyOfEachType(table, keysOwnedBy(c, 0, table, 10'000, 5 * kRounds),
+                     kInvalidSegment, [&log] { return log.nextVersion(); });
+  std::vector<LogEntry> want{obj};
+  for (std::size_t r = 0; r < kRounds; ++r) {
+    const LogEntry& done = crafted[5 * r + 2];
+    const LogEntry& prep = crafted[5 * r + 3];
+    server::UnackedRpcResults::Result rr;
+    rr.status = done.opStatus;
+    rr.version = done.version;
+    rr.found = done.found;
+    rr.tableId = done.tableId;
+    rr.keyId = done.keyId;
+    rr.record = log.append(done, c.sim().now());
+    ASSERT_TRUE(
+        m0.unackedRpcResults().recover(done.clientId, done.rpcSeq, rr));
+    ASSERT_TRUE(m0.installRecoveredTxLock(
+        prep, log.append(prep, c.sim().now()), /*ownedByUnacked=*/false));
+    want.push_back(done);
+    want.push_back(prep);
+  }
 
   const auto tablets = c.coord().tabletMap().tabletsOwnedBy(c.serverNodeId(0));
   ASSERT_EQ(tablets.size(), 1u);
@@ -504,8 +583,8 @@ TEST(LogRecord, MigratedTypesRoundTripThroughAMigrationBatch) {
   // Compare before the orphan sweep (1 s) can resolve the crafted lock.
   for (int i = 0; i < 500 && !ok; ++i) c.sim().runFor(sim::msec(1));
   ASSERT_TRUE(ok);
-  for (const LogEntry& want : {obj, done, prep}) {
-    expectSameRecord(want, findCopy(c, want, 0), /*compareLive=*/false);
+  for (const LogEntry& w : want) {
+    expectSameRecord(w, findCopy(c, w, 0), /*compareLive=*/false);
   }
 }
 

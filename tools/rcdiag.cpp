@@ -62,10 +62,18 @@ double t1s(const Span& s) {
   return rc::sim::toSeconds(s.open ? s.begin : s.end);
 }
 
-bool loadRun(const std::string& dir, RunData* out) {
-  out->spans = EventJournal::readJsonl(dir + "/events.jsonl");
-  if (out->spans.empty()) {
-    std::fprintf(stderr, "rcdiag: no spans in %s/events.jsonl\n", dir.c_str());
+/// Reads DIR's span journal and PDU series. Fails if the journal is
+/// missing, or if it holds no span and `allowEmpty` is false: a run without
+/// faults writes an empty journal, which only `check` accepts.
+bool loadRun(const std::string& dir, RunData* out, bool allowEmpty = false) {
+  const std::string journal = dir + "/events.jsonl";
+  if (!std::ifstream(journal)) {
+    std::fprintf(stderr, "rcdiag: cannot read %s\n", journal.c_str());
+    return false;
+  }
+  out->spans = EventJournal::readJsonl(journal);
+  if (out->spans.empty() && !allowEmpty) {
+    std::fprintf(stderr, "rcdiag: no spans in %s\n", journal.c_str());
     return false;
   }
   for (const Span& s : out->spans) out->byId[s.id] = &s;
@@ -1043,7 +1051,7 @@ int energyCmd(const std::string& dir, bool checkOnly) {
 
 int checkRun(const std::string& dir) {
   RunData run;
-  if (!loadRun(dir, &run)) return 1;
+  if (!loadRun(dir, &run, /*allowEmpty=*/true)) return 1;
   int violations = 0;
   auto fail = [&violations](const char* fmt, unsigned long long a) {
     std::fprintf(stderr, "check: ");
@@ -1114,6 +1122,8 @@ void usage() {
       "  rcdiag energy check DIR\n"
       "\n"
       "DIR is a --metrics-dir run directory (events.jsonl [+ metrics.jsonl]).\n"
+      "check accepts an empty events.jsonl (a run without faults); the\n"
+      "span reports need at least one span.\n"
       "slo reads DIR/slo.jsonl (runs with declared SLO classes).\n"
       "energy reads DIR/energy.jsonl: per-node component decomposition,\n"
       "per-op-class and per-tenant attribution, stacked watts timelines and\n"
