@@ -1,9 +1,11 @@
 #include "coordinator/coordinator.hpp"
 
 #include <algorithm>
+#include <stdexcept>
 #include <utility>
 
 #include "hash/object_map.hpp"
+#include "log/segment.hpp"
 #include "server/backup_service.hpp"
 #include "server/master_service.hpp"
 
@@ -119,6 +121,9 @@ std::uint64_t Coordinator::createTable(const std::string& name,
   if (auto it = tablesByName_.find(name); it != tablesByName_.end()) {
     return it->second;
   }
+  if (nextTableId_ > log::kMaxTableId) {
+    throw std::length_error("table ids exhausted: a log entry stores 16 bits");
+  }
   const std::uint64_t tableId = nextTableId_++;
   tablesByName_[name] = tableId;
 
@@ -203,7 +208,6 @@ void Coordinator::onMigrationDone(const net::RpcRequest& req) {
       t.owner = am.to;
       m->addTablet(t);
     }
-    ++migrationsCompleted_;
     if (journal_ != nullptr) {
       // req.traceSpan carries the source master's migration span id, so
       // the ownership flip is a cross-node child of the migration.

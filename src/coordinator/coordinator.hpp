@@ -65,11 +65,11 @@ class Coordinator : public net::RpcService {
   void enlistServer(server::ServerId id);
 
   /// Create a table spanning `serverSpan` masters (the paper's ServerSpan
-  /// option: uniform manual distribution). Returns the table id.
+  /// option: uniform manual distribution). Returns the table id. Throws
+  /// std::length_error, creating nothing, once ids reach log::kMaxTableId.
   std::uint64_t createTable(const std::string& name, int serverSpan);
 
   const TabletMap& tabletMap() const { return map_; }
-  const std::vector<server::ServerId>& upServers() const { return up_; }
 
   // ----- failure handling
 
@@ -97,8 +97,6 @@ class Coordinator : public net::RpcService {
   /// Gracefully remove an *empty* server from the cluster (no recovery is
   /// triggered). Returns false while the server still owns tablets.
   bool decommissionServer(server::ServerId id);
-
-  std::uint64_t migrationsCompleted() const { return migrationsCompleted_; }
 
   /// Declare a server dead (the detector calls this; tests/harness may
   /// call it directly to skip detection latency).
@@ -212,7 +210,6 @@ class Coordinator : public net::RpcService {
   std::unordered_map<std::uint64_t, ActiveRecovery> activeRecoveries_;
   std::vector<RecoveryRecord> recoveryLog_;
   std::vector<ActiveMigration> activeMigrations_;
-  std::uint64_t migrationsCompleted_ = 0;
 
   std::unique_ptr<sim::PeriodicTask> detector_;
 

@@ -28,7 +28,10 @@ class ChunkedStore {
   /// Appends `v` and returns its index.
   std::size_t push_back(T v) {
     if (size_ % kChunk == 0) chunks_.emplace_back().reserve(kChunk);
-    chunks_.back().push_back(std::move(v));
+    // Initialise the slot, then assign: copying a bit-field struct straight
+    // into raw capacity reads the slot first, and a read is what first
+    // touches a fresh page, which then faults twice (zero page, then copy).
+    chunks_.back().emplace_back() = std::move(v);
     return size_++;
   }
 

@@ -47,9 +47,10 @@ void Log::adopt(std::shared_ptr<Segment> seg) {
 }
 
 LogRef Log::append(const LogEntry& e, sim::SimTime now) {
-  if (e.sizeBytes > params_.segmentBytes || e.sizeBytes > kMaxEntryBytes) {
+  if (e.sizeBytes > params_.segmentBytes) {
     throw std::invalid_argument("log entry larger than a segment");
   }
+  if (const char* why = unstorableField(e)) throw std::invalid_argument(why);
   if (head_ == nullptr) {
     openNewHead(now);
   } else if (!head_->hasRoom(e.sizeBytes)) {

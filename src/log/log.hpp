@@ -40,8 +40,8 @@ class Log {
 
   /// Append an entry; rolls the head if needed. `now` timestamps segments
   /// for the cleaner's age heuristic. Throws std::invalid_argument, and
-  /// changes nothing, if the entry is larger than a segment or than
-  /// kMaxEntryBytes.
+  /// changes nothing, if the entry is larger than a segment or has a field
+  /// a segment cannot store (unstorableField).
   LogRef append(const LogEntry& e, sim::SimTime now);
 
   /// Mark the entry dead; no-op if its segment was already cleaned or the
@@ -108,7 +108,6 @@ class Log {
            params_.cleanerThreshold * static_cast<double>(params_.capacityBytes);
   }
 
-  std::size_t segmentCount() const { return segments_.size(); }
   /// Every segment in id order (walks: cleaner victim choice, replica
   /// installs, tests). Lookups by id go through segment().
   const std::map<SegmentId, std::shared_ptr<Segment>>& segments() const {

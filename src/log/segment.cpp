@@ -16,10 +16,18 @@ Segment::Segment(SegmentId id, std::uint64_t capacityBytes,
                  sim::SimTime createdAt)
     : id_(id), capacity_(capacityBytes), createdAt_(createdAt) {}
 
-std::uint32_t Segment::append(const LogEntry& e) {
-  if (e.sizeBytes > kMaxEntryBytes) {
-    throw std::length_error("log entry larger than a segment can record");
+const char* unstorableField(const LogEntry& e) {
+  if (e.sizeBytes > kMaxEntryBytes) return "log entry size beyond 2^28 - 1";
+  if (e.tableId > kMaxTableId) return "log entry table id beyond 2^16 - 1";
+  if (e.version > kMaxVersion) return "log entry version beyond 2^48 - 1";
+  if (e.type == EntryType::kCompletion && e.rpcSeq > kMaxCompletionRpcSeq) {
+    return "completion record rpcSeq beyond 2^55 - 1";
   }
+  return nullptr;
+}
+
+std::uint32_t Segment::append(const LogEntry& e) {
+  if (const char* why = unstorableField(e)) throw std::length_error(why);
   assert(hasRoom(e.sizeBytes));
   // Each type keeps only the fields its store holds: a field set beyond
   // them would not survive the round trip.
@@ -36,17 +44,23 @@ std::uint32_t Segment::append(const LogEntry& e) {
   if (e.type == EntryType::kTombstone) {
     aux = e.refSegment;
   } else if (e.type == EntryType::kCompletion) {
-    aux = completions_.push_back(
-        CompletionFields{e.clientId, e.rpcSeq, e.opStatus, e.found});
+    aux = completions_.push_back(CompletionFields{
+        .clientId = e.clientId, .rpcSeq = e.rpcSeq, .opStatus = e.opStatus,
+        .found = e.found});
   } else if (tx) {
-    aux = txs_.push_back(TxFields{e.clientId, e.rpcSeq, e.txId,
-                                  e.txExpectedVersion, e.txParticipants,
-                                  e.txPendingBytes, e.opStatus, e.found,
-                                  e.txCommit});
+    aux = txs_.push_back(TxFields{
+        .clientId = e.clientId, .rpcSeq = e.rpcSeq, .txId = e.txId,
+        .txExpectedVersion = e.txExpectedVersion,
+        .txParticipants = e.txParticipants,
+        .txPendingBytes = e.txPendingBytes, .opStatus = e.opStatus,
+        .found = e.found, .txCommit = e.txCommit});
   }
-  return static_cast<std::uint32_t>(entries_.push_back(
-      HotEntry{e.tableId, e.keyId, e.version, static_cast<std::uint32_t>(aux),
-               e.sizeBytes, e.type, e.live}));
+  // Designated initialisers: the stored order is not LogEntry's, and a
+  // positional list would swap fields of one integer type silently.
+  return static_cast<std::uint32_t>(entries_.push_back(HotEntry{
+      .keyId = e.keyId, .tableId = e.tableId, .version = e.version,
+      .aux = static_cast<std::uint32_t>(aux), .sizeBytes = e.sizeBytes,
+      .type = e.type, .live = e.live}));
 }
 
 LogEntry Segment::entry(std::uint32_t index) const {
@@ -69,8 +83,8 @@ LogEntry Segment::entry(std::uint32_t index) const {
       const CompletionFields& c = completions_[h.aux];
       e.clientId = c.clientId;
       e.rpcSeq = c.rpcSeq;
-      e.opStatus = c.opStatus;
-      e.found = c.found;
+      e.opStatus = static_cast<std::uint8_t>(c.opStatus);
+      e.found = c.found != 0;
       break;
     }
     case EntryType::kTxPrepare:

@@ -76,21 +76,32 @@ struct LogEntry {
 
 /// Largest record a segment stores: HotEntry keeps the size in 28 bits.
 constexpr std::uint32_t kMaxEntryBytes = (1u << 28) - 1;
+/// Largest table id a segment stores: HotEntry keeps it in 16 bits.
+constexpr std::uint64_t kMaxTableId = (1u << 16) - 1;
+/// Largest version a segment stores: HotEntry keeps it in 48 bits.
+constexpr std::uint64_t kMaxVersion = (1ULL << 48) - 1;
+/// Largest rpcSeq a completion record stores: it keeps it in 55 bits.
+constexpr std::uint64_t kMaxCompletionRpcSeq = (1ULL << 55) - 1;
+
+/// Why a segment cannot store `e` without truncating a field, or nullptr
+/// if it can.
+const char* unstorableField(const LogEntry& e);
 
 /// What a segment stores for every record: the fields every record type
 /// uses. `aux` is the tombstone's refSegment, or the index of the record's
 /// side fields in its segment's completion or tx store; 0 for objects.
-/// Size, type and liveness share one 32-bit word.
+/// Table id and version share one 64-bit word; size, type and liveness
+/// share one 32-bit word.
 struct HotEntry {
-  std::uint64_t tableId = 0;
   std::uint64_t keyId = 0;
-  std::uint64_t version = 0;
+  std::uint64_t tableId : 16 = 0;
+  std::uint64_t version : 48 = 0;
   std::uint32_t aux = 0;
   std::uint32_t sizeBytes : 28 = 0;
   EntryType type : 3 = EntryType::kObject;
   bool live : 1 = true;
 };
-static_assert(sizeof(HotEntry) == 32, "hot log entry must stay 32 B");
+static_assert(sizeof(HotEntry) == 24, "hot log entry must stay 24 B");
 
 /// Reference to an entry in a specific segment.
 struct LogRef {
@@ -124,8 +135,8 @@ class Segment {
   }
 
   /// Appends and returns the entry index. Caller must check hasRoom().
-  /// Throws std::length_error, appending nothing, if `e` is larger than
-  /// kMaxEntryBytes.
+  /// Throws std::length_error, appending nothing, if a field of `e` is
+  /// beyond what the segment stores (unstorableField).
   std::uint32_t append(const LogEntry& e);
 
   /// Mark an entry dead (overwritten or deleted object). Returns the bytes
@@ -156,15 +167,16 @@ class Segment {
   std::uint64_t live_ = 0;
   sim::SimTime createdAt_;
   bool sealed_ = false;
-  /// The LogEntry fields a completion record sets.
+  /// The LogEntry fields a completion record sets; opStatus and found
+  /// share rpcSeq's word.
   struct CompletionFields {
     std::uint64_t clientId = 0;
-    std::uint64_t rpcSeq = 0;
-    std::uint8_t opStatus = 0;
-    bool found = true;
+    std::uint64_t rpcSeq : 55 = 0;
+    std::uint64_t opStatus : 8 = 0;
+    std::uint64_t found : 1 = 1;
   };
-  static_assert(sizeof(CompletionFields) <= 24,
-                "completion side record must stay <= 24 B");
+  static_assert(sizeof(CompletionFields) <= 16,
+                "completion side record must stay <= 16 B");
   /// The LogEntry fields tx prepare and decision records set.
   struct TxFields {
     std::uint64_t clientId = 0;

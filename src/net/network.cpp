@@ -12,7 +12,6 @@ Network::Network(sim::Simulation& sim, TransportParams params)
 sim::SimTime Network::send(node::NodeId from, node::NodeId to,
                            std::uint64_t bytes, DeliverFn deliver,
                            power::EnergyTag tag) {
-  ++messagesSent_;
   bytesSent_ += bytes;
   chargeNic(from, bytes, tag);
 

@@ -82,7 +82,6 @@ class Network {
 
   const TransportParams& params() const { return params_; }
 
-  std::uint64_t messagesSent() const { return messagesSent_; }
   std::uint64_t bytesSent() const { return bytesSent_; }
   std::uint64_t messagesDropped() const { return messagesDropped_; }
 
@@ -101,7 +100,6 @@ class Network {
 
   FaultFilter faultFilter_;
   std::vector<node::Node*> nicNodes_;
-  std::uint64_t messagesSent_ = 0;
   std::uint64_t bytesSent_ = 0;
   std::uint64_t messagesDropped_ = 0;
 };

@@ -105,7 +105,6 @@ void CpuScheduler::assign(WorkerId w, AcquireFn fn, bool fromSleep) {
   occupiedSince_[static_cast<std::size_t>(w)] = sim_.now();
   tags_[static_cast<std::size_t>(w)] = power::EnergyTag{};
   ++busyCount_;
-  ++tasksStarted_;
   setBusyCores();
   if (fromSleep && params_.wakeupLatency > 0) {
     // Park the grant in the worker's slot: the wakeup event then captures
@@ -152,7 +151,6 @@ void CpuScheduler::releaseWorker(WorkerId w) {
   if (!queue_.empty()) {
     AcquireFn next = std::move(queue_.front());
     queue_.pop_front();
-    ++tasksStarted_;
     // Worker stays Busy; a fresh occupancy window opens for the next op.
     occupiedSince_[static_cast<std::size_t>(w)] = sim_.now();
     tags_[static_cast<std::size_t>(w)] = power::EnergyTag{};

@@ -141,7 +141,6 @@ class CpuScheduler {
   double utilisationSince(const Snapshot& s, sim::SimTime t) const;
 
   /// Lifetime stats.
-  std::uint64_t tasksStarted() const { return tasksStarted_; }
   std::size_t maxQueueDepth() const { return maxQueue_; }
 
  private:
@@ -191,7 +190,6 @@ class CpuScheduler {
 
   mutable sim::TimeWeightedValue busy_;
   double auxBusyCoreSeconds_ = 0;
-  std::uint64_t tasksStarted_ = 0;
   std::size_t maxQueue_ = 0;
 };
 

@@ -140,7 +140,6 @@ class SloTracker {
   std::vector<LiveClass> liveSnapshot() const;
 
   const std::vector<WindowRow>& rows() const { return rows_; }
-  std::uint64_t windowsEmitted() const { return rows_.size(); }
   std::uint64_t breachedWindows() const { return breachedTotal_; }
   std::uint64_t recorded() const { return recorded_; }
 

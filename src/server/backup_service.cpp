@@ -322,7 +322,6 @@ std::size_t BackupService::injectFrameCorruption(std::size_t count,
     const FrameKey key = keys[pick];
     keys.erase(keys.begin() + static_cast<std::ptrdiff_t>(pick));
     frames_[key].corrupt = true;
-    ++corruptFrames_;
     ++hit;
   }
   return hit;

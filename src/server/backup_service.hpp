@@ -81,11 +81,7 @@ class BackupService : public net::RpcService {
   /// replica fallback.
   std::size_t injectFrameCorruption(std::size_t count, sim::Rng& rng);
 
-  std::uint64_t unflushedBytes() const { return unflushedBytes_; }
   std::uint64_t framesHeld() const { return frames_.size(); }
-  std::uint64_t writesServiced() const { return writesServiced_; }
-  std::uint64_t acksDelayed() const { return acksDelayed_; }
-  std::uint64_t corruptFramesHeld() const { return corruptFrames_; }
 
   const BackupParams& params() const { return params_; }
 
@@ -148,7 +144,6 @@ class BackupService : public net::RpcService {
 
   std::uint64_t writesServiced_ = 0;
   std::uint64_t acksDelayed_ = 0;
-  std::uint64_t corruptFrames_ = 0;
   obs::EventJournal* journal_ = nullptr;
 };
 

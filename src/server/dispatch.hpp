@@ -306,9 +306,6 @@ class Dispatch {
   std::uint64_t queueDepth() const { return queued_; }
   std::uint64_t maxQueueDepth() const { return maxQueueDepth_; }
 
-  /// Absolute time at which the dispatch thread frees up.
-  sim::SimTime nextFreeAt() const { return nextFree_; }
-
   /// Current backlog expressed as time until the dispatch thread is free.
   sim::Duration backlogDelay() const {
     return std::max<sim::Duration>(0, nextFree_ - sim_.now());

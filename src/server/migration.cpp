@@ -137,7 +137,6 @@ void MigrationTask::sendNextBatch() {
             finish(false);
             return;
           }
-          objectsMoved_ += resp.a;
           if (migrationSpan_ != 0) {
             source_.journal()->addCount(migrationSpan_, resp.a);
           }

@@ -51,8 +51,6 @@ class MigrationTask {
   /// announced (the bytes were paid on the wire).
   std::vector<log::LogEntry> takeBatch(std::uint64_t batchId);
 
-  std::uint64_t objectsMoved() const { return objectsMoved_; }
-
  private:
   void collectKeys();
   void sendNextBatch();
@@ -68,7 +66,6 @@ class MigrationTask {
   std::size_t nextIndex_ = 0;
   std::uint64_t nextBatchId_ = 1;
   std::unordered_map<std::uint64_t, std::vector<log::LogEntry>> inFlight_;
-  std::uint64_t objectsMoved_ = 0;
   bool done_ = false;
   bool failed_ = false;
   bool aborted_ = false;

@@ -55,9 +55,6 @@ class RecoveryTask {
   /// it, and side-log replicas on it are queued for repair.
   void onBackupDown(node::NodeId dead);
 
-  // Progress counters (for tests and the Fig. 9-12 timelines).
-  std::uint64_t entriesReplayed() const { return entriesReplayed_; }
-
   /// Resolve a side-log segment (backups snapshot replica contents
   /// through the owning master's findSegment).
   std::shared_ptr<const log::Segment> sideSegment(log::SegmentId id) const;

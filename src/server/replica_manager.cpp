@@ -366,7 +366,6 @@ void ReplicaManager::repairSlot(log::SegmentId segId, std::size_t slot) {
         st2.backups[slot] == node::kInvalidNode) {
       st2.backups[slot] = fresh;
       ++replacements_;
-      ++repairsCompleted_;
       repairAttempt_ = 0;
       if (journal_ && span) journal_->endSpan(span);
     } else {

@@ -118,7 +118,6 @@ class ReplicaManager {
 
   std::uint64_t replicaTimeouts() const { return replicaTimeouts_; }
   std::uint64_t replacementsMade() const { return replacements_; }
-  std::uint64_t repairsCompleted() const { return repairsCompleted_; }
   /// Cumulative payload bytes pushed to backups (all replicas counted).
   std::uint64_t bytesReplicated() const { return bytesReplicated_; }
   const ReplicationParams& params() const { return params_; }
@@ -168,7 +167,6 @@ class ReplicaManager {
   std::uint64_t pendingAsync_ = 0;
   std::uint64_t replicaTimeouts_ = 0;
   std::uint64_t replacements_ = 0;
-  std::uint64_t repairsCompleted_ = 0;
   std::uint64_t bytesReplicated_ = 0;
   std::uint64_t repairsDeferred_ = 0;
   bool repairScheduled_ = false;

@@ -23,6 +23,7 @@ bool Simulation::popAndRunOne(SimTime limit) {
 }
 
 std::uint64_t Simulation::run() {
+  stopped_ = false;
   std::uint64_t n = 0;
   while (!stopped_ && popAndRunOne(std::numeric_limits<SimTime>::max())) ++n;
   endRun();
@@ -30,6 +31,7 @@ std::uint64_t Simulation::run() {
 }
 
 std::uint64_t Simulation::runUntil(SimTime t) {
+  stopped_ = false;
   std::uint64_t n = 0;
   while (!stopped_ && popAndRunOne(t)) ++n;
   if (!stopped_ && now_ < t) now_ = t;

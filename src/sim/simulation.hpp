@@ -80,13 +80,11 @@ class Simulation {
   /// Convenience: runUntil(now() + d).
   std::uint64_t runFor(Duration d) { return runUntil(now_ + d); }
 
-  /// Request that run()/runUntil() return after the current event.
+  /// Request that the current run()/runUntil() return after the current
+  /// event. The next run() or runUntil() resumes where it stopped.
   void stop() { stopped_ = true; }
 
   bool stopped() const { return stopped_; }
-
-  /// Clear the stop flag so the simulation can be resumed.
-  void clearStop() { stopped_ = false; }
 
   /// Number of events still pending. Cancelled events are removed eagerly,
   /// so they never count here.

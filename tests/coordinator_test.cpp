@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+
 #include "coordinator/coordinator.hpp"
 #include "coordinator/tablet_map.hpp"
 #include "core/cluster.hpp"
+#include "server/master_service.hpp"
 
 namespace rc::coordinator {
 namespace {
@@ -106,6 +110,39 @@ TEST(Coordinator, CreateTableIsIdempotentByName) {
   EXPECT_EQ(c.createTable("same"), c.createTable("same"));
 }
 
+TEST(Coordinator, RefusesATableIdBeyondWhatALogEntryStores) {
+  core::Cluster c([] {
+    core::ClusterParams p;
+    p.servers = 1;
+    p.clients = 0;
+    p.replicationFactor = 0;
+    return p;
+  }());
+  std::uint64_t last = 0;
+  for (std::uint64_t i = 1; i <= log::kMaxTableId; ++i) {
+    last = c.createTable(std::to_string(i), 1);
+  }
+  EXPECT_EQ(last, log::kMaxTableId);
+  const std::size_t tablets = c.coord().tabletMap().entries().size();
+  EXPECT_THROW(c.createTable("one-too-many", 1), std::length_error);
+  EXPECT_EQ(c.coord().tabletMap().entries().size(), tablets);
+  // A name that already has a table still resolves, without a new id.
+  EXPECT_EQ(c.createTable("7", 1), 7u);
+  EXPECT_THROW(c.createTable("one-too-many", 1), std::length_error);
+
+  // The largest id reaches a log entry whole.
+  c.bulkLoad(last, 10, 100);
+  const auto& segs = c.server(0).master->log().segments();
+  bool seen = false;
+  for (const auto& [id, seg] : segs) {
+    const auto& hot = seg->hotEntries();
+    for (std::size_t i = 0; i < hot.size(); ++i) {
+      if (hot[i].tableId == log::kMaxTableId) seen = true;
+    }
+  }
+  EXPECT_TRUE(seen);
+}
+
 TEST(Coordinator, DetectorNoticesCrashWithinASecond) {
   core::Cluster c([] {
     core::ClusterParams p;
@@ -117,9 +154,11 @@ TEST(Coordinator, DetectorNoticesCrashWithinASecond) {
   c.bulkLoad(1, 1000, 1000);
   bool detected = false;
   sim::SimTime at = 0;
-  c.coord().onCrashDetected = [&](server::ServerId) {
+  server::ServerId crashed = 0;
+  c.coord().onCrashDetected = [&](server::ServerId id) {
     detected = true;
     at = c.sim().now();
+    crashed = id;
   };
   c.sim().runFor(seconds(2));
   const sim::SimTime killTime = c.sim().now();
@@ -127,7 +166,16 @@ TEST(Coordinator, DetectorNoticesCrashWithinASecond) {
   c.sim().runFor(seconds(2));
   ASSERT_TRUE(detected);
   EXPECT_LT(at - killTime, seconds(1));
-  EXPECT_EQ(c.coord().upServers().size(), 2u);
+  EXPECT_EQ(crashed, c.serverNodeId(1));
+  // The crashed server left the up list: a new table spans the other two.
+  const auto later = c.createTable("later");
+  int tablets = 0;
+  for (const auto& e : c.coord().tabletMap().entries()) {
+    if (e.tablet.tableId != later) continue;
+    ++tablets;
+    EXPECT_NE(e.tablet.owner, crashed);
+  }
+  EXPECT_EQ(tablets, 2);
 }
 
 TEST(Coordinator, NoFalsePositivesWhenHealthy) {

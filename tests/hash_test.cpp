@@ -310,7 +310,8 @@ TEST_P(ObjectMapProperty, AgreesWithOracle) {
     const Key k{1 + rng.uniformInt(3), rng.uniformInt(keySpace)};
     const auto action = rng.uniformInt(10);
     if (action < 6) {  // put
-      const std::uint64_t v = rng.next64();
+      // A random version a log entry can store (48 bits).
+      const std::uint64_t v = rng.next64() >> 16;
       m.put(k, es.add(k, v, 100));
       oracle[k] = v;
     } else if (action < 8) {  // erase

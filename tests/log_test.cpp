@@ -55,9 +55,13 @@ TEST(Segment, SealedRefusesAppends) {
   EXPECT_FALSE(s.hasRoom(1));
 }
 
-// Size, type and liveness share one 32-bit word of the hot entry.
-static_assert(sizeof(HotEntry) == 32);
+// Table id and version share one 64-bit word of the hot entry; size, type
+// and liveness share one 32-bit word.
+static_assert(sizeof(HotEntry) == 24);
 static_assert(kMaxEntryBytes == (1u << 28) - 1);
+static_assert(kMaxTableId == (1u << 16) - 1);
+static_assert(kMaxVersion == (1ULL << 48) - 1);
+static_assert(kMaxCompletionRpcSeq == (1ULL << 55) - 1);
 
 TEST(Segment, RefusesAnEntryTooLargeToRecordAndNeverTruncates) {
   Segment s(1, 1ULL << 30, 0);
@@ -77,8 +81,49 @@ TEST(Segment, RefusesAnEntryTooLargeToRecordAndNeverTruncates) {
   log.append(object(4, 100, 4), 0);
   EXPECT_THROW(log.append(object(5, kMaxEntryBytes + 1, 5), 0),
                std::invalid_argument);
-  EXPECT_EQ(log.segmentCount(), 1u);
+  EXPECT_EQ(log.segments().size(), 1u);
   EXPECT_EQ(log.appendedBytes(), 100u);
+}
+
+/// One past each stored field's limit, each on a record that is otherwise
+/// storable.
+std::vector<LogEntry> onePastEachLimit() {
+  LogEntry table = object(10, 100, 1);
+  table.tableId = kMaxTableId + 1;
+  LogEntry version = object(11, 100, kMaxVersion + 1);
+  LogEntry version64 = object(12, 100, ~0ULL);
+  LogEntry seq = object(13, 100, 1);
+  seq.type = EntryType::kCompletion;
+  seq.clientId = 1;
+  seq.rpcSeq = kMaxCompletionRpcSeq + 1;
+  LogEntry seq64 = seq;
+  seq64.rpcSeq = ~0ULL;
+  return {table, version, version64, seq, seq64};
+}
+
+TEST(Segment, RefusesAFieldBeyondItsStoredWidthAndChangesNothing) {
+  Segment s(1, 1ULL << 20, 0);
+  s.append(object(1, 100, 5));
+  for (const LogEntry& e : onePastEachLimit()) {
+    SCOPED_TRACE(::testing::Message() << "key " << e.keyId);
+    EXPECT_THROW(s.append(e), std::length_error);
+    EXPECT_EQ(s.entryCount(), 1u);
+    EXPECT_EQ(s.appendedBytes(), 100u);
+    EXPECT_EQ(s.liveBytes(), 100u);
+  }
+
+  Log log(smallLog(1 << 20, 1 << 24));
+  log.append(object(1, 100, 5), 0);
+  for (const LogEntry& e : onePastEachLimit()) {
+    SCOPED_TRACE(::testing::Message() << "key " << e.keyId);
+    EXPECT_THROW(log.append(e, 0), std::invalid_argument);
+    EXPECT_EQ(log.segments().size(), 1u);
+    EXPECT_EQ(log.head()->entryCount(), 1u);
+    EXPECT_EQ(log.appendedBytes(), 100u);
+    EXPECT_EQ(log.liveBytes(), 100u);
+  }
+  // The refused versions did not move the version counter either.
+  EXPECT_EQ(log.nextVersion(), 6u);
 }
 
 TEST(Segment, EntryAddressIsStableAcrossAppends) {
@@ -106,7 +151,7 @@ TEST(Log, RollsHeadWhenFull) {
   // 3 entries of 300 B fit in a 1024 B segment.
   EXPECT_EQ(opened, 4);
   EXPECT_EQ(sealed, 3);
-  EXPECT_EQ(log.segmentCount(), 4u);
+  EXPECT_EQ(log.segments().size(), 4u);
 }
 
 TEST(Log, EntryAtResolvesRefs) {
@@ -469,6 +514,71 @@ TEST(LogRecord, EveryTypeRoundTripsThroughSegmentCleanerAndBackupFilter) {
     const auto& [seen, nr] = moved.at(want.keyId);
     expectSameRecord(want, seen);
     expectSameRecord(want, log.entryAt(nr));
+  }
+}
+
+TEST(LogRecord, EveryFieldRoundTripsAtItsLargestStorableValue) {
+  Log log(smallLog(1 << 20, 1 << 24));
+  std::vector<LogEntry> records;
+  LogEntry obj = object(~0ULL, 100, kMaxVersion);
+  obj.tableId = kMaxTableId;
+  records.push_back(obj);
+  // Every opStatus the 8-bit field holds, with both values of found.
+  for (unsigned status = 0; status < 256; ++status) {
+    for (const bool found : {false, true}) {
+      LogEntry done = obj;
+      done.keyId = 2 * status + (found ? 1 : 0);
+      done.type = EntryType::kCompletion;
+      done.sizeBytes = server::kCompletionRecordBytes;
+      done.clientId = ~0ULL;
+      done.rpcSeq = kMaxCompletionRpcSeq - status;
+      done.opStatus = static_cast<std::uint8_t>(status);
+      done.found = found;
+      records.push_back(done);
+    }
+  }
+  // A tx record keeps a full 64-bit rpcSeq.
+  LogEntry dec = obj;
+  dec.keyId = 1'000;
+  dec.type = EntryType::kTxDecision;
+  dec.sizeBytes = server::kCompletionRecordBytes;
+  dec.clientId = ~0ULL;
+  dec.rpcSeq = ~0ULL;
+  dec.txId = ~0ULL;
+  dec.txCommit = true;
+  records.push_back(dec);
+
+  std::vector<LogRef> refs;
+  for (const LogEntry& e : records) refs.push_back(log.append(e, 0));
+  log.sealHead();
+  const Segment* seg = log.segment(refs[0].segment);
+  ASSERT_NE(seg, nullptr);
+  ASSERT_EQ(refs.back().segment, refs[0].segment);
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    expectSameRecord(records[i], seg->entry(refs[i].index));
+    const HotEntry& h = seg->hotEntries()[refs[i].index];
+    EXPECT_EQ(h.tableId, kMaxTableId);
+    EXPECT_EQ(h.version, kMaxVersion);
+  }
+
+  server::PartitionSpec all;
+  server::Tablet t;
+  t.tableId = kMaxTableId;
+  all.ranges.push_back(t);
+  core::ClusterParams p;
+  p.servers = 2;
+  p.clients = 0;
+  p.replicationFactor = 0;
+  core::Cluster c(p);
+  auto* bs = c.server(1).backup.get();
+  const auto shared = log.sharedSegment(refs[0].segment);
+  bs->bulkInstallFrame(c.serverNodeId(0), shared, shared->appendedBytes(),
+                       true, false);
+  const auto filtered =
+      bs->filteredEntries(c.serverNodeId(0), shared->id(), all);
+  ASSERT_EQ(filtered.size(), records.size());
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    expectSameRecord(records[i], filtered[i]);
   }
 }
 

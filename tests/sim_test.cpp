@@ -132,9 +132,11 @@ TEST(Simulation, StopHaltsRun) {
   sim.schedule(usec(2), [&] { ++ran; });
   sim.run();
   EXPECT_EQ(ran, 1);
-  sim.clearStop();
+  EXPECT_TRUE(sim.stopped());
+  // The next run resumes after the event that stopped the last one.
   sim.run();
   EXPECT_EQ(ran, 2);
+  EXPECT_FALSE(sim.stopped());
 }
 
 TEST(Simulation, NegativeDelayClampsToNow) {
