@@ -135,7 +135,7 @@ int main(int argc, char** argv) {
 
   // ----- Part 3: server-side per-tenant QoS, open-loop ---------------------
   // The dual of the paper's client-side throttling: the *server's* dispatch
-  // polices each tenant with a weighted token bucket (docs/WORKLOADS.md).
+  // polices each tenant with a token bucket (docs/WORKLOADS.md).
   // Tenant B's population surges 10x; its admitted volume is capped at the
   // bucket while tenant A's intent-time tail holds.
   std::printf("open-loop tenants: steady A vs surging B, dispatch QoS "

@@ -71,7 +71,7 @@ int main() {
   }
   const double staticJoules =
       cluster.serverCount() *
-      params.serverNode.power.watts(0.25) *  // idle floor per node
+      power::fittedWatts(0.25) *  // idle floor per node
       sim::toSeconds(cluster.sim().now());
   std::printf("\nenergy: %.1f KJ (a statically idle 8-node cluster floor "
               "would burn %.1f KJ)\n",

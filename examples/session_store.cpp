@@ -64,7 +64,7 @@ int main(int argc, char** argv) {
   }
   double watts = 0;
   for (int i = 0; i < servers; ++i) {
-    watts += params.serverNode.power.watts(
+    watts += power::fittedWatts(
         cluster.server(i).node->meanUtilisationSince(
             snaps[static_cast<std::size_t>(i)], t1));
   }

@@ -369,7 +369,7 @@ void Coordinator::startTxResolution(
 void Coordinator::startFailureDetector() {
   if (detector_) return;
   detector_ = std::make_unique<sim::PeriodicTask>(
-      node_.sim(), params_.pingInterval, [this](sim::SimTime) { pingAll(); });
+      node_.sim(), kPingInterval, [this](sim::SimTime) { pingAll(); });
 }
 
 void Coordinator::stopFailureDetector() { detector_.reset(); }
@@ -404,7 +404,7 @@ void Coordinator::onPingMiss(ServerId id) {
     // server is declared dead (or is abandoned if it answers again).
     detectSpans_[id] = journal_->beginSpan("failure_detection", node_.id());
   }
-  if (misses >= params_.missesBeforeDead) {
+  if (misses >= kMissesBeforeDead) {
     onServerDead(id);
   }
 }
@@ -494,7 +494,7 @@ void Coordinator::beginRecovery(ServerId id) {
 
   // Verify the crash and schedule (paper: the coordinator double-checks,
   // confirms backup availability, selects recovery masters a-priori).
-  node_.sim().schedule(params_.recoverySetupDelay, [this, recoveryId] {
+  node_.sim().schedule(kRecoverySetupDelay, [this, recoveryId] {
     auto it = activeRecoveries_.find(recoveryId);
     if (it == activeRecoveries_.end()) return;
     // Gather segment lists from every live backup (timing via RPC; the

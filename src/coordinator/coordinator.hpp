@@ -21,13 +21,16 @@
 
 namespace rc::coordinator {
 
+/// Failure detector: the coordinator pings every enlisted server at this
+/// cadence and declares one dead after kMissesBeforeDead straight misses.
+inline constexpr sim::Duration kPingInterval = sim::msec(100);
+inline constexpr int kMissesBeforeDead = 3;
+/// Coordinator-side verification + scheduling latency before a recovery
+/// actually starts (the paper's "check whether that server truly
+/// crashed ... schedule a recovery").
+inline constexpr sim::Duration kRecoverySetupDelay = sim::msec(50);
+
 struct CoordinatorParams {
-  sim::Duration pingInterval = sim::msec(100);
-  int missesBeforeDead = 3;
-  /// Coordinator-side verification + scheduling latency before a recovery
-  /// actually starts (the paper's "check whether that server truly
-  /// crashed ... schedule a recovery").
-  sim::Duration recoverySetupDelay = sim::msec(50);
   /// Client-lease term (RIFL). A client that fails to renew within the term
   /// loses its duplicate-suppression state cluster-wide; clients renew at
   /// term/4 so a single lost renewal cannot expire a healthy client.

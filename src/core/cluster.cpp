@@ -501,11 +501,10 @@ bool Cluster::writeEnergyJsonl(const std::string& path) const {
     // clamped against float rounding. NIC/DRAM dynamics exist only as
     // ledger charges, so their remainder is identically zero.
     const auto cpuSnap = n.snapshotCpu();
-    const double cpuDyn = n.params().energy.cpuActiveWattsPerCore *
-                          (cpuSnap.busyCoreSeconds +
-                           cpuSnap.auxBusyCoreSeconds);
-    const double diskDyn =
-        n.params().energy.diskActiveWatts * n.disk().busySeconds(now);
+    const double cpuDyn =
+        power::kCpuActiveWattsPerCore *
+        (cpuSnap.busyCoreSeconds + cpuSnap.auxBusyCoreSeconds);
+    const double diskDyn = power::kDiskActiveWatts * n.disk().busySeconds(now);
     const double cpuRem = std::max(
         0.0, cpuDyn - n.energyMeter().componentJoules(power::Component::kCpu));
     const double diskRem =
@@ -606,7 +605,6 @@ void Cluster::installEnergyCharge() {
 }
 
 void Cluster::setEnergyMetering(bool on) {
-  energyMetering_ = on;
   coordNode_->setEnergyMetering(on);
   for (auto& s : servers_) s.node->setEnergyMetering(on);
   for (auto& c : clients_) c.node->setEnergyMetering(on);

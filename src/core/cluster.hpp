@@ -146,7 +146,6 @@ class Cluster {
   /// `bench_selfperf --energy-overhead`. Power, timing and results are
   /// identical either way; only attribution detail is lost.
   void setEnergyMetering(bool on);
-  bool energyMetering() const { return energyMetering_; }
 
   // ----- YCSB run phase
 
@@ -263,7 +262,6 @@ class Cluster {
   std::unique_ptr<obs::StatsSampler> sampler_;
   /// Fixed per-node energy origins for the journal's energy probe.
   std::unordered_map<int, node::Node::PowerSnapshot> energyBaselines_;
-  bool energyMetering_ = true;
   int sheddingServers_ = 0;
 
   std::unique_ptr<node::Node> coordNode_;

@@ -33,7 +33,6 @@ std::unique_ptr<sim::PeriodicTask> sampleTimelines(Cluster& cluster,
   return std::make_unique<sim::PeriodicTask>(
       cluster.sim(), interval,
       [&cluster, &out, secs, cpu, rd, wr](sim::SimTime now) mutable {
-        const auto& pm = cluster.params().serverNode.power;
         double cpuSum = 0;
         double wattSum = 0;
         int alive = 0;
@@ -53,7 +52,7 @@ std::unique_ptr<sim::PeriodicTask> sampleTimelines(Cluster& cluster,
           const double u = nd.meanUtilisationSince(cpu[idx], now);
           cpu[idx] = nd.snapshotCpu();
           cpuSum += u;
-          wattSum += pm.watts(u);
+          wattSum += power::fittedWatts(u);
           ++alive;
         }
         if (alive > 0) {
@@ -331,7 +330,6 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
 
   // Window power from the per-resource model (statics + CPU slope + event
   // dynamics), so NIC/DRAM/disk activity shows up in the watts.
-  const auto& curve = cp.serverNode.power;
   double cpuSum = 0;
   double cpuMin = 1.0;
   double cpuMax = 0.0;
@@ -342,7 +340,7 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
     cpuSum += u;
     cpuMin = std::min(cpuMin, u);
     cpuMax = std::max(cpuMax, u);
-    r.curvePowerW += curve.watts(u);
+    r.curvePowerW += power::fittedWatts(u);
     const auto by = node.componentEnergySince(snap, t1);
     for (std::size_t c = 0; c < power::kComponentCount; ++c) {
       r.componentEnergyJ[c] += by[c];
@@ -417,7 +415,6 @@ ExperimentResult runExperiment(const ExperimentConfig& cfg) {
     r.client1LatencyUs = std::move(lat1.series);
     r.client2LatencyUs = std::move(lat2.series);
     r.client1WorstOpUs = lat1.worstUs;
-    r.client2WorstOpUs = lat2.worstUs;
     r.peakCpuPct = r.cpuMeanPct.maxValue();
     r.allKeysRecovered = r.recovered && cluster.verifyAllKeysPresent(
                                             table, cfg.workload.recordCount);

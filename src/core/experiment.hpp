@@ -189,9 +189,8 @@ struct ExperimentResult {
   // Fig. 10 probe-client latency timelines (per-bucket mean, us).
   sim::TimeSeries client1LatencyUs;
   sim::TimeSeries client2LatencyUs;
-  /// Worst op per probe (client 1's is the availability gap).
+  /// Probe client 1's worst op: the availability gap.
   double client1WorstOpUs = 0;
-  double client2WorstOpUs = 0;
 
   sim::SimTime killTime = 0;
   sim::SimTime recoveryEndTime = 0;

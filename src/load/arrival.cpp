@@ -45,10 +45,6 @@ ArrivalProcess::ArrivalProcess(TrafficShape shape, sim::Rng rng)
             [](const FlashCrowd& a, const FlashCrowd& b) {
               return a.at < b.at;
             });
-  std::sort(shape_.hotKeyShifts.begin(), shape_.hotKeyShifts.end(),
-            [](const HotKeyShift& a, const HotKeyShift& b) {
-              return a.at < b.at;
-            });
   if (shape_.process == TrafficShape::Process::kOnOff) {
     const int k = std::max(1, shape_.onOffSources);
     on_.resize(static_cast<std::size_t>(k));

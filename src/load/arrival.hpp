@@ -38,14 +38,6 @@ struct FlashCrowd {
   double factor = 1.0;
 };
 
-/// A scheduled popularity shift: at `at`, the key-popularity ranking is
-/// re-anchored via KeyChooser::shiftHotKeys(shiftSeed) (cached permutation
-/// remap; see ycsb/workload.hpp).
-struct HotKeyShift {
-  sim::SimTime at = 0;
-  std::uint64_t shiftSeed = 1;
-};
-
 /// Shape of one TrafficSource's aggregated population: ~10^4 modeled users
 /// collapse into a single open-loop arrival process of mean rate
 /// users * opsPerUserPerSec, modulated by the diurnal curve and flash
@@ -74,7 +66,6 @@ struct TrafficShape {
 
   DiurnalCurve diurnal;
   std::vector<FlashCrowd> flashCrowds;
-  std::vector<HotKeyShift> hotKeyShifts;
 
   double baseRate() const { return users * opsPerUserPerSec; }
 };

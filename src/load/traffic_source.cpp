@@ -60,16 +60,9 @@ void TrafficSource::onWake() {
   if (!running_) return;
   ++wakeups_;
   const sim::SimTime now = sim().now();
-  const auto& shifts = params_.shape.hotKeyShifts;
   while (!pending_.empty() && pending_.front() <= now) {
     const sim::SimTime intent = pending_.front();
     pending_.pop_front();
-    // Hot-key shifts fire between arrivals, keyed on intent time, so the
-    // drawn sequence is independent of issue batching.
-    while (nextShift_ < shifts.size() && shifts[nextShift_].at <= intent) {
-      keys().shiftHotKeys(shifts[nextShift_].shiftSeed);
-      ++nextShift_;
-    }
     if (inFlight() >= kMaxInFlight) {
       ++sourceDropped_;
       continue;

@@ -75,8 +75,7 @@ class TrafficSource : private ycsb::OpCore {
   bool running_ = false;
   std::deque<sim::SimTime> pending_;  ///< drawn arrivals not yet issued
   std::vector<sim::SimTime> runBuf_;
-  sim::SimTime cursor_ = 0;     ///< generation frontier (arrivals drawn <=)
-  std::size_t nextShift_ = 0;   ///< next shape.hotKeyShifts entry to apply
+  sim::SimTime cursor_ = 0;  ///< generation frontier (arrivals drawn <=)
 
   std::uint64_t arrivalsGenerated_ = 0;
   std::uint64_t wakeups_ = 0;

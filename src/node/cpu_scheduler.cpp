@@ -10,7 +10,7 @@ CpuScheduler::CpuScheduler(sim::Simulation& sim, CpuParams params)
     : sim_(sim), params_(params) {
   params_.workerThreads =
       std::max(1, std::min(params_.workerThreads,
-                           params_.cores - params_.pollingCores));
+                           params_.cores - kPollingCores));
   state_.assign(static_cast<std::size_t>(params_.workerThreads),
                 WorkerState::Sleeping);
   spinSeq_.assign(state_.size(), 0);

@@ -14,15 +14,15 @@
 
 namespace rc::node {
 
+/// RAMCloud's dispatch thread busy-polls the NIC and is pinned to its own
+/// core — the paper measures a 25 % CPU floor on 4-core nodes even with
+/// zero clients (Table I row 0, Fig. 9a).
+inline constexpr int kPollingCores = 1;
+
 /// CPU configuration of one simulated server (defaults model the paper's
 /// Grid'5000 Nancy nodes: 1x Xeon X3440, 4 cores).
 struct CpuParams {
   int cores = 4;
-
-  /// RAMCloud's dispatch thread busy-polls the NIC and is pinned to its own
-  /// core — the paper measures a 25 % CPU floor on 4-core nodes even with
-  /// zero clients (Table I row 0, Fig. 9a).
-  int pollingCores = 1;
 
   /// Worker threads servicing requests (RAMCloud runs roughly one per
   /// remaining core).
@@ -112,7 +112,6 @@ class CpuScheduler {
   std::size_t queuedRequests() const { return queue_.size(); }
   int busyWorkers() const { return busyCount_; }
   int workerThreads() const { return params_.workerThreads; }
-  const CpuParams& params() const { return params_; }
 
   /// Continuous busy-core integral (core-seconds) up to time t >= now-ish.
   double busyCoreSeconds(sim::SimTime t) const;
@@ -153,7 +152,7 @@ class CpuScheduler {
   };
 
   double busyCores() const {
-    return (on_ ? params_.pollingCores : 0) + busyCount_ + spinningCount_;
+    return (on_ ? kPollingCores : 0) + busyCount_ + spinningCount_;
   }
   void setBusyCores() { busy_.set(sim_.now(), busyCores()); }
   /// Put every worker whose spin has ended by the running event to sleep.

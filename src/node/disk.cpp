@@ -79,9 +79,9 @@ void Disk::serviceNext() {
   Op op = std::move(queue_.front());
   queue_.pop_front();
 
-  const std::uint64_t chunk = std::min(op.remaining, params_.chunkBytes);
+  const std::uint64_t chunk = std::min(op.remaining, kDiskChunkBytes);
   const double mbps =
-      (op.isWrite ? params_.writeMBps : params_.readMBps) / slowdown_;
+      (op.isWrite ? kDiskWriteMBps : params_.readMBps) / slowdown_;
   sim::Duration t = sim::secondsF(static_cast<double>(chunk) / (mbps * 1e6));
   if (op.id != lastServedOp_) t += params_.seekTime;
   lastServedOp_ = op.id;

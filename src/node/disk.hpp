@@ -13,18 +13,20 @@
 
 namespace rc::node {
 
+/// Sequential write bandwidth of the Nancy nodes' 298 GB HDD.
+inline constexpr double kDiskWriteMBps = 105.0;
+
+/// Transfer granularity at which concurrent disk operations interleave.
+inline constexpr std::uint64_t kDiskChunkBytes = 256 * 1024;
+
 /// Mechanical-disk parameters (defaults model the Nancy nodes' 298 GB HDD).
 struct DiskParams {
-  double readMBps = 110.0;   ///< sequential read bandwidth
-  double writeMBps = 105.0;  ///< sequential write bandwidth
+  double readMBps = 110.0;  ///< sequential read bandwidth
 
   /// Head-movement penalty paid whenever the disk switches between
   /// concurrent streams (e.g. recovery-segment reads interleaving with
   /// re-replication flushes — the contention of paper Fig. 12 / Finding 6).
   sim::Duration seekTime = sim::msec(8);
-
-  /// Transfer granularity at which concurrent operations interleave.
-  std::uint64_t chunkBytes = 256 * 1024;
 };
 
 /// FIFO + round-robin disk model.
@@ -80,8 +82,6 @@ class Disk {
 
   /// Busy-time integral in seconds (for utilisation stats).
   double busySeconds(sim::SimTime t) const { return busy_.integralTo(t); }
-
-  const DiskParams& params() const { return params_; }
 
  private:
   struct Op {

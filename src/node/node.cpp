@@ -15,8 +15,8 @@ Node::Node(sim::Simulation& sim, NodeId id, NodeParams params)
 }
 
 void Node::installChargeHooks() {
-  cpu_.setChargeMeter(&meter_, params_.energy.cpuActiveWattsPerCore);
-  disk_.setChargeMeter(&meter_, params_.energy.diskActiveWatts);
+  cpu_.setChargeMeter(&meter_, power::kCpuActiveWattsPerCore);
+  disk_.setChargeMeter(&meter_, power::kDiskActiveWatts);
 }
 
 void Node::setEnergyMetering(bool on) {
@@ -66,13 +66,12 @@ std::array<double, power::kComponentCount> Node::componentEnergySince(
     const PowerSnapshot& s, sim::SimTime t) const {
   std::array<double, power::kComponentCount> out{};
   if (t <= s.cpu.time) return out;
-  const power::NodePowerModel& m = params_.energy;
   const double wall = sim::toSeconds(t - s.cpu.time);
   const double susp = suspendedTime_.integralTo(t) - s.suspendedSeconds;
   const double active = wall - susp;
   // While suspended the CPU integrator is flat, so utilisation underestimates
   // the active-period value by active/wall; energy uses core-seconds directly
-  // to stay exact (the suspended machine draws suspendedWatts, all platform).
+  // to stay exact (the suspended machine draws kSuspendedWatts, all platform).
   const double u = cpu_.utilisationSince(s.cpu, t);
   const double coreSeconds = u * wall * params_.cpu.cores;
   const double diskBusy = disk_.busySeconds(t) - s.diskBusySeconds;
@@ -82,15 +81,16 @@ std::array<double, power::kComponentCount> Node::componentEnergySince(
            s.meterJoules[static_cast<std::size_t>(c)];
   };
   out[static_cast<std::size_t>(power::Component::kCpu)] =
-      m.cpuIdleWatts * active + m.cpuActiveWattsPerCore * coreSeconds;
+      power::kCpuIdleWatts * active +
+      power::kCpuActiveWattsPerCore * coreSeconds;
   out[static_cast<std::size_t>(power::Component::kDram)] =
-      m.dramStaticWatts * active + dynSince(power::Component::kDram);
+      power::kDramStaticWatts * active + dynSince(power::Component::kDram);
   out[static_cast<std::size_t>(power::Component::kNic)] =
-      m.nicIdleWatts * active + dynSince(power::Component::kNic);
+      power::kNicIdleWatts * active + dynSince(power::Component::kNic);
   out[static_cast<std::size_t>(power::Component::kDisk)] =
-      m.diskSpindleWatts * active + m.diskActiveWatts * diskBusy;
+      power::kDiskSpindleWatts * active + power::kDiskActiveWatts * diskBusy;
   out[static_cast<std::size_t>(power::Component::kPlatform)] =
-      m.platformWatts * active + params_.suspendedWatts * susp;
+      power::kPlatformWatts * active + kSuspendedWatts * susp;
   return out;
 }
 
@@ -129,7 +129,7 @@ double Node::energyJoulesSince(const CpuScheduler::Snapshot& s,
                                sim::SimTime t) const {
   if (t <= s.time) return 0;
   const double u = cpu_.utilisationSince(s, t);
-  return params_.power.joules(u, sim::toSeconds(t - s.time));
+  return power::fittedJoules(u, sim::toSeconds(t - s.time));
 }
 
 void Node::registerMetrics(obs::MetricRegistry& reg,
@@ -181,11 +181,11 @@ void Node::registerMetrics(obs::MetricRegistry& reg,
 }
 
 double Node::currentWatts() const {
-  if (suspended_) return params_.suspendedWatts;
+  if (suspended_) return kSuspendedWatts;
   if (pdu_ && !pdu_->trace().empty()) {
     return pdu_->trace().points().back().value;
   }
-  return params_.energy.staticWatts();
+  return power::kStaticWatts;
 }
 
 }  // namespace rc::node

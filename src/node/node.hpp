@@ -20,19 +20,18 @@ using NodeId = int;
 
 constexpr NodeId kInvalidNode = -1;
 
+/// Wall power of a machine put in standby (suspend-to-RAM) by the
+/// autoscaler — the draw behind Sierra/Rabbit-style power proportionality
+/// the paper's SS IX points to.
+inline constexpr double kSuspendedWatts = 9.0;
+
+/// One machine's configuration. Its power draw follows the per-resource
+/// constants of power/energy_model.hpp, whose sum reproduces the fitted
+/// curve power::fittedWatts within the 2 % calibration gate
+/// (docs/ENERGY.md).
 struct NodeParams {
   CpuParams cpu;
   DiskParams disk;
-  /// Whole-node linear fit P(u) = 60.5 + 63.4u — kept as the calibration
-  /// reference curve; accounting runs on the component model below.
-  power::PowerModel power;
-  /// Per-resource decomposition whose sum reproduces `power` within the
-  /// 2 % calibration gate (docs/ENERGY.md).
-  power::NodePowerModel energy;
-  /// Wall power of a machine put in standby (suspend-to-RAM) by the
-  /// autoscaler — the knob behind Sierra/Rabbit-style power
-  /// proportionality the paper's SS IX points to.
-  double suspendedWatts = 9.0;
   /// Grid'5000 Nancy: only the 40 PDU-equipped machines are metered; client
   /// nodes are not. Unmetered nodes skip PDU sampling (cheaper, and matches
   /// the paper's methodology: reported watts cover servers only).
@@ -57,7 +56,6 @@ class Node {
   const CpuScheduler& cpu() const { return cpu_; }
   Disk& disk() { return disk_; }
   const Disk& disk() const { return disk_; }
-  const NodeParams& params() const { return params_; }
 
   /// Start the RAMCloud process (polling core goes busy).
   void startProcess();
@@ -68,7 +66,7 @@ class Node {
   bool processRunning() const { return cpu_.poweredOn(); }
 
   /// Put the whole machine in standby (process stopped first): it draws
-  /// suspendedWatts until resume().
+  /// kSuspendedWatts until resume().
   void suspendMachine();
   void resumeMachine();
   bool suspended() const { return suspended_; }
@@ -108,15 +106,13 @@ class Node {
   /// charge hooks entirely, so the A/B overhead gate measures the real
   /// per-event cost. Power and behaviour are identical either way.
   void setEnergyMetering(bool on);
-  bool energyMetering() const { return meter_.enabled(); }
 
   /// Charge one NIC frame / one DRAM access burst to the ledger.
   void chargeNic(std::uint64_t bytes, power::EnergyTag tag) {
-    meter_.charge(power::Component::kNic, tag, params_.energy.nicJoules(bytes));
+    meter_.charge(power::Component::kNic, tag, power::nicJoules(bytes));
   }
   void chargeDram(std::uint64_t bytes, power::EnergyTag tag) {
-    meter_.charge(power::Component::kDram, tag,
-                  params_.energy.dramJoules(bytes));
+    meter_.charge(power::Component::kDram, tag, power::dramJoules(bytes));
   }
 
   /// CPU accounting for metrics windows.

@@ -74,7 +74,7 @@ struct EnergyTag {
 
 /// Composable per-resource power model for one server node.
 ///
-/// Decomposes the whole-node linear fit P(u) = 60.5 + 63.4u (PowerModel)
+/// Decomposes the whole-node linear fit P(u) = 60.5 + 63.4u (fittedWatts)
 /// into per-component static floors plus per-event dynamic energies, in the
 /// spirit of Mikrou et al.'s per-resource KV-store power characterization:
 ///
@@ -90,59 +90,52 @@ struct EnergyTag {
 /// operating points (< 0.5 W at the 372 Kop/s single-server peak), which is
 /// what keeps the summed curve within the 2 % calibration gate of the
 /// fitted node curve (tests/power_test.cpp, docs/ENERGY.md).
-struct NodePowerModel {
-  double cpuIdleWatts = 14.0;
-  double cpuActiveWattsPerCore = 15.85;
-  /// Deep C-state / low-power floor for a consolidated (suspended-tier)
-  /// core — the knob behind Lang-style energy-proportional consolidation;
-  /// unused until the autoscaler powers cores down individually.
-  double cpuLowPowerWatts = 3.5;
+inline constexpr double kCpuIdleWatts = 14.0;
+inline constexpr double kCpuActiveWattsPerCore = 15.85;
 
-  double dramStaticWatts = 16.5;
-  double dramNanojoulesPerByte = 0.06;
+inline constexpr double kDramStaticWatts = 16.5;
+inline constexpr double kDramNanojoulesPerByte = 0.06;
 
-  double nicIdleWatts = 4.0;
-  double nicNanojoulesPerByte = 0.8;
-  double nicNanojoulesPerPacket = 60.0;
+inline constexpr double kNicIdleWatts = 4.0;
+inline constexpr double kNicNanojoulesPerByte = 0.8;
+inline constexpr double kNicNanojoulesPerPacket = 60.0;
 
-  double diskSpindleWatts = 8.0;
-  double diskActiveWatts = 3.5;
+inline constexpr double kDiskSpindleWatts = 8.0;
+inline constexpr double kDiskActiveWatts = 3.5;
 
-  double platformWatts = 18.0;
+inline constexpr double kPlatformWatts = 18.0;
 
-  /// Always-on draw of a powered, idle machine (the fitted intercept).
-  double staticWatts() const {
-    return cpuIdleWatts + dramStaticWatts + nicIdleWatts + diskSpindleWatts +
-           platformWatts;
+/// Always-on draw of a powered, idle machine (the fitted intercept).
+inline constexpr double kStaticWatts = kCpuIdleWatts + kDramStaticWatts +
+                                       kNicIdleWatts + kDiskSpindleWatts +
+                                       kPlatformWatts;
+
+inline double staticComponentWatts(Component c) {
+  switch (c) {
+    case Component::kCpu: return kCpuIdleWatts;
+    case Component::kDram: return kDramStaticWatts;
+    case Component::kNic: return kNicIdleWatts;
+    case Component::kDisk: return kDiskSpindleWatts;
+    case Component::kPlatform: return kPlatformWatts;
   }
+  return 0;
+}
 
-  double staticComponentWatts(Component c) const {
-    switch (c) {
-      case Component::kCpu: return cpuIdleWatts;
-      case Component::kDram: return dramStaticWatts;
-      case Component::kNic: return nicIdleWatts;
-      case Component::kDisk: return diskSpindleWatts;
-      case Component::kPlatform: return platformWatts;
-    }
-    return 0;
-  }
+/// Instantaneous whole-node watts at CPU utilisation u (the component sum,
+/// excluding event-driven nic/dram/disk dynamics) — the calibration surface
+/// checked against fittedWatts.
+inline double componentWatts(double utilisation, int cores = 4) {
+  const double u = std::clamp(utilisation, 0.0, 1.0);
+  return kStaticWatts + kCpuActiveWattsPerCore * u * cores;
+}
 
-  /// Instantaneous whole-node watts at CPU utilisation u (the component
-  /// sum, excluding event-driven nic/dram/disk dynamics) — the calibration
-  /// surface checked against PowerModel::watts.
-  double watts(double utilisation, int cores = 4) const {
-    const double u = std::clamp(utilisation, 0.0, 1.0);
-    return staticWatts() + cpuActiveWattsPerCore * u * cores;
-  }
+inline double nicJoules(std::uint64_t bytes) {
+  return (kNicNanojoulesPerByte * static_cast<double>(bytes) +
+          kNicNanojoulesPerPacket) * 1e-9;
+}
 
-  double nicJoules(std::uint64_t bytes) const {
-    return (nicNanojoulesPerByte * static_cast<double>(bytes) +
-            nicNanojoulesPerPacket) * 1e-9;
-  }
-
-  double dramJoules(std::uint64_t bytes) const {
-    return dramNanojoulesPerByte * static_cast<double>(bytes) * 1e-9;
-  }
-};
+inline double dramJoules(std::uint64_t bytes) {
+  return kDramNanojoulesPerByte * static_cast<double>(bytes) * 1e-9;
+}
 
 }  // namespace rc::power

@@ -12,21 +12,19 @@ namespace rc::power {
 ///   ~50 % CPU -> 92 W   (Fig. 1b, 1 server / 1 client, Table I: 49.8 %)
 ///   ~98.5 % CPU -> 122 W (Fig. 1b, 1 server / 10+ clients, Table I: 98.4 %)
 /// giving  P(u) = 60.5 W + 63.4 W * u.
-struct PowerModel {
-  double idleWatts = 60.5;     ///< machine powered on, 0 % CPU
-  double dynamicWatts = 63.4;  ///< added at 100 % CPU
+inline constexpr double kIdleWatts = 60.5;     ///< powered on, 0 % CPU
+inline constexpr double kDynamicWatts = 63.4;  ///< added at 100 % CPU
 
-  /// Instantaneous power at utilisation u in [0,1].
-  double watts(double utilisation) const {
-    const double u = std::clamp(utilisation, 0.0, 1.0);
-    return idleWatts + dynamicWatts * u;
-  }
+/// Instantaneous power of the fitted curve at utilisation u in [0,1].
+inline double fittedWatts(double utilisation) {
+  const double u = std::clamp(utilisation, 0.0, 1.0);
+  return kIdleWatts + kDynamicWatts * u;
+}
 
-  /// Energy in joules for a period of `seconds` at average utilisation u.
-  double joules(double utilisation, double seconds) const {
-    return watts(utilisation) * seconds;
-  }
-};
+/// Energy in joules for a period of `seconds` at average utilisation u.
+inline double fittedJoules(double utilisation, double seconds) {
+  return fittedWatts(utilisation) * seconds;
+}
 
 /// Energy-efficiency metrics as the paper defines them.
 namespace efficiency {

@@ -106,9 +106,8 @@ void BackupService::onBackupWrite(const net::RpcRequest& req,
   // price of dispatch-thread contention with normal requests (Finding 3).
   // The cycles are real CPU work, so they feed the power model too.
   const sim::Duration svc =
-      params_.writeBaseServiceTime +
-      sim::secondsF(static_cast<double>(bytes) /
-                    (params_.bufferCopyGBps * 1e9));
+      kBackupWriteBaseServiceTime +
+      sim::secondsF(static_cast<double>(bytes) / (kBackupBufferCopyGBps * 1e9));
   node_.cpu().chargeAuxiliaryWork(svc, {power::OpClass::kReplication, 0});
   dispatch_.enqueue(std::move(apply), svc);
 }
@@ -204,7 +203,7 @@ void BackupService::onGetRecoveryData(const net::RpcRequest& req,
         node_.cpu().tagWorker(w, {power::OpClass::kRecovery, 0});
         const std::uint64_t epoch = node_.cpu().epoch();
         const sim::Duration cpu =
-            params_.filterPerEntry * static_cast<sim::Duration>(count);
+            kRecoveryFilterPerEntry * static_cast<sim::Duration>(count);
         node_.sim().schedule(cpu, [this, epoch, w, count, share,
                                    respond = std::move(respond)]() mutable {
           if (node_.cpu().epoch() != epoch) return;

@@ -19,20 +19,19 @@
 
 namespace rc::server {
 
-struct BackupParams {
-  /// Fixed worker CPU per backup-write RPC (request parsing, frame lookup).
-  sim::Duration writeBaseServiceTime = sim::usec(40);
-  /// Buffer-copy rate for the size-dependent part of a backup write.
-  double bufferCopyGBps = 4.0;
+/// Fixed CPU per backup-write RPC (request parsing, frame lookup).
+inline constexpr sim::Duration kBackupWriteBaseServiceTime = sim::usec(40);
+/// Buffer-copy rate for the size-dependent part of a backup write.
+inline constexpr double kBackupBufferCopyGBps = 4.0;
+/// CPU per entry when filtering a recovery segment into partitions.
+inline constexpr sim::Duration kRecoveryFilterPerEntry = sim::nsec(300);
 
+struct BackupParams {
   /// DRAM frames the backup may hold un-flushed before it starts delaying
   /// write acknowledgements until the disk catches up. This backpressure is
   /// what couples recovery re-replication speed to contended disk bandwidth
   /// (paper Findings 5/6, Fig. 12).
   std::uint64_t bufferPoolBytes = 48ULL * 1024 * 1024;
-
-  /// CPU per entry when filtering a recovery segment into partitions.
-  sim::Duration filterPerEntry = sim::nsec(300);
 };
 
 /// The backup service of one node: stores segment replicas in DRAM frames,

@@ -27,8 +27,8 @@ namespace rc::server {
 /// Writes shed before reads (writeTarget < readTarget): a shed write costs
 /// the client one bounce, while an admitted write holds the log lock and
 /// replication pipeline that every other request then queues behind.
-/// Priority tenants' targets are scaled up by priorityFactor, so best-effort
-/// tenants shed first.
+/// Priority tenants' targets are scaled up by kPriorityFactor, so
+/// best-effort tenants shed first.
 struct AdmissionParams {
   bool enabled = true;
   /// Sojourn target above which writes are shed (lowest rung).
@@ -37,14 +37,20 @@ struct AdmissionParams {
   sim::Duration readTarget = sim::msec(8);
   /// Load must stay above target this long before shedding starts.
   sim::Duration interval = sim::msec(10);
-  /// Priority tenants tolerate priorityFactor × the target before shedding.
-  double priorityFactor = 4.0;
   /// Tenant ids treated as priority class (tiny list, linear scan).
   std::vector<int> priorityTenants;
-  /// Bounds on the retry-after hint returned with kOverloaded.
-  sim::Duration minRetryAfter = sim::msec(1);
+  /// Upper bound on the retry-after hint returned with kOverloaded.
   sim::Duration maxRetryAfter = sim::msec(50);
 };
+
+/// Priority tenants tolerate kPriorityFactor × the sojourn target before
+/// shedding.
+inline constexpr double kPriorityFactor = 4.0;
+/// Lower bound on the retry-after hint returned with kOverloaded.
+inline constexpr sim::Duration kMinRetryAfter = sim::msec(1);
+/// A QoS throttle after this much clean time starts a new episode (the unit
+/// rcdiag report aggregates).
+inline constexpr sim::Duration kQosEpisodeGap = sim::msec(100);
 
 struct DispatchParams {
   /// Dispatch-thread cost to poll, classify and hand off one request or
@@ -55,7 +61,7 @@ struct DispatchParams {
 };
 
 /// One tenant's contract at the per-tenant QoS stage (docs/WORKLOADS.md):
-/// a weighted token bucket policing the tenant's *admitted* rate on this
+/// a token bucket policing the tenant's *admitted* rate on this
 /// node, checked before the CoDel gate so a surging tenant is bounced at
 /// its own rate instead of inflating everyone's sojourn first.
 struct QosTenantPolicy {
@@ -65,30 +71,24 @@ struct QosTenantPolicy {
   /// classes carry distinct tags (dense class id + 1, docs/SLO.md); list
   /// both so the bucket covers the tenant, not one op class.
   std::vector<int> tags;
-  /// Admitted requests/sec on this node. > 0: absolute cap. 0: derived as
-  /// weight/sum(weights) of QosParams::nodeRatePerSec.
+  /// Admitted requests/sec on this node; <= 0 leaves the tenant unlimited
+  /// (every request is counted as offered and admitted).
   double ratePerSec = 0;
-  double weight = 0;
   double burst = 64;  ///< bucket depth (requests)
   /// Also a CoDel priority tenant: when the aggregate gate does shed, this
-  /// tenant tolerates priorityFactor x the sojourn target (sheds last).
+  /// tenant tolerates kPriorityFactor x the sojourn target (sheds last).
   bool priority = false;
 };
 
 struct QosParams {
   bool enabled = false;
-  /// Capacity split among weight-based policies (ratePerSec == 0).
-  double nodeRatePerSec = 0;
   std::vector<QosTenantPolicy> tenants;
-  /// A throttle after this much clean time starts a new episode (the unit
-  /// rcdiag report aggregates).
-  sim::Duration episodeGap = sim::msec(100);
 };
 
 /// The RAMCloud dispatch thread of one server process: a serial hand-off
 /// stage in front of the worker pool, shared by the master and backup
 /// services on the node. (Its dedicated core's 100 % busy-poll is accounted
-/// in CpuScheduler::pollingCores.)
+/// in node::kPollingCores.)
 class Dispatch {
  public:
   Dispatch(sim::Simulation& sim, DispatchParams params)
@@ -158,20 +158,12 @@ class Dispatch {
   /// tenant's rate, the sojourn gate protects the aggregate and sheds
   /// best-effort tenants first.
   void configureQos(const QosParams& qos) {
-    qos_ = qos;
+    qosEnabled_ = qos.enabled;
     slots_.clear();
     tagToSlot_.clear();
-    double weightSum = 0;
     for (const QosTenantPolicy& p : qos.tenants) {
-      if (p.ratePerSec <= 0) weightSum += p.weight;
-    }
-    for (const QosTenantPolicy& p : qos.tenants) {
-      double rate = p.ratePerSec;
-      if (rate <= 0 && p.weight > 0 && weightSum > 0) {
-        rate = qos.nodeRatePerSec * p.weight / weightSum;
-      }
-      slots_.push_back(std::make_unique<QosSlot>(p.name,
-                                                 sim::TokenBucket(rate, p.burst)));
+      slots_.push_back(std::make_unique<QosSlot>(
+          p.name, sim::TokenBucket(p.ratePerSec, p.burst)));
       for (int tag : p.tags) {
         if (tag < 0) continue;
         if (tagToSlot_.size() <= static_cast<std::size_t>(tag)) {
@@ -215,7 +207,7 @@ class Dispatch {
   /// not wait for the aggregate sojourn gate to notice pressure.
   AdmitResult admit(bool isWrite, int tenant) {
     if (!alive_) return {};
-    if (qos_.enabled && tenant >= 0 &&
+    if (qosEnabled_ && tenant >= 0 &&
         static_cast<std::size_t>(tenant) < tagToSlot_.size() &&
         tagToSlot_[static_cast<std::size_t>(tenant)] >= 0) {
       QosSlot& s =
@@ -225,14 +217,13 @@ class Dispatch {
       const sim::SimTime now = sim_.now();
       if (!s.bucket.tryAcquire(now)) {
         ++s.throttled;
-        if (s.lastThrottleAt < 0 || now - s.lastThrottleAt > qos_.episodeGap) {
+        if (s.lastThrottleAt < 0 || now - s.lastThrottleAt > kQosEpisodeGap) {
           ++s.episodes;
           if (onQosEpisode) onQosEpisode(s.name);
         }
         s.lastThrottleAt = now;
-        const AdmissionParams& a = params_.admission;
-        return {false, std::clamp(s.bucket.timeToToken(now), a.minRetryAfter,
-                                  a.maxRetryAfter)};
+        return {false, std::clamp(s.bucket.timeToToken(now), kMinRetryAfter,
+                                  params_.admission.maxRetryAfter)};
       }
       ++s.admitted;
     }
@@ -252,7 +243,7 @@ class Dispatch {
     sim::Duration target = isWrite ? a.writeTarget : a.readTarget;
     if (isPriority(tenant)) {
       target = static_cast<sim::Duration>(static_cast<double>(target) *
-                                          a.priorityFactor);
+                                          kPriorityFactor);
     }
     if (est <= target) return {};
     setOverloaded(true);
@@ -263,7 +254,7 @@ class Dispatch {
       ++shedReads_;
     }
     noteShedTenant(tenant);
-    return {false, std::clamp(est, a.minRetryAfter, a.maxRetryAfter)};
+    return {false, std::clamp(est, kMinRetryAfter, a.maxRetryAfter)};
   }
 
   /// Report the dispatch-to-completion sojourn of a finished request. This
@@ -450,7 +441,7 @@ class Dispatch {
   // Per-tenant QoS stage (configureQos). tagToSlot_ is a dense tag->index
   // table (tags are small SLO-class ids); slots are heap-allocated so the
   // metric probes hold stable pointers.
-  QosParams qos_;
+  bool qosEnabled_ = false;
   std::vector<std::unique_ptr<QosSlot>> slots_;
   std::vector<int> tagToSlot_;
 };

@@ -1185,8 +1185,7 @@ void MasterService::onMigrationData(const net::RpcRequest& req,
                                          std::move(respond)](int w) mutable {
       node_.cpu().tagWorker(w, {power::OpClass::kMigration, 0});
       const sim::Duration cpu =
-          params_.migration.destPerObjectCpu *
-          static_cast<sim::Duration>(count);
+          kMigrationDestPerObjectCpu * static_cast<sim::Duration>(count);
       node_.sim().schedule(cpu, guard([this, source, batchId, w,
                                        respond =
                                            std::move(respond)]() mutable {

@@ -111,7 +111,6 @@ struct MasterParams {
 
   log::LogParams log;
   ReplicationParams replication;
-  MigrationParams migration;
 };
 
 struct MasterStats {

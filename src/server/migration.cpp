@@ -100,7 +100,7 @@ void MigrationTask::sendNextBatch() {
     return;
   }
   const std::size_t n = std::min<std::size_t>(
-      static_cast<std::size_t>(source_.params().migration.batchObjects),
+      static_cast<std::size_t>(kMigrationBatchObjects),
       pending_.size() - nextIndex_);
   std::vector<log::LogEntry> batch(
       pending_.begin() + static_cast<std::ptrdiff_t>(nextIndex_),
@@ -114,8 +114,7 @@ void MigrationTask::sendNextBatch() {
 
   // Source-side marshalling CPU, then ship the batch.
   const sim::Duration cpu =
-      source_.params().migration.sourcePerObjectCpu *
-      static_cast<sim::Duration>(n);
+      kMigrationSourcePerObjectCpu * static_cast<sim::Duration>(n);
   source_.node().cpu().run(cpu, {power::OpClass::kMigration, 0},
                            [this, w = std::weak_ptr<bool>(alive_),
                             batchId, bytes, n] {

@@ -13,18 +13,17 @@ namespace rc::server {
 
 class MasterService;
 
-/// Parameters of the tablet-migration path (our implementation of the
-/// paper's SS IX "smart approach at the coordinator level which can decide
-/// whether to add or remove nodes depending on the workload" — migration
-/// is the mechanism that makes resizing possible).
-struct MigrationParams {
-  /// Objects shipped per kMigrationData RPC.
-  int batchObjects = 512;
-  /// Source-side CPU per migrated object (index probe + marshalling).
-  sim::Duration sourcePerObjectCpu = sim::nsec(400);
-  /// Destination-side CPU per object (log append + index insert).
-  sim::Duration destPerObjectCpu = sim::nsec(900);
-};
+/// Costs of the tablet-migration path (our implementation of the paper's
+/// SS IX "smart approach at the coordinator level which can decide whether
+/// to add or remove nodes depending on the workload" — migration is the
+/// mechanism that makes resizing possible).
+
+/// Objects shipped per kMigrationData RPC.
+inline constexpr int kMigrationBatchObjects = 512;
+/// Source-side CPU per migrated object (index probe + marshalling).
+inline constexpr sim::Duration kMigrationSourcePerObjectCpu = sim::nsec(400);
+/// Destination-side CPU per object (log append + index insert).
+inline constexpr sim::Duration kMigrationDestPerObjectCpu = sim::nsec(900);
 
 /// Moves one tablet (a hash range of a table) from this master to another.
 ///

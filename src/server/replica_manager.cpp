@@ -89,13 +89,13 @@ void ReplicaManager::sendChain(log::SegmentId segId, std::uint64_t bytes,
     return;
   }
   const node::NodeId backup = st.backups[replicaIdx];
-  // perReplicaSendCpu is charged by the caller's worker occupancy model:
+  // kPerReplicaSendCpu is charged by the caller's worker occupancy model:
   // the send itself is wire + remote work; the master-side CPU shows up as
   // elapsed time here because the worker stays busy through the sync.
   // One-sided RDMA shrinks the send to a DMA post and strips the remote
   // CPU entirely (flag bit 1 tells the backup).
   const sim::Duration sendCpu =
-      params_.oneSidedRdma ? sim::usec(1) : params_.perReplicaSendCpu;
+      params_.oneSidedRdma ? sim::usec(1) : kPerReplicaSendCpu;
   sim_.schedule(sendCpu, [this, life = std::weak_ptr<bool>(life_), segId,
                           bytes, close, replicaIdx, retriesLeft, backup,
                           done = std::move(done)]() mutable {
@@ -114,7 +114,7 @@ void ReplicaManager::sendChain(log::SegmentId segId, std::uint64_t bytes,
       if (life.expired() || (stillAlive && !stillAlive())) return;
       if (resp.status == net::Status::kOk) {
         const sim::Duration ackCpu =
-            params_.oneSidedRdma ? sim::usec(2) : params_.ackProcessing;
+            params_.oneSidedRdma ? sim::usec(2) : kAckProcessing;
         sim_.schedule(ackCpu,
                       [this, life = std::move(life), segId, bytes, close,
                        replicaIdx, done = std::move(done)]() mutable {
@@ -275,9 +275,8 @@ void ReplicaManager::scheduleRepair() {
   // Degradation ladder: cede replication bandwidth to foreground work while
   // shedding — but never while any damaged segment is down to zero healthy
   // replicas (rf-deficit safety, docs/OVERLOAD.md).
-  if (params_.pressureStretch > 1 && underPressure && underPressure() &&
-      !anySegmentFullyExposed()) {
-    d *= params_.pressureStretch;
+  if (underPressure && underPressure() && !anySegmentFullyExposed()) {
+    d *= kPressureStretch;
     ++repairsDeferred_;
   }
   repairEvent_ = sim_.schedule(d, [this] { repairTick(); });

@@ -17,18 +17,24 @@
 
 namespace rc::server {
 
+/// Master-side CPU to build and send one replication RPC. Charged to the
+/// worker holding the update (it stays busy-spinning through the sync) —
+/// this, plus the ack wait, is the paper's Finding-3 contention.
+inline constexpr sim::Duration kPerReplicaSendCpu = sim::usec(18);
+
+/// Master-side CPU to process one replication acknowledgement.
+inline constexpr sim::Duration kAckProcessing = sim::usec(15);
+
+/// Overload degradation (docs/OVERLOAD.md): while the owning node is
+/// shedding, background-repair rounds are stretched by this factor — but
+/// only when every damaged segment still has >= 1 healthy replica, so the
+/// deferral can never widen a full-exposure window.
+inline constexpr int kPressureStretch = 4;
+
 struct ReplicationParams {
   /// Replicas per segment (the paper sweeps 1..5; 0 disables durability,
   /// as in the paper's Sections IV-V).
   int factor = 0;
-
-  /// Master-side CPU to build and send one replication RPC. Charged to the
-  /// worker holding the update (it stays busy-spinning through the sync) —
-  /// this, plus the ack wait, is the paper's Finding-3 contention.
-  sim::Duration perReplicaSendCpu = sim::usec(18);
-
-  /// Master-side CPU to process one replication acknowledgement.
-  sim::Duration ackProcessing = sim::usec(15);
 
   /// Strong consistency: the update is acknowledged to the client only
   /// after every backup acked (paper SS VI). false = the SS IX-B ablation
@@ -48,12 +54,6 @@ struct ReplicationParams {
   /// Wait before re-sending after a failed replica write, and between
   /// background-repair rounds (deterministic jitter; see sim::Backoff).
   Backoff retryBackoff{sim::msec(2), sim::msec(200)};
-
-  /// Overload degradation (docs/OVERLOAD.md): while the owning node is
-  /// shedding, background-repair rounds are stretched by this factor —
-  /// but only when every damaged segment still has >= 1 healthy replica,
-  /// so the deferral can never widen a full-exposure window.
-  int pressureStretch = 4;
 };
 
 /// Manages segment replica placement and replication traffic for one

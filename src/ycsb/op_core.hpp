@@ -116,7 +116,6 @@ class OpCore {
 
   sim::Simulation& sim() const { return sim_; }
   sim::Rng& rng() { return rng_; }
-  KeyChooser& keys() { return keys_; }
 
  private:
   enum class OpKind { kRead, kUpdate, kInsert, kReadModifyWrite, kTransfer };

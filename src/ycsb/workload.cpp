@@ -1,9 +1,6 @@
 #include "ycsb/workload.hpp"
 
 #include <cmath>
-#include <numeric>
-
-#include "sim/backoff.hpp"
 
 namespace rc::ycsb {
 
@@ -66,46 +63,25 @@ double zetaStatic(std::uint64_t n, double theta) {
 KeyChooser::KeyChooser(const WorkloadSpec& spec, sim::Rng rng)
     : n_(spec.recordCount), dist_(spec.distribution), rng_(rng) {
   if (dist_ != WorkloadSpec::Distribution::kUniform) {
-    theta_ = spec.zipfianTheta;
-    zetan_ = zetaStatic(n_, theta_);
-    zeta2_ = zetaStatic(2, theta_);
-    alpha_ = 1.0 / (1.0 - theta_);
-    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta_)) /
+    constexpr double theta = kZipfianTheta;
+    zetan_ = zetaStatic(n_, theta);
+    zeta2_ = zetaStatic(2, theta);
+    alpha_ = 1.0 / (1.0 - theta);
+    eta_ = (1.0 - std::pow(2.0 / static_cast<double>(n_), 1.0 - theta)) /
            (1.0 - zeta2_ / zetan_);
-    halfPowTheta_ = std::pow(0.5, theta_);
+    halfPowTheta_ = std::pow(0.5, theta);
   }
 }
 
 std::uint64_t KeyChooser::next() { return next(n_); }
 
-void KeyChooser::shiftHotKeys(std::uint64_t shiftSeed) {
-  if (n_ < 2) return;
-  // Compose a fresh affine layer onto the cached permutation. The search
-  // for a multiplier coprime with n (the expensive part) runs here, once
-  // per shift event; remap() afterwards is a single multiply-add-mod.
-  std::uint64_t m = sim::Backoff::mix(shiftSeed) % n_;
-  if (m < 2) m = 2;
-  while (std::gcd(m, n_) != 1) {
-    ++m;
-    if (m >= n_) m = 2;
-  }
-  const std::uint64_t a =
-      sim::Backoff::mix(shiftSeed ^ 0x5bf03635ULL) % n_;
-  // (m*x + a) o (M*x + A) = (m*M)*x + (m*A + a), all mod n.
-  shiftMult_ = (m * shiftMult_) % n_;
-  shiftAdd_ = (m * shiftAdd_ + a) % n_;
-  ++shifts_;
-}
-
 std::uint64_t KeyChooser::next(std::uint64_t currentN) {
   if (currentN == 0) currentN = 1;
   switch (dist_) {
     case WorkloadSpec::Distribution::kUniform:
-      // A permutation of uniform is uniform; remap anyway so mixed
-      // workloads keep one key layout across a shift.
-      return remap(rng_.uniformInt(currentN));
+      return rng_.uniformInt(currentN);
     case WorkloadSpec::Distribution::kZipfian:
-      return remap(nextZipfian() % currentN);
+      return nextZipfian() % currentN;
     case WorkloadSpec::Distribution::kLatest: {
       // Skew anchored at the newest record: rank 0 = latest insert.
       const std::uint64_t rank = nextZipfian() % currentN;

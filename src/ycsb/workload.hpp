@@ -30,7 +30,6 @@ struct WorkloadSpec {
     kLatest,  ///< zipfian anchored at the newest record (workload D)
   };
   Distribution distribution = Distribution::kUniform;
-  double zipfianTheta = 0.99;  ///< YCSB's default skew
 
   static WorkloadSpec A(std::uint64_t records = 100'000);
   static WorkloadSpec B(std::uint64_t records = 100'000);
@@ -38,6 +37,9 @@ struct WorkloadSpec {
   static WorkloadSpec D(std::uint64_t records = 100'000);
   static WorkloadSpec F(std::uint64_t records = 100'000);
 };
+
+/// Skew of the zipfian and latest distributions: YCSB's default.
+inline constexpr double kZipfianTheta = 0.99;
 
 /// Draws keys in [0, recordCount) following the spec's distribution.
 /// The zipfian generator uses Gray et al.'s rejection-free algorithm as in
@@ -52,26 +54,6 @@ class KeyChooser {
   /// anchors the skew at the newest key; kUniform spreads over all of it.
   std::uint64_t next(std::uint64_t currentN);
 
-  /// Hot-key shift (scheduled by load::TrafficShape): re-anchor which keys
-  /// are popular by composing a bijective affine remap
-  /// idx -> (mult*idx + add) mod recordCount over the preloaded keyspace.
-  /// The (mult, add) pair is derived from `shiftSeed` and cached *once per
-  /// shift event* — the per-op hot path stays one multiply-add, instead of
-  /// re-deriving the permutation (gcd search) on every draw. Inserted keys
-  /// (idx >= recordCount) and kLatest's newest-anchored ranks are left
-  /// unshifted. Repeated shifts compose (each remaps the previous layout).
-  void shiftHotKeys(std::uint64_t shiftSeed);
-
-  std::uint64_t shiftCount() const { return shifts_; }
-
-  /// The currently cached remap, exposed so tests can verify the shifted
-  /// stream is exactly the affine image of the unshifted one.
-  std::uint64_t remap(std::uint64_t idx) const {
-    if (shiftMult_ == 1 && shiftAdd_ == 0) return idx;
-    if (idx >= n_) return idx;  // inserted tail is unshifted
-    return (shiftMult_ * idx + shiftAdd_) % n_;
-  }
-
  private:
   std::uint64_t nextZipfian();
 
@@ -79,13 +61,7 @@ class KeyChooser {
   WorkloadSpec::Distribution dist_;
   sim::Rng rng_;
 
-  // Cached hot-key-shift permutation (identity until the first shift).
-  std::uint64_t shiftMult_ = 1;
-  std::uint64_t shiftAdd_ = 0;
-  std::uint64_t shifts_ = 0;
-
   // Zipfian state.
-  double theta_ = 0;
   double zetan_ = 0;
   double zeta2_ = 0;
   double alpha_ = 0;

@@ -51,8 +51,8 @@ void YcsbClient::afterOp() {
   // Client-side processing before the next op in the closed loop. An
   // active load surge (FaultPlan kLoadSurge) divides the overhead, so
   // this client offers surgeFactor × its normal rate for the window.
-  const double j = params_.clientOverheadJitter;
-  double factor = j > 0 ? 1.0 - j + 2.0 * j * rng().uniformDouble() : 1.0;
+  constexpr double j = kClientOverheadJitter;
+  double factor = 1.0 - j + 2.0 * j * rng().uniformDouble();
   if (surging()) factor /= surgeFactor_;
   const auto overhead = static_cast<sim::Duration>(
       static_cast<double>(params_.clientOverheadPerOp) * factor);

@@ -9,6 +9,11 @@
 
 namespace rc::ycsb {
 
+/// Relative jitter on the closed loop's per-op client overhead (uniform in
+/// [1-j, 1+j]); breaks the phase-lock a deterministic closed loop would
+/// otherwise exhibit.
+inline constexpr double kClientOverheadJitter = 0.25;
+
 /// Closed-loop pacing knobs on top of the op core's.
 struct YcsbClientParams : LoadParams, OpParams {
   /// Ops to issue; 0 = run until stop().
@@ -18,10 +23,6 @@ struct YcsbClientParams : LoadParams, OpParams {
   /// generation, marshalling, stats). Bounds the per-client rate exactly
   /// as in the paper, where 30 clients saturate around ~1 Mop/s (Fig. 1a).
   sim::Duration clientOverheadPerOp = sim::usec(26);
-
-  /// Relative jitter on the overhead (uniform in [1-j, 1+j]); breaks the
-  /// phase-lock a deterministic closed loop would otherwise exhibit.
-  double clientOverheadJitter = 0.25;
 
   /// Fig. 13's client-level throttle; <= 0 disables.
   double throttleOpsPerSec = 0;

@@ -46,7 +46,7 @@ TEST(Experiment, OpenLoopTenantsAccountForEveryRequest) {
   a.sources = 2;
   a.shape.users = 500;
   a.qosRatePerSec = 200;  // tight enough to throttle some of a's requests
-  core::OpenLoopTenant b = a;
+  core::OpenLoopTenant b;
   b.name = "b";
   b.sources = 1;
   b.shape.users = 300;

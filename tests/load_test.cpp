@@ -4,13 +4,11 @@
 //      index of dispersion ~ 1, on/off self-similar traffic measurably
 //      burstier at the same mean, diurnal modulation integrating to the
 //      curve's analytic mean, flash-crowd edges exact.
-//   2. Hot-key shifts: the shifted key stream is exactly the cached affine
-//      remap of the unshifted one (golden sequence pinned).
-//   3. The TrafficSource's batched generation: o(1) heap events per
+//   2. The TrafficSource's batched generation: o(1) heap events per
 //      request, offered rate delivered, intent-time SLO accounting.
-//   4. Per-tenant QoS at dispatch: a surging tenant is policed at its
+//   3. Per-tenant QoS at dispatch: a surging tenant is policed at its
 //      bucket rate while the other tenant's p999 stays put.
-//   5. Determinism: same seed + same schedule => bit-identical
+//   4. Determinism: same seed + same schedule => bit-identical
 //      metrics.jsonl / slo.jsonl across runs (seeds 101/202/303).
 
 #include <gtest/gtest.h>
@@ -172,55 +170,6 @@ TEST(Arrival, SameSeedDrawsIdenticalRuns) {
   EXPECT_EQ(ca, cb);
   ASSERT_EQ(outA.size(), outB.size());
   EXPECT_TRUE(outA == outB);
-}
-
-// ------------------------------------------------------------ hot-key shift
-
-TEST(HotKeyShift, ShiftedStreamIsAffineImageOfUnshifted) {
-  ycsb::WorkloadSpec spec = ycsb::WorkloadSpec::B(10'000);
-  ycsb::KeyChooser plain(spec, sim::Rng(42, 1));
-  ycsb::KeyChooser shifted(spec, sim::Rng(42, 1));
-  shifted.shiftHotKeys(0xBEEF);
-  EXPECT_EQ(shifted.shiftCount(), 1u);
-  bool moved = false;
-  for (int i = 0; i < 5'000; ++i) {
-    const std::uint64_t u = plain.next();
-    const std::uint64_t s = shifted.next();
-    ASSERT_EQ(s, shifted.remap(u));
-    ASSERT_LT(s, spec.recordCount);
-    if (s != u) moved = true;
-  }
-  EXPECT_TRUE(moved);
-}
-
-TEST(HotKeyShift, RemapIsABijection) {
-  ycsb::WorkloadSpec spec = ycsb::WorkloadSpec::B(4'096);
-  ycsb::KeyChooser k(spec, sim::Rng(1, 1));
-  k.shiftHotKeys(7);
-  k.shiftHotKeys(1234567);  // composed shifts stay bijective
-  std::vector<char> seen(4'096, 0);
-  for (std::uint64_t i = 0; i < 4'096; ++i) {
-    const std::uint64_t m = k.remap(i);
-    ASSERT_LT(m, 4'096u);
-    ASSERT_FALSE(seen[m]) << "collision at " << i;
-    seen[m] = 1;
-  }
-  // Inserted keys (beyond the preloaded range) are never remapped.
-  EXPECT_EQ(k.remap(5'000), 5'000u);
-}
-
-TEST(HotKeyShift, GoldenSequencePinned) {
-  // Deterministic regression anchor: seed 42, zipfian B over 10k records,
-  // one shift. If the permutation derivation or the zipfian stream change,
-  // this fails loudly and the golden values must be re-derived consciously.
-  ycsb::WorkloadSpec spec = ycsb::WorkloadSpec::B(10'000);
-  ycsb::KeyChooser k(spec, sim::Rng(42, 1));
-  k.shiftHotKeys(0xBEEF);
-  std::vector<std::uint64_t> got;
-  for (int i = 0; i < 8; ++i) got.push_back(k.next());
-  const std::vector<std::uint64_t> golden = {2421, 2606, 7343, 4767,
-                                             5895, 837,  890,  7687};
-  EXPECT_EQ(got, golden) << "golden zipfian-shift sequence drifted";
 }
 
 // --------------------------------------------------------- sim token bucket
@@ -503,11 +452,10 @@ TEST_P(OpenLoopSeed, ReplaysBitIdentical) {
     cfg.measure = seconds(1);
     cfg.metricsDir = dir;
     // Exercise every schedule type in the replay: diurnal valley, flash
-    // crowd, hot-key shift, on/off tenant.
+    // crowd, on/off tenant.
     cfg.openLoop[0].shape.diurnal.period = msec(800);
     cfg.openLoop[0].shape.diurnal.points = {{0.0, 0.6}, {0.5, 1.4}};
     cfg.openLoop[0].shape.flashCrowds = {{msec(600), msec(200), 3.0}};
-    cfg.openLoop[0].shape.hotKeyShifts = {{msec(500), 0xABCD}};
     core::OpenLoopTenant burst;
     burst.name = "burst";
     burst.sources = 1;

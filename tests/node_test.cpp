@@ -312,27 +312,26 @@ TEST(Disk, TracksReadAndWriteBytesSeparately) {
 }
 
 TEST(PowerModel, CalibratedEndpoints) {
-  power::PowerModel m;
+  using power::fittedWatts;
   // Fitted to the paper: ~50 % CPU -> 92 W, ~98.5 % -> 122 W.
-  EXPECT_NEAR(m.watts(0.50), 92.2, 0.5);
-  EXPECT_NEAR(m.watts(0.985), 123.0, 1.0);
-  EXPECT_NEAR(m.watts(0.25), 76.4, 0.5);  // idle RAMCloud (polling core)
+  EXPECT_NEAR(fittedWatts(0.50), 92.2, 0.5);
+  EXPECT_NEAR(fittedWatts(0.985), 123.0, 1.0);
+  EXPECT_NEAR(fittedWatts(0.25), 76.4, 0.5);  // idle RAMCloud (polling core)
 }
 
 TEST(PowerModel, MonotoneAndClamped) {
-  power::PowerModel m;
-  EXPECT_DOUBLE_EQ(m.watts(-1), m.watts(0));
-  EXPECT_DOUBLE_EQ(m.watts(2), m.watts(1));
+  using power::fittedWatts;
+  EXPECT_DOUBLE_EQ(fittedWatts(-1), fittedWatts(0));
+  EXPECT_DOUBLE_EQ(fittedWatts(2), fittedWatts(1));
   double last = 0;
   for (double u = 0; u <= 1.0; u += 0.01) {
-    EXPECT_GE(m.watts(u), last);
-    last = m.watts(u);
+    EXPECT_GE(fittedWatts(u), last);
+    last = fittedWatts(u);
   }
 }
 
 TEST(PowerModel, JoulesIsWattsTimesSeconds) {
-  power::PowerModel m;
-  EXPECT_DOUBLE_EQ(m.joules(0.5, 10), m.watts(0.5) * 10);
+  EXPECT_DOUBLE_EQ(power::fittedJoules(0.5, 10), power::fittedWatts(0.5) * 10);
 }
 
 TEST(Node, PduSamplesOncePerSecond) {
@@ -366,7 +365,7 @@ TEST(Node, EnergyMatchesPowerTimesTime) {
   sim.runUntil(seconds(100));
   // Idle-with-process: P(0.25) for 100 s.
   EXPECT_NEAR(node.energyJoulesSince(s, sim.now()),
-              p.power.watts(0.25) * 100.0, 1.0);
+              power::fittedWatts(0.25) * 100.0, 1.0);
 }
 
 TEST(Node, CrashDropsToMachineIdlePower) {
@@ -377,7 +376,7 @@ TEST(Node, CrashDropsToMachineIdlePower) {
   node.crashProcess();
   auto s = node.snapshotCpu();
   sim.runUntil(seconds(10));
-  EXPECT_NEAR(node.energyJoulesSince(s, sim.now()), p.power.idleWatts * 10,
+  EXPECT_NEAR(node.energyJoulesSince(s, sim.now()), power::kIdleWatts * 10,
               0.5);
 }
 

@@ -173,6 +173,49 @@ TEST(Admission, CrashResetsAdmissionState) {
   EXPECT_TRUE(d.admit(true, 0).admitted);
 }
 
+TEST(Admission, ZeroRateQosPolicyCountsEveryRequestAndThrottlesNone) {
+  // A QoS policy with ratePerSec 0 leaves its tenant unlimited: every
+  // request counts as offered and admitted, none is throttled, no episode
+  // starts. A rated policy with the same one-token burst, offered the same
+  // instant's requests, is throttled after its first.
+  sim::Simulation sim;
+  server::DispatchParams dp;
+  dp.admission.enabled = false;
+  server::Dispatch d(sim, dp);
+  server::QosParams qos;
+  qos.enabled = true;
+  server::QosTenantPolicy open;
+  open.name = "open";
+  open.tags = {3, 4};
+  open.ratePerSec = 0;
+  open.burst = 1;
+  server::QosTenantPolicy rated = open;
+  rated.name = "rated";
+  rated.tags = {5};
+  rated.ratePerSec = 10;
+  qos.tenants = {open, rated};
+  d.configureQos(qos);
+  std::vector<std::string> episodes;
+  d.onQosEpisode = [&](const std::string& name) { episodes.push_back(name); };
+
+  for (int i = 0; i < 1'000; ++i) {
+    EXPECT_TRUE(d.admit(i % 2 == 0, 3 + i % 2).admitted) << i;
+    (void)d.admit(true, 5);
+  }
+  ASSERT_EQ(d.qosSlotCount(), 2u);
+  const server::Dispatch::QosSlot& s = d.qosSlot(0);
+  EXPECT_EQ(s.name, "open");
+  EXPECT_EQ(s.offered, 1'000u);
+  EXPECT_EQ(s.admitted, 1'000u);
+  EXPECT_EQ(s.throttled, 0u);
+  EXPECT_EQ(s.episodes, 0u);
+  const server::Dispatch::QosSlot& r = d.qosSlot(1);
+  EXPECT_EQ(r.offered, 1'000u);
+  EXPECT_EQ(r.admitted, 1u);
+  EXPECT_EQ(r.throttled, 999u);
+  EXPECT_EQ(episodes, std::vector<std::string>{"rated"});
+}
+
 // ----------------------------------------------------- shared backoff policy
 
 TEST(Backoff, ServerAliasIsTheSharedPolicy) {

@@ -25,19 +25,18 @@ TEST(Efficiency, PaperFig8Definition) {
 
 TEST(PduSampler, CoversWindowsBackToBack) {
   sim::Simulation sim;
-  PowerModel model;
   // Energy callback: 0.5 utilisation in even windows, idle in odd ones.
   int call = 0;
-  PduSampler pdu(sim, [&call, &model](sim::SimTime from, sim::SimTime to) {
+  PduSampler pdu(sim, [&call](sim::SimTime from, sim::SimTime to) {
     const double u = (call++ % 2 == 0) ? 0.5 : 0.0;
-    return model.joules(u, sim::toSeconds(to - from));
+    return fittedJoules(u, sim::toSeconds(to - from));
   });
   sim.runUntil(seconds(4) + msec(1));
   ASSERT_EQ(pdu.trace().size(), 4u);
-  EXPECT_NEAR(pdu.trace().points()[0].value, model.watts(0.5), 1e-9);
-  EXPECT_NEAR(pdu.trace().points()[1].value, model.watts(0.0), 1e-9);
+  EXPECT_NEAR(pdu.trace().points()[0].value, fittedWatts(0.5), 1e-9);
+  EXPECT_NEAR(pdu.trace().points()[1].value, fittedWatts(0.0), 1e-9);
   // Sampled energy = sum of sample * covered window = continuous integral.
-  const double expect = 2 * model.watts(0.5) + 2 * model.watts(0.0);
+  const double expect = 2 * fittedWatts(0.5) + 2 * fittedWatts(0.0);
   EXPECT_NEAR(pdu.sampledEnergyJoules(0, seconds(4)), expect, 1e-6);
   EXPECT_NEAR(pdu.totalSampledJoules(), expect, 1e-9);
 }
@@ -95,11 +94,11 @@ TEST(PduSampler, MidWindowStopReconcilesWithContinuousIntegral) {
 }
 
 TEST(NodePowerModel, StaticsSumToFittedIntercept) {
-  NodePowerModel m;
-  EXPECT_DOUBLE_EQ(m.staticWatts(), 60.5);
+  EXPECT_DOUBLE_EQ(kStaticWatts, 60.5);
+  EXPECT_DOUBLE_EQ(kStaticWatts, kIdleWatts);
   double sum = 0;
   for (std::size_t c = 0; c < kComponentCount; ++c) {
-    sum += m.staticComponentWatts(static_cast<Component>(c));
+    sum += staticComponentWatts(static_cast<Component>(c));
   }
   EXPECT_DOUBLE_EQ(sum, 60.5);
 }
@@ -107,11 +106,9 @@ TEST(NodePowerModel, StaticsSumToFittedIntercept) {
 TEST(NodePowerModel, ComponentSumWithinCalibrationGate) {
   // The per-resource decomposition must stay within 2 % of the fitted
   // whole-node curve P(u) = 60.5 + 63.4u across the utilisation range.
-  NodePowerModel m;
-  PowerModel fitted;
   for (double u = 0; u <= 1.0; u += 0.05) {
-    const double component = m.watts(u);
-    const double reference = fitted.watts(u);
+    const double component = componentWatts(u);
+    const double reference = fittedWatts(u);
     EXPECT_NEAR(component, reference, 0.02 * reference) << "u=" << u;
   }
 }
@@ -119,9 +116,8 @@ TEST(NodePowerModel, ComponentSumWithinCalibrationGate) {
 TEST(NodePowerModel, EventEnergiesAreSmallAgainstCpuTerm) {
   // Per-event dynamics at the paper's single-server peak (372 Kop/s of
   // ~130 B RPCs) must stay under ~1 W so calibration holds.
-  NodePowerModel m;
-  const double nicW = 372'000 * m.nicJoules(130);
-  const double dramW = 372'000 * m.dramJoules(130);
+  const double nicW = 372'000 * nicJoules(130);
+  const double dramW = 372'000 * dramJoules(130);
   EXPECT_LT(nicW, 1.0);
   EXPECT_LT(dramW, 0.1);
 }
@@ -137,7 +133,7 @@ TEST(NodePower, SuspensionWindowMixesCorrectly) {
   n.suspendMachine();
   sim.runUntil(seconds(10));
   const double j = n.energyJoulesSince(snap, sim.now());
-  const double expect = p.power.watts(0.25) * 5 + p.suspendedWatts * 5;
+  const double expect = fittedWatts(0.25) * 5 + node::kSuspendedWatts * 5;
   EXPECT_NEAR(j, expect, 1.0);
   EXPECT_NEAR(n.meanWattsSince(snap, sim.now()), expect / 10, 0.2);
 }
@@ -153,12 +149,11 @@ TEST(NodePower, ResumeRestoresActiveAccounting) {
   EXPECT_TRUE(n.processRunning());
   const auto snap = n.snapshotPower();
   sim.runUntil(seconds(10));
-  EXPECT_NEAR(n.meanWattsSince(snap, sim.now()), p.power.watts(0.25), 0.5);
+  EXPECT_NEAR(n.meanWattsSince(snap, sim.now()), fittedWatts(0.25), 0.5);
 }
 
 TEST(NodePower, SuspendedDrawsSmallFractionOfIdle) {
-  node::NodeParams p;
-  EXPECT_LT(p.suspendedWatts * 5, p.power.idleWatts);
+  EXPECT_LT(node::kSuspendedWatts * 5, kIdleWatts);
 }
 
 }  // namespace

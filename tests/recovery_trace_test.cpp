@@ -166,11 +166,11 @@ TEST(RecoveryTrace, SpanEnergyIsPositiveAndBounded) {
   ASSERT_EQ(roots.size(), 1u);
   // The coordinator node is unmetered (no PDU), so the root carries 0 J;
   // master-side phases carry whole-node joules bounded by max power.
-  const auto& pm = c.params().serverNode.power;
   for (const auto* s : j.spansNamed("partition_recovery")) {
     const double secs = sim::toSeconds(s->duration());
     EXPECT_GT(s->joules, 0) << "node " << s->node;
-    EXPECT_LE(s->joules, pm.watts(1.0) * secs * 1.01) << "node " << s->node;
+    EXPECT_LE(s->joules, power::fittedWatts(1.0) * secs * 1.01)
+        << "node " << s->node;
   }
   EXPECT_GT(j.joulesForPhase("partition_recovery"), 0);
 }

@@ -46,11 +46,9 @@ struct Args {
     for (int i = from; i < argc; ++i) {
       if (std::strncmp(argv[i], "--", 2) != 0) continue;
       const std::string key = argv[i] + 2;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        a.kv[key] = argv[++i];
-      } else {
-        a.kv[key] = "1";  // boolean flag
-      }
+      const bool boolean =
+          i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0;
+      a.kv[key] = std::string(boolean ? "1" : argv[++i]);
     }
     return a;
   }
