@@ -58,7 +58,7 @@ int main() {
     cluster.sim().runFor(sim::seconds(ph.seconds));
     std::printf("%-14s  clients=%2d  active servers=%d  "
                 "(resizes so far: %d down, %d up)\n",
-                ph.name, ph.clients, cluster.activeServerCount(),
+                ph.name, ph.clients, cluster.aliveServerCount(),
                 scaler.scaleDowns(), scaler.scaleUps());
   }
   cluster.stopYcsb();

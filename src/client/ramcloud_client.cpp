@@ -20,9 +20,6 @@ RamCloudClient::RamCloudClient(
 
 namespace {
 
-/// Wire bytes per key of a multi-op request, on top of the values.
-constexpr std::uint64_t kPerKeyWireBytes = 30;
-
 // Adapters from the public callbacks to the completion every op carries.
 auto latencyOnly(RamCloudClient::OpCallback cb) {
   return [cb = std::move(cb)](net::Status s, const net::RpcResponse&,
@@ -32,11 +29,6 @@ auto latencyOnly(RamCloudClient::OpCallback cb) {
 auto withVersion(RamCloudClient::VersionCallback cb) {
   return [cb = std::move(cb)](net::Status s, const net::RpcResponse& r,
                               sim::Duration d) { cb(s, r.b, d); };
-}
-
-auto keysServed(RamCloudClient::MultiOpCallback cb) {
-  return [cb = std::move(cb)](net::Status s, const net::RpcResponse& r,
-                              sim::Duration) { cb(s, r.a, r.b); };
 }
 
 }  // namespace
@@ -242,100 +234,6 @@ void RamCloudClient::stallFor(sim::Duration d) {
   if (until > stalledUntil_) stalledUntil_ = until;
 }
 
-void RamCloudClient::scanTable(std::uint64_t tableId, ScanCallback cb) {
-  OpState st(*this, net::Opcode::kScan, tableId, 0, 0,
-             [cb = std::move(cb)](net::Status s, const net::RpcResponse& r,
-                                  sim::Duration) {
-               cb(s, r.a, r.payloadBytes);
-             });
-  st.c = ~std::uint64_t{0};  // the whole hash space
-  start(std::move(st));
-}
-
-void RamCloudClient::multiRead(std::uint64_t tableId,
-                               std::vector<std::uint64_t> keys,
-                               MultiOpCallback cb) {
-  OpState st(*this, net::Opcode::kMultiRead, tableId, 0, 0,
-             keysServed(std::move(cb)));
-  st.keys = std::make_shared<const std::vector<std::uint64_t>>(std::move(keys));
-  start(std::move(st));
-}
-
-void RamCloudClient::multiWrite(std::uint64_t tableId,
-                                std::vector<std::uint64_t> keys,
-                                std::uint32_t valueBytes,
-                                MultiOpCallback cb) {
-  OpState st(*this, net::Opcode::kMultiWrite, tableId, 0, valueBytes,
-             keysServed(std::move(cb)));
-  st.keys = std::make_shared<const std::vector<std::uint64_t>>(std::move(keys));
-  start(std::move(st));
-}
-
-void RamCloudClient::split(OpState st) {
-  std::vector<OpState> parts;
-  auto part = [&]() -> OpState& {
-    OpState& p = parts.emplace_back(*this, st.op, st.tableId, st.keyId,
-                                    st.valueBytes, nullptr);
-    p.startedAt = st.startedAt;
-    p.retriesLeft = st.retriesLeft;
-    return p;
-  };
-  if (st.op == net::Opcode::kScan) {
-    for (const auto& e : cachedMap_.entries()) {
-      if (e.tablet.tableId != st.tableId || e.tablet.endHash < st.keyId ||
-          e.tablet.startHash > st.c) {
-        continue;
-      }
-      OpState& p = part();
-      p.keyId = std::max(st.keyId, e.tablet.startHash);
-      p.c = std::min(st.c, e.tablet.endHash);
-    }
-  } else {
-    // Keys on recovering or unknown tablets form parts that wait and
-    // re-route like any op.
-    std::map<std::pair<Route, node::NodeId>, std::vector<std::uint64_t>>
-        groups;
-    for (const std::uint64_t k : *st.keys) {
-      node::NodeId target = node::kInvalidNode;
-      auto& g = groups[{routeFor(st.tableId, k, &target), target}];
-      if (g.empty()) g.reserve(st.keys->size());
-      g.push_back(k);
-    }
-    for (auto& [owner, keys] : groups) {
-      part().keys =
-          std::make_shared<const std::vector<std::uint64_t>>(std::move(keys));
-    }
-  }
-  // Every part reports here: kOk parts' reply words are summed, the first
-  // failed part's status stands for the op, which completes once.
-  struct Merge {
-    Done done;
-    std::size_t pending = 0;
-    net::Status status = net::Status::kOk;
-    net::RpcResponse sum;
-  };
-  auto merge = std::make_shared<Merge>();
-  merge->done = std::move(st.done);
-  merge->pending = parts.size();
-  stats_.opsIssued += parts.size() - 1;  // st itself was counted
-  for (OpState& p : parts) {
-    p.done = [merge](net::Status s, const net::RpcResponse& r,
-                     sim::Duration latency) {
-      if (s == net::Status::kOk) {
-        merge->sum.a += r.a;
-        merge->sum.b += r.b;
-        merge->sum.payloadBytes += r.payloadBytes;
-      } else if (merge->status == net::Status::kOk) {
-        merge->status = s;
-      }
-      if (--merge->pending == 0) {
-        merge->done(merge->status, merge->sum, latency);
-      }
-    };
-    issue(std::move(p));
-  }
-}
-
 void RamCloudClient::finish(OpState& st, net::Status status,
                             const net::RpcResponse& reply) {
   if (status == net::Status::kOk) ++stats_.opsSucceeded;
@@ -392,37 +290,17 @@ void RamCloudClient::startRenewals() {
       });
 }
 
-RamCloudClient::Route RamCloudClient::routeTo(
-    const coordinator::TabletMap::Entry* e, node::NodeId* target) {
+RamCloudClient::Route RamCloudClient::routeFor(std::uint64_t tableId,
+                                               std::uint64_t keyId,
+                                               node::NodeId* target) const {
+  const auto* e =
+      cachedMap_.lookup(tableId, hash::keyHash(hash::Key{tableId, keyId}));
   if (e == nullptr) return Route::kUnknown;
   if (e->state == coordinator::TabletMap::TabletState::kRecovering) {
     return Route::kRecovering;
   }
   *target = e->tablet.owner;
   return Route::kOk;
-}
-
-RamCloudClient::Route RamCloudClient::route(const OpState& st,
-                                            node::NodeId* target) const {
-  if (st.op == net::Opcode::kScan) {
-    // One RPC when the tablet holding the first hash holds the range.
-    const auto* e = cachedMap_.lookup(st.tableId, st.keyId);
-    if (e != nullptr && e->tablet.endHash < st.c) return Route::kSplit;
-    return routeTo(e, target);
-  }
-  if (st.op == net::Opcode::kMultiRead || st.op == net::Opcode::kMultiWrite) {
-    // One RPC when every key routes alike; no keys, no owner.
-    if (st.keys->empty()) return Route::kUnknown;
-    const Route first = routeFor(st.tableId, st.keys->front(), target);
-    for (const std::uint64_t k : *st.keys) {
-      node::NodeId t = node::kInvalidNode;
-      if (routeFor(st.tableId, k, &t) != first || t != *target) {
-        return Route::kSplit;
-      }
-    }
-    return first;
-  }
-  return routeFor(st.tableId, st.keyId, target);
 }
 
 void RamCloudClient::refreshThenIssue(OpState st) {
@@ -463,12 +341,9 @@ void RamCloudClient::issue(OpState st) {
   }
 
   node::NodeId target = node::kInvalidNode;
-  switch (route(st, &target)) {
+  switch (routeFor(st.tableId, st.keyId, &target)) {
     case Route::kOk:
       break;
-    case Route::kSplit:
-      split(std::move(st));
-      return;
     case Route::kUnknown:
       if (st.retriesLeft-- <= 0) {
         finish(st, net::Status::kUnknownTablet);
@@ -496,14 +371,6 @@ void RamCloudClient::issue(OpState st) {
   // A prepare without payload is a validation-only item (no lock, no record).
   req.payloadBytes = st.valueBytes;
   req.keys = st.keys;
-  if (st.op == net::Opcode::kMultiRead || st.op == net::Opcode::kMultiWrite) {
-    const std::uint64_t n = st.keys->size();
-    req.b = st.valueBytes;
-    req.c = n;
-    req.payloadBytes =
-        n * kPerKeyWireBytes +
-        (st.op == net::Opcode::kMultiWrite ? n * st.valueBytes : 0);
-  }
   if (tracked(st)) {
     if (st.seq == 0) {
       st.seq = nextSeq_++;
@@ -520,10 +387,7 @@ void RamCloudClient::issue(OpState st) {
   req.traceSpan = span;
   req.tenant = tenant_;
 
-  const sim::Duration timeout = st.op == net::Opcode::kScan
-                                    ? server::timeouts::kScan
-                                    : params_.opTimeout;
-  rpc_.call(self_, target, net::kMasterPort, req, timeout,
+  rpc_.call(self_, target, net::kMasterPort, req, params_.opTimeout,
             [this, span, target,
              st = std::move(st)](const net::RpcResponse& resp) mutable {
     lastOp_.valid = false;

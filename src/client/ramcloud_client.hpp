@@ -64,7 +64,7 @@ struct ClientStats {
 
 /// RAMCloud client library: tablet-map caching, request routing, retry and
 /// recovery back-off. Writes, removes and tx prepares/decisions are
-/// exactly-once (RIFL, docs/LINEARIZABILITY.md); multiWrite is untracked.
+/// exactly-once (RIFL, docs/LINEARIZABILITY.md).
 class RamCloudClient {
  public:
   /// status + end-to-end latency (first issue to final completion,
@@ -96,29 +96,6 @@ class RamCloudClient {
   void writeV(std::uint64_t tableId, std::uint64_t keyId,
               std::uint32_t valueBytes, std::uint64_t expectedVersion,
               VersionCallback cb);
-
-  /// Table scan (paper SS X future work): one kScan part per tablet of the
-  /// cached map, aggregated. cb(status, objectCount, totalBytes). Each part
-  /// retries like a single-key op; a part bounced for a stale route
-  /// re-splits its hash range against the refreshed map. status is kOk
-  /// when every part succeeded, else the status of a failed part
-  /// (kUnknownTablet when no tablet of the table is known).
-  using ScanCallback =
-      std::function<void(net::Status, std::uint64_t, std::uint64_t)>;
-  void scanTable(std::uint64_t tableId, ScanCallback cb);
-
-  /// Batched operations (RAMCloud's multiRead/multiWrite): keys are
-  /// grouped by owning master per the cached map, one part per master,
-  /// results aggregated. Parts retry like single-key ops; a part bounced
-  /// for a stale route re-splits its keys against the refreshed map.
-  /// cb(status, keysServed, keysMissing). status is kOk when every part
-  /// succeeded, else the status of a failed part.
-  using MultiOpCallback =
-      std::function<void(net::Status, std::uint64_t, std::uint64_t)>;
-  void multiRead(std::uint64_t tableId, std::vector<std::uint64_t> keys,
-                 MultiOpCallback cb);
-  void multiWrite(std::uint64_t tableId, std::vector<std::uint64_t> keys,
-                  std::uint32_t valueBytes, MultiOpCallback cb);
 
   // ----- minitransactions (docs/TRANSACTIONS.md)
   //
@@ -227,16 +204,16 @@ class RamCloudClient {
     std::uint32_t valueBytes;
     int retriesLeft;
     std::uint64_t tableId;
-    std::uint64_t keyId;  ///< scan: first hash of the range
+    std::uint64_t keyId;
     /// Request word c: a write's or prepare's expected version (0 = blind),
-    /// a decision's commit flag, a scan's last hash.
+    /// a decision's commit flag.
     std::uint64_t c = 0;
     std::uint64_t txId = 0;  ///< kTxPrepare / kTxDecision
     sim::SimTime startedAt;
     /// RIFL sequence number, assigned once at the first issue of a tracked
     /// op and reused verbatim by every retry — the master's duplicate key.
     std::uint64_t seq = 0;
-    /// Multi-op part: its keys. Tx prepare: the participant list, packed.
+    /// Tx prepare: the participant list, packed.
     std::shared_ptr<const std::vector<std::uint64_t>> keys;
     Done done;
   };
@@ -253,9 +230,6 @@ class RamCloudClient {
     ++stats_.opsIssued;
     issue(std::move(st));
   }
-  /// Replace a multi-op or scan whose keys or range span several tablets
-  /// by one part per owner or tablet, merged into its completion.
-  void split(OpState st);
   void refreshThenIssue(OpState st);
   void openLease();
   void startRenewals();
@@ -265,18 +239,10 @@ class RamCloudClient {
   void finish(OpState& st, net::Status status,
               const net::RpcResponse& reply = net::RpcResponse{});
 
-  /// Routing decision against the *cached* map. kSplit: a multi-op's keys
-  /// or a scan's range is not served by one tablet.
-  enum class Route { kOk, kRecovering, kUnknown, kSplit };
-  static Route routeTo(const coordinator::TabletMap::Entry* e,
-                       node::NodeId* target);
+  /// Routing decision against the *cached* map.
+  enum class Route { kOk, kRecovering, kUnknown };
   Route routeFor(std::uint64_t tableId, std::uint64_t keyId,
-                 node::NodeId* target) const {
-    return routeTo(cachedMap_.lookup(tableId, hash::keyHash(
-                                                  hash::Key{tableId, keyId})),
-                   target);
-  }
-  Route route(const OpState& st, node::NodeId* target) const;
+                 node::NodeId* target) const;
 
   sim::Simulation& sim_;
   net::RpcSystem& rpc_;

@@ -45,13 +45,13 @@ void Autoscaler::tick(sim::SimTime now) {
 
   if (meanCpu > params_.highWaterCpu) {
     coldTicks_ = 0;
-    if (++hotTicks_ >= params_.confirmTicks) {
+    if (++hotTicks_ >= kConfirmTicks) {
       hotTicks_ = 0;
       scaleUp();
     }
   } else if (meanCpu < params_.lowWaterCpu) {
     hotTicks_ = 0;
-    if (++coldTicks_ >= params_.confirmTicks &&
+    if (++coldTicks_ >= kConfirmTicks &&
         active > params_.minActive) {
       coldTicks_ = 0;
       scaleDown();
@@ -110,7 +110,7 @@ void Autoscaler::rebalanceOnto(int idx) {
     byOwner[e.tablet.owner].push_back(e.tablet);
     ++total;
   }
-  const int active = cluster_.activeServerCount();
+  const int active = cluster_.aliveServerCount();
   const std::size_t fairShare =
       active > 0 ? std::max<std::size_t>(1, total / static_cast<std::size_t>(
                                                       active))

@@ -8,6 +8,10 @@
 
 namespace rc::core {
 
+/// Consecutive intervals beyond a watermark before the autoscaler acts
+/// (hysteresis).
+inline constexpr int kConfirmTicks = 2;
+
 /// Policy knobs for the coordinator-level resizing loop the paper's SS IX
 /// proposes ("a smart approach ... at the coordinator level, which can
 /// decide whether to add or remove nodes depending on the workload",
@@ -21,8 +25,6 @@ struct AutoscalerParams {
   /// Never drain below this many active servers (durability needs
   /// replication targets: keep >= replicationFactor + 1).
   int minActive = 3;
-  /// Consecutive intervals beyond a watermark before acting (hysteresis).
-  int confirmTicks = 2;
 };
 
 /// Watches cluster load and resizes it: drains + suspends servers when

@@ -895,14 +895,6 @@ void Cluster::resumeServer(int idx) {
   coord_->enlistServer(nid);
 }
 
-int Cluster::activeServerCount() const {
-  int n = 0;
-  for (int i = 0; i < serverCount(); ++i) {
-    if (serverAlive(i)) ++n;
-  }
-  return n;
-}
-
 server::ServerId Cluster::ownerOfKey(std::uint64_t tableId,
                                      std::uint64_t keyId) const {
   const std::uint64_t h = hash::keyHash(hash::Key{tableId, keyId});

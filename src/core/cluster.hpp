@@ -231,7 +231,6 @@ class Cluster {
   bool serverSuspended(int idx) const {
     return servers_[static_cast<std::size_t>(idx)].node->suspended();
   }
-  int activeServerCount() const;
 
   // ----- verification helpers (tests)
 

@@ -76,7 +76,7 @@ class ObjectMap {
   }
 
   /// Visit every live entry in slot order: a function of the sequence of
-  /// puts and erases alone (migration batches and scans follow it).
+  /// puts and erases alone (migration batches follow it).
   void forEach(const std::function<void(const Key&, const ObjectLocation&)>&
                    fn) const;
 

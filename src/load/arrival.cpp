@@ -49,11 +49,11 @@ ArrivalProcess::ArrivalProcess(TrafficShape shape, sim::Rng rng)
     const int k = std::max(1, shape_.onOffSources);
     on_.resize(static_cast<std::size_t>(k));
     flipAt_.resize(static_cast<std::size_t>(k));
-    const double f = std::clamp(shape_.onFraction, 0.01, 1.0);
     const sim::Duration offMean = static_cast<sim::Duration>(
-        static_cast<double>(shape_.onMean) * (1.0 - f) / f);
+        static_cast<double>(shape_.onMean) * (1.0 - kOnFraction) /
+        kOnFraction);
     for (std::size_t i = 0; i < on_.size(); ++i) {
-      on_[i] = rng_.bernoulli(f) ? 1 : 0;
+      on_[i] = rng_.bernoulli(kOnFraction) ? 1 : 0;
       flipAt_[i] = paretoDuration(on_[i] ? shape_.onMean : offMean);
     }
   }
@@ -64,7 +64,7 @@ sim::Duration ArrivalProcess::paretoDuration(sim::Duration mean) {
   // xm = mean*(alpha-1)/alpha. The 20x-mean cap keeps one unlucky draw
   // from silencing a sub-source for a whole run; the tail below the cap
   // still spans the timescales that make the superposition self-similar.
-  const double alpha = std::max(1.05, shape_.paretoShape);
+  const double alpha = kParetoShape;
   const double m = std::max(1.0, static_cast<double>(mean));
   const double xm = m * (alpha - 1.0) / alpha;
   const double u = std::max(rng_.uniformDouble(), 1e-12);
@@ -74,9 +74,8 @@ sim::Duration ArrivalProcess::paretoDuration(sim::Duration mean) {
 
 void ArrivalProcess::advanceOnOff(sim::SimTime t) {
   if (on_.empty()) return;
-  const double f = std::clamp(shape_.onFraction, 0.01, 1.0);
   const sim::Duration offMean = static_cast<sim::Duration>(
-      static_cast<double>(shape_.onMean) * (1.0 - f) / f);
+      static_cast<double>(shape_.onMean) * (1.0 - kOnFraction) / kOnFraction);
   for (std::size_t i = 0; i < on_.size(); ++i) {
     while (flipAt_[i] <= t) {
       on_[i] = on_[i] ? 0 : 1;
@@ -100,11 +99,10 @@ double ArrivalProcess::crowdFactor(sim::SimTime t) const {
 double ArrivalProcess::rateAt(sim::SimTime t) const {
   double rate = shape_.baseRate() * shape_.diurnal.at(t) * crowdFactor(t);
   if (shape_.process == TrafficShape::Process::kOnOff && !on_.empty()) {
-    const double f = std::clamp(shape_.onFraction, 0.01, 1.0);
     int active = 0;
     for (char c : on_) active += c;
     rate *= static_cast<double>(active) /
-            (static_cast<double>(on_.size()) * f);
+            (static_cast<double>(on_.size()) * kOnFraction);
   }
   return std::max(rate, 0.0);
 }

@@ -38,6 +38,13 @@ struct FlashCrowd {
   double factor = 1.0;
 };
 
+/// kOnOff: the long-run fraction of time a sub-source is on, and the
+/// shape of its Pareto on/off periods (heavy-tailed for 1 < shape < 2).
+inline constexpr double kOnFraction = 0.25;
+inline constexpr double kParetoShape = 1.5;
+static_assert(kOnFraction > 0 && kOnFraction <= 1);
+static_assert(kParetoShape > 1);
+
 /// Shape of one TrafficSource's aggregated population: ~10^4 modeled users
 /// collapse into a single open-loop arrival process of mean rate
 /// users * opsPerUserPerSec, modulated by the diurnal curve and flash
@@ -54,15 +61,13 @@ struct TrafficShape {
   double opsPerUserPerSec = 1.0;
 
   // kOnOff only: the population is split into `onOffSources` independent
-  // sub-sources, each alternating Pareto(paretoShape) on/off periods with
-  // the given mean on-duration and on-time fraction. While on, a sub-source
-  // emits at rate baseRate/(onOffSources*onFraction), so the long-run mean
-  // matches baseRate but the instantaneous rate is bursty at every scale
-  // the heavy tail spans.
+  // sub-sources, each alternating Pareto(kParetoShape) on/off periods with
+  // the given mean on-duration and on-time fraction kOnFraction. While on,
+  // a sub-source emits at rate baseRate/(onOffSources*kOnFraction), so the
+  // long-run mean matches baseRate but the instantaneous rate is bursty at
+  // every scale the heavy tail spans.
   int onOffSources = 32;
-  double onFraction = 0.25;
   sim::Duration onMean = sim::msec(200);
-  double paretoShape = 1.5;
 
   DiurnalCurve diurnal;
   std::vector<FlashCrowd> flashCrowds;

@@ -11,9 +11,6 @@ const char* opcodeName(Opcode op) {
     case Opcode::kRead: return "read";
     case Opcode::kWrite: return "write";
     case Opcode::kRemove: return "remove";
-    case Opcode::kScan: return "scan";
-    case Opcode::kMultiRead: return "multi_read";
-    case Opcode::kMultiWrite: return "multi_write";
     case Opcode::kBackupWrite: return "backup_write";
     case Opcode::kBackupFree: return "backup_free";
     case Opcode::kGetSegmentList: return "get_segment_list";
@@ -39,12 +36,9 @@ const char* opcodeName(Opcode op) {
 power::OpClass opcodeClass(Opcode op) {
   switch (op) {
     case Opcode::kRead:
-    case Opcode::kScan:
-    case Opcode::kMultiRead:
       return power::OpClass::kRead;
     case Opcode::kWrite:
     case Opcode::kRemove:
-    case Opcode::kMultiWrite:
     case Opcode::kTxPrepare:
     case Opcode::kTxDecision:
       return power::OpClass::kUpdate;

@@ -20,9 +20,6 @@ enum class Opcode : std::uint8_t {
   kRead,
   kWrite,
   kRemove,
-  kScan,       ///< enumerate a tablet's objects (paper SS X future work)
-  kMultiRead,  ///< batched reads (RAMCloud's multiRead API)
-  kMultiWrite, ///< batched writes
   kBackupWrite,        ///< master -> backup: replicate segment data
   kBackupFree,         ///< coordinator -> backup: drop dead master's frames
   kGetSegmentList,     ///< coordinator -> backup: frames held for a master
@@ -90,14 +87,15 @@ struct RpcRequest {
   /// has already abandoned (docs/SLO.md).
   std::uint16_t tenant = 0;
   /// Linearizability header (docs/LINEARIZABILITY.md). clientId == 0 means
-  /// the RPC is untracked (at-least-once, the pre-RIFL behaviour); batched
-  /// and bulk-load paths stay untracked. A retried RPC carries the *same*
+  /// the RPC is untracked (at-least-once, the pre-RIFL behaviour); the
+  /// bulk-load path stays untracked. A retried RPC carries the *same*
   /// (clientId, rpcSeq), which is what lets the owner suppress duplicates.
   std::uint64_t clientId = 0;
   std::uint64_t rpcSeq = 0;
   std::uint64_t firstUnacked = 0;  ///< master may GC results below this
-  /// Batched-op key list (kMultiRead/kMultiWrite). Shared so the copy in
-  /// flight costs nothing; the wire bytes are charged via payloadBytes.
+  /// Key list: the participants of a kTxPrepare or kTxResolve. Shared so
+  /// the copy in flight costs nothing; the wire bytes are charged via
+  /// payloadBytes.
   std::shared_ptr<const std::vector<std::uint64_t>> keys;
 };
 

@@ -43,39 +43,6 @@ MetricRegistry::Entry& MetricRegistry::upsert(const std::string& name,
   return *entries_.back();
 }
 
-Counter& MetricRegistry::counter(const std::string& name,
-                                 const std::string& unit) {
-  Entry& e = upsert(name, MetricKind::kCounter, unit);
-  if (!e.ownedCounter) {
-    e.ownedCounter = std::make_unique<Counter>();
-    Counter* c = e.ownedCounter.get();
-    e.read = [c] { return static_cast<double>(c->value()); };
-  }
-  return *e.ownedCounter;
-}
-
-Gauge& MetricRegistry::gauge(const std::string& name,
-                             const std::string& unit) {
-  Entry& e = upsert(name, MetricKind::kGauge, unit);
-  if (!e.ownedGauge) {
-    e.ownedGauge = std::make_unique<Gauge>();
-    Gauge* g = e.ownedGauge.get();
-    e.read = [g] { return g->value(); };
-  }
-  return *e.ownedGauge;
-}
-
-sim::Histogram& MetricRegistry::histogram(const std::string& name,
-                                          const std::string& unit) {
-  Entry& e = upsert(name, MetricKind::kHistogram, unit);
-  if (!e.ownedHistogram) {
-    e.ownedHistogram = std::make_unique<sim::Histogram>();
-    sim::Histogram* h = e.ownedHistogram.get();
-    e.readHist = [h]() -> const sim::Histogram* { return h; };
-  }
-  return *e.ownedHistogram;
-}
-
 void MetricRegistry::probeCounter(const std::string& name,
                                   const std::string& unit,
                                   std::function<double()> fn) {
@@ -133,30 +100,6 @@ const sim::Histogram* MetricRegistry::histogramAt(
   if (it == index_.end()) return nullptr;
   const Entry& e = *entries_[it->second];
   return e.readHist ? e.readHist() : nullptr;
-}
-
-MetricRegistry::Snapshot MetricRegistry::snapshotValues() const {
-  Snapshot s;
-  for (const auto& e : entries_) {
-    if (e->read) s[e->info.name] = e->read();
-  }
-  return s;
-}
-
-double MetricRegistry::delta(const Snapshot& before, const Snapshot& after,
-                             const std::string& name) {
-  const auto b = before.find(name);
-  const auto a = after.find(name);
-  const double bv = b == before.end() ? 0 : b->second;
-  const double av = a == after.end() ? 0 : a->second;
-  return av - bv;
-}
-
-double MetricRegistry::rate(const Snapshot& before, const Snapshot& after,
-                            const std::string& name, sim::SimTime from,
-                            sim::SimTime to) {
-  if (to <= from) return 0;
-  return delta(before, after, name) / sim::toSeconds(to - from);
 }
 
 }  // namespace rc::obs

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "sim/stats.hpp"
-#include "sim/time.hpp"
 
 namespace rc::obs {
 
@@ -19,26 +18,6 @@ namespace rc::obs {
 enum class MetricKind : std::uint8_t { kCounter, kGauge, kHistogram };
 
 const char* kindName(MetricKind k);
-
-/// Cumulative event counter owned by the registry.
-class Counter {
- public:
-  void inc(std::uint64_t n = 1) { value_ += n; }
-  std::uint64_t value() const { return value_; }
-
- private:
-  std::uint64_t value_ = 0;
-};
-
-/// Settable instantaneous value owned by the registry.
-class Gauge {
- public:
-  void set(double v) { value_ = v; }
-  double value() const { return value_; }
-
- private:
-  double value_ = 0;
-};
 
 /// Export-ready digest of a latency histogram, in microseconds. All
 /// percentiles are guaranteed inside [min, max] of the observed samples
@@ -63,12 +42,10 @@ struct MetricInfo {
 /// Cluster-wide metric registry (the repro's RawMetrics equivalent).
 ///
 /// Components register metrics under a hierarchical dotted path at
-/// construction time. Two registration styles:
-///  - owned: counter()/gauge()/histogram() return a reference the component
-///    updates directly (create-or-get by name);
-///  - probe: probeCounter()/probeGauge()/probeHistogram() register a callback
-///    that reads an existing component statistic, so legacy stats structs
-///    plug in without restructuring.
+/// construction time: probeCounter()/probeGauge()/probeHistogram() register
+/// a callback that reads an existing component statistic, so the registry
+/// owns no values. Registering a name again replaces its callback and keeps
+/// its position.
 ///
 /// Enumeration order is insertion order, which is deterministic because
 /// cluster construction is.
@@ -77,10 +54,6 @@ class MetricRegistry {
   MetricRegistry() = default;
   MetricRegistry(const MetricRegistry&) = delete;
   MetricRegistry& operator=(const MetricRegistry&) = delete;
-
-  Counter& counter(const std::string& name, const std::string& unit);
-  Gauge& gauge(const std::string& name, const std::string& unit);
-  sim::Histogram& histogram(const std::string& name, const std::string& unit);
 
   /// `fn` must return the cumulative count so far (monotone nondecreasing).
   void probeCounter(const std::string& name, const std::string& unit,
@@ -110,26 +83,11 @@ class MetricRegistry {
   /// Histogram behind `name` (nullptr if absent or not a histogram).
   const sim::Histogram* histogramAt(const std::string& name) const;
 
-  /// Point-in-time values of every counter and gauge. Delta/rate between
-  /// two snapshots gives windowed statistics for free.
-  using Snapshot = std::map<std::string, double>;
-  Snapshot snapshotValues() const;
-
-  static double delta(const Snapshot& before, const Snapshot& after,
-                      const std::string& name);
-  /// delta / window, guarded: zero-length or inverted windows yield 0.
-  static double rate(const Snapshot& before, const Snapshot& after,
-                     const std::string& name, sim::SimTime from,
-                     sim::SimTime to);
-
  private:
   struct Entry {
     MetricInfo info;
     std::function<double()> read;                      // counter/gauge
     std::function<const sim::Histogram*()> readHist;   // histogram
-    std::unique_ptr<Counter> ownedCounter;
-    std::unique_ptr<Gauge> ownedGauge;
-    std::unique_ptr<sim::Histogram> ownedHistogram;
   };
 
   Entry& upsert(const std::string& name, MetricKind kind,

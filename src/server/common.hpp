@@ -55,9 +55,6 @@ constexpr sim::Duration kReplication = sim::msec(800);
 constexpr sim::Duration kPing = sim::msec(150);
 constexpr sim::Duration kRecoveryData = sim::seconds(30);
 constexpr sim::Duration kControl = sim::seconds(5);
-/// A scan part: its master probes every index entry (kScanPerEntryCpu
-/// each), so a 10 M-object master needs 1.5 s, longer than kClientOp.
-constexpr sim::Duration kScan = sim::seconds(30);
 }  // namespace timeouts
 
 /// The shared jittered-backoff policy lives in sim/backoff.hpp; server and

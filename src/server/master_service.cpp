@@ -4,7 +4,6 @@
 #include <cmath>
 #include <atomic>
 #include <cstdio>
-#include <span>
 #include <utility>
 
 #include "server/backup_service.hpp"
@@ -107,12 +106,6 @@ void MasterService::handleRpc(const net::RpcRequest& req, node::NodeId from,
     case net::Opcode::kRead:
       read = &MasterService::readBody;
       break;
-    case net::Opcode::kScan:
-      read = &MasterService::scanBody;
-      break;
-    case net::Opcode::kMultiRead:
-      read = &MasterService::multiReadBody;
-      break;
     case net::Opcode::kTxPrepare:
       if (req.payloadBytes == 0) {
         read = &MasterService::validateBody;
@@ -128,9 +121,6 @@ void MasterService::handleRpc(const net::RpcRequest& req, node::NodeId from,
       break;
     case net::Opcode::kTxDecision:
       mutation = &MasterService::decisionBody;
-      break;
-    case net::Opcode::kMultiWrite:
-      mutation = &MasterService::multiWriteBody;
       break;
     case net::Opcode::kPing:
       // Pings are answered by the dispatch thread itself.
@@ -194,20 +184,14 @@ void MasterService::handleRpc(const net::RpcRequest& req, node::NodeId from,
   m->tenant = req.tenant;
   m->arrival = node_.sim().now();
   m->respond = std::move(respond);
-  m->keys = req.keys;
-  if (req.op == net::Opcode::kMultiWrite) {
-    m->valueBytes = static_cast<std::uint32_t>(req.b);
+  m->keyId = req.b;
+  m->valueBytes = static_cast<std::uint32_t>(req.payloadBytes);
+  m->txId = req.d;
+  if (req.op == net::Opcode::kTxDecision) {
+    m->commit = (req.c & 1) != 0;
+    m->fromResolution = (req.c & 2) != 0;
   } else {
-    m->keyId = req.b;
-    m->endHash = req.c;
-    m->valueBytes = static_cast<std::uint32_t>(req.payloadBytes);
-    m->txId = req.d;
-    if (req.op == net::Opcode::kTxDecision) {
-      m->commit = (req.c & 1) != 0;
-      m->fromResolution = (req.c & 2) != 0;
-    } else {
-      m->expected = req.c;
-    }
+    m->expected = req.c;
   }
   if (req.op == net::Opcode::kTxPrepare && req.keys && !req.keys->empty()) {
     // Participant key list packed as alternating (tableId, keyId) pairs.
@@ -296,17 +280,6 @@ void MasterService::registerTabletHeat(std::uint64_t tableId,
 bool MasterService::ownsKey(std::uint64_t tableId, std::uint64_t keyId) const {
   return tabletFor(tableId, hash::keyHash(hash::Key{tableId, keyId})) !=
          nullptr;
-}
-
-bool MasterService::ownsRange(std::uint64_t tableId, std::uint64_t first,
-                              std::uint64_t last) const {
-  // Adjacent tablets of this master may share the range between them.
-  for (std::uint64_t h = first;;) {
-    const Tablet* t = tabletFor(tableId, h);
-    if (t == nullptr) return false;
-    if (t->endHash >= last) return true;
-    h = t->endHash + 1;
-  }
 }
 
 MasterService::ApplyResult MasterService::applyWrite(std::uint64_t tableId,
@@ -400,11 +373,11 @@ void MasterService::serveRead(RequestPtr r, ReadBody body) {
       map_.prefetchEntry(hash::Key{r->tableId, r->keyId});
     }
     node_.sim().schedule(
-        readServiceTime(*r), guard([this, r, body, w]() mutable {
+        params_.readServiceTime, guard([this, r, body, w]() mutable {
           node_.cpu().releaseWorker(w);
           net::RpcResponse reply;
-          if (const std::uint64_t reads = (this->*body)(*r, reply)) {
-            stats_.reads += reads;
+          if ((this->*body)(*r, reply)) {
+            ++stats_.reads;
             stats_.readServiceLatency.add(node_.sim().now() - r->arrival);
             dispatch_.noteSojourn(node_.sim().now() - r->arrival);
           }
@@ -416,58 +389,21 @@ void MasterService::serveRead(RequestPtr r, ReadBody body) {
 
 bool MasterService::admitRead(Request& r) {
   stampTrace(r.span, obs::TimeTrace::Stage::kDispatchWait);
-  if (r.op == net::Opcode::kMultiRead && (!r.keys || r.keys->empty())) {
-    return reject(r.respond, net::Status::kError);
-  }
-  const auto keys = r.op == net::Opcode::kMultiRead
-                        ? std::span<const std::uint64_t>(*r.keys)
-                        : std::span<const std::uint64_t>(&r.keyId, 1);
-  // A batch is not split: one key owned elsewhere sends it all back.
-  const bool owned =
-      r.op == net::Opcode::kScan
-          ? ownsRange(r.tableId, r.keyId, r.endHash)
-          : std::ranges::all_of(keys, [&](std::uint64_t k) {
-              return ownsKey(r.tableId, k);
-            });
-  if (!owned) {
+  const std::uint64_t h = hash::keyHash(hash::Key{r.tableId, r.keyId});
+  if (tabletFor(r.tableId, h) == nullptr) {
     ++stats_.unknownTablet;
     return reject(r.respond, net::Status::kUnknownTablet);
   }
-  if (r.op == net::Opcode::kTxPrepare &&
-      isMigratingRange(r.tableId,
-                       hash::keyHash(hash::Key{r.tableId, r.keyId}))) {
+  if (r.op == net::Opcode::kTxPrepare && isMigratingRange(r.tableId, h)) {
     // A validation answers like a locking prepare: the client backs off and
     // re-routes once the coordinator flips the tablet map.
     return reject(r.respond, net::Status::kRecovering);
   }
-  if (r.op == net::Opcode::kScan) {
-    noteTabletOp(r.tableId, r.keyId, /*isWrite=*/false);
-    return true;
-  }
-  for (const std::uint64_t k : keys) {
-    noteTabletOp(r.tableId, hash::keyHash(hash::Key{r.tableId, k}),
-                 /*isWrite=*/false);
-  }
+  noteTabletOp(r.tableId, h, /*isWrite=*/false);
   return true;
 }
 
-sim::Duration MasterService::readServiceTime(const Request& r) const {
-  switch (r.op) {
-    case net::Opcode::kScan:
-      // Every index entry costs a probe, inside the range or not.
-      return kScanSetupCpu +
-             kScanPerEntryCpu * static_cast<sim::Duration>(map_.size());
-    case net::Opcode::kMultiRead:
-      return kMultiOpBaseCpu +
-             kMultiReadPerKeyCpu *
-                 static_cast<sim::Duration>(r.keys->size());
-    default:
-      return params_.readServiceTime;
-  }
-}
-
-std::uint64_t MasterService::readBody(const Request& r,
-                                      net::RpcResponse& reply) {
+bool MasterService::readBody(const Request& r, net::RpcResponse& reply) {
   if (const auto loc = map_.get(hash::Key{r.tableId, r.keyId})) {
     reply.a = 1;
     reply.b = loc->version;
@@ -476,11 +412,10 @@ std::uint64_t MasterService::readBody(const Request& r,
   } else {
     ++stats_.missingKeys;
   }
-  return 1;
+  return true;
 }
 
-std::uint64_t MasterService::validateBody(const Request& r,
-                                          net::RpcResponse& reply) {
+bool MasterService::validateBody(const Request& r, net::RpcResponse& reply) {
   // The read version must still be current and the object unlocked. No
   // lock, no log record — the client decides locally from the votes.
   const auto loc = map_.get(hash::Key{r.tableId, r.keyId});
@@ -492,64 +427,22 @@ std::uint64_t MasterService::validateBody(const Request& r,
   } else if (reply.b != r.expected) {
     reply.status = net::Status::kVersionMismatch;
   }
-  return 0;
-}
-
-std::uint64_t MasterService::scanBody(const Request& r,
-                                      net::RpcResponse& reply) {
-  map_.forEach([&](const hash::Key& k, const hash::ObjectLocation& loc) {
-    if (k.tableId != r.tableId) return;
-    const std::uint64_t h = hash::keyHash(k);
-    if (h < r.keyId || h > r.endHash) return;
-    ++reply.a;
-    reply.payloadBytes += loc.sizeBytes;
-  });
-  node_.chargeDram(reply.payloadBytes, {power::OpClass::kRead, r.tenant});
-  return 1;
-}
-
-std::uint64_t MasterService::multiReadBody(const Request& r,
-                                           net::RpcResponse& reply) {
-  for (const std::uint64_t key : *r.keys) {
-    if (const auto loc = map_.get(hash::Key{r.tableId, key})) {
-      ++reply.a;
-      reply.payloadBytes += loc->sizeBytes;
-    }
-  }
-  reply.b = r.keys->size() - reply.a;  // missing
-  stats_.missingKeys += reply.b;
-  node_.chargeDram(reply.payloadBytes, {power::OpClass::kRead, r.tenant});
-  return r.keys->size();
+  return false;
 }
 
 bool MasterService::admit(Request& m) {
   stampTrace(m.span, obs::TimeTrace::Stage::kDispatchWait);
-  if (m.op == net::Opcode::kMultiWrite) {
-    if (!m.keys || m.keys->empty()) {
-      return reject(m.respond, net::Status::kError);
-    }
-    // As for a multi-read, one key owned elsewhere sends the whole batch
-    // back, so a part routed from a stale map re-splits at the client. The
-    // fence and lock rules are applied key by key in the body.
-    if (!std::ranges::all_of(*m.keys, [&](std::uint64_t k) {
-          return ownsKey(m.tableId, k);
-        })) {
-      ++stats_.unknownTablet;
-      return reject(m.respond, net::Status::kUnknownTablet);
-    }
-  } else {
-    const std::uint64_t h = hash::keyHash(hash::Key{m.tableId, m.keyId});
-    if (tabletFor(m.tableId, h) == nullptr) {
-      ++stats_.unknownTablet;
-      return reject(m.respond, net::Status::kUnknownTablet);
-    }
-    if (isMigratingRange(m.tableId, h)) {
-      // The range is being shipped elsewhere; the client backs off and
-      // re-routes once the coordinator flips the tablet map.
-      return reject(m.respond, net::Status::kRecovering);
-    }
-    noteTabletOp(m.tableId, h, /*isWrite=*/true);
+  const std::uint64_t h = hash::keyHash(hash::Key{m.tableId, m.keyId});
+  if (tabletFor(m.tableId, h) == nullptr) {
+    ++stats_.unknownTablet;
+    return reject(m.respond, net::Status::kUnknownTablet);
   }
+  if (isMigratingRange(m.tableId, h)) {
+    // The range is being shipped elsewhere; the client backs off and
+    // re-routes once the coordinator flips the tablet map.
+    return reject(m.respond, net::Status::kRecovering);
+  }
+  noteTabletOp(m.tableId, h, /*isWrite=*/true);
   if (m.clientId == 0) {
     // A locking prepare must be RIFL-tracked: without a lease there is no
     // owner to reclaim the lock from when the client dies.
@@ -596,10 +489,6 @@ sim::Duration MasterService::commitServiceTime(const Request& m) const {
       return kRemoveServiceTime;
     case net::Opcode::kTxDecision:
       return params_.writeAppendCpu;
-    case net::Opcode::kMultiWrite:
-      return kMultiOpBaseCpu +
-             kMultiWritePerKeyCpu *
-                 static_cast<sim::Duration>(m.keys->size());
     default: {
       // Thread-handling cost under concurrency (Finding 2's root cause): the
       // more distinct streams hammer this server, the more futile context
@@ -656,10 +545,8 @@ void MasterService::commit(RequestPtr m, Body body) {
                     finish(true);
                   }));
             } else {
-              // A single-key body keeps its entries in one segment
-              // (ensureHeadRoom), so they sync as one append. A multi-write
-              // syncs its bytes against the head; segments it filled are
-              // closed by the seal chain.
+              // A body keeps its entries in one segment (ensureHeadRoom),
+              // so they sync as one append.
               replicaMgr_.replicateAppend(segment, bytes, std::move(finish));
             }
           }));
@@ -698,9 +585,8 @@ void MasterService::finishCommit(Request& m, Outcome& o, int w, bool ok) {
       unacked_.recordCompletion(m.clientId, m.rpcSeq, rr);
     }
   }
-  if (o.counted > 0) {
-    (m.op == net::Opcode::kRemove ? stats_.removes : stats_.writes) +=
-        o.counted;
+  if (o.counted) {
+    ++(m.op == net::Opcode::kRemove ? stats_.removes : stats_.writes);
     stats_.writeServiceLatency.add(node_.sim().now() - m.arrival);
     dispatch_.noteSojourn(node_.sim().now() - m.arrival);
   }
@@ -796,7 +682,7 @@ MasterService::Outcome MasterService::prepareBody(Request& m) {
   // the sojourn estimate.
   auto answer = [this, &m](net::Status verdict, std::uint64_t version) {
     Outcome o = refuse(m, verdict, version);
-    o.counted = 0;
+    o.counted = false;
     return o;
   };
   if (txLocks_.isFencedAborted(m.txId)) {
@@ -1117,34 +1003,6 @@ void MasterService::onMigrationTaskFinished(MigrationTask* task) {
       return p.get() == task;
     });
   }));
-}
-
-MasterService::Outcome MasterService::multiWriteBody(Request& m) {
-  // Every key passes the single-key rules. A refused key (migration fence,
-  // prepared tx lock, or a tablet dropped since admission) is not applied
-  // and is reported as not served.
-  Outcome o;
-  o.counted = 0;
-  for (const std::uint64_t key : *m.keys) {
-    const std::uint64_t h = hash::keyHash(hash::Key{m.tableId, key});
-    if (tabletFor(m.tableId, h) == nullptr) {
-      ++stats_.unknownTablet;
-      continue;
-    }
-    if (isMigratingRange(m.tableId, h)) continue;
-    if (txLocks_.get(m.tableId, key) != nullptr) {
-      txLocks_.countConflict();
-      continue;
-    }
-    noteTabletOp(m.tableId, h, /*isWrite=*/true);
-    o.bytes += applyWrite(m.tableId, key, m.valueBytes).entryBytes;
-    ++o.counted;
-  }
-  node_.chargeDram(o.bytes, {power::OpClass::kUpdate, m.tenant});
-  o.reply.a = o.counted;
-  o.reply.b = static_cast<std::uint64_t>(m.keys->size()) - o.counted;
-  if (log_.head() != nullptr) o.segment = log_.head()->id();
-  return o;
 }
 
 void MasterService::onMigrateTablet(const net::RpcRequest& req,

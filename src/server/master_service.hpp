@@ -54,17 +54,6 @@ inline constexpr sim::Duration kConcurrencyWindow = sim::msec(50);
 /// Tombstone append CPU for remove operations.
 inline constexpr sim::Duration kRemoveServiceTime = sim::usec(20);
 
-/// Scan (paper SS X future work): per-object CPU while walking the hash
-/// index over a tablet range, plus a fixed setup cost.
-inline constexpr sim::Duration kScanSetupCpu = sim::usec(10);
-inline constexpr sim::Duration kScanPerEntryCpu = sim::nsec(150);
-
-/// Batched operations (multiRead/multiWrite): one dispatch + worker
-/// hand-off amortised over the batch, then a smaller per-key cost.
-inline constexpr sim::Duration kMultiOpBaseCpu = sim::usec(6);
-inline constexpr sim::Duration kMultiReadPerKeyCpu = sim::usec(2);
-inline constexpr sim::Duration kMultiWritePerKeyCpu = sim::usec(8);
-
 /// Recovery replay: CPU per entry re-inserted (hash + log, batched).
 inline constexpr sim::Duration kReplayPerEntryCpu = sim::nsec(1200);
 /// Entries replayed per worker task; small enough that live reads can
@@ -149,9 +138,6 @@ class MasterService : public net::RpcService {
   void addTablet(const Tablet& t);
   const std::vector<Tablet>& tablets() const { return tablets_; }
   bool ownsKey(std::uint64_t tableId, std::uint64_t keyId) const;
-  /// True when this master's tablets cover every hash in [first, last].
-  bool ownsRange(std::uint64_t tableId, std::uint64_t first,
-                 std::uint64_t last) const;
 
   /// Event-free data loading (the paper's unmeasured YCSB load phase).
   /// Fills log + hash table; replica frames are installed afterwards with
@@ -303,20 +289,18 @@ class MasterService : public net::RpcService {
                           TabletHeat& heat);
 
   /// One data-plane RPC from its dispatch-thread admission to its reply:
-  /// a mutation (write, remove, tx prepare, tx decision, multi-write) or a
-  /// read (read, read-only tx validation, scan, multi-read).
+  /// a mutation (write, remove, tx prepare, tx decision) or a read (read,
+  /// read-only tx validation).
   struct Request {
     net::Opcode op = net::Opcode::kWrite;
     std::uint64_t tableId = 0;
-    std::uint64_t keyId = 0;       ///< scan: first hash of the range
-    std::uint64_t endHash = 0;     ///< scan: last hash of the range
+    std::uint64_t keyId = 0;
     std::uint32_t valueBytes = 0;
     std::uint64_t expected = 0;    ///< conditional version (0 = blind)
     std::uint64_t txId = 0;
     bool commit = false;           ///< tx decision: commit (else abort)
     bool fromResolution = false;   ///< tx decision sent by orphan resolution
     log::TxParticipants participants;
-    std::shared_ptr<const std::vector<std::uint64_t>> keys;  ///< batches
     std::uint64_t clientId = 0;    ///< 0 = untracked (no exactly-once)
     std::uint64_t rpcSeq = 0;
     std::uint64_t firstUnacked = 0;
@@ -340,7 +324,7 @@ class MasterService : public net::RpcService {
     log::LogRef record;          ///< RIFL record (completion/prepare/decision)
     log::SegmentId segment = log::kInvalidSegment;  ///< holds the entries
     std::uint64_t bytes = 0;     ///< appended bytes to sync; 0 = reply now
-    std::uint64_t counted = 1;   ///< ops booked to writes/removes
+    bool counted = true;         ///< booked to writes/removes
     bool crashPoint = false;     ///< crash_before_reply may fire here
     std::uint64_t journalSpan = 0;
   };
@@ -360,7 +344,6 @@ class MasterService : public net::RpcService {
   Outcome removeBody(Request& m);
   Outcome prepareBody(Request& m);
   Outcome decisionBody(Request& m);
-  Outcome multiWriteBody(Request& m);
   /// Durable refusal: append (tracked) the completion record that replays
   /// `verdict` to retries.
   Outcome refuse(Request& m, net::Status verdict, std::uint64_t version);
@@ -382,25 +365,20 @@ class MasterService : public net::RpcService {
   /// was installed.
   bool installReplayedPrepare(const log::LogEntry& e, const log::LogRef& ref);
 
-  /// Fills the reply on the worker; returns the reads to book (a
+  /// Fills the reply on the worker; returns whether to book a read (a
   /// validation books none and feeds no sojourn sample).
-  using ReadBody = std::uint64_t (MasterService::*)(const Request&,
-                                                    net::RpcResponse&);
+  using ReadBody = bool (MasterService::*)(const Request&, net::RpcResponse&);
   /// Dispatch-thread admission of a read: dispatch-wait stamp, ownership of
-  /// the key, of every key of a batch or of the scanned range, the
-  /// migration fence (validation only) and tablet heat. Replies and returns
-  /// false when the request goes no further.
+  /// the key, the migration fence (validation only) and tablet heat.
+  /// Replies and returns false when the request goes no further.
   bool admitRead(Request& r);
-  /// One worker hand-off: tag, op-specific service time, release, then
-  /// `body`, read stats and the reply.
+  /// One worker hand-off: tag, read service time, release, then `body`,
+  /// read stats and the reply.
   void serveRead(RequestPtr r, ReadBody body);
-  sim::Duration readServiceTime(const Request& r) const;
 
-  std::uint64_t readBody(const Request& r, net::RpcResponse& reply);
+  bool readBody(const Request& r, net::RpcResponse& reply);
   /// Read-set check of a read-only transaction (docs/TRANSACTIONS.md).
-  std::uint64_t validateBody(const Request& r, net::RpcResponse& reply);
-  std::uint64_t scanBody(const Request& r, net::RpcResponse& reply);
-  std::uint64_t multiReadBody(const Request& r, net::RpcResponse& reply);
+  bool validateBody(const Request& r, net::RpcResponse& reply);
 
   /// Admission refusal: reply `status` and go no further.
   static bool reject(Responder& respond, net::Status status);

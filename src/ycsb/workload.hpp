@@ -12,8 +12,7 @@ namespace rc::ycsb {
 /// names "more workloads" and "different request distributions" as future
 /// work — D (read-latest with inserts) and F (read-modify-write) plus the
 /// zipfian distribution are provided for that. (Workload E needs ordered
-/// range scans, which hash-partitioned RAMCloud tables do not have; our
-/// kScan is a tablet enumeration, not a range query.)
+/// range scans, which hash-partitioned RAMCloud tables do not have.)
 struct WorkloadSpec {
   std::string name = "custom";
   double readProportion = 1.0;

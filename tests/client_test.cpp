@@ -234,17 +234,9 @@ TEST(RamCloudClient, StaleMapRefreshedAfterRecovery) {
   EXPECT_LT(lat, seconds(2));
 }
 
-// ----- scans and multi-ops take the single-key attempt path per part
+// ----- the one attempt path: spans, stalls, overload bounces, re-routing
 
-std::size_t tabletsOf(core::Cluster& c, std::uint64_t table) {
-  std::size_t n = 0;
-  for (const auto& e : c.coord().tabletMap().entries()) {
-    n += e.tablet.tableId == table;
-  }
-  return n;
-}
-
-TEST(RamCloudClient, ScanAndMultiReadOpenOneSpanPerPart) {
+TEST(RamCloudClient, ReadsOpenOneSpanPerAttempt) {
   core::Cluster c(clusterOf(4, 1));
   const auto table = c.createTable("t");
   c.bulkLoad(table, 2'000, 1000);
@@ -253,36 +245,21 @@ TEST(RamCloudClient, ScanAndMultiReadOpenOneSpanPerPart) {
   c.sim().runFor(msec(100));
   const obs::TimeTrace& trace = c.timeTrace();
 
-  std::uint64_t spans = trace.spansStarted();
-  std::uint64_t count = 0;
-  rc.scanTable(table, [&](net::Status s, std::uint64_t n, std::uint64_t) {
-    EXPECT_EQ(s, net::Status::kOk);
-    count = n;
-  });
-  c.sim().runFor(seconds(1));
-  EXPECT_EQ(count, 2'000u);
-  ASSERT_GT(tabletsOf(c, table), 1u);
-  EXPECT_EQ(trace.spansStarted() - spans, tabletsOf(c, table));
-
-  std::vector<std::uint64_t> keys;
+  const std::uint64_t spans = trace.spansStarted();
   std::set<server::ServerId> owners;
+  int ok = 0;
   for (std::uint64_t k = 0; k < 100; ++k) {
-    keys.push_back(k);
     owners.insert(c.ownerOfKey(table, k));
+    rc.read(table, k, [&](net::Status s, sim::Duration) {
+      ok += s == net::Status::kOk;
+    });
   }
-  spans = trace.spansStarted();
-  std::uint64_t served = 0;
-  rc.multiRead(table, keys,
-               [&](net::Status s, std::uint64_t a, std::uint64_t) {
-                 EXPECT_EQ(s, net::Status::kOk);
-                 served = a;
-               });
   c.sim().runFor(seconds(1));
-  EXPECT_EQ(served, 100u);
+  EXPECT_EQ(ok, 100);
   ASSERT_GT(owners.size(), 1u);
-  EXPECT_EQ(trace.spansStarted() - spans, owners.size());
+  EXPECT_EQ(trace.spansStarted() - spans, 100u);
 
-  // Each part's stages decompose its span's total exactly.
+  // Each attempt's stages decompose its span's total exactly.
   std::map<std::uint64_t, sim::Duration> stageSum;
   std::map<std::uint64_t, sim::Duration> total;
   for (const auto& e : trace.entries()) {
@@ -293,64 +270,55 @@ TEST(RamCloudClient, ScanAndMultiReadOpenOneSpanPerPart) {
       stageSum[e.span] += e.elapsed;
     }
   }
-  EXPECT_EQ(total.size(), 1 + tabletsOf(c, table) + owners.size());
+  EXPECT_EQ(total.size(), 1u + 100u);
   for (const auto& [span, t] : total) EXPECT_EQ(stageSum[span], t) << span;
   EXPECT_EQ(trace.spansStarted(), trace.spansCompleted() +
                                       trace.spansAbandoned() +
                                       trace.activeSpans());
 }
 
-TEST(RamCloudClient, StalledClientSendsNoScanOrMultiReadPart) {
+TEST(RamCloudClient, StalledClientSendsNothingUntilStallLifts) {
   core::Cluster c(clusterOf(3, 1));
   const auto table = c.createTable("t");
   c.bulkLoad(table, 300, 1000);
   auto& rc = *c.clientHost(0).rc;
   rc.read(table, 1, [](net::Status, sim::Duration) {});  // warm the map
   c.sim().runFor(msec(100));
-  auto reads = [&c] {
+  auto served = [&c] {
     std::uint64_t n = 0;
     for (int i = 0; i < c.serverCount(); ++i) {
-      n += c.server(i).master->stats().reads;
+      n += c.server(i).master->stats().reads +
+           c.server(i).master->stats().writes;
     }
     return n;
   };
-  const std::uint64_t readsBefore = reads();
+  const std::uint64_t servedBefore = served();
   const std::uint64_t spansBefore = c.timeTrace().spansStarted();
 
   rc.stallFor(msec(50));
   const sim::SimTime lifts = c.sim().now() + msec(50);
-  sim::SimTime scanDone = 0;
-  sim::SimTime multiDone = 0;
-  std::uint64_t scanned = 0;
-  std::uint64_t served = 0;
-  rc.scanTable(table, [&](net::Status s, std::uint64_t n, std::uint64_t) {
+  int ok = 0;
+  sim::SimTime firstDone = 0;
+  auto cb = [&](net::Status s, sim::Duration) {
     EXPECT_EQ(s, net::Status::kOk);
-    scanned = n;
-    scanDone = c.sim().now();
-  });
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t k = 0; k < 30; ++k) keys.push_back(k);
-  rc.multiRead(table, keys,
-               [&](net::Status s, std::uint64_t a, std::uint64_t) {
-                 EXPECT_EQ(s, net::Status::kOk);
-                 served = a;
-                 multiDone = c.sim().now();
-               });
+    ++ok;
+    if (firstDone == 0) firstDone = c.sim().now();
+  };
+  for (std::uint64_t k = 0; k < 30; ++k) rc.read(table, k, cb);
+  rc.write(table, 7, 1000, cb);
   c.sim().runFor(msec(45));
-  EXPECT_EQ(reads(), readsBefore);
+  EXPECT_EQ(served(), servedBefore);
   EXPECT_EQ(c.timeTrace().spansStarted(), spansBefore);
 
   c.sim().runFor(seconds(1));
-  EXPECT_EQ(scanned, 300u);
-  EXPECT_EQ(served, 30u);
-  EXPECT_GE(scanDone, lifts);
-  EXPECT_GE(multiDone, lifts);
+  EXPECT_EQ(ok, 31);
+  EXPECT_GE(firstDone, lifts);
 }
 
-TEST(RamCloudClient, OverloadedMultiWritePartIsRetried) {
-  // A tenant bucket of one token per node: the first batch takes each
-  // node's token, the second batch's parts are bounced with kOverloaded
-  // and must be retried, not failed.
+TEST(RamCloudClient, OverloadedWriteIsRetried) {
+  // A tenant bucket of one token per node: of two writes to a node, the
+  // first takes the token and the second is bounced with kOverloaded and
+  // must be retried, not failed.
   core::Cluster c(clusterOf(2, 1, /*rf=*/1));
   const auto table = c.createTable("t");
   server::QosParams qos;
@@ -365,126 +333,111 @@ TEST(RamCloudClient, OverloadedMultiWritePartIsRetried) {
   auto& rc = *c.clientHost(0).rc;
   rc.setTenant(7);
 
-  std::vector<std::uint64_t> first;
-  std::vector<std::uint64_t> second;
-  for (std::uint64_t k = 0; k < 100; ++k) {
-    (k < 50 ? first : second).push_back(k);
+  std::map<server::ServerId, std::vector<std::uint64_t>> byOwner;
+  for (std::uint64_t k = 0; k < 64; ++k) {
+    auto& keys = byOwner[c.ownerOfKey(table, k)];
+    if (keys.size() < 2) keys.push_back(k);
   }
-  int done = 0;
-  std::uint64_t served = 0;
-  auto cb = [&](net::Status s, std::uint64_t a, std::uint64_t) {
-    EXPECT_EQ(s, net::Status::kOk);
-    served += a;
-    ++done;
-  };
-  rc.multiWrite(table, first, 500, cb);
-  rc.multiWrite(table, second, 500, cb);
+  ASSERT_EQ(byOwner.size(), 2u);
+  int ok = 0;
+  for (const auto& [owner, keys] : byOwner) {
+    for (const std::uint64_t k : keys) {
+      rc.write(table, k, 500, [&](net::Status s, sim::Duration) {
+        EXPECT_EQ(s, net::Status::kOk);
+        ok += s == net::Status::kOk;
+      });
+    }
+  }
   c.sim().runFor(seconds(2));
 
-  EXPECT_EQ(done, 2);
-  EXPECT_EQ(served, 100u);
-  EXPECT_GE(rc.overloadedForOpcode(net::Opcode::kMultiWrite), 1u);
-  EXPECT_GE(rc.retriesForOpcode(net::Opcode::kMultiWrite), 1u);
+  EXPECT_EQ(ok, 4);
+  EXPECT_GE(rc.overloadedForOpcode(net::Opcode::kWrite), 1u);
+  EXPECT_GE(rc.retriesForOpcode(net::Opcode::kWrite), 1u);
   EXPECT_EQ(rc.stats().overloadedGiveUps, 0u);
-  EXPECT_TRUE(c.verifyAllKeysPresent(table, 100));
+  for (const auto& [owner, keys] : byOwner) {
+    for (const std::uint64_t k : keys) {
+      EXPECT_EQ(c.ownerOfKey(table, k), owner);
+      EXPECT_TRUE(c.server(static_cast<int>(owner) - 1)
+                      .master->objectMap()
+                      .get(hash::Key{table, k}))
+          << k;
+    }
+  }
 }
 
-// Moves the first tablet `from` owns to `to` and waits for it to finish.
-void moveTablet(core::Cluster& c, int from, int to) {
+// Caches the client's map, then moves one of server 0's tablets to server
+// 2. Returns keys of `table` whose owner changed, so an op on any of them
+// is first sent to the old owner.
+std::vector<std::uint64_t> moveTabletUnderCachedMap(core::Cluster& c,
+                                                    std::uint64_t table) {
+  auto& rc = *c.clientHost(0).rc;
+  // Warm the map and open the lease, so the op under test is sent at once.
+  rc.write(table, 1, 1000, [](net::Status, sim::Duration) {});
+  c.sim().runFor(msec(100));
+
+  std::vector<server::ServerId> before;
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    before.push_back(c.ownerOfKey(table, k));
+  }
   const auto tablets =
-      c.coord().tabletMap().tabletsOwnedBy(c.serverNodeId(from));
-  ASSERT_FALSE(tablets.empty());
-  bool ok = false;
-  c.migrateTablet(tablets[0], to, [&ok](bool r) { ok = r; });
+      c.coord().tabletMap().tabletsOwnedBy(c.serverNodeId(0));
+  EXPECT_FALSE(tablets.empty());
+  if (tablets.empty()) return {};
+  bool moved = false;
+  c.migrateTablet(tablets[0], 2, [&moved](bool r) { moved = r; });
   c.sim().runFor(seconds(5));
-  ASSERT_TRUE(ok);
+  EXPECT_TRUE(moved);
+  std::vector<std::uint64_t> movedKeys;
+  for (std::uint64_t k = 0; k < 300; ++k) {
+    if (c.ownerOfKey(table, k) != before[k]) movedKeys.push_back(k);
+  }
+  return movedKeys;
 }
 
-// A 3-server cluster whose client has cached a map in which server 0 owns
-// two tablets; one of them has since moved to server 2.
-void staleTwoTabletMap(core::Cluster& c, std::uint64_t table,
-                       const std::vector<std::uint64_t>& keys) {
+TEST(RamCloudClient, StaleMapReadReroutesAfterMigration) {
+  // A read on a moved tablet is refused by the old owner and re-routed to
+  // the new one; each of the two attempts opens its own span.
+  core::Cluster c(clusterOf(3, 1));
+  const auto table = c.createTable("t");
   c.bulkLoad(table, 3'000, 1000);
-  moveTablet(c, 1, 0);
-  std::uint64_t served = 0;
-  c.clientHost(0).rc->multiRead(
-      table, keys, [&](net::Status s, std::uint64_t a, std::uint64_t) {
-        EXPECT_EQ(s, net::Status::kOk);
-        served = a;
-      });
-  c.sim().runFor(seconds(1));
-  ASSERT_EQ(served, keys.size());
-  moveTablet(c, 0, 2);
-}
-
-TEST(RamCloudClient, MultiReadResplitsAfterMigration) {
-  // The batch part sent to server 0 is refused as a whole, and after the
-  // map refresh its keys split across two owners.
-  core::Cluster c(clusterOf(3, 1));
-  const auto table = c.createTable("t");
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t k = 0; k < 300; ++k) keys.push_back(k);
-  staleTwoTabletMap(c, table, keys);
-
   auto& rc = *c.clientHost(0).rc;
-  const std::uint64_t issued = rc.stats().opsIssued;
-  net::Status st = net::Status::kError;
-  std::uint64_t served = 0;
-  std::uint64_t missing = 1;
-  rc.multiRead(table, keys, [&](net::Status s, std::uint64_t a,
-                                std::uint64_t b) {
-    st = s;
-    served = a;
-    missing = b;
-  });
-  c.sim().runFor(seconds(1));
-  EXPECT_EQ(st, net::Status::kOk);
-  EXPECT_EQ(served, 300u);
-  EXPECT_EQ(missing, 0u);
-  EXPECT_GE(rc.stats().staleRoutes, 1u);
-  // Two parts from the stale map, plus one more when the refused part
-  // re-split into two.
-  EXPECT_EQ(rc.stats().opsIssued - issued, 3u);
-}
+  const auto movedKeys = moveTabletUnderCachedMap(c, table);
+  ASSERT_FALSE(movedKeys.empty());
 
-TEST(RamCloudClient, MultiWriteResplitsAfterMigration) {
-  // The write counterpart: the old owner must refuse the part rather than
-  // skip the keys it no longer owns, so every key lands on its new owner.
-  core::Cluster c(clusterOf(3, 1));
-  const auto table = c.createTable("t");
-  std::vector<std::uint64_t> keys;
-  for (std::uint64_t k = 0; k < 300; ++k) keys.push_back(k);
-  staleTwoTabletMap(c, table, keys);
-
-  auto& rc = *c.clientHost(0).rc;
-  const std::uint64_t issued = rc.stats().opsIssued;
-  net::Status st = net::Status::kError;
-  std::uint64_t served = 0;
-  std::uint64_t missing = 1;
-  rc.multiWrite(table, keys, 500,
-                [&](net::Status s, std::uint64_t a, std::uint64_t b) {
-                  st = s;
-                  served = a;
-                  missing = b;
-                });
+  const std::uint64_t spans = c.timeTrace().spansStarted();
+  net::Status status = net::Status::kError;
+  rc.read(table, movedKeys[0],
+          [&](net::Status s, sim::Duration) { status = s; });
   c.sim().runFor(seconds(1));
-  EXPECT_EQ(st, net::Status::kOk);
-  EXPECT_EQ(served, 300u);
-  EXPECT_EQ(missing, 0u);
-  EXPECT_GE(rc.stats().staleRoutes, 1u);
-  EXPECT_EQ(rc.stats().opsIssued - issued, 3u);
+  EXPECT_EQ(status, net::Status::kOk);
+  EXPECT_EQ(rc.stats().staleRoutes, 1u);
+  EXPECT_EQ(c.timeTrace().spansStarted() - spans, 2u);
   EXPECT_TRUE(c.verifyAllKeysPresent(table, 3'000));
-  std::map<server::ServerId, server::MasterService*> masters;
-  for (int i = 0; i < 3; ++i) {
-    masters[c.serverNodeId(i)] = c.server(i).master.get();
-  }
-  for (const std::uint64_t k : keys) {
-    const auto loc = masters.at(c.ownerOfKey(table, k))
-                         ->objectMap()
-                         .get(hash::Key{table, k});
-    ASSERT_TRUE(loc) << k;
-    EXPECT_EQ(loc->sizeBytes, 500u + server::kObjectOverheadBytes) << k;
-  }
+}
+
+TEST(RamCloudClient, StaleMapWriteReroutesAfterMigration) {
+  // A write on a moved tablet is refused by the old owner, re-routed, and
+  // lands on the new owner with its new size.
+  core::Cluster c(clusterOf(3, 1));
+  const auto table = c.createTable("t");
+  c.bulkLoad(table, 3'000, 1000);
+  auto& rc = *c.clientHost(0).rc;
+  const auto movedKeys = moveTabletUnderCachedMap(c, table);
+  ASSERT_FALSE(movedKeys.empty());
+
+  const std::uint64_t spans = c.timeTrace().spansStarted();
+  net::Status status = net::Status::kError;
+  rc.write(table, movedKeys[0], 500,
+           [&](net::Status s, sim::Duration) { status = s; });
+  c.sim().runFor(seconds(1));
+  EXPECT_EQ(status, net::Status::kOk);
+  EXPECT_EQ(rc.stats().staleRoutes, 1u);
+  EXPECT_EQ(c.timeTrace().spansStarted() - spans, 2u);
+  const auto loc = c.server(2).master->objectMap().get(
+      hash::Key{table, movedKeys[0]});
+  ASSERT_TRUE(loc);
+  EXPECT_EQ(loc->sizeBytes, 500u + server::kObjectOverheadBytes);
+  EXPECT_TRUE(c.verifyAllKeysPresent(table, 3'000));
 }
 
 }  // namespace

@@ -90,9 +90,7 @@ TEST(Arrival, OnOffIsBurstierThanPoissonAtSameMean) {
   shape.users = 50'000;
   shape.opsPerUserPerSec = 1.0;
   shape.onOffSources = 8;
-  shape.onFraction = 0.25;
   shape.onMean = msec(50);
-  shape.paretoShape = 1.5;
   load::ArrivalProcess p(shape, sim::Rng(101, 1));
   const BinStats s = binArrivals(p, seconds(5), msec(10));
   // Long-run mean converges to users * opsPerUser (generous tolerance: the

@@ -28,14 +28,15 @@ using Stage = TimeTrace::Stage;
 
 // ----- MetricRegistry
 
-TEST(MetricRegistry, RegistersAndReadsOwnedMetrics) {
+TEST(MetricRegistry, RegistersAndReadsProbedMetrics) {
   MetricRegistry reg;
-  Counter& c = reg.counter("node1.master.reads", "ops");
-  Gauge& g = reg.gauge("node1.master.dispatch.queue_depth", "items");
-  sim::Histogram& h = reg.histogram("node1.master.read_service", "us");
-
-  c.inc(3);
-  g.set(7.5);
+  double reads = 3;
+  double depth = 7.5;
+  sim::Histogram h;
+  reg.probeCounter("node1.master.reads", "ops", [&] { return reads; });
+  reg.probeGauge("node1.master.dispatch.queue_depth", "items",
+                 [&] { return depth; });
+  reg.probeHistogram("node1.master.read_service", "us", [&] { return &h; });
   h.add(usec(100));
 
   EXPECT_TRUE(reg.has("node1.master.reads"));
@@ -48,6 +49,7 @@ TEST(MetricRegistry, RegistersAndReadsOwnedMetrics) {
   // value() on a histogram or an unknown name is 0, not a crash.
   EXPECT_DOUBLE_EQ(reg.value("node1.master.read_service"), 0.0);
   EXPECT_DOUBLE_EQ(reg.value("no.such.metric"), 0.0);
+  EXPECT_EQ(reg.histogramAt("node1.master.reads"), nullptr);
 
   const MetricInfo* info = reg.info("node1.master.reads");
   ASSERT_NE(info, nullptr);
@@ -55,66 +57,51 @@ TEST(MetricRegistry, RegistersAndReadsOwnedMetrics) {
   EXPECT_EQ(info->unit, "ops");
 }
 
-TEST(MetricRegistry, CreateOrGetReturnsSameObject) {
+TEST(MetricRegistry, ReRegisteringANameKeepsOneEntry) {
   MetricRegistry reg;
-  Counter& a = reg.counter("x.ops", "ops");
-  Counter& b = reg.counter("x.ops", "ops");
-  EXPECT_EQ(&a, &b);
-  a.inc();
-  b.inc();
-  EXPECT_DOUBLE_EQ(reg.value("x.ops"), 2.0);
+  double first = 1;
+  double second = 2;
+  reg.probeCounter("x.ops", "ops", [&] { return first; });
+  reg.probeCounter("x.ops", "ops", [&] { return second; });
   EXPECT_EQ(reg.size(), 1u);
+  // The later probe is the one read.
+  EXPECT_DOUBLE_EQ(reg.value("x.ops"), 2.0);
+  second = 5;
+  EXPECT_DOUBLE_EQ(reg.value("x.ops"), 5.0);
 }
 
 TEST(MetricRegistry, ProbesReadLiveComponentState) {
   MetricRegistry reg;
   std::uint64_t legacyCounter = 0;
   double legacyDepth = 0;
+  sim::Histogram latency;
   reg.probeCounter("svc.ops", "ops",
                    [&] { return static_cast<double>(legacyCounter); });
   reg.probeGauge("svc.depth", "items", [&] { return legacyDepth; });
+  reg.probeHistogram("svc.latency", "us", [&] { return &latency; });
   EXPECT_DOUBLE_EQ(reg.value("svc.ops"), 0.0);
+  ASSERT_NE(reg.histogramAt("svc.latency"), nullptr);
+  EXPECT_EQ(reg.histogramAt("svc.latency")->count(), 0u);
   legacyCounter = 42;
   legacyDepth = 3;
+  latency.add(usec(100));
   EXPECT_DOUBLE_EQ(reg.value("svc.ops"), 42.0);
   EXPECT_DOUBLE_EQ(reg.value("svc.depth"), 3.0);
+  EXPECT_EQ(reg.histogramAt("svc.latency")->count(), 1u);
 }
 
 TEST(MetricRegistry, EnumerationIsInsertionOrder) {
   MetricRegistry reg;
-  reg.counter("b.second", "ops");
-  reg.gauge("a.first", "items");  // lexicographically before, inserted after
-  reg.counter("c.third", "ops");
+  auto constant = [](double v) { return [v] { return v; }; };
+  reg.probeCounter("b.second", "ops", constant(1));
+  reg.probeGauge("a.first", "items", constant(2));  // sorts first, added later
+  reg.probeCounter("c.third", "ops", constant(3));
+  // A name registered again keeps its first position.
+  reg.probeCounter("b.second", "ops", constant(4));
   std::vector<std::string> names;
   reg.forEach([&](const MetricInfo& i) { names.push_back(i.name); });
   EXPECT_EQ(names,
             (std::vector<std::string>{"b.second", "a.first", "c.third"}));
-}
-
-TEST(MetricRegistry, SnapshotDeltaAndRate) {
-  MetricRegistry reg;
-  Counter& ops = reg.counter("svc.ops", "ops");
-  Gauge& depth = reg.gauge("svc.depth", "items");
-
-  ops.inc(10);
-  depth.set(2);
-  const MetricRegistry::Snapshot before = reg.snapshotValues();
-  ops.inc(30);
-  depth.set(5);
-  const MetricRegistry::Snapshot after = reg.snapshotValues();
-
-  EXPECT_DOUBLE_EQ(MetricRegistry::delta(before, after, "svc.ops"), 30.0);
-  EXPECT_DOUBLE_EQ(MetricRegistry::delta(before, after, "svc.depth"), 3.0);
-  EXPECT_DOUBLE_EQ(MetricRegistry::delta(before, after, "missing"), 0.0);
-  EXPECT_DOUBLE_EQ(
-      MetricRegistry::rate(before, after, "svc.ops", 0, seconds(2)), 15.0);
-  // Degenerate windows are guarded.
-  EXPECT_DOUBLE_EQ(
-      MetricRegistry::rate(before, after, "svc.ops", seconds(2), seconds(2)),
-      0.0);
-  EXPECT_DOUBLE_EQ(
-      MetricRegistry::rate(before, after, "svc.ops", seconds(3), seconds(2)),
-      0.0);
 }
 
 // ----- TimeTrace
@@ -472,12 +459,14 @@ TEST(EventJournal, RegisterMetricsExposesCounters) {
 TEST(StatsSampler, CountersBecomeRatesGaugesSampledVerbatim) {
   sim::Simulation sim;
   MetricRegistry reg;
-  Counter& ops = reg.counter("svc.ops", "ops");
-  Gauge& depth = reg.gauge("svc.depth", "items");
+  std::uint64_t ops = 0;
+  double depth = 0;
+  reg.probeCounter("svc.ops", "ops", [&] { return static_cast<double>(ops); });
+  reg.probeGauge("svc.depth", "items", [&] { return depth; });
   // 10 increments per simulated second.
   sim::PeriodicTask gen(sim, msec(100), [&](sim::SimTime now) {
-    ops.inc();
-    depth.set(sim::toSeconds(now));
+    ++ops;
+    depth = sim::toSeconds(now);
   });
   StatsSampler sampler(sim, reg);
   sim.runUntil(seconds(5) + msec(1));
@@ -502,7 +491,7 @@ TEST(StatsSampler, CountersBecomeRatesGaugesSampledVerbatim) {
 TEST(StatsSampler, TicksAlignWithOtherOneHertzTasks) {
   sim::Simulation sim;
   MetricRegistry reg;
-  reg.gauge("g", "items");
+  reg.probeGauge("g", "items", [] { return 0.0; });
   // A stand-in for the PDU sampler: a PeriodicTask started at the same sim
   // time with the same interval.
   std::vector<sim::SimTime> pduTicks;
@@ -523,10 +512,11 @@ TEST(StatsSampler, TicksAlignWithOtherOneHertzTasks) {
 TEST(StatsSampler, PicksUpLateRegisteredMetrics) {
   sim::Simulation sim;
   MetricRegistry reg;
-  reg.gauge("early", "items");
+  reg.probeGauge("early", "items", [] { return 0.0; });
   StatsSampler sampler(sim, reg);
   sim.runUntil(seconds(2) + msec(1));
-  reg.gauge("late", "items").set(9);  // e.g. YCSB clients created mid-run
+  // e.g. YCSB clients created mid-run
+  reg.probeGauge("late", "items", [] { return 9.0; });
   sim.runUntil(seconds(4) + msec(1));
 
   ASSERT_NE(sampler.find("early"), nullptr);
@@ -541,10 +531,11 @@ TEST(StatsSampler, PicksUpLateRegisteredMetrics) {
 TEST(MetricsExporter, JsonlRoundTrip) {
   sim::Simulation sim;
   MetricRegistry reg;
-  reg.counter("svc.ops", "ops").inc(123);
-  reg.gauge("svc.depth", "items").set(4.5);
-  sim::Histogram& h = reg.histogram("svc.latency", "us");
+  sim::Histogram h;
   for (int i = 1; i <= 100; ++i) h.add(usec(i * 10));
+  reg.probeCounter("svc.ops", "ops", [] { return 123.0; });
+  reg.probeGauge("svc.depth", "items", [] { return 4.5; });
+  reg.probeHistogram("svc.latency", "us", [&h] { return &h; });
 
   StatsSampler sampler(sim, reg);
   sim.runUntil(seconds(3) + msec(1));

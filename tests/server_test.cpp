@@ -165,24 +165,6 @@ TEST(MasterService, WrongOwnerReturnsUnknownTablet) {
   EXPECT_EQ(r.status, net::Status::kUnknownTablet);
 }
 
-net::RpcRequest scanReq(std::uint64_t table, const Tablet& range) {
-  net::RpcRequest r;
-  r.op = net::Opcode::kScan;
-  r.a = table;
-  r.b = range.startHash;
-  r.c = range.endHash;
-  return r;
-}
-
-net::RpcRequest multiReadReq(std::uint64_t table,
-                             std::vector<std::uint64_t> keys) {
-  net::RpcRequest r;
-  r.op = net::Opcode::kMultiRead;
-  r.a = table;
-  r.keys = std::make_shared<const std::vector<std::uint64_t>>(std::move(keys));
-  return r;
-}
-
 /// Read-only transaction validation: a tx prepare without a payload.
 net::RpcRequest validateReq(std::uint64_t table, std::uint64_t key,
                             std::uint64_t version) {
@@ -195,65 +177,10 @@ net::RpcRequest validateReq(std::uint64_t table, std::uint64_t key,
   return r;
 }
 
-// A scan sent to a master that owns no tablet covering the range must say
-// so; answering "0 objects" would silently undercount a stale-map scan.
-TEST(MasterService, ScanOfRangeOwnedElsewhereIsUnknownTablet) {
-  core::Cluster c(smallCluster(2, 0));
-  const auto table = c.createTable("t");
-  c.bulkLoad(table, 100, 1000);
-  const auto mine = c.coord().tabletMap().tabletsOwnedBy(c.serverNodeId(0));
-  ASSERT_EQ(mine.size(), 1u);
-  const auto owned = callSync(c, c.serverNodeId(0), scanReq(table, mine[0]));
-  EXPECT_EQ(owned.status, net::Status::kOk);
-  EXPECT_GT(owned.a, 0u);
-
-  const auto r = callSync(c, c.serverNodeId(1), scanReq(table, mine[0]));
-  EXPECT_EQ(r.status, net::Status::kUnknownTablet);
-  EXPECT_EQ(c.server(1).master->stats().unknownTablet, 1u);
-  // A range that only starts on the other master is not covered either.
-  Tablet wider = mine[0];
-  wider.startHash = 0;
-  wider.endHash = ~0ULL;
-  EXPECT_EQ(callSync(c, c.serverNodeId(0), scanReq(table, wider)).status,
-            net::Status::kUnknownTablet);
-}
-
-// A multi-read holding a key the master does not own must not report that
-// key as absent: the caller could not tell "absent" from "ask the owner".
-TEST(MasterService, MultiReadWithKeyOwnedElsewhereIsUnknownTablet) {
-  core::Cluster c(smallCluster(2, 0));
-  const auto table = c.createTable("t");
-  c.bulkLoad(table, 100, 1000);
-  std::vector<std::uint64_t> mine;
-  std::uint64_t foreign = 0;
-  for (std::uint64_t k = 0; k < 100; ++k) {
-    if (c.ownerOfKey(table, k) == c.serverNodeId(0)) {
-      mine.push_back(k);
-    } else {
-      foreign = k;
-    }
-  }
-  ASSERT_GE(mine.size(), 2u);
-  ASSERT_NE(c.ownerOfKey(table, foreign), c.serverNodeId(0));
-  const auto& st = c.server(0).master->stats();
-
-  auto r = callSync(c, c.serverNodeId(0), multiReadReq(table, {mine[0],
-                                                               foreign}));
-  EXPECT_EQ(r.status, net::Status::kUnknownTablet);
-  EXPECT_EQ(st.unknownTablet, 1u);
-  EXPECT_EQ(st.reads, 0u);
-  EXPECT_EQ(st.missingKeys, 0u);
-
-  r = callSync(c, c.serverNodeId(0), multiReadReq(table, {mine[0], mine[1]}));
-  EXPECT_EQ(r.status, net::Status::kOk);
-  EXPECT_EQ(r.a, 2u);
-  EXPECT_EQ(r.b, 0u);
-}
-
-// Read, tx validation, scan and multi-read pass one admission step and one
-// worker hand-off: each is tagged as a read, books tablet heat, and
-// counts reads and missing keys by the same rules; each is refused by a
-// non-owner the same way.
+// Read and tx validation pass one admission step and one worker hand-off:
+// each is tagged as a read, books tablet heat, and counts reads and
+// missing keys by the same rules; each is refused by a non-owner the same
+// way.
 TEST(MasterService, ReadPathOpcodesShareAdmissionAndWorkerHandOff) {
   core::Cluster c(smallCluster(2, 0));
   const auto table = c.createTable("t");
@@ -261,14 +188,8 @@ TEST(MasterService, ReadPathOpcodesShareAdmissionAndWorkerHandOff) {
   const node::NodeId owner = c.ownerOfKey(table, 3);
   const node::NodeId other =
       owner == c.serverNodeId(0) ? c.serverNodeId(1) : c.serverNodeId(0);
-  std::vector<std::uint64_t> ownedKeys;
-  for (std::uint64_t k = 0; ownedKeys.size() < 2; ++k) {
-    if (k != 3 && c.ownerOfKey(table, k) == owner) ownedKeys.push_back(k);
-  }
   std::uint64_t absent = 1'000;
   while (c.ownerOfKey(table, absent) != owner) ++absent;
-  const auto tablets = c.coord().tabletMap().tabletsOwnedBy(owner);
-  ASSERT_EQ(tablets.size(), 1u);
   const std::uint64_t version =
       c.directory().masterOn(owner)->objectMap().get(hash::Key{table, 3})
           ->version;
@@ -280,14 +201,10 @@ TEST(MasterService, ReadPathOpcodesShareAdmissionAndWorkerHandOff) {
     std::uint64_t missing;
     double heat;
   };
-  std::vector<std::uint64_t> batch = ownedKeys;
-  batch.push_back(absent);
   const Case cases[] = {
       {"read", readReq(table, 3), 1, 0, 1},
       {"read absent", readReq(table, absent), 1, 1, 1},
       {"validation", validateReq(table, 3, version), 0, 0, 1},
-      {"scan", scanReq(table, tablets[0]), 1, 0, 1},
-      {"multi-read", multiReadReq(table, batch), 3, 1, 3},
   };
   const MasterService& m = *c.directory().masterOn(owner);
   const power::EnergyMeter& meter = c.server(owner - 1).node->energyMeter();

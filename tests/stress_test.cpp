@@ -35,9 +35,9 @@ TEST_P(ClusterStress, InvariantsHoldUnderRandomLoad) {
   const auto table = c.createTable("t");
   c.bulkLoad(table, 3'000, 1000);
 
-  // Four clients do a random op soup: reads, writes, removes, multi-ops,
-  // scans. The loop objects are owned by this scope and consulted through
-  // weak handles so nothing dangles when the test tears down.
+  // Four clients do a random op soup: reads, writes, removes. The loop
+  // objects are owned by this scope and consulted through weak handles so
+  // nothing dangles when the test tears down.
   sim::Rng rng(seed ^ 0x5717e55);
   bool running = true;
   std::uint64_t completed = 0;
@@ -69,28 +69,12 @@ TEST_P(ClusterStress, InvariantsHoldUnderRandomLoad) {
                      ++completed;
                      again(sim::usec(100));
                    });
-      } else if (dice < 90) {
+      } else {
         rcp->remove(table, k,
                     [&completed, again](net::Status, sim::Duration) {
                       ++completed;
                       again(sim::usec(200));
                     });
-      } else if (dice < 96) {
-        std::vector<std::uint64_t> keys;
-        for (int i = 0; i < 32; ++i) keys.push_back(rng.uniformInt(3'000));
-        rcp->multiRead(table, std::move(keys),
-                       [&completed, again](net::Status, std::uint64_t,
-                                           std::uint64_t) {
-                         ++completed;
-                         again(sim::usec(300));
-                       });
-      } else {
-        rcp->scanTable(table,
-                       [&completed, again](net::Status, std::uint64_t,
-                                           std::uint64_t) {
-                         ++completed;
-                         again(msec(5));
-                       });
       }
     };
     (*loop)();

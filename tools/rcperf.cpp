@@ -263,9 +263,9 @@ int cmdTop(const Args& a) {
   // The ticker lives in this holder so it survives until the experiment
   // returns (the hook runs inside runExperiment, before load).
   auto ticker = std::make_shared<std::unique_ptr<sim::PeriodicTask>>();
-  auto prevHeat = std::make_shared<obs::MetricRegistry::Snapshot>();
+  auto prevHeat = std::make_shared<std::map<std::string, double>>();
   auto prevShed = std::make_shared<std::pair<double, double>>(0.0, 0.0);
-  auto prevQos = std::make_shared<obs::MetricRegistry::Snapshot>();
+  auto prevQos = std::make_shared<std::map<std::string, double>>();
   const std::string tenant = cfg.client.tenant;
   cfg.clusterHook = [ticker, prevHeat, prevShed, prevQos, heatTop, qosRate,
                      tenant](core::Cluster& c) {
@@ -298,7 +298,7 @@ int cmdTop(const Args& a) {
           // Tablet heat: windowed rate of the masters' cumulative
           // per-tablet op counters, hottest first.
           std::vector<std::pair<double, std::string>> hot;
-          obs::MetricRegistry::Snapshot cur;
+          std::map<std::string, double> cur;
           c.metrics().forEach([&](const obs::MetricInfo& info) {
             if (info.name.find(".tablet.heat.") == std::string::npos) return;
             const double v = c.metrics().value(info.name);
