@@ -41,18 +41,20 @@ struct RunResult {
 /// the write caught by the crash times out and is retried, so the run
 /// exercises the client retry path (and, when the original attempt got
 /// durable first, the new owner's duplicate suppression). Returns the stop
-/// flag.
+/// flag. The in-flight write and the pending re-issue own the loop; the
+/// loop refers to itself weakly, so it is freed once it stops.
 std::shared_ptr<bool> startWriteProbe(core::Cluster& c, std::uint64_t table,
                                       std::uint64_t key) {
   auto stop = std::make_shared<bool>(false);
   auto step = std::make_shared<std::function<void()>>();
   auto& rc = *c.clientHost(0).rc;
-  *step = [&c, &rc, table, key, stop, step] {
+  *step = [&c, &rc, table, key, stop, weak = std::weak_ptr(step)] {
     if (*stop) return;
-    rc.write(table, key, 100, [&c, stop, step](net::Status, sim::Duration) {
-      if (*stop) return;
-      c.sim().schedule(sim::msec(2), [step] { (*step)(); });
-    });
+    rc.write(table, key, 100,
+             [&c, stop, self = weak.lock()](net::Status, sim::Duration) {
+               if (*stop) return;
+               c.sim().schedule(sim::msec(2), [self] { (*self)(); });
+             });
   };
   (*step)();
   return stop;

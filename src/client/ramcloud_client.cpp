@@ -9,12 +9,13 @@ RamCloudClient::RamCloudClient(
     sim::Simulation& sim, net::RpcSystem& rpc, node::NodeId self,
     node::NodeId coordinatorNode,
     std::function<const coordinator::TabletMap*()> mapAccess,
-    ClientParams params)
+    obs::TimeTrace& trace, ClientParams params)
     : sim_(sim),
       rpc_(rpc),
       self_(self),
       coordinator_(coordinatorNode),
       mapAccess_(std::move(mapAccess)),
+      trace_(trace),
       params_(params),
       retryBudget_(params.retryBudgetPerSec, params.retryBudgetBurst) {}
 
@@ -383,7 +384,7 @@ void RamCloudClient::issue(OpState st) {
   }
   // One span per RPC *attempt*: retries and recovery waits open fresh
   // spans, so stage histograms describe individual RPCs, not op lifetimes.
-  const std::uint64_t span = trace_ != nullptr ? trace_->beginSpan(tenant_) : 0;
+  const std::uint64_t span = trace_.beginSpan(tenant_);
   req.traceSpan = span;
   req.tenant = tenant_;
 
@@ -391,19 +392,17 @@ void RamCloudClient::issue(OpState st) {
             [this, span, target,
              st = std::move(st)](const net::RpcResponse& resp) mutable {
     lastOp_.valid = false;
-    if (trace_ != nullptr && span != 0) {
-      if (resp.status == net::Status::kTimeout) {
-        // The server died (or the reply was lost): the RPC never finished,
-        // so drop the span rather than charging a timeout-length "reply".
-        trace_->abandonSpan(span);
-      } else {
-        trace_->stamp(span, obs::TimeTrace::Stage::kNetworkReply, -1,
-                      static_cast<std::int32_t>(self_));
-        trace_->endSpan(span, &lastOp_.detail);
-        lastOp_.valid = true;
-        lastOp_.span = span;
-        lastOp_.node = static_cast<int>(target);
-      }
+    if (resp.status == net::Status::kTimeout) {
+      // The server died (or the reply was lost): the RPC never finished, so
+      // drop the span rather than charging a timeout-length "reply".
+      trace_.abandonSpan(span);
+    } else {
+      trace_.stamp(span, obs::TimeTrace::Stage::kNetworkReply, -1,
+                   static_cast<std::int32_t>(self_));
+      trace_.endSpan(span, &lastOp_.detail);
+      lastOp_.valid = true;
+      lastOp_.span = span;
+      lastOp_.node = static_cast<int>(target);
     }
     switch (resp.status) {
       case net::Status::kOk:

@@ -74,7 +74,7 @@ class RamCloudClient {
   RamCloudClient(sim::Simulation& sim, net::RpcSystem& rpc,
                  node::NodeId self, node::NodeId coordinatorNode,
                  std::function<const coordinator::TabletMap*()> mapAccess,
-                 ClientParams params);
+                 obs::TimeTrace& trace, ClientParams params);
 
   void read(std::uint64_t tableId, std::uint64_t keyId, OpCallback cb);
   void write(std::uint64_t tableId, std::uint64_t keyId,
@@ -150,11 +150,6 @@ class RamCloudClient {
   std::uint64_t overloadedForOpcode(net::Opcode op) const {
     return opOverloaded_[static_cast<std::size_t>(op)];
   }
-
-  /// Attach the cluster's per-RPC time trace: every data-plane RPC attempt
-  /// opens a span at issue and closes it at completion (a timed-out
-  /// attempt abandons it). nullptr disables tracing.
-  void setTimeTrace(obs::TimeTrace* trace) { trace_ = trace; }
 
   /// Tenant/op-class tag stamped on every traced span and RPC this client
   /// issues (0 = untagged). The SLO tracker keys windows by tenant; trace
@@ -249,6 +244,10 @@ class RamCloudClient {
   node::NodeId self_;
   node::NodeId coordinator_;
   std::function<const coordinator::TabletMap*()> mapAccess_;
+  /// The cluster's per-RPC time trace: every data-plane RPC attempt opens
+  /// a span at issue and closes it at completion (a timed-out attempt
+  /// abandons it).
+  obs::TimeTrace& trace_;
   ClientParams params_;
 
   coordinator::TabletMap cachedMap_;  ///< empty until the first refresh
@@ -286,7 +285,6 @@ class RamCloudClient {
   sim::TokenBucket retryBudget_;
 
   ClientStats stats_;
-  obs::TimeTrace* trace_ = nullptr;
   std::uint16_t tenant_ = 0;
   LastOp lastOp_;
 };

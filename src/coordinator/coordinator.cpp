@@ -18,10 +18,12 @@ using server::Tablet;
 
 Coordinator::Coordinator(node::Node& node, net::RpcSystem& rpc,
                          const server::ServiceDirectory& directory,
-                         CoordinatorParams params, sim::Rng rng)
+                         obs::EventJournal& journal, CoordinatorParams params,
+                         sim::Rng rng)
     : node_(node),
       rpc_(rpc),
       directory_(directory),
+      journal_(journal),
       params_(params),
       rng_(rng) {}
 
@@ -208,11 +210,9 @@ void Coordinator::onMigrationDone(const net::RpcRequest& req) {
       t.owner = am.to;
       m->addTablet(t);
     }
-    if (journal_ != nullptr) {
-      // req.traceSpan carries the source master's migration span id, so
-      // the ownership flip is a cross-node child of the migration.
-      journal_->event("ownership_transfer", node_.id(), req.traceSpan);
-    }
+    // req.traceSpan carries the source master's migration span id, so the
+    // ownership flip is a cross-node child of the migration.
+    journal_.event("ownership_transfer", node_.id(), req.traceSpan);
   }
   if (am.done) am.done(ok);
 }
@@ -241,10 +241,8 @@ void Coordinator::sweepLeases() {
   for (std::uint64_t cid : expired) {
     leases_.erase(cid);
     ++leasesExpired_;
-    if (journal_ != nullptr) {
-      const auto ev = journal_->event("lease_expire", node_.id());
-      journal_->addCount(ev, cid);
-    }
+    const auto ev = journal_.event("lease_expire", node_.id());
+    journal_.addCount(ev, cid);
   }
 }
 
@@ -273,9 +271,7 @@ void Coordinator::startTxResolution(
   cx->txId = txId;
   cx->participants = std::move(participants);
   cx->pendingVotes = static_cast<int>(cx->participants.size());
-  if (journal_ != nullptr) {
-    cx->span = journal_->beginSpan("tx_resolution", node_.id(), 0, txId);
-  }
+  cx->span = journal_.beginSpan("tx_resolution", node_.id(), 0, txId);
 
   // Any participant unreachable (owner recovering, vote timed out) aborts
   // this attempt without deciding anything; the surviving locks re-request
@@ -285,7 +281,7 @@ void Coordinator::startTxResolution(
     cx->abandoned = true;
     activeTxResolutions_.erase(cx->txId);
     ++txResolutionsAbandoned_;
-    if (cx->span != 0) journal_->abandonSpan(cx->span);
+    journal_.abandonSpan(cx->span);
   };
 
   auto decide = [this, cx, abandon] {
@@ -312,10 +308,8 @@ void Coordinator::startTxResolution(
         } else {
           ++txResolutionsAborted_;
         }
-        if (cx->span != 0) {
-          journal_->addCount(cx->span, commit ? 1 : 0);
-          journal_->endSpan(cx->span);
-        }
+        journal_.addCount(cx->span, commit ? 1 : 0);
+        journal_.endSpan(cx->span);
       };
       const auto* entry =
           map_.lookup(tableId, hash::keyHash(hash::Key{tableId, keyId}));
@@ -385,7 +379,7 @@ void Coordinator::pingAll() {
                   // A reply after misses: false alarm, drop the suspicion.
                   if (auto ds = detectSpans_.find(id);
                       ds != detectSpans_.end()) {
-                    if (journal_ != nullptr) journal_->abandonSpan(ds->second);
+                    journal_.abandonSpan(ds->second);
                     detectSpans_.erase(ds);
                   }
                 } else {
@@ -398,11 +392,10 @@ void Coordinator::pingAll() {
 void Coordinator::onPingMiss(ServerId id) {
   if (std::find(up_.begin(), up_.end(), id) == up_.end()) return;
   const int misses = ++pingMisses_[id];
-  if (misses == 1 && journal_ != nullptr &&
-      detectSpans_.find(id) == detectSpans_.end()) {
+  if (misses == 1 && detectSpans_.find(id) == detectSpans_.end()) {
     // Suspicion starts at the first missed ping; the span ends when the
     // server is declared dead (or is abandoned if it answers again).
-    detectSpans_[id] = journal_->beginSpan("failure_detection", node_.id());
+    detectSpans_[id] = journal_.beginSpan("failure_detection", node_.id());
   }
   if (misses >= kMissesBeforeDead) {
     onServerDead(id);
@@ -414,12 +407,10 @@ void Coordinator::onServerDead(ServerId id) {
   if (it == up_.end()) return;  // already handled
   up_.erase(it);
   pingMisses_.erase(id);
-  if (journal_ != nullptr) {
-    // Detection is complete; the entry stays until beginRecovery links the
-    // span under the recovery root (or discards it if nothing to recover).
-    if (auto ds = detectSpans_.find(id); ds != detectSpans_.end()) {
-      journal_->endSpan(ds->second);
-    }
+  // Detection is complete; the entry stays until beginRecovery links the
+  // span under the recovery root (or discards it if nothing to recover).
+  if (auto ds = detectSpans_.find(id); ds != detectSpans_.end()) {
+    journal_.endSpan(ds->second);
   }
   if (onCrashDetected) onCrashDetected(id);
 
@@ -478,17 +469,12 @@ void Coordinator::beginRecovery(ServerId id) {
   rec.recoveryId = recoveryId;
   rec.crashed = id;
   rec.detectedAt = node_.sim().now();
-  if (journal_ != nullptr) {
-    rec.rootSpan = journal_->beginSpan("recovery", node_.id(), 0, recoveryId);
-    if (detectSpan != 0) {
-      journal_->linkSpan(detectSpan, rec.rootSpan, recoveryId);
-    }
-    // Covers crash verification, scheduling and the segment-list gather
-    // (the paper's "will lookup"); closed in buildAndStartPlan.
-    rec.lookupSpan =
-        journal_->beginSpan("will_lookup", node_.id(), rec.rootSpan,
-                            recoveryId);
-  }
+  rec.rootSpan = journal_.beginSpan("recovery", node_.id(), 0, recoveryId);
+  journal_.linkSpan(detectSpan, rec.rootSpan, recoveryId);  // no-op if 0
+  // Covers crash verification, scheduling and the segment-list gather (the
+  // paper's "will lookup"); closed in buildAndStartPlan.
+  rec.lookupSpan =
+      journal_.beginSpan("will_lookup", node_.id(), rec.rootSpan, recoveryId);
   activeRecoveries_[recoveryId] = std::move(rec);
   if (onRecoveryStarted) onRecoveryStarted(recoveryId, id);
 
@@ -526,10 +512,8 @@ void Coordinator::beginRecovery(ServerId id) {
 }
 
 void Coordinator::buildAndStartPlan(ActiveRecovery& rec) {
-  if (journal_ != nullptr && rec.lookupSpan != 0) {
-    journal_->endSpan(rec.lookupSpan);  // segment lists are in
-    rec.lookupSpan = 0;
-  }
+  journal_.endSpan(rec.lookupSpan);  // segment lists are in
+  rec.lookupSpan = 0;
   std::vector<ServerId> masters = up_;
   if (masters.empty()) {
     finishRecovery(rec, false);
@@ -540,18 +524,13 @@ void Coordinator::buildAndStartPlan(ActiveRecovery& rec) {
   rec.partitionOwner = masters;
   rec.remaining = p;
 
-  const std::uint64_t assignSpan =
-      journal_ != nullptr
-          ? journal_->beginSpan("partition_assignment", node_.id(),
-                                rec.rootSpan, rec.recoveryId)
-          : 0;
+  const std::uint64_t assignSpan = journal_.beginSpan(
+      "partition_assignment", node_.id(), rec.rootSpan, rec.recoveryId);
   std::vector<int> all(static_cast<std::size_t>(p));
   for (int i = 0; i < p; ++i) all[static_cast<std::size_t>(i)] = i;
   RecoveryPlanPtr plan = buildPlan(rec, all, masters);
-  if (assignSpan != 0) {
-    journal_->addCount(assignSpan, static_cast<std::uint64_t>(p));
-    journal_->endSpan(assignSpan);
-  }
+  journal_.addCount(assignSpan, static_cast<std::uint64_t>(p));
+  journal_.endSpan(assignSpan);
   if (!plan || plan->segments.empty()) {
     // No backup holds a single replica of this master (e.g. replication
     // disabled, or every replica holder also died): the data is lost.
@@ -731,12 +710,10 @@ void Coordinator::finishRecovery(ActiveRecovery& rec, bool success) {
                       owner);
       }
     }
-    if (journal_ != nullptr && rec.rootSpan != 0) {
-      const auto tabletRemap = journal_->event("tablet_remap", node_.id(),
-                                               rec.rootSpan, rec.recoveryId);
-      journal_->addCount(tabletRemap,
-                         static_cast<std::uint64_t>(rec.partitions.size()));
-    }
+    const auto tabletRemap = journal_.event("tablet_remap", node_.id(),
+                                            rec.rootSpan, rec.recoveryId);
+    journal_.addCount(tabletRemap,
+                      static_cast<std::uint64_t>(rec.partitions.size()));
     // Old replicas are no longer needed: free the dead master's frames.
     if (directory_.liveBackups) {
       for (ServerId b : directory_.liveBackups()) {
@@ -759,13 +736,11 @@ void Coordinator::finishRecovery(ActiveRecovery& rec, bool success) {
   out.succeeded = success;
   recoveryLog_.push_back(out);
 
-  if (journal_ != nullptr && rec.rootSpan != 0) {
-    if (rec.lookupSpan != 0) journal_->abandonSpan(rec.lookupSpan);
-    if (success) {
-      journal_->endSpan(rec.rootSpan);
-    } else {
-      journal_->abandonSpan(rec.rootSpan);
-    }
+  journal_.abandonSpan(rec.lookupSpan);
+  if (success) {
+    journal_.endSpan(rec.rootSpan);
+  } else {
+    journal_.abandonSpan(rec.rootSpan);
   }
 
   const std::uint64_t rid = rec.recoveryId;

@@ -58,7 +58,8 @@ class Coordinator : public net::RpcService {
  public:
   Coordinator(node::Node& node, net::RpcSystem& rpc,
               const server::ServiceDirectory& directory,
-              CoordinatorParams params, sim::Rng rng);
+              obs::EventJournal& journal, CoordinatorParams params,
+              sim::Rng rng);
 
   void handleRpc(const net::RpcRequest& req, node::NodeId from,
                  Responder respond) override;
@@ -132,12 +133,6 @@ class Coordinator : public net::RpcService {
   std::function<void(std::uint64_t recoveryId, server::ServerId crashed)>
       onRecoveryStarted;
 
-  /// Attach the cluster's event journal: the coordinator emits the root
-  /// "recovery" span plus failure_detection / will_lookup /
-  /// partition_assignment / tablet_remap children for every recovery, and
-  /// ownership_transfer events for migrations. nullptr disables.
-  void setJournal(obs::EventJournal* journal) { journal_ = journal; }
-
  private:
   struct ActiveRecovery {
     std::uint64_t recoveryId = 0;
@@ -152,7 +147,7 @@ class Coordinator : public net::RpcService {
     int remaining = 0;
     int retries = 0;
 
-    // Journal spans (0 when tracing is off).
+    // Journal spans (lookupSpan is 0 once closed).
     std::uint64_t rootSpan = 0;
     std::uint64_t lookupSpan = 0;
   };
@@ -190,6 +185,11 @@ class Coordinator : public net::RpcService {
   node::Node& node_;
   net::RpcSystem& rpc_;
   const server::ServiceDirectory& directory_;
+  /// The cluster's event journal: the coordinator emits the root "recovery"
+  /// span plus failure_detection / will_lookup / partition_assignment /
+  /// tablet_remap children for every recovery, and ownership_transfer
+  /// events for migrations.
+  obs::EventJournal& journal_;
   CoordinatorParams params_;
   sim::Rng rng_;
 
@@ -200,7 +200,6 @@ class Coordinator : public net::RpcService {
   /// recovery root), abandoned if the server answers again.
   std::unordered_map<server::ServerId, obs::EventJournal::SpanId>
       detectSpans_;
-  obs::EventJournal* journal_ = nullptr;
   TabletMap map_;
   std::uint64_t nextTableId_ = 1;
   std::uint64_t nextPlanId_ = 1;

@@ -54,9 +54,8 @@ Cluster::Cluster(ClusterParams params)
   coordNode_ = std::make_unique<node::Node>(sim_, 0, coordNodeParams);
   coordNode_->startProcess();
   coord_ = std::make_unique<coordinator::Coordinator>(
-      *coordNode_, rpc_, directory_, params_.coordinator,
+      *coordNode_, rpc_, directory_, journal_, params_.coordinator,
       sim_.rng().fork(0xc0));
-  coord_->setJournal(&journal_);
   rpc_.bind(0, net::kCoordinatorPort, coord_.get());
   // Masters consult the coordinator's lease table through the directory
   // (state side-channel; the timing-bearing RPCs are kOpenLease/kRenewLease).
@@ -77,10 +76,12 @@ Cluster::Cluster(ClusterParams params)
     s.node->startProcess();
     s.dispatch = std::make_unique<server::Dispatch>(sim_, params_.dispatch);
     s.master = std::make_unique<server::MasterService>(
-        *s.node, *s.dispatch, rpc_, directory_, params_.master, planLookup,
-        /*coordinatorNode=*/0, sim_.rng().fork(0x1000 + nid));
+        *s.node, *s.dispatch, rpc_, directory_, journal_, trace_,
+        params_.master, planLookup, /*coordinatorNode=*/0,
+        sim_.rng().fork(0x1000 + nid));
     s.backup = std::make_unique<server::BackupService>(
-        *s.node, *s.dispatch, rpc_, directory_, params_.backup, planLookup);
+        *s.node, *s.dispatch, rpc_, directory_, journal_, params_.backup,
+        planLookup);
     rpc_.bind(nid, net::kMasterPort, s.master.get());
     rpc_.bind(nid, net::kBackupPort, s.backup.get());
     coord_->enlistServer(nid);
@@ -103,9 +104,6 @@ Cluster::Cluster(ClusterParams params)
     };
     s.master->registerMetrics(metrics_, prefix + ".master");
     s.backup->registerMetrics(metrics_, prefix + ".backup");
-    s.master->setTimeTrace(&trace_);
-    s.master->setJournal(&journal_);
-    s.backup->setJournal(&journal_);
     servers_.push_back(std::move(s));
   }
 
@@ -160,8 +158,7 @@ Cluster::Cluster(ClusterParams params)
         [this]() -> const coordinator::TabletMap* {
           return &coord_->tabletMap();
         },
-        params_.client);
-    c.rc->setTimeTrace(&trace_);
+        trace_, params_.client);
     clients_.push_back(std::move(c));
   }
 

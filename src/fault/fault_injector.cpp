@@ -16,20 +16,14 @@ const char* faultKindName(FaultKind k) {
       return "network_loss";
     case FaultKind::kNetworkDelay:
       return "network_delay";
-    case FaultKind::kPartition:
-      return "partition";
     case FaultKind::kDiskStall:
       return "disk_stall";
     case FaultKind::kDiskDegrade:
       return "disk_degrade";
-    case FaultKind::kDiskRestore:
-      return "disk_restore";
     case FaultKind::kCorruptFrames:
       return "corrupt_frames";
     case FaultKind::kCpuThrottle:
       return "cpu_throttle";
-    case FaultKind::kCpuRestore:
-      return "cpu_restore";
     case FaultKind::kReplyDrop:
       return "reply_drop";
     case FaultKind::kClientStall:
@@ -147,7 +141,6 @@ void FaultInjector::fire(const FaultEvent& ev) {
       return;
     case FaultKind::kNetworkLoss:
     case FaultKind::kNetworkDelay:
-    case FaultKind::kPartition:
     case FaultKind::kReplyDrop:
       fireNetwork(ev);
       return;
@@ -159,14 +152,12 @@ void FaultInjector::fire(const FaultEvent& ev) {
       return;
     case FaultKind::kDiskStall:
     case FaultKind::kDiskDegrade:
-    case FaultKind::kDiskRestore:
       fireDisk(ev);
       return;
     case FaultKind::kCorruptFrames:
       fireFrames(ev);
       return;
     case FaultKind::kCpuThrottle:
-    case FaultKind::kCpuRestore:
       fireCpu(ev);
       return;
     case FaultKind::kLoadSurge:
@@ -190,8 +181,7 @@ void FaultInjector::fireNetwork(const FaultEvent& ev) {
   journalEvent(ev, "fault_");
   LinkRule r;
   r.id = nextRuleId_++;
-  r.a = resolveSet(ev.setA, ev.server);
-  r.b = resolveSet(ev.setB, -1);
+  if (ev.server >= 0) r.a.push_back(cluster_.serverNodeId(ev.server));
   switch (ev.kind) {
     case FaultKind::kNetworkLoss:
       r.loss = std::clamp(ev.magnitude, 0.0, 1.0);
@@ -199,15 +189,11 @@ void FaultInjector::fireNetwork(const FaultEvent& ev) {
     case FaultKind::kNetworkDelay:
       r.extra = ev.extraLatency;
       break;
-    case FaultKind::kPartition:
-      r.loss = 1.0;
-      break;
     case FaultKind::kReplyDrop: {
       // Directional server -> clients: requests, replication and recovery
       // traffic still flow; only client-bound replies are lost.
       r.loss = std::clamp(ev.magnitude, 0.0, 1.0);
       r.directional = true;
-      r.b.clear();
       for (int i = 0; i < cluster_.clientCount(); ++i) {
         r.b.push_back(cluster_.clientNodeId(i));
       }
@@ -260,9 +246,6 @@ void FaultInjector::fireDisk(const FaultEvent& ev) {
       }
       return;
     }
-    case FaultKind::kDiskRestore:
-      disk.setSlowdownFactor(1.0);
-      return;
     default:
       return;
   }
@@ -282,12 +265,6 @@ void FaultInjector::fireCpu(const FaultEvent& ev) {
   const int idx = ev.server;
   if (idx < 0 || idx >= cluster_.serverCount()) return;
   if (!cluster_.serverAlive(idx)) return;
-  if (ev.kind == FaultKind::kCpuRestore) {
-    record(ev);
-    journalEvent(ev, "fault_");
-    restoreCpu(idx);
-    return;
-  }
   // Gray failure: hold workers so only `magnitude` of capacity remains.
   // Granularity is 1/workerThreads; at least one worker always survives
   // (a full freeze is a crash, not a gray failure).
@@ -374,18 +351,6 @@ void FaultInjector::restoreCpu(int serverIdx) {
     t.heldWorkers.clear();
     t.serverIdx = -1;  // spent
   }
-}
-
-std::vector<node::NodeId> FaultInjector::resolveSet(
-    const std::vector<int>& set, int fallbackServer) const {
-  std::vector<node::NodeId> out;
-  if (set.empty()) {
-    if (fallbackServer >= 0) out.push_back(cluster_.serverNodeId(fallbackServer));
-    return out;  // empty = wildcard when no fallback either
-  }
-  out.reserve(set.size());
-  for (const int idx : set) out.push_back(cluster_.serverNodeId(idx));
-  return out;
 }
 
 }  // namespace rc::fault

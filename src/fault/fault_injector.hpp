@@ -25,9 +25,9 @@ namespace rc::fault {
 /// fault sequence bit-for-bit, independent of workload randomness.
 ///
 /// Network faults funnel through one Network fault filter installed at
-/// arm(): an ordered list of link rules (loss probability, extra latency,
-/// partitions as loss=1.0) matched bidirectionally against (from, to).
-/// Rules are removed when their duration elapses.
+/// arm(): an ordered list of link rules (loss probability, extra latency)
+/// matched bidirectionally against (from, to), except kReplyDrop's
+/// server -> clients rule. Rules are removed when their duration elapses.
 class FaultInjector {
  public:
   /// One line of the what-actually-happened ledger, for assertions.
@@ -83,11 +83,6 @@ class FaultInjector {
   void fireClientStall(const FaultEvent& ev);
   void fireCrashBeforeReply(const FaultEvent& ev);
   void fireLoadSurge(const FaultEvent& ev);
-
-  /// Map the event's setA/setB (server indexes; empty A -> {ev.server},
-  /// empty B -> wildcard) to node ids.
-  std::vector<node::NodeId> resolveSet(const std::vector<int>& set,
-                                       int fallbackServer) const;
 
   void journalEvent(const FaultEvent& ev, const char* prefix);
 

@@ -15,14 +15,11 @@ enum class FaultKind {
   kCrashServer,    ///< kill the RAMCloud process on a server (permanent)
   kNetworkLoss,    ///< drop each matching message with probability
   kNetworkDelay,   ///< add fixed extra one-way latency to matching messages
-  kPartition,      ///< drop everything between two node sets
   kDiskStall,      ///< firmware-style pause: no I/O progress for `duration`
   kDiskDegrade,    ///< divide disk throughput by `magnitude`
-  kDiskRestore,    ///< restore nominal disk throughput
   kCorruptFrames,  ///< mark `magnitude` frames unreadable (listed but
                    ///< failing on read — the nasty kind)
   kCpuThrottle,    ///< gray failure: cap worker capacity at `magnitude`
-  kCpuRestore,     ///< give stolen workers back
   kReplyDrop,       ///< drop server->client traffic only (lost replies force
                     ///< retries of already-applied ops — the RIFL scenario)
   kClientStall,     ///< freeze a client (no RPCs, no lease renewals)
@@ -58,17 +55,16 @@ struct FaultEvent {
   FaultKind kind = FaultKind::kCrashServer;
   FaultTrigger trigger;
 
-  int server = -1;         ///< target server index (crash/disk/cpu/frames)
-  int client = -1;         ///< target client index (kClientStall)
-  std::vector<int> setA;   ///< network rule side A (empty -> {server})
-  std::vector<int> setB;   ///< network rule side B (empty -> everyone else)
+  /// Target server index (crash/disk/cpu/frames). Network kinds match
+  /// messages to or from this server, or every message when it is -1.
+  int server = -1;
+  int client = -1;  ///< target client index (kClientStall)
 
   /// Loss probability [0,1] / disk slowdown factor (>=1) / frame count /
   /// CPU capacity fraction [0,1] — per kind.
   double magnitude = 0;
 
-  /// How long the fault stays active; 0 = permanent (until an explicit
-  /// heal/restore event, or forever for crashes).
+  /// How long the fault stays active; 0 = permanent.
   sim::Duration duration = 0;
 
   /// Extra one-way latency for kNetworkDelay.
@@ -127,20 +123,6 @@ struct FaultPlan {
     e.kind = FaultKind::kNetworkDelay;
     e.trigger.at = at;
     e.extraLatency = extra;
-    e.duration = duration;
-    e.tag = std::move(tag);
-    events.push_back(std::move(e));
-    return *this;
-  }
-
-  FaultPlan& partition(sim::SimTime at, std::vector<int> sideA,
-                       std::vector<int> sideB, sim::Duration duration,
-                       std::string tag = "partition") {
-    FaultEvent e;
-    e.kind = FaultKind::kPartition;
-    e.trigger.at = at;
-    e.setA = std::move(sideA);
-    e.setB = std::move(sideB);
     e.duration = duration;
     e.tag = std::move(tag);
     events.push_back(std::move(e));

@@ -10,12 +10,14 @@ namespace rc::server {
 
 BackupService::BackupService(
     node::Node& node, Dispatch& dispatch, net::RpcSystem& rpc,
-    const ServiceDirectory& directory, BackupParams params,
+    const ServiceDirectory& directory, obs::EventJournal& journal,
+    BackupParams params,
     std::function<RecoveryPlanPtr(std::uint64_t)> planLookup)
     : node_(node),
       dispatch_(dispatch),
       rpc_(rpc),
       directory_(directory),
+      journal_(journal),
       params_(params),
       planLookup_(std::move(planLookup)) {}
 
@@ -119,17 +121,12 @@ void BackupService::maybeStartFlush(const FrameKey& key) {
   if (!f.closed || f.flushing || f.onDisk) return;
   f.flushing = true;
   const std::uint64_t flushBytes = f.ackedBytes;
-  std::uint64_t flushSpan = 0;
-  if (journal_ != nullptr) {
-    flushSpan = journal_->beginSpan("frame_flush", node_.id());
-    journal_->addBytes(flushSpan, flushBytes);
-  }
+  const std::uint64_t flushSpan = journal_.beginSpan("frame_flush", node_.id());
+  journal_.addBytes(flushSpan, flushBytes);
   node_.disk().write(
       flushBytes,
       [this, key, flushBytes, flushSpan] {
-        if (journal_ != nullptr && flushSpan != 0) {
-          journal_->endSpan(flushSpan);
-        }
+        journal_.endSpan(flushSpan);
         auto it2 = frames_.find(key);
         if (it2 == frames_.end()) {
           // Frame freed while flushing; the pool accounting was already
@@ -220,19 +217,14 @@ void BackupService::onGetRecoveryData(const net::RpcRequest& req,
       f.loadWaiters.push_back(std::move(deliver));
       if (!f.loading) {
         f.loading = true;
-        std::uint64_t readSpan = 0;
-        if (journal_ != nullptr) {
-          readSpan = journal_->beginSpan(
-              "segment_read", node_.id(), fetchSpan,
-              plan != nullptr ? plan->recoveryId : 0);
-          journal_->addBytes(readSpan, f.ackedBytes);
-        }
+        const std::uint64_t readSpan =
+            journal_.beginSpan("segment_read", node_.id(), fetchSpan,
+                               plan != nullptr ? plan->recoveryId : 0);
+        journal_.addBytes(readSpan, f.ackedBytes);
         node_.disk().read(
             f.ackedBytes,
             [this, key, readSpan] {
-              if (journal_ != nullptr && readSpan != 0) {
-                journal_->endSpan(readSpan);
-              }
+              journal_.endSpan(readSpan);
               auto it3 = frames_.find(key);
               if (it3 == frames_.end()) return;
               Frame& f3 = it3->second;

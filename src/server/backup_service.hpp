@@ -39,7 +39,8 @@ struct BackupParams {
 class BackupService : public net::RpcService {
  public:
   BackupService(node::Node& node, Dispatch& dispatch, net::RpcSystem& rpc,
-                const ServiceDirectory& directory, BackupParams params,
+                const ServiceDirectory& directory, obs::EventJournal& journal,
+                BackupParams params,
                 std::function<RecoveryPlanPtr(std::uint64_t)> planLookup);
 
   void handleRpc(const net::RpcRequest& req, node::NodeId from,
@@ -87,12 +88,6 @@ class BackupService : public net::RpcService {
   /// Register this backup's metrics under `prefix` (e.g. "node3.backup").
   void registerMetrics(obs::MetricRegistry& reg, const std::string& prefix);
 
-  /// Attach the cluster's event journal; recovery disk reads emit
-  /// segment_read spans (parented under the requesting master's
-  /// segment_fetch span) and spills emit frame_flush spans. nullptr
-  /// disables.
-  void setJournal(obs::EventJournal* journal) { journal_ = journal; }
-
  private:
   struct FrameKey {
     ServerId master;
@@ -134,6 +129,10 @@ class BackupService : public net::RpcService {
   Dispatch& dispatch_;
   net::RpcSystem& rpc_;
   const ServiceDirectory& directory_;
+  /// The cluster's event journal: recovery disk reads emit segment_read
+  /// spans (parented under the requesting master's segment_fetch span) and
+  /// spills emit frame_flush spans.
+  obs::EventJournal& journal_;
   BackupParams params_;
   std::function<RecoveryPlanPtr(std::uint64_t)> planLookup_;
 
@@ -143,7 +142,6 @@ class BackupService : public net::RpcService {
 
   std::uint64_t writesServiced_ = 0;
   std::uint64_t acksDelayed_ = 0;
-  obs::EventJournal* journal_ = nullptr;
 };
 
 }  // namespace rc::server

@@ -13,13 +13,16 @@ namespace rc::server {
 
 MasterService::MasterService(
     node::Node& node, Dispatch& dispatch, net::RpcSystem& rpc,
-    const ServiceDirectory& directory, MasterParams params,
+    const ServiceDirectory& directory, obs::EventJournal& journal,
+    obs::TimeTrace& trace, MasterParams params,
     std::function<RecoveryPlanPtr(std::uint64_t)> planLookup,
     node::NodeId coordinatorNode, sim::Rng rng)
     : node_(node),
       dispatch_(dispatch),
       rpc_(rpc),
       directory_(directory),
+      journal_(journal),
+      trace_(trace),
       params_(params),
       planLookup_(std::move(planLookup)),
       coordinator_(coordinatorNode),
@@ -61,7 +64,7 @@ MasterService::MasterService(
             auto s = findSegment(id);
             return s.get();
           },
-          rng_.fork(0xbac)) {
+          &journal, rng_.fork(0xbac)) {
   replicaMgr_.stillAlive = [this] { return node_.cpu().poweredOn(); };
   replicaMgr_.underPressure = [this] { return dispatch_.underPressure(); };
   log_.onSegmentOpened = [this](log::Segment& seg) {
@@ -591,9 +594,7 @@ void MasterService::finishCommit(Request& m, Outcome& o, int w, bool ok) {
     dispatch_.noteSojourn(node_.sim().now() - m.arrival);
   }
   stampTrace(m.span, obs::TimeTrace::Stage::kReplicationWait);
-  if (journal_ != nullptr && o.journalSpan != 0) {
-    journal_->endSpan(o.journalSpan);
-  }
+  journal_.endSpan(o.journalSpan);
   if (ok && o.crashPoint && crashBeforeReplyHook_) {
     // Fault point: the op is durable (and recorded) but the reply never
     // leaves — the injector crashes us from the hook and the client's retry
@@ -715,11 +716,8 @@ MasterService::Outcome MasterService::prepareBody(Request& m) {
   o.bytes = p.sizeBytes;
   o.reply.b = cur;
   node_.chargeDram(p.sizeBytes, {power::OpClass::kUpdate, m.tenant});
-  if (journal_ != nullptr) {
-    o.journalSpan = journal_->beginSpan("tx_prepare",
-                                        static_cast<int>(node_.id()), 0,
-                                        m.txId);
-  }
+  o.journalSpan = journal_.beginSpan("tx_prepare",
+                                     static_cast<int>(node_.id()), 0, m.txId);
   return o;
 }
 
@@ -787,11 +785,9 @@ MasterService::Outcome MasterService::decisionBody(Request& m) {
     // Fault point "crash a participant mid-commit": decision durable and
     // applied, reply never leaves this node.
     o.crashPoint = true;
-    if (journal_ != nullptr) {
-      o.journalSpan = journal_->beginSpan(m.commit ? "tx_commit" : "tx_abort",
-                                          static_cast<int>(node_.id()), 0,
-                                          m.txId);
-    }
+    o.journalSpan = journal_.beginSpan(m.commit ? "tx_commit" : "tx_abort",
+                                       static_cast<int>(node_.id()), 0,
+                                       m.txId);
   } else if (tracked) {
     // No lock for this tx here (already resolved, or never prepared): the
     // answer must still be durable so a retry replays it instead of racing
@@ -1293,11 +1289,8 @@ void MasterService::cleanerLoop() {
           kCleanerPerByteCpuNs * static_cast<double>(liveBytes)));
   // One journal span per pass; cleaner passes on a node are serialized by
   // cleanerActive_, so these spans never overlap per actor.
-  std::uint64_t passSpan = 0;
-  if (journal_ != nullptr) {
-    passSpan = journal_->beginSpan("cleaner_pass", node_.id());
-    journal_->addBytes(passSpan, liveBytes);
-  }
+  const std::uint64_t passSpan = journal_.beginSpan("cleaner_pass", node_.id());
+  journal_.addBytes(passSpan, liveBytes);
   node_.cpu().run(cost, {power::OpClass::kCleaner, 0},
                   guard([this, victim, liveBytes, passSpan] {
     if (log_.segment(victim) != nullptr) {
@@ -1309,7 +1302,7 @@ void MasterService::cleanerLoop() {
       ++stats_.cleanerRuns;
       node_.chargeDram(liveBytes, {power::OpClass::kCleaner, 0});
     }
-    if (journal_ != nullptr && passSpan != 0) journal_->endSpan(passSpan);
+    journal_.endSpan(passSpan);
     cleanerLoop();
   }));
 }

@@ -121,7 +121,8 @@ struct MasterStats {
 class MasterService : public net::RpcService {
  public:
   MasterService(node::Node& node, Dispatch& dispatch, net::RpcSystem& rpc,
-                const ServiceDirectory& directory, MasterParams params,
+                const ServiceDirectory& directory, obs::EventJournal& journal,
+                obs::TimeTrace& trace, MasterParams params,
                 std::function<RecoveryPlanPtr(std::uint64_t)> planLookup,
                 node::NodeId coordinatorNode, sim::Rng rng);
   ~MasterService() override;
@@ -220,19 +221,7 @@ class MasterService : public net::RpcService {
 
   // ----- observability
 
-  /// Attach the cluster's per-RPC time trace; reads and every mutating
-  /// opcode stamp dispatch-wait, worker-service and replication-wait stages
-  /// against spans carried in RpcRequest::traceSpan. nullptr disables.
-  void setTimeTrace(obs::TimeTrace* trace) { trace_ = trace; }
-
-  /// Attach the cluster's event journal; recovery tasks, migrations,
-  /// cleaner passes and background re-replication emit phase spans on this
-  /// node. nullptr disables.
-  void setJournal(obs::EventJournal* journal) {
-    journal_ = journal;
-    replicaMgr_.setJournal(journal);
-  }
-  obs::EventJournal* journal() { return journal_; }
+  obs::EventJournal& journal() { return journal_; }
 
   /// Register this master's counters and service histograms under `prefix`
   /// (e.g. "node3.master").
@@ -267,10 +256,10 @@ class MasterService : public net::RpcService {
   /// what lets rcdiag decompose an exemplar into "waited behind N requests
   /// on node M" (docs/SLO.md).
   void stampTrace(std::uint64_t span, obs::TimeTrace::Stage stage) {
-    if (trace_ != nullptr && span != 0) {
-      trace_->stamp(span, stage,
-                    static_cast<std::int32_t>(dispatch_.queueDepth()),
-                    static_cast<std::int32_t>(node_.id()));
+    if (span != 0) {  // 0 = an untraced RPC
+      trace_.stamp(span, stage,
+                   static_cast<std::int32_t>(dispatch_.queueDepth()),
+                   static_cast<std::int32_t>(node_.id()));
     }
   }
 
@@ -417,6 +406,14 @@ class MasterService : public net::RpcService {
   Dispatch& dispatch_;
   net::RpcSystem& rpc_;
   const ServiceDirectory& directory_;
+  /// The cluster's event journal: recovery tasks, migrations, cleaner
+  /// passes, minitransaction records and background re-replication emit
+  /// phase spans on this node.
+  obs::EventJournal& journal_;
+  /// The cluster's per-RPC time trace: reads and every mutating opcode
+  /// stamp dispatch-wait, worker-service and replication-wait stages
+  /// against spans carried in RpcRequest::traceSpan.
+  obs::TimeTrace& trace_;
   MasterParams params_;
   std::function<RecoveryPlanPtr(std::uint64_t)> planLookup_;
   node::NodeId coordinator_;
@@ -446,8 +443,6 @@ class MasterService : public net::RpcService {
   std::vector<sim::SimTime> recentStreams_;
   MasterStats stats_;
   std::map<std::pair<std::uint64_t, std::uint64_t>, TabletHeat> tabletHeat_;
-  obs::TimeTrace* trace_ = nullptr;
-  obs::EventJournal* journal_ = nullptr;
   obs::MetricRegistry* metricReg_ = nullptr;  ///< for late-added tablets
   std::string metricPrefix_;
 };

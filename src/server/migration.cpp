@@ -21,9 +21,8 @@ void MigrationTask::abort() {
 }
 
 void MigrationTask::start() {
-  if (auto* j = source_.journal()) {
-    migrationSpan_ = j->beginSpan("migration", source_.node().id());
-  }
+  migrationSpan_ =
+      source_.journal().beginSpan("migration", source_.node().id());
   collectKeys();
   sendNextBatch();
 }
@@ -136,9 +135,7 @@ void MigrationTask::sendNextBatch() {
             finish(false);
             return;
           }
-          if (migrationSpan_ != 0) {
-            source_.journal()->addCount(migrationSpan_, resp.a);
-          }
+          source_.journal().addCount(migrationSpan_, resp.a);
           sendNextBatch();
         });
   });
@@ -186,12 +183,10 @@ void MigrationTask::finish(bool ok) {
     source_.removeTablet(tablet_);
   }
 
-  if (migrationSpan_ != 0) {
-    if (ok) {
-      source_.journal()->endSpan(migrationSpan_);
-    } else {
-      source_.journal()->abandonSpan(migrationSpan_);
-    }
+  if (ok) {
+    source_.journal().endSpan(migrationSpan_);
+  } else {
+    source_.journal().abandonSpan(migrationSpan_);
   }
 
   net::RpcRequest req;

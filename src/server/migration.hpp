@@ -68,7 +68,7 @@ class MigrationTask {
   bool done_ = false;
   bool failed_ = false;
   bool aborted_ = false;
-  std::uint64_t migrationSpan_ = 0;  ///< journal span; 0 = tracing off
+  std::uint64_t migrationSpan_ = 0;  ///< journal span; 0 before start()
   std::shared_ptr<bool> alive_;
 };
 

@@ -25,7 +25,7 @@ RecoveryTask::RecoveryTask(MasterService& master, RecoveryPlanPtr plan,
         auto s = sideSegment(id);
         return s.get();
       },
-      master_.rng_.fork(0x51de));
+      /*journal=*/nullptr, master_.rng_.fork(0x51de));
   sideRepl_->stillAlive = [w = std::weak_ptr<bool>(alive_)] {
     auto p = w.lock();
     return p != nullptr && *p;
@@ -84,20 +84,19 @@ void RecoveryTask::unpinWorkers() {
 }
 
 void RecoveryTask::start() {
-  if (auto* j = master_.journal()) {
-    taskSpan_ = j->beginSpan("partition_recovery", master_.node().id(),
-                             plan_->rootSpan, plan_->recoveryId);
-  }
+  taskSpan_ = master_.journal().beginSpan("partition_recovery",
+                                          master_.node().id(), plan_->rootSpan,
+                                          plan_->recoveryId);
   pinWorkers();
   pumpFetches();
 }
 
 void RecoveryTask::abandonJournalSpans() {
-  auto* j = master_.journal();
-  if (j == nullptr) return;  // abandonSpan is a no-op on closed spans
-  for (const auto& [segIdx, span] : fetchSpans_) j->abandonSpan(span);
-  if (replaySpan_ != 0) j->abandonSpan(replaySpan_);
-  if (taskSpan_ != 0) j->abandonSpan(taskSpan_);
+  // abandonSpan is a no-op on closed spans and on id 0.
+  obs::EventJournal& j = master_.journal();
+  for (const auto& [segIdx, span] : fetchSpans_) j.abandonSpan(span);
+  j.abandonSpan(replaySpan_);
+  j.abandonSpan(taskSpan_);
 }
 
 void RecoveryTask::pumpFetches() {
@@ -126,12 +125,12 @@ void RecoveryTask::fetchSegment(std::size_t segIdx, std::size_t sourceIdx) {
     return;
   }
   const node::NodeId backup = src.backups[sourceIdx];
-  if (auto* j = master_.journal();
-      j != nullptr && !fetchSpans_.contains(segIdx)) {
-    // One span per segment, spanning replica fallbacks; up to
-    // kRecoveryFetchWindow of these legitimately overlap per actor.
-    fetchSpans_[segIdx] = j->beginSpan("segment_fetch", master_.node().id(),
-                                       taskSpan_, plan_->recoveryId);
+  // One span per segment, spanning replica fallbacks; up to
+  // kRecoveryFetchWindow of these legitimately overlap per actor.
+  auto [fetchSpan, firstTry] = fetchSpans_.try_emplace(segIdx, 0);
+  if (firstTry) {
+    fetchSpan->second = master_.journal().beginSpan(
+        "segment_fetch", master_.node().id(), taskSpan_, plan_->recoveryId);
   }
   FetchState& fs = inFlightFetches_[segIdx];
   fs.backup = backup;
@@ -147,9 +146,7 @@ void RecoveryTask::fetchSegment(std::size_t segIdx, std::size_t sourceIdx) {
   req.d = plan_->planId;
   // Carry the fetch span so the backup parents its segment_read under it
   // (backups never stamp TimeTrace, so the field is free on this opcode).
-  if (auto it = fetchSpans_.find(segIdx); it != fetchSpans_.end()) {
-    req.traceSpan = it->second;
-  }
+  req.traceSpan = fetchSpan->second;
 
   master_.rpc().call(
       master_.node().id(), backup, net::kBackupPort, req,
@@ -198,10 +195,10 @@ void RecoveryTask::onSegmentData(std::size_t segIdx,
   if (aborted_ || failed_) return;
   --outstandingFetches_;
   if (auto it = fetchSpans_.find(segIdx); it != fetchSpans_.end()) {
-    auto* j = master_.journal();
-    j->addBytes(it->second, plan_->segments[segIdx].bytes);
-    j->addCount(it->second, entries.size());
-    j->endSpan(it->second);
+    obs::EventJournal& j = master_.journal();
+    j.addBytes(it->second, plan_->segments[segIdx].bytes);
+    j.addCount(it->second, entries.size());
+    j.endSpan(it->second);
     fetchSpans_.erase(it);
   }
   replayQueue_.push_back(std::move(entries));
@@ -217,10 +214,8 @@ void RecoveryTask::pumpReplay() {
     return;
   }
   replaying_ = true;
-  if (auto* j = master_.journal()) {
-    replaySpan_ = j->beginSpan("replay", master_.node().id(), taskSpan_,
-                               plan_->recoveryId);
-  }
+  replaySpan_ = master_.journal().beginSpan("replay", master_.node().id(),
+                                            taskSpan_, plan_->recoveryId);
   std::vector<log::LogEntry> entries = std::move(replayQueue_.front());
   replayQueue_.pop_front();
   replayChunk(std::move(entries), 0);
@@ -231,10 +226,8 @@ void RecoveryTask::replayChunk(std::vector<log::LogEntry> entries,
   if (aborted_ || failed_) return;
   if (offset >= entries.size()) {
     replaying_ = false;
-    if (replaySpan_ != 0) {
-      master_.journal()->endSpan(replaySpan_);
-      replaySpan_ = 0;
-    }
+    master_.journal().endSpan(replaySpan_);
+    replaySpan_ = 0;
     ++segmentsReplayed_;
     pumpReplay();
     return;
@@ -256,7 +249,7 @@ void RecoveryTask::replayChunk(std::vector<log::LogEntry> entries,
       applyEntry(entries[i]);
       ++entriesReplayed_;
     }
-    if (replaySpan_ != 0) master_.journal()->addCount(replaySpan_, chunk);
+    master_.journal().addCount(replaySpan_, chunk);
     // Replication gating: if appends sealed a side segment and too many
     // are unacked, pause until acks drain (pumpReplay re-checks).
     if (unackedSegments_ > kRecoveryMaxUnackedSegments) {
@@ -271,10 +264,8 @@ void RecoveryTask::replayChunk(std::vector<log::LogEntry> entries,
         ++segmentsReplayed_;
       }
       replaying_ = false;
-      if (replaySpan_ != 0) {
-        master_.journal()->endSpan(replaySpan_);
-        replaySpan_ = 0;
-      }
+      master_.journal().endSpan(replaySpan_);
+      replaySpan_ = 0;
       pumpReplay();
       return;
     }
@@ -332,28 +323,21 @@ void RecoveryTask::applyEntry(const log::LogEntry& e) {
 
 void RecoveryTask::onSideSegmentSealed(log::Segment& seg) {
   ++unackedSegments_;
-  std::uint64_t replSpan = 0;
-  if (auto* j = master_.journal()) {
-    replSpan = j->beginSpan("rereplication", master_.node().id(), taskSpan_,
-                            plan_->recoveryId);
-    j->addBytes(replSpan, seg.appendedBytes());
-  }
+  obs::EventJournal& j = master_.journal();
+  const std::uint64_t replSpan = j.beginSpan(
+      "rereplication", master_.node().id(), taskSpan_, plan_->recoveryId);
+  j.addBytes(replSpan, seg.appendedBytes());
   sideRepl_->replicateWholeSegment(
       seg, [this, w = std::weak_ptr<bool>(alive_), replSpan](bool ok) {
         auto p = w.lock();
         if (p == nullptr || !*p) return;
         --unackedSegments_;
-        if (replSpan != 0) {
-          if (ok) {
-            master_.journal()->endSpan(replSpan);
-          } else {
-            master_.journal()->abandonSpan(replSpan);
-          }
-        }
         if (!ok) {
+          master_.journal().abandonSpan(replSpan);
           fail();
           return;
         }
+        master_.journal().endSpan(replSpan);
         pumpReplay();
         maybeFinish();
       });
@@ -376,10 +360,8 @@ void RecoveryTask::commit() {
   if (committed_) return;
   committed_ = true;
   unpinWorkers();
-  if (auto* j = master_.journal(); j != nullptr && taskSpan_ != 0) {
-    j->addCount(taskSpan_, entriesReplayed_);
-    j->endSpan(taskSpan_);
-  }
+  master_.journal().addCount(taskSpan_, entriesReplayed_);
+  master_.journal().endSpan(taskSpan_);
 
   // Atomically switch ownership: install recovered objects, adopt the
   // side-log segments, take over the partition's tablets.

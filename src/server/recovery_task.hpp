@@ -142,7 +142,7 @@ class RecoveryTask {
   bool failed_ = false;
   bool aborted_ = false;
 
-  /// Journal spans (0 / absent when tracing is off). taskSpan_ is the
+  /// Journal spans (replaySpan_ is 0 between bursts). taskSpan_ is the
   /// "partition_recovery" span covering the whole task; one segment_fetch
   /// span per segment (spanning replica fallbacks); one replay span per
   /// replaying_ burst — serial per actor by construction.

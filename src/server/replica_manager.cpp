@@ -8,13 +8,15 @@ namespace rc::server {
 ReplicaManager::ReplicaManager(sim::Simulation& sim, net::RpcSystem& rpc,
                                node::NodeId self, ReplicationParams params,
                                CandidatesFn candidates,
-                               SegmentLookupFn segmentLookup, sim::Rng rng)
+                               SegmentLookupFn segmentLookup,
+                               obs::EventJournal* journal, sim::Rng rng)
     : sim_(sim),
       rpc_(rpc),
       self_(self),
       params_(params),
       candidates_(std::move(candidates)),
       segmentLookup_(std::move(segmentLookup)),
+      journal_(journal),
       rng_(rng) {}
 
 ReplicaManager::~ReplicaManager() {
@@ -337,7 +339,7 @@ void ReplicaManager::repairSlot(log::SegmentId segId, std::size_t slot) {
   ++st.repairsInFlight;
   std::uint64_t span = 0;
   if (journal_) {
-    span = journal_->beginSpan("rereplication", self_, 0, journalCtx_);
+    span = journal_->beginSpan("rereplication", self_);
     journal_->addBytes(span, resend);
   }
   bytesReplicated_ += resend;
@@ -351,12 +353,12 @@ void ReplicaManager::repairSlot(log::SegmentId segId, std::size_t slot) {
             [this, life = std::weak_ptr<bool>(life_), journal = journal_,
              segId, slot, fresh, span](const net::RpcResponse& resp) {
     if (life.expired() || (stillAlive && !stillAlive())) {
-      if (journal && span) journal->abandonSpan(span);
+      if (journal) journal->abandonSpan(span);
       return;
     }
     auto it2 = segments_.find(segId);
     if (it2 == segments_.end()) {  // freed while repairing
-      if (journal_ && span) journal_->abandonSpan(span);
+      if (journal_) journal_->abandonSpan(span);
       return;
     }
     SegmentState& st2 = it2->second;
@@ -366,10 +368,10 @@ void ReplicaManager::repairSlot(log::SegmentId segId, std::size_t slot) {
       st2.backups[slot] = fresh;
       ++replacements_;
       repairAttempt_ = 0;
-      if (journal_ && span) journal_->endSpan(span);
+      if (journal_) journal_->endSpan(span);
     } else {
       if (resp.status != net::Status::kOk) ++replicaTimeouts_;
-      if (journal_ && span) journal_->abandonSpan(span);
+      if (journal_) journal_->abandonSpan(span);
     }
     if (rfDeficit() > 0) scheduleRepair();
   });

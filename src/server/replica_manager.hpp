@@ -67,10 +67,14 @@ class ReplicaManager {
   using SegmentLookupFn =
       std::function<const log::Segment*(log::SegmentId)>;
 
+  /// Background repairs emit "rereplication" spans on `self` into
+  /// `journal`. A recovery task's side-log manager passes nullptr: its
+  /// repairs emit no span (the task journals its own side-log
+  /// replication).
   ReplicaManager(sim::Simulation& sim, net::RpcSystem& rpc,
                  node::NodeId self, ReplicationParams params,
                  CandidatesFn candidates, SegmentLookupFn segmentLookup,
-                 sim::Rng rng);
+                 obs::EventJournal* journal, sim::Rng rng);
 
   /// Recovery tasks destroy their ReplicaManager mid-run; the pending
   /// repair-tick event must not outlive `this` (eager O(log n) cancel),
@@ -132,13 +136,6 @@ class ReplicaManager {
   /// Repair rounds stretched because the node was shedding.
   std::uint64_t repairsDeferred() const { return repairsDeferred_; }
 
-  /// Attach the cluster's event journal; background repairs emit
-  /// "rereplication" spans on this node. nullptr disables.
-  void setJournal(obs::EventJournal* journal, std::uint64_t ctx = 0) {
-    journal_ = journal;
-    journalCtx_ = ctx;
-  }
-
  private:
   struct SegmentState {
     std::vector<node::NodeId> backups;
@@ -161,6 +158,7 @@ class ReplicaManager {
   ReplicationParams params_;
   CandidatesFn candidates_;
   SegmentLookupFn segmentLookup_;
+  obs::EventJournal* journal_;
   sim::Rng rng_;
 
   std::unordered_map<log::SegmentId, SegmentState> segments_;
@@ -172,8 +170,6 @@ class ReplicaManager {
   bool repairScheduled_ = false;
   sim::EventId repairEvent_ = sim::kInvalidEvent;
   int repairAttempt_ = 0;
-  obs::EventJournal* journal_ = nullptr;
-  std::uint64_t journalCtx_ = 0;
 
   /// Lifetime token: every send timer, RPC reply and ack/backoff
   /// continuation holds a weak_ptr to it and touches `this` only while it

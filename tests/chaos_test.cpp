@@ -19,6 +19,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.hpp"
@@ -908,6 +909,73 @@ TEST(ChaosTx, ParticipantCrashMidCommitResolvesOrphan) {
 
   // Exported for CI's orphan-resolution grep gate.
   EXPECT_TRUE(c.exportMetrics(::testing::TempDir() + "chaos_tx"));
+}
+
+// A network rule scoped to one server matches every message to or from that
+// server and nothing else: a ping to it pays the extra latency twice (the
+// request in, the reply out), a ping between two other servers pays
+// nothing, and the rule is gone once its duration has passed.
+TEST(Chaos, ServerScopedDelayHitsOnlyThatServersLinks) {
+  core::ClusterParams p;
+  p.servers = 4;
+  p.clients = 1;
+  p.seed = 11;
+  core::Cluster c(p);
+
+  constexpr sim::Duration kExtra = usec(40);
+  fault::FaultPlan plan;
+  fault::FaultEvent e;
+  e.kind = fault::FaultKind::kNetworkDelay;
+  e.trigger.at = seconds(1);
+  e.server = 1;  // node 2
+  e.extraLatency = kExtra;
+  e.duration = msec(500);
+  e.tag = "server_delay";
+  plan.events.push_back(e);
+  fault::FaultInjector injector(c, plan, c.sim().rng().fork(0x5e1));
+  injector.arm();
+
+  // Round trip of one ping from `from` to `to`'s master, sent at `at`
+  // (mid-way between the coordinator's pings, so both ends are idle).
+  auto pingRtt = [&c](sim::SimTime at, int from, int to) {
+    c.sim().runFor(at - c.sim().now());
+    const sim::SimTime sent = c.sim().now();
+    sim::Duration rtt = -1;
+    net::RpcRequest req;
+    req.op = net::Opcode::kPing;
+    c.rpc().call(c.serverNodeId(from), c.serverNodeId(to), net::kMasterPort,
+                 req, msec(10),
+                 [&c, sent, &rtt](const net::RpcResponse& resp) {
+                   if (resp.status == net::Status::kOk) {
+                     rtt = c.sim().now() - sent;
+                   }
+                 });
+    c.sim().runFor(msec(20));
+    return rtt;
+  };
+
+  // Pairs by server index: into the delayed server, out of it, and between
+  // two servers it is not part of.
+  const std::array<std::pair<int, int>, 3> pairs{{{2, 1}, {1, 2}, {2, 3}}};
+  const std::array<sim::Duration, 3> extra{2 * kExtra, 2 * kExtra, 0};
+  std::array<sim::Duration, 3> before{};
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    before[i] = pingRtt(msec(250 + 100 * static_cast<int>(i)),
+                        pairs[i].first, pairs[i].second);
+    ASSERT_GT(before[i], 0);
+  }
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(pingRtt(msec(1150 + 100 * static_cast<int>(i)), pairs[i].first,
+                      pairs[i].second),
+              before[i] + extra[i]);
+  }
+  EXPECT_EQ(injector.activeNetworkRules(), 1u);
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    EXPECT_EQ(pingRtt(msec(1650 + 100 * static_cast<int>(i)), pairs[i].first,
+                      pairs[i].second),
+              before[i]);
+  }
+  EXPECT_EQ(injector.activeNetworkRules(), 0u);
 }
 
 TEST(Chaos, SameSeedSamePlanIsBitIdentical) {
